@@ -25,12 +25,13 @@ print(f"  collar means:      {[round(l.value, 4) for l in collar.series]}")
 print(f"  collar limit:      {collar.limit.mid:.4f}")
 print(f"  parametric value:  {reference:.6f}")
 
-# the collars themselves form a shrinking full-mass sequence
+# the collars themselves form a shrinking sequence; the engine gives each full
+# mass 1 by construction
 aura = aura_report(RegionBoundary(circle.region), circle.region, sched,
                    SampleSpec(n=200_000, seed=6))
-print("\ncollar volumes (shrinking) with engine mass 1 each:")
+print("\ncollar volumes (shrinking):")
 for level in aura.levels[:5]:
-    print(f"  delta {level.delta:7.4f}: volume {level.volume:.4f}, mass {level.mass}")
+    print(f"  delta {level.delta:7.4f}: volume {level.volume:.4f} +- {level.volume_stderr:.4f}")
 
 # divergence identity on the disk: div(x, y) = 2, flux through the circle = 2*pi
 gauss = gauss_check(lambda p: p, circle, SampleSpec(n=2_000_000, seed=7),

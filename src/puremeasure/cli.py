@@ -66,20 +66,21 @@ class BadSchedule(ConfigError):
     pass
 
 
-TASK_KINDS = (
-    "density_ratio",
-    "sharp_integral",
-    "action_interval",
-    "cone_density",
-    "sigma_probe",
-    "aura_report",
-    "boundary_trace",
-    "density_gradient",
-    "calculus_rule_check",
-    "collar_average",
-    "gauss_check",
-    "fa_lattice",
-)
+@dataclass(frozen=True)
+class TaskKind:
+    """A task kind: its handler and the names its fields must reference.
+
+    `run(config, task, out_dir)` returns the report payload, the CSV files
+    written and whether the result is unintegrable.
+    """
+
+    run: Callable
+    regions: tuple[str, ...] = ()
+    features: tuple[str, ...] = ()
+    integrands: tuple[str, ...] = ()
+    lists: tuple[tuple[str, str], ...] = ()  # (field, table): a field holding a list of names
+    optional: tuple[str, ...] = ()  # integrand fields that may be absent
+    fields: tuple[str, ...] = ()  # scalar-field objects {"f": integrand, "grad": [integrands]}
 
 
 @dataclass
@@ -113,6 +114,15 @@ def _check_schedule(node: dict, pointer: str) -> dict:
     return out
 
 
+def _at_least(value: Any, minimum: int, name: str, pointer: str) -> int:
+    try:
+        value = int(value)
+    except (TypeError, ValueError):
+        raise ParseError(f"{name} must be an integer", pointer) from None
+    _require(value >= minimum, ParseError, f"{name} must be at least {minimum}", pointer)
+    return value
+
+
 def parse_config(text: str) -> Config:
     """Validate a JSON config; the first problem is reported with its location."""
     try:
@@ -124,9 +134,8 @@ def parse_config(text: str) -> Config:
     version = raw.get("version", SCHEMA)
     _require(version == SCHEMA, ParseError, f"unrecognized version {version!r}", "/version")
 
-    seed = int(raw.get("seed", 0))
-    samples = int(raw.get("samples", DEFAULT_SAMPLES))
-    _require(samples >= 2, ParseError, "samples must be at least 2", "/samples")
+    seed = _at_least(raw.get("seed", 0), 0, "seed", "/seed")
+    samples = _at_least(raw.get("samples", DEFAULT_SAMPLES), 2, "samples", "/samples")
     tol = float(raw.get("tol", DEFAULT_TOL))
     schedule = _check_schedule(raw.get("schedule", {}), "/schedule")
 
@@ -158,13 +167,16 @@ def parse_config(text: str) -> Config:
         ptr = f"/tasks/{i}"
         _require(isinstance(task, dict), ParseError, "task must be an object", ptr)
         kind = task.get("task")
-        _require(kind in TASK_KINDS, ParseError, f"unknown task kind {kind!r}", ptr + "/task")
+        _require(isinstance(kind, str) and kind in TASK_KINDS, ParseError, f"unknown task kind {kind!r}", ptr + "/task")
         task.setdefault("name", f"task{i}")
         _require(task["name"] not in seen_names, ParseError, f"duplicate task name {task['name']!r}", ptr + "/name")
         seen_names.add(task["name"])
         if "schedule" in task:
             task["schedule"] = _check_schedule(task["schedule"], ptr + "/schedule")
-        _validate_references(task, regions, features, integrands, ptr)
+        if "samples" in task:
+            _at_least(task["samples"], 2, "samples", ptr + "/samples")
+        tables = {"region": regions, "feature": features, "integrand": integrands}
+        _validate_references(task, TASK_KINDS[kind], tables, ptr)
 
     resolved = {
         "version": SCHEMA,
@@ -180,60 +192,28 @@ def parse_config(text: str) -> Config:
     return Config(seed, samples, tol, schedule, regions, features, integrands, tasks, resolved)
 
 
-_REFERENCE_FIELDS = {
-    "density_ratio": {"regions": ["region", "omega"], "features": ["feature"], "integrands": []},
-    "sharp_integral": {"regions": ["omega"], "features": ["feature"], "integrands": ["integrand"]},
-    "action_interval": {"regions": ["omega"], "features": ["feature"], "integrands": ["integrand"]},
-    "cone_density": {"regions": ["omega"], "features": [], "integrands": []},
-    "sigma_probe": {"regions": ["omega", "union"], "features": ["feature"], "integrands": []},
-    "aura_report": {"regions": ["omega"], "features": ["feature"], "integrands": []},
-    "boundary_trace": {"regions": ["omega"], "features": [], "integrands": ["integrand"]},
-    "density_gradient": {"regions": ["omega"], "features": [], "integrands": []},
-    "calculus_rule_check": {"regions": ["omega"], "features": [], "integrands": []},
-    "collar_average": {"regions": ["surface"], "features": [], "integrands": ["integrand"]},
-    "gauss_check": {"regions": ["surface"], "features": [], "integrands": []},
-    "fa_lattice": {"regions": [], "features": [], "integrands": []},
-}
+def _validate_references(task: dict, kind: TaskKind, tables: dict[str, dict], ptr: str) -> None:
+    def defined(table: str, name: Any, pointer: str) -> None:
+        _require(name in tables[table], UnknownName, f"undefined {table} {name!r}", pointer)
 
-
-def _validate_references(task: dict, regions, features, integrands, ptr: str) -> None:
-    kind = task["task"]
-    spec = _REFERENCE_FIELDS[kind]
-    for field in spec["regions"]:
-        if field in task:
-            _require(task[field] in regions, UnknownName, f"undefined region {task[field]!r}", f"{ptr}/{field}")
-        else:
-            _require(False, ParseError, f"task needs field {field!r}", ptr)
-    for field in spec["features"]:
-        _require(field in task, ParseError, f"task needs field {field!r}", ptr)
-        _require(task[field] in features, UnknownName, f"undefined feature {task[field]!r}", f"{ptr}/{field}")
-    for field in spec["integrands"]:
-        _require(field in task, ParseError, f"task needs field {field!r}", ptr)
-        _require(task[field] in integrands, UnknownName, f"undefined integrand {task[field]!r}", f"{ptr}/{field}")
-    # optional or structured references
+    for table, fields in (("region", kind.regions), ("feature", kind.features), ("integrand", kind.integrands)):
+        for field in fields:
+            _require(field in task, ParseError, f"task needs field {field!r}", ptr)
+            defined(table, task[field], f"{ptr}/{field}")
     if "weight" in task:
-        _require(task["weight"] in integrands, UnknownName, f"undefined integrand {task['weight']!r}", f"{ptr}/weight")
-    if kind == "sigma_probe":
-        for j, member in enumerate(task.get("members", [])):
-            _require(member in regions, UnknownName, f"undefined region {member!r}", f"{ptr}/members/{j}")
-    if kind == "density_gradient":
-        for j, g in enumerate(task.get("gradient", [])):
-            _require(g in integrands, UnknownName, f"undefined integrand {g!r}", f"{ptr}/gradient/{j}")
-        if "integrand" in task:
-            _require(task["integrand"] in integrands, UnknownName,
-                     f"undefined integrand {task['integrand']!r}", f"{ptr}/integrand")
-    if kind == "calculus_rule_check":
-        for side in ("f1", "f2"):
-            body = task.get(side, {})
-            _require(isinstance(body, dict) and "f" in body, ParseError, f"task needs {side}.f", f"{ptr}/{side}")
-            _require(body["f"] in integrands, UnknownName, f"undefined integrand {body['f']!r}", f"{ptr}/{side}/f")
-            for j, g in enumerate(body.get("grad", [])):
-                _require(g in integrands, UnknownName, f"undefined integrand {g!r}", f"{ptr}/{side}/grad/{j}")
-    if kind == "gauss_check":
-        for j, g in enumerate(task.get("phi", [])):
-            _require(g in integrands, UnknownName, f"undefined integrand {g!r}", f"{ptr}/phi/{j}")
-        if "div" in task:
-            _require(task["div"] in integrands, UnknownName, f"undefined integrand {task['div']!r}", f"{ptr}/div")
+        defined("integrand", task["weight"], f"{ptr}/weight")
+    for field, table in kind.lists:
+        for j, name in enumerate(task.get(field, [])):
+            defined(table, name, f"{ptr}/{field}/{j}")
+    for field in kind.optional:
+        if field in task:
+            defined("integrand", task[field], f"{ptr}/{field}")
+    for side in kind.fields:
+        body = task.get(side, {})
+        _require(isinstance(body, dict) and "f" in body, ParseError, f"task needs {side}.f", f"{ptr}/{side}")
+        defined("integrand", body["f"], f"{ptr}/{side}/f")
+        for j, g in enumerate(body.get("grad", [])):
+            defined("integrand", g, f"{ptr}/{side}/grad/{j}")
 
 
 # -------------------------------------------------------------- serialization
@@ -265,15 +245,24 @@ def _format_float(x: float) -> str:
     return repr(float(x))
 
 
-def _write_series_csv(path: Path, rows) -> None:
+def _write_series_csv(out_dir: Path, name: str, rows) -> str:
+    """Write rows (delta, value, stderr, hits) to `name`.csv; returns the file name."""
     lines = ["delta,value,stderr,hits"]
     for delta, value, stderr, hits in rows:
         lines.append(f"{_format_float(delta)},{_format_float(value)},{_format_float(stderr)},{int(hits)}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    csv = f"{name}.csv"
+    (out_dir / csv).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return csv
 
 
 def _probe_rows(result: ProbeResult):
     return [(l.delta, l.value, l.stderr, l.hits) for l in result.series]
+
+
+def _probe_output(task: dict, out_dir: Path, result: ProbeResult, **extra):
+    """Payload, CSV and unintegrable flag of a task whose result is one profile."""
+    csv = _write_series_csv(out_dir, task["name"], _probe_rows(result))
+    return {**_jsonable(result), **extra}, [csv], result.unintegrable
 
 
 # ------------------------------------------------------------------ handlers
@@ -319,9 +308,7 @@ def _run_density_ratio(config: Config, task: dict, out_dir: Path):
         _schedule_for(config, task, feature, omega), _spec_for(config, task),
         weight=_weight_for(config, task), tol=_tol_for(config, task),
     )
-    csv = f"{task['name']}.csv"
-    _write_series_csv(out_dir / csv, _probe_rows(result))
-    return _jsonable(result), [csv], result.unintegrable
+    return _probe_output(task, out_dir, result)
 
 
 def _run_sharp_integral(config: Config, task: dict, out_dir: Path):
@@ -332,9 +319,7 @@ def _run_sharp_integral(config: Config, task: dict, out_dir: Path):
         _schedule_for(config, task, feature, omega), _spec_for(config, task),
         weight=_weight_for(config, task), tol=_tol_for(config, task),
     )
-    csv = f"{task['name']}.csv"
-    _write_series_csv(out_dir / csv, _probe_rows(result))
-    return _jsonable(result), [csv], result.unintegrable
+    return _probe_output(task, out_dir, result)
 
 
 def _run_action_interval(config: Config, task: dict, out_dir: Path):
@@ -357,9 +342,7 @@ def _run_cone_density(config: Config, task: dict, out_dir: Path):
         _schedule_for(config, task, feature, omega), _spec_for(config, task),
         tol=_tol_for(config, task),
     )
-    csv = f"{task['name']}.csv"
-    _write_series_csv(out_dir / csv, _probe_rows(result))
-    return _jsonable(result), [csv], False
+    return _probe_output(task, out_dir, result)
 
 
 def _run_sigma_probe(config: Config, task: dict, out_dir: Path):
@@ -371,14 +354,11 @@ def _run_sigma_probe(config: Config, task: dict, out_dir: Path):
         _schedule_for(config, task, feature, omega), _spec_for(config, task),
         tol=_tol_for(config, task),
     )
-    csvs = []
-    for k, member in enumerate(report.members, start=1):
-        csv = f"{task['name']}_member{k}.csv"
-        _write_series_csv(out_dir / csv, _probe_rows(member))
-        csvs.append(csv)
-    union_csv = f"{task['name']}_union.csv"
-    _write_series_csv(out_dir / union_csv, _probe_rows(report.union))
-    csvs.append(union_csv)
+    csvs = [
+        _write_series_csv(out_dir, f"{task['name']}_member{k}", _probe_rows(member))
+        for k, member in enumerate(report.members, start=1)
+    ]
+    csvs.append(_write_series_csv(out_dir, f"{task['name']}_union", _probe_rows(report.union)))
     return _jsonable(report), csvs, False
 
 
@@ -388,12 +368,8 @@ def _run_aura_report(config: Config, task: dict, out_dir: Path):
     report = aura_report(
         feature, omega, _schedule_for(config, task, feature, omega), _spec_for(config, task)
     )
-    csv = f"{task['name']}.csv"
-    _write_series_csv(
-        out_dir / csv,
-        [(l.delta, l.volume, l.volume_stderr, l.hits) for l in report.levels],
-    )
-    return _jsonable(report), [csv], False
+    rows = [(l.delta, l.volume, l.volume_stderr, l.hits) for l in report.levels]
+    return _jsonable(report), [_write_series_csv(out_dir, task["name"], rows)], False
 
 
 def _run_boundary_trace(config: Config, task: dict, out_dir: Path):
@@ -405,9 +381,7 @@ def _run_boundary_trace(config: Config, task: dict, out_dir: Path):
         _schedule_for(config, task, feature, omega), _spec_for(config, task),
         tol=_tol_for(config, task),
     )
-    csv = f"{task['name']}.csv"
-    _write_series_csv(out_dir / csv, _probe_rows(result))
-    return _jsonable(result), [csv], result.unintegrable
+    return _probe_output(task, out_dir, result)
 
 
 def _run_density_gradient(config: Config, task: dict, out_dir: Path):
@@ -449,13 +423,8 @@ def _run_collar_average(config: Config, task: dict, out_dir: Path):
         _schedule_for(config, task, boundary, fixture.region), _spec_for(config, task),
         tol=_tol_for(config, task),
     )
-    csv = f"{task['name']}.csv"
-    _write_series_csv(out_dir / csv, _probe_rows(result))
-    payload = _jsonable(result)
-    payload["surface_reference"] = _jsonable(
-        surface_reference(config.integrands[task["integrand"]], fixture)
-    )
-    return payload, [csv], result.unintegrable
+    reference = surface_reference(config.integrands[task["integrand"]], fixture)
+    return _probe_output(task, out_dir, result, surface_reference=_jsonable(reference))
 
 
 def _run_gauss_check(config: Config, task: dict, out_dir: Path):
@@ -493,19 +462,21 @@ def _run_fa_lattice(config: Config, task: dict, out_dir: Path):
     return payload, [], False
 
 
-_HANDLERS: dict[str, Callable] = {
-    "density_ratio": _run_density_ratio,
-    "sharp_integral": _run_sharp_integral,
-    "action_interval": _run_action_interval,
-    "cone_density": _run_cone_density,
-    "sigma_probe": _run_sigma_probe,
-    "aura_report": _run_aura_report,
-    "boundary_trace": _run_boundary_trace,
-    "density_gradient": _run_density_gradient,
-    "calculus_rule_check": _run_calculus_rule_check,
-    "collar_average": _run_collar_average,
-    "gauss_check": _run_gauss_check,
-    "fa_lattice": _run_fa_lattice,
+TASK_KINDS: dict[str, TaskKind] = {
+    "density_ratio": TaskKind(_run_density_ratio, ("region", "omega"), ("feature",)),
+    "sharp_integral": TaskKind(_run_sharp_integral, ("omega",), ("feature",), ("integrand",)),
+    "action_interval": TaskKind(_run_action_interval, ("omega",), ("feature",), ("integrand",)),
+    "cone_density": TaskKind(_run_cone_density, ("omega",)),
+    "sigma_probe": TaskKind(_run_sigma_probe, ("omega", "union"), ("feature",), lists=(("members", "region"),)),
+    "aura_report": TaskKind(_run_aura_report, ("omega",), ("feature",)),
+    "boundary_trace": TaskKind(_run_boundary_trace, ("omega",), integrands=("integrand",)),
+    "density_gradient": TaskKind(
+        _run_density_gradient, ("omega",), lists=(("gradient", "integrand"),), optional=("integrand",)
+    ),
+    "calculus_rule_check": TaskKind(_run_calculus_rule_check, ("omega",), fields=("f1", "f2")),
+    "collar_average": TaskKind(_run_collar_average, ("surface",), integrands=("integrand",)),
+    "gauss_check": TaskKind(_run_gauss_check, ("surface",), lists=(("phi", "integrand"),), optional=("div",)),
+    "fa_lattice": TaskKind(_run_fa_lattice),
 }
 
 
@@ -520,7 +491,7 @@ def run(config: Config, out_dir: str | Path, only: str | None = None) -> int:
             continue
         entry = {"name": task["name"], "task": task["task"]}
         try:
-            payload, csvs, unintegrable = _HANDLERS[task["task"]](config, task, out)
+            payload, csvs, unintegrable = TASK_KINDS[task["task"]].run(config, task, out)
             entry["result"] = payload
             entry["csv"] = csvs
             if unintegrable:
@@ -562,15 +533,15 @@ def main(argv=None) -> int:
         return 1
     try:
         config = parse_config(text)
+        if args.seed is not None:
+            config.seed = _at_least(args.seed, 0, "seed", "--seed")
+            config.resolved["seed"] = config.seed
+        if args.samples is not None:
+            config.samples = _at_least(args.samples, 2, "samples", "--samples")
+            config.resolved["samples"] = config.samples
     except ConfigError as e:
         print(f"config error at {e}", file=sys.stderr)
         return 1
-    if args.seed is not None:
-        config.seed = int(args.seed)
-        config.resolved["seed"] = config.seed
-    if args.samples is not None:
-        config.samples = int(args.samples)
-        config.resolved["samples"] = config.samples
     if args.task is not None and all(t["name"] != args.task for t in config.tasks):
         print(f"no task named {args.task!r}", file=sys.stderr)
         return 1

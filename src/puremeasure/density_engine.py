@@ -9,9 +9,11 @@ with F_delta the open delta-neighborhood of F.  The limit functional exists
 only abstractly; this engine computes the canonical ratio profile along a
 geometric delta schedule, estimates the limit from the tail of the profile,
 and reports when no limit exists (the [liminf, limsup] interval is then the
-honest answer).  Numerator and denominator of every ratio share one sample
-stream per level, which makes normalization and set monotonicity exact
-rather than statistical.
+honest answer).  Each level is one pass over one sample stream (stream k at
+level k) that feeds every functional evaluated there: ratios, sharp
+integrals, essential ranges and the volume of F_delta ∩ Omega.  Numerator
+and denominator of every ratio share that stream, which makes normalization
+and set monotonicity exact rather than statistical.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from .geometry import (
     Bbox,
     Cone,
     Feature,
-    Intersection,
     PointFeature,
     Region,
     bbox_diagonal,
@@ -34,17 +35,20 @@ from .geometry import (
     bbox_intersect,
     bbox_is_finite,
     bbox_volume,
-    neighborhood_region,
 )
 from .quadrature import (
     ESS_QUANTILE,
     MAGNITUDE_CAP,
+    EssRange,
     Estimate,
+    Range,
+    Ratio,
     SampleSpec,
+    Sweep,
     UnboundedRegion,
-    ess_range,
-    mc_volume,
-    mc_weighted_mean,
+    _indicator,
+    sweep,
+    volume_column,
 )
 
 DEFAULT_TOL = 0.02
@@ -180,6 +184,10 @@ def _window_range(rows) -> tuple[float, float]:
 
 # ----------------------------------------------------------- ratio machinery
 
+# The columns of a level's pass, given the level's delta and sampling box.
+Columns = Callable[[float, Bbox], tuple[Sequence[Ratio], Sequence[Range]]]
+
+
 def _level_bbox(feature: Feature, omega: Region, delta: float) -> Bbox:
     if not bbox_is_finite(omega.bbox):
         raise UnboundedRegion("the domain must have a finite bounding box")
@@ -201,6 +209,43 @@ def _reference_weight(feature: Feature, omega: Region, delta: float, weight: Cal
     return w
 
 
+def _level_pass(feature: Feature, omega: Region, delta: float, spec: SampleSpec, stream: int,
+                columns: Columns, weight: Callable | None = None) -> Sweep:
+    """One kernel pass over F_delta ∩ Omega feeding every column of the level."""
+    bbox = _level_bbox(feature, omega, delta)
+    ratios, ranges = columns(delta, bbox)
+    result = sweep(_reference_weight(feature, omega, delta, weight), bbox, spec, stream, ratios, ranges)
+    if result.hits == 0:
+        raise VanishingReference(f"no reference mass at delta={delta}")
+    return result
+
+
+def _profile(feature: Feature, omega: Region, schedule: DeltaSchedule, spec: SampleSpec,
+             columns: Columns, weight: Callable | None = None) -> list[tuple[float, Sweep]]:
+    """One pass per level along the schedule, level k drawn from stream k."""
+    return [
+        (delta, _level_pass(feature, omega, delta, spec, k, columns, weight))
+        for k, delta in enumerate(schedule.deltas())
+    ]
+
+
+def _memberships(regions: Sequence[Region]) -> Columns:
+    columns = tuple(Ratio(_indicator(a)) for a in regions)
+    return lambda delta, bbox: (columns, ())
+
+
+def _ratio_probe(levels: list[tuple[float, Sweep]], j: int, tol: float,
+                 max_capped_fraction: float = 0.0) -> ProbeResult:
+    """Profile and limit of ratio column j; unintegrable once a level caps too many hits."""
+    series = []
+    for delta, result in levels:
+        r = result.ratios[j]
+        series.append(LevelEstimate(delta, r.value, r.stderr, r.hits, r.capped))
+    limit, verdict = limit_estimate(series, tol)
+    unintegrable = any(l.capped > max_capped_fraction * l.hits for l in series)
+    return ProbeResult(tuple(series), limit, verdict, unintegrable)
+
+
 def density_ratio(
     a: Region,
     feature: Feature,
@@ -211,17 +256,8 @@ def density_ratio(
     stream: int = 0,
 ) -> Estimate:
     """Weighted volume ratio of A within F_delta ∩ Omega at a single delta."""
-    bbox = _level_bbox(feature, omega, delta)
-    wm = mc_weighted_mean(
-        lambda pts: a.contains(pts).astype(float),
-        _reference_weight(feature, omega, delta, weight),
-        bbox,
-        spec,
-        stream=stream,
-    )
-    if wm.hits == 0 or not wm.weight > 0:
-        raise VanishingReference(f"no reference mass at delta={delta}")
-    return Estimate(wm.value, wm.stderr, wm.hits, wm.n)
+    r = _level_pass(feature, omega, delta, spec, stream, _memberships([a]), weight).ratios[0]
+    return Estimate(r.value, r.stderr, r.hits, r.n)
 
 
 def density_probe(
@@ -234,12 +270,7 @@ def density_probe(
     tol: float = DEFAULT_TOL,
 ) -> ProbeResult:
     """Density ratio profile over the schedule plus its limit estimate."""
-    series = []
-    for k, delta in enumerate(schedule.deltas()):
-        est = density_ratio(a, feature, omega, delta, spec, weight, stream=k)
-        series.append(LevelEstimate(delta, est.value, est.stderr, est.hits))
-    limit, verdict = limit_estimate(series, tol)
-    return ProbeResult(tuple(series), limit, verdict)
+    return _ratio_probe(_profile(feature, omega, schedule, spec, _memberships([a]), weight), 0, tol)
 
 
 def sharp_integral(
@@ -262,25 +293,9 @@ def sharp_integral(
     flag (integration against a density measure is then meaningless even if
     the symmetric mean profile happens to settle).
     """
-    series = []
-    unintegrable = False
-    for k, delta in enumerate(schedule.deltas()):
-        bbox = _level_bbox(feature, omega, delta)
-        wm = mc_weighted_mean(
-            fn,
-            _reference_weight(feature, omega, delta, weight),
-            bbox,
-            spec,
-            stream=k,
-            cap=cap,
-        )
-        if wm.hits == 0 or not (wm.weight > 0 or wm.capped > 0):
-            raise VanishingReference(f"no reference mass at delta={delta}")
-        if wm.capped > max_capped_fraction * wm.hits:
-            unintegrable = True
-        series.append(LevelEstimate(delta, wm.value, wm.stderr, wm.hits, wm.capped))
-    limit, verdict = limit_estimate(series, tol)
-    return ProbeResult(tuple(series), limit, verdict, unintegrable)
+    columns = (Ratio(fn, cap),)
+    levels = _profile(feature, omega, schedule, spec, lambda delta, bbox: (columns, ()), weight)
+    return _ratio_probe(levels, 0, tol, max_capped_fraction)
 
 
 @dataclass(frozen=True)
@@ -318,41 +333,35 @@ def action_profile(
     lower envelope the running maximum); the envelopes at the smallest delta
     estimate the action interval.
     """
-    return _action_profile_per_level(lambda _delta: fn, feature, omega, schedule, spec, tol, q, cap)
+    column = Range(fn, q, cap)
+    return _action_profiles(lambda delta: [column], feature, omega, schedule, spec, tol)[0]
 
 
-def _action_profile_per_level(
-    fn_at: Callable[[float], Callable],
-    feature: Feature,
-    omega: Region,
-    schedule: DeltaSchedule,
-    spec: SampleSpec,
-    tol: float = DEFAULT_TOL,
-    q: float = ESS_QUANTILE,
-    cap: float = MAGNITUDE_CAP,
-) -> ActionProfile:
-    levels = []
+def _action_profiles(ranges_at: Callable[[float], Sequence[Range]], feature: Feature, omega: Region,
+                     schedule: DeltaSchedule, spec: SampleSpec, tol: float) -> tuple[ActionProfile, ...]:
+    """Action profiles of every range column; the columns may depend on delta."""
+    levels = _profile(feature, omega, schedule, spec, lambda delta, bbox: ((), ranges_at(delta)))
+    width = len(levels[0][1].ranges)
+    return tuple(_envelopes([(delta, r.ranges[j]) for delta, r in levels], tol) for j in range(width))
+
+
+def _envelopes(levels: list[tuple[float, EssRange]], tol: float) -> ActionProfile:
+    rows = []
     lo_env, hi_env = -np.inf, np.inf
     seen_lo = seen_hi = False
-    for k, delta in enumerate(schedule.deltas()):
-        bbox = _level_bbox(feature, omega, delta)
-        region = Intersection((neighborhood_region(feature, delta), omega))
-        level_spec = SampleSpec(spec.n, spec.seed, bbox)
-        r = ess_range(fn_at(delta), region, level_spec, q=q, cap=cap, stream=k)
-        if r.hits == 0:
-            raise VanishingReference(f"no reference mass at delta={delta}")
+    for delta, r in levels:
         seen_lo |= not np.isfinite(r.lo)
         seen_hi |= not np.isfinite(r.hi)
         if np.isfinite(r.lo):
             lo_env = max(lo_env, r.lo)
         if np.isfinite(r.hi):
             hi_env = min(hi_env, r.hi)
-        levels.append(ActionLevel(delta, r.lo, r.hi, lo_env, hi_env, r.hits))
+        rows.append(ActionLevel(delta, r.lo, r.hi, lo_env, hi_env, r.hits))
     lo = -np.inf if seen_lo else lo_env
     hi = np.inf if seen_hi else hi_env
     if np.isfinite(lo) and np.isfinite(hi) and lo > hi:
         lo, hi = hi, lo  # envelopes crossed within sampling noise; keep ordered
-    return ActionProfile(tuple(levels), Interval(lo, hi, tol), seen_lo, seen_hi)
+    return ActionProfile(tuple(rows), Interval(lo, hi, tol), seen_lo, seen_hi)
 
 
 def action_interval(
@@ -409,22 +418,23 @@ def sigma_probe(
 ) -> SigmaProbeReport:
     """Countable-additivity probe for a disjoint family with a known union.
 
-    Members are probed individually; their limits are summed and compared to
-    the limit on the full union (a closed form for the infinite family the
-    finitely many members come from).  A gap beyond the combined tolerance
-    flags that no countably additive measure can produce these densities.
+    Members and union are columns of one pass per level, so each profile
+    equals its own `density_probe`.  The member limits are summed and
+    compared to the limit on the full union (a closed form for the infinite
+    family the finitely many members come from).  A gap beyond the combined
+    tolerance flags that no countably additive measure can produce these
+    densities.
     """
-    member_results = tuple(
-        density_probe(a, feature, omega, schedule, spec, tol=tol) for a in members
-    )
-    union_result = density_probe(union, feature, omega, schedule, spec, tol=tol)
+    family = (*members, union)
+    levels = _profile(feature, omega, schedule, spec, _memberships(family))
+    *member_results, union_result = (_ratio_probe(levels, j, tol) for j in range(len(family)))
     member_sum = float(sum(r.limit.mid for r in member_results))
     union_value = union_result.limit.mid
     combined = tol + 0.5 * union_result.limit.width + sum(
         0.5 * r.limit.width for r in member_results
     )
     violation = abs(member_sum - union_value) > combined
-    return SigmaProbeReport(member_results, union_result, member_sum, union_value, combined, violation)
+    return SigmaProbeReport(tuple(member_results), union_result, member_sum, union_value, combined, violation)
 
 
 @dataclass(frozen=True)
@@ -433,7 +443,6 @@ class AuraLevel:
     volume: float
     volume_stderr: float
     hits: int
-    mass: float
 
 
 @dataclass(frozen=True)
@@ -448,28 +457,19 @@ def aura_report(
     schedule: DeltaSchedule,
     spec: SampleSpec,
 ) -> AuraReport:
-    """Volumes and engine mass of the sets F_delta ∩ Omega along the schedule.
+    """Volumes of the sets F_delta ∩ Omega along the schedule.
 
-    The volumes must decrease toward zero (within stderr) while the engine
-    assigns each set full mass 1; together the levels witness a shrinking
-    sequence of sets that carries all of the limit functional's mass.
+    The volumes must decrease toward zero (within stderr).  The engine gives
+    each of these sets full mass 1 by construction, since every ratio's
+    numerator and denominator coincide on it; together the levels witness a
+    shrinking sequence of sets that carries all of the limit functional's
+    mass.
     """
+    volume = lambda delta, bbox: ((volume_column(bbox),), ())
     levels = []
-    for k, delta in enumerate(schedule.deltas()):
-        bbox = _level_bbox(feature, omega, delta)
-        region = Intersection((neighborhood_region(feature, delta), omega))
-        level_spec = SampleSpec(spec.n, spec.seed, bbox)
-        vol = mc_volume(region, level_spec, stream=k)
-        if vol.hits == 0:
-            raise VanishingReference(f"F_delta ∩ Omega carries no volume at delta={delta}")
-        wm = mc_weighted_mean(
-            lambda pts: np.ones(len(pts)),
-            _reference_weight(feature, omega, delta, None),
-            bbox,
-            level_spec,
-            stream=k,
-        )
-        levels.append(AuraLevel(delta, vol.value, vol.stderr, vol.hits, wm.value))
+    for delta, result in _profile(feature, omega, schedule, spec, volume):
+        vol = result.ratios[0]
+        levels.append(AuraLevel(delta, vol.value, vol.stderr, vol.hits))
     decreasing = all(
         levels[i + 1].volume <= levels[i].volume + levels[i].volume_stderr + levels[i + 1].volume_stderr
         for i in range(len(levels) - 1)

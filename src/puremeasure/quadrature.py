@@ -9,6 +9,12 @@ The pairing makes estimates of odd integrands over symmetric boxes vanish
 identically instead of merely on average, which the density engine relies
 on for its cancellation fixtures.
 
+Every estimator is one `sweep` of the stream: each chunk is drawn once, a
+reference weight is evaluated once per half-chunk, and any number of ratio
+and essential-range columns are fed from the points of positive weight.
+Columns on one sweep share their samples (common random numbers), so each
+agrees exactly with the same column estimated on a separate sweep.
+
 Integrand samples that are non-finite or exceed the magnitude cap are
 tallied and dropped from averages, never averaged.
 """
@@ -16,7 +22,7 @@ tallied and dropped from averages, never averaged.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -81,72 +87,6 @@ def _pair_chunks(seed: int, stream: int, pairs: int, bbox: Bbox) -> Iterator[tup
         chunk += 1
 
 
-def _resolve_bbox(region: Region, spec: SampleSpec) -> Bbox:
-    bbox = spec.bbox if spec.bbox is not None else region.bbox
-    if not bbox_is_finite(bbox):
-        raise UnboundedRegion("sampling requires a finite bounding box")
-    return bbox
-
-
-def mc_volume(region: Region, spec: SampleSpec, stream: int = 0) -> Estimate:
-    """Unbiased Lebesgue volume estimate; deterministic for a fixed spec."""
-    bbox = _resolve_bbox(region, spec)
-    vol = bbox_volume(bbox)
-    m = spec.pairs
-    if vol == 0.0:
-        return Estimate(0.0, 0.0, 0, 2 * m)
-    s = s2 = 0.0
-    hits = 0
-    for a, b in _pair_chunks(spec.seed, stream, m, bbox):
-        ia = region.contains(a)
-        ib = region.contains(b)
-        hits += int(ia.sum()) + int(ib.sum())
-        z = 0.5 * vol * (ia.astype(float) + ib.astype(float))
-        s += float(z.sum())
-        s2 += float((z * z).sum())
-    mean = s / m
-    var = max(s2 - s * s / m, 0.0) / (m - 1) if m > 1 else 0.0
-    return Estimate(float(mean), float(CONFIDENCE * np.sqrt(var / m)), hits, 2 * m)
-
-
-def mc_integral(f: Callable, region: Region, spec: SampleSpec, stream: int = 0) -> Estimate:
-    """Volume-weighted mean estimate of the integral of f over the region."""
-    bbox = _resolve_bbox(region, spec)
-    vol = bbox_volume(bbox)
-    m = spec.pairs
-    if vol == 0.0:
-        return Estimate(0.0, 0.0, 0, 2 * m)
-    su = suu = sv = svv = suv = 0.0
-    hits = 0
-    nonfinite = 0
-    for a, b in _pair_chunks(spec.seed, stream, m, bbox):
-        uj = np.zeros(a.shape[0])
-        vj = np.zeros(a.shape[0])
-        for pts in (a, b):
-            inside = region.contains(pts)
-            hits += int(inside.sum())
-            with np.errstate(all="ignore"):
-                fv = np.asarray(f(pts), dtype=float)
-            bad = inside & ~np.isfinite(fv)
-            nonfinite += int(bad.sum())
-            kept = ~bad
-            y = np.where(inside & kept, np.where(np.isfinite(fv), fv, 0.0), 0.0)
-            uj += 0.5 * y
-            vj += 0.5 * kept
-        su += float(uj.sum())
-        suu += float((uj * uj).sum())
-        sv += float(vj.sum())
-        svv += float((vj * vj).sum())
-        suv += float((uj * vj).sum())
-    if sv <= 0:
-        return Estimate(0.0, 0.0, hits, 2 * m, nonfinite)
-    ratio = su / sv
-    mean_v = sv / m
-    resid2 = max(suu - 2 * ratio * suv + ratio * ratio * svv, 0.0)
-    se = CONFIDENCE * np.sqrt(resid2 / (m * (m - 1))) / mean_v if m > 1 else 0.0
-    return Estimate(float(vol * ratio), float(vol * se), hits, 2 * m, nonfinite)
-
-
 @dataclass(frozen=True)
 class WeightedMean:
     """Ratio estimate of (integral of w*v) / (integral of w) over a box."""
@@ -157,55 +97,6 @@ class WeightedMean:
     weight: float
     capped: int
     n: int
-
-
-def mc_weighted_mean(
-    values: Callable,
-    weight: Callable,
-    bbox: Bbox,
-    spec: SampleSpec,
-    stream: int = 0,
-    cap: float = MAGNITUDE_CAP,
-) -> WeightedMean:
-    """Weighted mean of `values` under the sample-weight field `weight`.
-
-    Numerator and denominator share one sample stream, so ratios of nested
-    sets are exact (a subset never collects more weighted hits than its
-    superset) and the mean of the constant 1 is exactly 1.  Samples whose
-    value is non-finite or exceeds `cap` in magnitude are tallied in
-    `capped` and dropped from both sums.
-    """
-    m = spec.pairs
-    su = suu = sv = svv = suv = 0.0
-    hits = 0
-    capped = 0
-    for a, b in _pair_chunks(spec.seed, stream, m, bbox):
-        uj = np.zeros(a.shape[0])
-        vj = np.zeros(a.shape[0])
-        for pts in (a, b):
-            with np.errstate(all="ignore"):
-                w = np.asarray(weight(pts), dtype=float)
-            active = w > 0
-            hits += int(active.sum())
-            with np.errstate(all="ignore"):
-                v = np.asarray(values(pts), dtype=float)
-            bad = active & (~np.isfinite(v) | (np.abs(v) > cap))
-            capped += int(bad.sum())
-            keep = active & ~bad
-            uj += 0.5 * np.where(keep, w * np.where(np.isfinite(v), v, 0.0), 0.0)
-            vj += 0.5 * np.where(keep, w, 0.0)
-        su += float(uj.sum())
-        suu += float((uj * uj).sum())
-        sv += float(vj.sum())
-        svv += float((vj * vj).sum())
-        suv += float((uj * vj).sum())
-    if sv <= 0:
-        return WeightedMean(float("nan"), float("nan"), hits, sv, capped, 2 * m)
-    ratio = su / sv
-    mean_v = sv / m
-    resid2 = max(suu - 2 * ratio * suv + ratio * ratio * svv, 0.0)
-    se = CONFIDENCE * np.sqrt(resid2 / (m * (m - 1))) / mean_v if m > 1 else 0.0
-    return WeightedMean(float(ratio), float(se), hits, float(sv), capped, 2 * m)
 
 
 @dataclass(frozen=True)
@@ -225,6 +116,195 @@ class EssRange:
         return bool(np.isfinite(self.lo) and np.isfinite(self.hi))
 
 
+@dataclass(frozen=True)
+class Ratio:
+    """Ratio column: the sum of w*v over the sum of w, on kept samples.
+
+    `values` maps sample points to one value each; only points of positive
+    reference weight w count.  A sample whose value is non-finite or exceeds
+    `cap` in magnitude is tallied as capped and dropped from both sums.
+    With `per_sample` the denominator counts every kept sample of the box
+    instead of weighing it, so the column is the box mean of w*v.
+    """
+
+    values: Callable
+    cap: float = MAGNITUDE_CAP
+    per_sample: bool = False
+
+
+@dataclass(frozen=True)
+class Range:
+    """Essential-range column: the q and 1-q quantiles of the finite values where w > 0.
+
+    `values` maps the points of positive weight to one value each, or to a
+    block whose column `axis` is taken.
+    """
+
+    values: Callable
+    q: float = ESS_QUANTILE
+    cap: float = MAGNITUDE_CAP
+    axis: int | None = None
+
+    def __post_init__(self):
+        if not 0 < self.q < 0.5:
+            raise ValueError("quantile must lie in (0, 0.5)")
+
+
+@dataclass(frozen=True)
+class Sweep:
+    """Results of one pass: the hit count and one result per column, in order."""
+
+    hits: int
+    ratios: tuple[WeightedMean, ...]
+    ranges: tuple[EssRange, ...]
+
+
+def sweep(
+    weight: Callable,
+    bbox: Bbox,
+    spec: SampleSpec,
+    stream: int = 0,
+    ratios: Sequence[Ratio] = (),
+    ranges: Sequence[Range] = (),
+) -> Sweep:
+    """One pass over the sample stream feeding every column.
+
+    Numerator and denominator of every ratio share the stream, so ratios of
+    nested sets are exact (a subset never collects more weighted hits than
+    its superset) and the mean of the constant 1 is exactly 1.  Columns are
+    reduced one at a time, so temporaries stay one column wide.  With a
+    single antithetic pair the variance is unknown and stderr is inf.
+    """
+    m = spec.pairs
+    hits = 0
+    sums = [[0.0, 0.0, 0.0, 0.0, 0.0, 0] for _ in ratios]  # su, suu, sv, svv, suv, capped
+    found: list[list[np.ndarray]] = [[] for _ in ranges]
+    unbounded = [[False, False] for _ in ranges]  # below -cap, above cap
+    with np.errstate(all="ignore"):
+        for a, b in _pair_chunks(spec.seed, stream, m, bbox):
+            halves = []
+            for pts in (a, b):
+                w = np.asarray(weight(pts), dtype=float)
+                active = w > 0
+                hits += int(np.count_nonzero(active))
+                halves.append((pts, w, active))
+            for col, acc in zip(ratios, sums):
+                u = np.zeros(len(a))
+                d = np.zeros(len(a))
+                for pts, w, active in halves:
+                    v = np.asarray(col.values(pts), dtype=float)
+                    bad = active & (~np.isfinite(v) | (np.abs(v) > col.cap))
+                    acc[5] += int(np.count_nonzero(bad))
+                    keep = active & ~bad
+                    u += 0.5 * np.where(keep, w * v, 0.0)
+                    d += 0.5 * (~bad if col.per_sample else np.where(keep, w, 0.0))
+                acc[0] += float(u.sum())
+                acc[1] += float((u * u).sum())
+                acc[2] += float(d.sum())
+                acc[3] += float((d * d).sum())
+                acc[4] += float((u * d).sum())
+            for pts, w, active in halves:
+                if ranges and active.any():
+                    _feed_ranges(ranges, found, unbounded, np.take(pts, np.flatnonzero(active), axis=0))
+    return Sweep(
+        hits,
+        tuple(_ratio_result(acc, m, hits) for acc in sums),
+        tuple(_range_result(col, vals, flags, hits) for col, vals, flags in zip(ranges, found, unbounded)),
+    )
+
+
+def _feed_ranges(ranges: Sequence[Range], found: list, unbounded: list, pts: np.ndarray) -> None:
+    """Add one half-chunk's hit points to every range column.
+
+    Only the last values block is kept, so adjacent columns that share a
+    values callable (the axes of one gradient) evaluate it once.
+    """
+    source = block = None
+    for col, vals, flags in zip(ranges, found, unbounded):
+        if col.values is not source:
+            source, block = col.values, np.asarray(col.values(pts), dtype=float)
+        v = block if col.axis is None else block[:, col.axis]
+        nan = bool(np.isnan(v).any())
+        flags[0] |= nan or bool(np.any(v < -col.cap))
+        flags[1] |= nan or bool(np.any(v > col.cap))
+        finite = v[np.isfinite(v)]
+        if finite.size:
+            vals.append(finite)
+
+
+def _ratio_result(acc: list, m: int, hits: int) -> WeightedMean:
+    su, suu, sv, svv, suv, capped = acc
+    if sv <= 0:
+        return WeightedMean(float("nan"), float("nan"), hits, sv, capped, 2 * m)
+    ratio = su / sv
+    mean_v = sv / m
+    resid2 = max(suu - 2 * ratio * suv + ratio * ratio * svv, 0.0)
+    se = CONFIDENCE * np.sqrt(resid2 / (m * (m - 1))) / mean_v if m > 1 else np.inf
+    return WeightedMean(float(ratio), float(se), hits, float(sv), capped, 2 * m)
+
+
+def _range_result(col: Range, vals: list[np.ndarray], flags: list[bool], hits: int) -> EssRange:
+    if vals:
+        lo, hi = np.quantile(np.concatenate(vals), [col.q, 1.0 - col.q])
+    else:
+        lo, hi = -np.inf, np.inf
+    return EssRange(float(-np.inf if flags[0] else lo), float(np.inf if flags[1] else hi), hits)
+
+
+def _resolve_bbox(region: Region, spec: SampleSpec) -> Bbox:
+    bbox = spec.bbox if spec.bbox is not None else region.bbox
+    if not bbox_is_finite(bbox):
+        raise UnboundedRegion("sampling requires a finite bounding box")
+    return bbox
+
+
+def _indicator(region: Region) -> Callable:
+    return lambda pts: region.contains(pts).astype(float)
+
+
+def volume_column(bbox: Bbox) -> Ratio:
+    """Column whose value is the volume of {w > 0}, for an indicator weight w on bbox."""
+    vol = bbox_volume(bbox)
+    return Ratio(lambda pts: np.full(len(pts), vol), cap=np.inf, per_sample=True)
+
+
+def mc_volume(region: Region, spec: SampleSpec, stream: int = 0) -> Estimate:
+    """Unbiased Lebesgue volume estimate; deterministic for a fixed spec."""
+    bbox = _resolve_bbox(region, spec)
+    if bbox_volume(bbox) == 0.0:
+        return Estimate(0.0, 0.0, 0, 2 * spec.pairs)
+    r = sweep(_indicator(region), bbox, spec, stream, ratios=[volume_column(bbox)]).ratios[0]
+    return Estimate(r.value, r.stderr, r.hits, r.n)
+
+
+def mc_integral(f: Callable, region: Region, spec: SampleSpec, stream: int = 0) -> Estimate:
+    """Volume-weighted mean estimate of the integral of f over the region."""
+    bbox = _resolve_bbox(region, spec)
+    vol = bbox_volume(bbox)
+    if vol == 0.0:
+        return Estimate(0.0, 0.0, 0, 2 * spec.pairs)
+    r = sweep(_indicator(region), bbox, spec, stream, ratios=[Ratio(f, cap=np.inf, per_sample=True)]).ratios[0]
+    if not r.weight > 0:
+        return Estimate(0.0, 0.0, r.hits, r.n, r.capped)
+    return Estimate(float(vol * r.value), float(vol * r.stderr), r.hits, r.n, r.capped)
+
+
+def mc_weighted_mean(
+    values: Callable,
+    weight: Callable,
+    bbox: Bbox,
+    spec: SampleSpec,
+    stream: int = 0,
+    cap: float = MAGNITUDE_CAP,
+) -> WeightedMean:
+    """Weighted mean of `values` under the sample-weight field `weight`.
+
+    Samples whose value is non-finite or exceeds `cap` in magnitude are
+    tallied in `capped` and dropped from both sums (see `sweep`).
+    """
+    return sweep(weight, bbox, spec, stream, ratios=[Ratio(values, cap)]).ratios[0]
+
+
 def ess_range(
     f: Callable,
     region: Region,
@@ -234,37 +314,11 @@ def ess_range(
     stream: int = 0,
 ) -> EssRange:
     """Robust surrogate for (ess inf, ess sup) of f over the region."""
-    if not 0 < q < 0.5:
-        raise ValueError("quantile must lie in (0, 0.5)")
+    column = Range(f, q, cap)
     bbox = _resolve_bbox(region, spec)
     if bbox_volume(bbox) == 0.0:
         raise NoHits("region has an empty bounding box")
-    collected = []
-    hits = 0
-    unbounded_hi = unbounded_lo = False
-    for a, b in _pair_chunks(spec.seed, stream, spec.pairs, bbox):
-        for pts in (a, b):
-            inside = region.contains(pts)
-            hits += int(inside.sum())
-            if not inside.any():
-                continue
-            with np.errstate(all="ignore"):
-                fv = np.asarray(f(pts[inside]), dtype=float)
-            nan = np.isnan(fv)
-            unbounded_hi |= bool(np.any(fv > cap) or nan.any())
-            unbounded_lo |= bool(np.any(fv < -cap) or nan.any())
-            finite = fv[np.isfinite(fv)]
-            if finite.size:
-                collected.append(finite)
-    if hits == 0:
+    result = sweep(_indicator(region), bbox, spec, stream, ranges=[column])
+    if result.hits == 0:
         raise NoHits("no samples landed in the region")
-    if collected:
-        vals = np.concatenate(collected)
-        lo, hi = np.quantile(vals, [q, 1.0 - q])
-    else:
-        lo, hi = -np.inf, np.inf
-    return EssRange(
-        float(-np.inf if unbounded_lo else lo),
-        float(np.inf if unbounded_hi else hi),
-        hits,
-    )
+    return result.ranges[0]

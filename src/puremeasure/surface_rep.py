@@ -15,8 +15,9 @@ from typing import Callable
 import numpy as np
 
 from .density_engine import DEFAULT_TOL, DeltaSchedule, ProbeResult, sharp_integral
-from .geometry import Ball, Box, Region, RegionBoundary
+from .geometry import Ball, Box, Region, RegionBoundary, bbox_diagonal
 from .quadrature import Estimate, SampleSpec, mc_integral
+from .trace_gradient import central_difference
 
 PARAMETRIC_TOL = 1e-6  # quadrature error bound for smooth integrands at default nodes
 
@@ -143,23 +144,6 @@ def collar_average(
     return sharp_integral(fn, boundary, fixture.region, schedule, spec, tol=tol)
 
 
-def _fd_divergence(phi: Callable, h: float) -> Callable:
-    def div(pts):
-        pts = np.asarray(pts, dtype=float)
-        out = np.zeros(len(pts))
-        for i in range(pts.shape[1]):
-            step = np.zeros(pts.shape[1])
-            step[i] = h
-            with np.errstate(all="ignore"):
-                out += (
-                    np.asarray(phi(pts + step), dtype=float)[:, i]
-                    - np.asarray(phi(pts - step), dtype=float)[:, i]
-                ) / (2 * h)
-        return out
-
-    return div
-
-
 @dataclass(frozen=True)
 class GaussReport:
     volume_integral: Estimate
@@ -180,9 +164,8 @@ def gauss_check(
     differences with a fixed step relative to the region size are used.
     """
     if div is None:
-        from .geometry import bbox_diagonal
-
-        div = _fd_divergence(phi, fd_step * max(bbox_diagonal(fixture.region.bbox), 1.0))
+        h = fd_step * max(bbox_diagonal(fixture.region.bbox), 1.0)
+        div = lambda pts: sum(central_difference(phi, pts, i, h)[:, i] for i in range(pts.shape[1]))
     lhs = mc_integral(div, fixture.region, spec)
     rhs = surface_flux(phi, fixture)
     return GaussReport(lhs, rhs, abs(lhs.value - rhs))

@@ -21,11 +21,11 @@ from .density_engine import (
     DeltaSchedule,
     Interval,
     ProbeResult,
-    _action_profile_per_level,
+    _action_profiles,
     sharp_integral,
 )
 from .geometry import PointFeature, Region, as_points
-from .quadrature import MAGNITUDE_CAP, SampleSpec
+from .quadrature import MAGNITUDE_CAP, Range, SampleSpec
 
 BOUNDARY_TOL = 1e-9
 FD_RATIO = 0.1  # finite-difference step as a fraction of the current delta
@@ -33,6 +33,14 @@ FD_RATIO = 0.1  # finite-difference step as a fraction of the current delta
 
 class NotOnBoundary(ValueError):
     """The probe point is too far from the domain boundary."""
+
+
+def central_difference(fn: Callable, pts: np.ndarray, axis: int, h: float) -> np.ndarray:
+    """(fn(x + h e_axis) - fn(x - h e_axis)) / 2h at every row x of pts."""
+    step = np.zeros(pts.shape[1])
+    step[axis] = h
+    with np.errstate(all="ignore"):
+        return (np.asarray(fn(pts + step), dtype=float) - np.asarray(fn(pts - step), dtype=float)) / (2 * h)
 
 
 @dataclass(frozen=True)
@@ -66,11 +74,7 @@ class ScalarField:
             pts = np.asarray(pts, dtype=float)
             out = np.empty_like(pts)
             for i in range(pts.shape[1]):
-                step = np.zeros(pts.shape[1])
-                step[i] = h
-                with np.errstate(all="ignore"):
-                    out[:, i] = (np.asarray(self.f(pts + step), dtype=float)
-                                 - np.asarray(self.f(pts - step), dtype=float)) / (2 * h)
+                out[:, i] = central_difference(self.f, pts, i, h)
             return out
 
         return g
@@ -143,6 +147,8 @@ def density_gradient(
 
     `grad` is an analytic gradient field (points -> (N, n) array); otherwise
     `field` supplies function values differentiated at the probing scale.
+    All coordinates come from one pass per level and one gradient
+    evaluation per sample.
     """
     if field is None:
         if grad is None:
@@ -150,19 +156,28 @@ def density_gradient(
         field = ScalarField(grad=grad)
     elif grad is not None:
         field = ScalarField(f=field.f, grad=grad)
-    pts = as_points(point, omega.dim)
-    feature = PointFeature(tuple(pts[0]))
-    profiles = []
-    for i in range(omega.dim):
-        def fn_at(delta, _i=i):
-            g = field.gradient_at_scale(delta, fd_ratio)
-            return lambda sample: np.asarray(g(sample), dtype=float)[:, _i]
+    x = tuple(as_points(point, omega.dim)[0])
+    gradients_at = lambda delta: [field.gradient_at_scale(delta, fd_ratio)]
+    profiles = _gradient_profiles(gradients_at, omega, x, schedule, spec, tol, cap)
+    return GradientReport(x, _box(profiles), profiles)
 
-        profiles.append(
-            _action_profile_per_level(fn_at, feature, omega, schedule, spec, tol=tol, cap=cap)
-        )
-    box = GradientBox(tuple(p.interval for p in profiles))
-    return GradientReport(tuple(pts[0]), box, tuple(profiles))
+
+def _gradient_profiles(gradients_at: Callable[[float], Sequence[Callable]], omega: Region,
+                       x: tuple[float, ...], schedule: DeltaSchedule, spec: SampleSpec, tol: float,
+                       cap: float = MAGNITUDE_CAP) -> tuple[ActionProfile, ...]:
+    """Per-coordinate action profiles of each gradient field, from one shared pass per level.
+
+    `gradients_at(delta)` gives the gradient fields (points -> (N, n) array)
+    at one level; each is evaluated once per sample.  The profiles come
+    field by field, n coordinates each.
+    """
+    n = omega.dim
+    ranges_at = lambda delta: [Range(g, cap=cap, axis=i) for g in gradients_at(delta) for i in range(n)]
+    return _action_profiles(ranges_at, PointFeature(x), omega, schedule, spec, tol)
+
+
+def _box(profiles: Sequence[ActionProfile]) -> GradientBox:
+    return GradientBox(tuple(p.interval for p in profiles))
 
 
 def _interval_sum(a: Interval, b: Interval, tol: float) -> Interval:
@@ -198,17 +213,34 @@ def calculus_rule_check(
 
     sum:     grad(f1 + f2) box  must lie in  box(f1) + box(f2)
     product: grad(f1 * f2) box  must lie in  f1(x) * box(f2) + f2(x) * box(f1)
-    widened by tol per coordinate.
+    widened by tol per coordinate.  The three boxes come from one pass per
+    level and equal the boxes of separate `density_gradient` calls.
     """
     if rule not in ("sum", "product"):
         raise ValueError(f"unknown rule {rule!r}")
-    box1 = density_gradient(omega, point, schedule, spec, field=f1, fd_ratio=fd_ratio, tol=tol).box
-    box2 = density_gradient(omega, point, schedule, spec, field=f2, fd_ratio=fd_ratio, tol=tol).box
+    if rule == "product" and (f1.f is None or f2.f is None):
+        raise ValueError("the product rule needs function values for both factors")
+
+    def gradients_at(delta):
+        g1 = f1.gradient_at_scale(delta, fd_ratio)
+        g2 = f2.gradient_at_scale(delta, fd_ratio)
+        if rule == "sum":
+            return [g1, g2, lambda pts: np.asarray(g1(pts), dtype=float) + np.asarray(g2(pts), dtype=float)]
+
+        def g(pts):
+            v1 = np.asarray(f1.f(pts), dtype=float)[:, None]
+            v2 = np.asarray(f2.f(pts), dtype=float)[:, None]
+            return v1 * np.asarray(g2(pts), dtype=float) + v2 * np.asarray(g1(pts), dtype=float)
+
+        return [g1, g2, g]
+
+    x = tuple(as_points(point, omega.dim)[0])
+    profiles = _gradient_profiles(gradients_at, omega, x, schedule, spec, tol)
+    n = omega.dim
+    box1, box2, lhs = (_box(profiles[k * n:(k + 1) * n]) for k in range(3))
     if rule == "sum":
-        combined = _combine_sum(f1, f2)
         rhs = GradientBox(tuple(_interval_sum(a, b, tol) for a, b in zip(box1.intervals, box2.intervals)))
     else:
-        combined = _combine_product(f1, f2)
         c1 = f1.value_at(point)
         c2 = f2.value_at(point)
         rhs = GradientBox(
@@ -217,51 +249,4 @@ def calculus_rule_check(
                 for a, b in zip(box1.intervals, box2.intervals)
             )
         )
-    lhs = density_gradient(omega, point, schedule, spec, field=combined, fd_ratio=fd_ratio, tol=tol).box
     return RuleCheckReport(rule, lhs, rhs, lhs.contained_in(rhs, slack=tol), tol)
-
-
-@dataclass(frozen=True)
-class _DerivedField(ScalarField):
-    """Field whose per-scale gradient comes from a factory instead of f/grad."""
-
-    factory: Callable | None = None
-
-    def __post_init__(self):
-        if self.factory is None:
-            raise ValueError("derived field needs a gradient factory")
-
-    def gradient_at_scale(self, delta: float, fd_ratio: float = FD_RATIO) -> Callable:
-        return self.factory(delta, fd_ratio)
-
-
-def _combine_sum(f1: ScalarField, f2: ScalarField) -> ScalarField:
-    f = None
-    if f1.f is not None and f2.f is not None:
-        f = lambda pts: np.asarray(f1.f(pts), dtype=float) + np.asarray(f2.f(pts), dtype=float)
-
-    def factory(delta, ratio):
-        g1 = f1.gradient_at_scale(delta, ratio)
-        g2 = f2.gradient_at_scale(delta, ratio)
-        return lambda pts: np.asarray(g1(pts), dtype=float) + np.asarray(g2(pts), dtype=float)
-
-    return _DerivedField(f=f, factory=factory)
-
-
-def _combine_product(f1: ScalarField, f2: ScalarField) -> ScalarField:
-    if f1.f is None or f2.f is None:
-        raise ValueError("the product rule needs function values for both factors")
-    f = lambda pts: np.asarray(f1.f(pts), dtype=float) * np.asarray(f2.f(pts), dtype=float)
-
-    def factory(delta, ratio):
-        g1 = f1.gradient_at_scale(delta, ratio)
-        g2 = f2.gradient_at_scale(delta, ratio)
-
-        def g(pts):
-            v1 = np.asarray(f1.f(pts), dtype=float)[:, None]
-            v2 = np.asarray(f2.f(pts), dtype=float)[:, None]
-            return v1 * np.asarray(g2(pts), dtype=float) + v2 * np.asarray(g1(pts), dtype=float)
-
-        return g
-
-    return _DerivedField(f=f, factory=factory)

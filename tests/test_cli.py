@@ -234,3 +234,29 @@ def test_main_usage_and_parse_failures(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{broken")
     assert main(["--config", str(bad), "--out", str(tmp_path / "o")]) == 1
+
+
+def test_parse_rejects_non_string_task_kind():
+    with pytest.raises(ParseError) as err:
+        parse_config(config_with([dict(DENSITY_TASK, task=["density_ratio"])]))
+    assert "/tasks/0/task" in str(err.value)
+
+
+@pytest.mark.parametrize("seed, task_samples, flags, pointer", [
+    (7, None, ["--samples", "0"], "--samples"),
+    (7, None, ["--samples", "-5"], "--samples"),
+    (7, None, ["--samples", "1"], "--samples"),
+    (7, None, ["--seed", "-1"], "--seed"),
+    (-3, None, [], "/seed"),
+    (7, 0, [], "/tasks/0/samples"),
+])
+def test_main_rejects_bad_seed_and_samples(tmp_path, capsys, seed, task_samples, flags, pointer):
+    task = DENSITY_TASK if task_samples is None else dict(DENSITY_TASK, samples=task_samples)
+    cfg = json.loads(config_with([task]))
+    cfg["seed"] = seed
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg_path), "--out", str(out), *flags]) == 1
+    assert pointer in capsys.readouterr().err
+    assert not out.exists()

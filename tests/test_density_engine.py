@@ -281,7 +281,6 @@ def test_aura_interval_volumes():
     rep = aura_report(ORIGIN1, OMEGA1, sched(ORIGIN1, OMEGA1), SampleSpec(n=50_000, seed=20))
     assert rep.decreasing
     for level in rep.levels:
-        assert level.mass == 1.0
         # F_delta ∩ Omega = (-delta, delta) fills its own sampling box exactly
         assert level.volume == pytest.approx(2 * level.delta, rel=1e-12)
 
@@ -331,3 +330,40 @@ def test_interval_invariant():
     iv = Interval(0.4, 0.6, tol=0.02)
     assert iv.mid == pytest.approx(0.5)
     assert iv.width == pytest.approx(0.2)
+
+
+# ------------------------------------------------------ one pass per level
+
+def test_sigma_probe_members_equal_standalone_probes():
+    members = [Box((1.0 / (k + 2), -1.0), (1.0 / (k + 1), 1.0)) for k in range(1, 4)]
+    union = Box((0.0, -1.0), (0.5, 1.0))
+    s, spec = sched(ORIGIN2, DISK, count=5), SampleSpec(n=40_000, seed=25)
+    rep = sigma_probe(members, union, ORIGIN2, DISK, s, spec)
+    assert rep.members == tuple(density_probe(a, ORIGIN2, DISK, s, spec) for a in members)
+    assert rep.union == density_probe(union, ORIGIN2, DISK, s, spec)
+
+
+def test_sigma_probe_weighs_each_half_chunk_once(distance_calls):
+    members = [Box((1.0 / (k + 2), -1.0), (1.0 / (k + 1), 1.0)) for k in range(1, 9)]
+    sigma_probe(members, Box((0.0, -1.0), (0.5, 1.0)), ORIGIN2, DISK, sched(ORIGIN2, DISK, count=4),
+                SampleSpec(n=2000, seed=26))
+    assert distance_calls == [1000] * 8  # 4 levels x 2 half-chunks, shared by all 9 probes
+
+
+def test_single_pair_is_insufficient():
+    square = Box((-1.0, -1.0), (1.0, 1.0))
+    for seed in (2, 6, 8, 9):
+        r = cone_density((0.0, 0.0), (1.0, 0.0), np.pi / 4, square, DeltaSchedule(0.5, 0.5, 3),
+                         SampleSpec(n=2, seed=seed))
+        assert r.verdict == INSUFFICIENT
+        assert all(level.stderr == np.inf for level in r.series)
+
+
+def test_action_empty_neighbourhood_vanishing_reference():
+    far = PointFeature((1.5, 1.5))
+    square = Box((0.0, 0.0), (1.0, 1.0))
+    args = (far, square, DeltaSchedule(0.6, 0.5, 3), SampleSpec(n=1000, seed=27))
+    with pytest.raises(VanishingReference):
+        action_interval(lambda p: p[:, 0], *args)
+    with pytest.raises(VanishingReference):
+        action_profile(lambda p: p[:, 0], *args)

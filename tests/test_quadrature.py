@@ -5,12 +5,15 @@ from puremeasure.geometry import Ball, Box, Intersection, interval
 from puremeasure.quadrature import (
     Estimate,
     NoHits,
+    Range,
+    Ratio,
     SampleSpec,
     UnboundedRegion,
     ess_range,
     mc_integral,
     mc_volume,
     mc_weighted_mean,
+    sweep,
 )
 
 DISK = Ball((0.0, 0.0), 1.0)
@@ -160,3 +163,45 @@ def test_estimate_invariants():
     assert est.n == 10_002
     assert 0 <= est.hits <= est.n
     assert est.stderr >= 0
+
+
+def test_single_pair_stderr_is_infinite():
+    spec = SampleSpec(n=2, seed=2)
+    assert spec.pairs == 1
+    line = interval(-1.0, 1.0)
+    assert mc_volume(DISK, spec).stderr == np.inf
+    assert mc_integral(lambda p: p[:, 0] ** 2, line, spec).stderr == np.inf
+    wm = mc_weighted_mean(lambda p: p[:, 0], lambda p: line.contains(p).astype(float), line.bbox, spec)
+    assert wm.stderr == np.inf
+
+
+def test_sweep_columns_equal_standalone_estimators():
+    # one column caps samples; every column still equals its own estimator
+    region = interval(-1.0, 1.0)
+    weight = lambda p: region.contains(p).astype(float)
+    inverse = lambda p: 1.0 / p[:, 0]
+    square = lambda p: p[:, 0] ** 2
+    bbox = (np.array([-1.5]), np.array([1.5]))
+    spec = SampleSpec(n=100_001, seed=8)  # spans several chunks
+    result = sweep(weight, bbox, spec, stream=3,
+                   ratios=[Ratio(inverse, cap=5.0), Ratio(square)], ranges=[Range(inverse), Range(square)])
+    assert result.ratios[0].capped > 0
+    assert result.ratios[0] == mc_weighted_mean(inverse, weight, bbox, spec, stream=3, cap=5.0)
+    assert result.ratios[1] == mc_weighted_mean(square, weight, bbox, spec, stream=3)
+    box_spec = SampleSpec(spec.n, spec.seed, bbox)
+    assert result.ranges[0] == ess_range(inverse, region, box_spec, stream=3)
+    assert result.ranges[1] == ess_range(square, region, box_spec, stream=3)
+    assert result.hits == result.ratios[1].hits == result.ranges[1].hits
+
+
+def test_sweep_evaluates_a_shared_range_block_once():
+    rows = []
+
+    def block(p):
+        rows.append(len(p))
+        return np.column_stack([p[:, 0], -p[:, 0]])
+
+    result = sweep(lambda p: np.ones(len(p)), DISK.bbox, SampleSpec(n=1000, seed=1),
+                   ranges=[Range(block, axis=0), Range(block, axis=1)])
+    assert rows == [500, 500]  # once per half-chunk for both columns
+    assert result.ranges[0].lo == pytest.approx(-result.ranges[1].hi)

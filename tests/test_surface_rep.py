@@ -108,11 +108,10 @@ def test_collar_average_constant_and_odd():
 
 
 def test_collar_volumes_shrink():
-    # the collars form a shrinking mass-one sequence for the boundary feature
+    # the collars form a shrinking sequence for the boundary feature
     from puremeasure.density_engine import aura_report
 
     rep = aura_report(RegionBoundary(CIRCLE.region), CIRCLE.region, COLLAR_SCHED,
                       SampleSpec(n=200_000, seed=57))
     assert rep.decreasing
     assert rep.levels[-1].volume < rep.levels[0].volume / 10
-    assert all(l.mass == 1.0 for l in rep.levels)

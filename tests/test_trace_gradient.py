@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from puremeasure.density_engine import CONVERGED, INSUFFICIENT, DeltaSchedule, sharp_integral
+from puremeasure.density_engine import (
+    CONVERGED,
+    INSUFFICIENT,
+    DeltaSchedule,
+    Interval,
+    VanishingReference,
+    sharp_integral,
+)
 from puremeasure.geometry import Ball, Box, PointFeature, interval
 from puremeasure.quadrature import SampleSpec
 from puremeasure.trace_gradient import (
@@ -172,3 +179,39 @@ def test_gradient_box_containment_helper():
     assert small.contained_in(big)
     assert not big.contained_in(small)
     assert big.within_bound(1.0)
+
+
+def test_gradient_empty_neighbourhood_vanishing_reference():
+    with pytest.raises(VanishingReference):
+        density_gradient(SQUARE, (1.5, 1.5), DeltaSchedule(0.6, 0.5, 3), SampleSpec(n=1000, seed=0),
+                         grad=lambda p: np.ones_like(p))
+
+
+def test_rule_check_boxes_equal_separate_gradients():
+    spec = SampleSpec(n=20_000, seed=42)
+    s = line_schedule()
+    fabs = ScalarField(f=lambda p: np.abs(p[:, 0]))  # finite differences
+    fcos = ScalarField(f=lambda p: np.cos(p[:, 0]), grad=lambda p: -np.sin(p))
+    box_abs = density_gradient(LINE, (0.0,), s, spec, field=fabs).box
+    box_cos = density_gradient(LINE, (0.0,), s, spec, field=fcos).box
+
+    rep = calculus_rule_check("sum", fabs, fcos, (0.0,), LINE, s, spec)
+    a, b = box_abs.intervals[0], box_cos.intervals[0]
+    assert rep.rhs == GradientBox((Interval(a.lo + b.lo, a.hi + b.hi, rep.tol),))
+
+    fx = ScalarField(f=lambda p: p[:, 0], grad=lambda p: np.ones_like(p))
+    fsign = ScalarField(f=lambda p: np.abs(p[:, 0]), grad=lambda p: np.sign(p))
+    rep = calculus_rule_check("product", fx, fsign, (0.0,), LINE, s, spec)
+    product = lambda p: p[:, [0]] * np.sign(p) + np.abs(p[:, 0])[:, None] * np.ones_like(p)
+    assert rep.lhs == density_gradient(LINE, (0.0,), s, spec, grad=product).box
+
+
+def test_gradients_take_one_pass_per_level(distance_calls):
+    ball3 = Ball((0.0, 0.0, 0.0), 1.0)
+    kink = ScalarField(f=lambda p: np.abs(p[:, 0]) + p[:, 1] * p[:, 2])
+    s = DeltaSchedule(0.5, 0.5, 3)
+    density_gradient(ball3, (0.0, 0.0, 0.0), s, SampleSpec(n=2000, seed=43), field=kink)
+    assert distance_calls == [1000] * 6  # 3 levels x 2 half-chunks for all 3 coordinates
+    distance_calls.clear()
+    calculus_rule_check("sum", kink, kink, (0.0, 0.0, 0.0), ball3, s, SampleSpec(n=2000, seed=43))
+    assert distance_calls == [1000] * 6  # and for all 3 fields
