@@ -105,22 +105,34 @@ def _check_schedule(node: dict, pointer: str) -> dict:
     out = {"delta0": None, "ratio": 0.5, "count": 12}
     out.update(node or {})
     if out["delta0"] is not None:
-        _require(float(out["delta0"]) > 0, BadSchedule, "delta0 must be positive", pointer + "/delta0")
-        out["delta0"] = float(out["delta0"])
-    _require(0 < float(out["ratio"]) < 1, BadSchedule, "ratio must lie in (0, 1)", pointer + "/ratio")
-    _require(int(out["count"]) >= 3, BadSchedule, "count must be at least 3", pointer + "/count")
-    out["ratio"] = float(out["ratio"])
-    out["count"] = int(out["count"])
+        out["delta0"] = _number(out["delta0"], "delta0", pointer + "/delta0", BadSchedule)
+        _require(out["delta0"] > 0, BadSchedule, "delta0 must be positive", pointer + "/delta0")
+    out["ratio"] = _number(out["ratio"], "ratio", pointer + "/ratio", BadSchedule)
+    _require(0 < out["ratio"] < 1, BadSchedule, "ratio must lie in (0, 1)", pointer + "/ratio")
+    out["count"] = _at_least(out["count"], 3, "count", pointer + "/count", BadSchedule)
     return out
 
 
-def _at_least(value: Any, minimum: int, name: str, pointer: str) -> int:
+def _number(value: Any, name: str, pointer: str, exc: type[ConfigError] = ParseError) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise exc(f"{name} must be a number", pointer) from None
+
+
+def _at_least(value: Any, minimum: int, name: str, pointer: str, exc: type[ConfigError] = ParseError) -> int:
     try:
         value = int(value)
-    except (TypeError, ValueError):
-        raise ParseError(f"{name} must be an integer", pointer) from None
-    _require(value >= minimum, ParseError, f"{name} must be at least {minimum}", pointer)
+    except (TypeError, ValueError, OverflowError):
+        raise exc(f"{name} must be an integer", pointer) from None
+    _require(value >= minimum, exc, f"{name} must be at least {minimum}", pointer)
     return value
+
+
+def _tolerance(value: Any, pointer: str) -> float:
+    tol = _number(value, "tol", pointer)
+    _require(tol >= 0, ParseError, "tol must be a number >= 0", pointer)  # also rejects NaN
+    return tol
 
 
 def parse_config(text: str) -> Config:
@@ -136,7 +148,7 @@ def parse_config(text: str) -> Config:
 
     seed = _at_least(raw.get("seed", 0), 0, "seed", "/seed")
     samples = _at_least(raw.get("samples", DEFAULT_SAMPLES), 2, "samples", "/samples")
-    tol = float(raw.get("tol", DEFAULT_TOL))
+    tol = _tolerance(raw.get("tol", DEFAULT_TOL), "/tol")
     schedule = _check_schedule(raw.get("schedule", {}), "/schedule")
 
     regions: dict[str, Region] = {}
@@ -175,6 +187,10 @@ def parse_config(text: str) -> Config:
             task["schedule"] = _check_schedule(task["schedule"], ptr + "/schedule")
         if "samples" in task:
             _at_least(task["samples"], 2, "samples", ptr + "/samples")
+        if "tol" in task:
+            _tolerance(task["tol"], ptr + "/tol")
+        if "nodes" in task:
+            _at_least(task["nodes"], 8, "nodes", ptr + "/nodes")
         tables = {"region": regions, "feature": features, "integrand": integrands}
         _validate_references(task, TASK_KINDS[kind], tables, ptr)
 

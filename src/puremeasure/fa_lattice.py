@@ -324,8 +324,11 @@ def tv_partition_oracle(mu: FAMeasure, s: AlgebraSet, bound: int = PARTITION_ENU
     return best
 
 
-def lattice_meet(mu: FAMeasure, nu: FAMeasure, s: AlgebraSet) -> Fraction:
-    """(mu ∧ nu)(s) = inf over algebra subsets s' of s of mu(s') + nu(s \\ s')."""
+def lattice_meet_oracle(mu: FAMeasure, nu: FAMeasure, s: AlgebraSet) -> Fraction:
+    """(mu ∧ nu)(s) = inf over algebra subsets s' of s of mu(s') + nu(s \\ s').
+
+    Exhaustive over the 2**k unions of the k blocks inside s.
+    """
     _require_shared(mu, nu)
     mu.algebra.require(s)
     idxs = mu.algebra.blocks_within(s.mask)
@@ -337,6 +340,21 @@ def lattice_meet(mu: FAMeasure, nu: FAMeasure, s: AlgebraSet) -> Fraction:
         if best is None or v < best:
             best = v
     return best if best is not None else Fraction(0)
+
+
+def lattice_meet(mu: FAMeasure, nu: FAMeasure, s: AlgebraSet) -> Fraction:
+    """(mu ∧ nu)(s), closed form: sum of min(mu, nu) over the blocks inside s.
+
+    Each block of s goes to s' or to s \\ s' independently of the others, so
+    the infimum over s' picks the smaller value block by block, for signed
+    values too.
+    """
+    _require_shared(mu, nu)
+    mu.algebra.require(s)
+    return sum(
+        (min(mu.values[i], nu.values[i]) for i in mu.algebra.blocks_within(s.mask)),
+        Fraction(0),
+    )
 
 
 def jordan_decompose(mu: FAMeasure) -> tuple[FAMeasure, FAMeasure]:

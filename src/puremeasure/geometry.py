@@ -6,6 +6,11 @@ carry a conservative pseudo-distance (|pseudo| <= true distance to the
 boundary) but their membership tests are exact boolean combinations, and
 membership is what drives all quadrature.
 
+Kernels work one coordinate column at a time. `Box` membership compares the
+bounds directly instead of going through the sdf, and row norms add squares
+column by column instead of reducing along an axis of a few coordinates;
+both give bit-identical results to the sdf test and `np.linalg.norm`.
+
 Points are passed around as float arrays of shape (N, dim); a single point
 is promoted automatically.
 """
@@ -35,6 +40,21 @@ def as_points(x, dim: int) -> np.ndarray:
     if pts.ndim != 2 or pts.shape[1] != dim:
         raise DimensionMismatch(f"expected points of dimension {dim}, got shape {pts.shape}")
     return pts
+
+
+def _row_norm(v: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row, bit-identical to np.linalg.norm(v, axis=1).
+
+    numpy adds fewer than 8 terms in order, so below 8 columns a
+    column-by-column sum of squares rounds the same way; from 8 columns on
+    numpy sums pairwise and is used as is.
+    """
+    if not 0 < v.shape[1] < 8:
+        return np.linalg.norm(v, axis=1)
+    total = v[:, 0] * v[:, 0]
+    for k in range(1, v.shape[1]):
+        total += v[:, k] * v[:, k]
+    return np.sqrt(total)
 
 
 def make_bbox(lo, hi) -> Bbox:
@@ -106,7 +126,7 @@ class Ball(Region):
 
     def sdf(self, pts) -> np.ndarray:
         pts = as_points(pts, self.dim)
-        return np.linalg.norm(pts - np.asarray(self.center), axis=1) - self.radius
+        return _row_norm(pts - np.asarray(self.center)) - self.radius
 
 
 @dataclass(frozen=True)
@@ -134,9 +154,22 @@ class Box(Region):
     def sdf(self, pts) -> np.ndarray:
         pts = as_points(pts, self.dim)
         q = np.maximum(np.asarray(self.lo) - pts, pts - np.asarray(self.hi))
-        outside = np.linalg.norm(np.maximum(q, 0.0), axis=1)
-        inside = np.minimum(q.max(axis=1), 0.0)
-        return outside + inside
+        outside = _row_norm(np.maximum(q, 0.0))
+        q_max = q[:, 0]
+        for k in range(1, self.dim):
+            q_max = np.maximum(q_max, q[:, k])
+        return outside + np.minimum(q_max, 0.0)
+
+    def contains(self, pts) -> np.ndarray:
+        # sdf < 0 iff every lo_k - x_k and x_k - hi_k is negative, i.e. iff
+        # lo_k < x_k < hi_k; NaN and infinite rows are outside either way.
+        pts = as_points(pts, self.dim)
+        inside = np.ones(len(pts), dtype=bool)
+        for k, (lo, hi) in enumerate(zip(self.lo, self.hi)):
+            x = pts[:, k]
+            inside &= lo < x
+            inside &= x < hi
+        return inside
 
 
 @dataclass(frozen=True)
@@ -243,7 +276,7 @@ class Cone(Region):
 
     def _angles(self, pts):
         r = pts - np.asarray(self.apex)
-        dist = np.linalg.norm(r, axis=1)
+        dist = _row_norm(r)
         along = r @ np.asarray(self.axis)
         with np.errstate(invalid="ignore", divide="ignore"):
             cosang = np.where(dist > 0, along / np.where(dist > 0, dist, 1.0), 1.0)
@@ -425,7 +458,7 @@ class PointFeature(Feature):
 
     def distance(self, pts) -> np.ndarray:
         pts = as_points(pts, self.dim)
-        return np.linalg.norm(pts - np.asarray(self.point), axis=1)
+        return _row_norm(pts - np.asarray(self.point))
 
 
 @dataclass(frozen=True)
@@ -454,10 +487,10 @@ class SegmentFeature(Feature):
         ab = b - a
         denom = float(ab @ ab)
         if denom == 0:
-            return np.linalg.norm(pts - a, axis=1)
+            return _row_norm(pts - a)
         t = np.clip((pts - a) @ ab / denom, 0.0, 1.0)
         proj = a + t[:, None] * ab
-        return np.linalg.norm(pts - proj, axis=1)
+        return _row_norm(pts - proj)
 
 
 @dataclass(frozen=True)

@@ -260,3 +260,42 @@ def test_main_rejects_bad_seed_and_samples(tmp_path, capsys, seed, task_samples,
     assert main(["--config", str(cfg_path), "--out", str(out), *flags]) == 1
     assert pointer in capsys.readouterr().err
     assert not out.exists()
+
+
+COLLAR_TASK = {"task": "collar_average", "name": "collar", "integrand": "xsq", "surface": "disk"}
+
+
+@pytest.mark.parametrize("top, task, pointer", [
+    ({"tol": "abc"}, DENSITY_TASK, "/tol"),
+    ({"tol": -1}, DENSITY_TASK, "/tol"),
+    ({"tol": float("nan")}, DENSITY_TASK, "/tol"),
+    ({}, dict(DENSITY_TASK, tol=-1), "/tasks/0/tol"),
+    ({}, dict(DENSITY_TASK, tol="abc"), "/tasks/0/tol"),
+    ({"schedule": {"delta0": "abc"}}, DENSITY_TASK, "/schedule/delta0"),
+    ({"schedule": {"ratio": "abc"}}, DENSITY_TASK, "/schedule/ratio"),
+    ({"schedule": {"count": "abc"}}, DENSITY_TASK, "/schedule/count"),
+    ({}, dict(DENSITY_TASK, schedule={"delta0": "abc"}), "/tasks/0/schedule/delta0"),
+    ({}, dict(COLLAR_TASK, nodes=4), "/tasks/0/nodes"),
+    ({}, dict(COLLAR_TASK, nodes="abc"), "/tasks/0/nodes"),
+])
+def test_main_rejects_bad_tol_delta0_and_nodes(tmp_path, capsys, top, task, pointer):
+    cfg = json.loads(config_with([task]))
+    cfg.update(top)
+    text = json.dumps(cfg)
+    with pytest.raises((ParseError, BadSchedule)) as err:
+        parse_config(text)
+    assert err.value.pointer == pointer
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(text)
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg_path), "--out", str(out)]) == 1
+    assert pointer in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_parse_accepts_zero_tol_and_eight_nodes():
+    cfg = parse_config(config_with([dict(COLLAR_TASK, tol=0, nodes=8)]))
+    assert cfg.tol > 0 and cfg.tasks[0]["nodes"] == 8
+    cfg = json.loads(config_with([DENSITY_TASK]))
+    cfg["tol"] = 0
+    assert parse_config(json.dumps(cfg)).tol == 0.0

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from puremeasure.fa_lattice import (
+    AlgebraSet,
     FAMeasure,
     GroundSet,
     MeasurabilityMismatch,
@@ -22,6 +23,7 @@ from puremeasure.fa_lattice import (
     integrate_simple,
     jordan_decompose,
     lattice_meet,
+    lattice_meet_oracle,
     measure_from_json,
     measure_to_json,
     outer_measure,
@@ -167,6 +169,28 @@ def test_meet_of_nonnegative_atom_measures_is_atomwise_min():
         mu, nu = mu_abc(*vals1), mu_abc(*vals2)
         expected = sum(min(a, b) for a, b in zip(vals1, vals2))
         assert lattice_meet(mu, nu, ABC.full) == expected
+
+
+def test_meet_matches_oracle_on_family():
+    for mu, nu in zip(FAMILY, FAMILY[1:]):
+        if mu.algebra != nu.algebra:
+            nu = FAMeasure(mu.algebra, tuple(reversed(mu.values)))
+        for s in mu.algebra.members():
+            assert lattice_meet(mu, nu, s) == lattice_meet_oracle(mu, nu, s)
+
+
+def test_meet_matches_oracle_on_random_signed_measures():
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        n = int(rng.integers(1, 9))
+        ground = GroundSet(tuple(f"a{i}" for i in range(n)))
+        mu, nu = (
+            FAMeasure.on_atoms(ground, [Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 8))) for _ in range(n)])
+            for _ in range(2)
+        )
+        subsets = [ground.full, ground.empty, AlgebraSet(ground, int(rng.integers(0, 1 << n)))]
+        for s in subsets:
+            assert lattice_meet(mu, nu, s) == lattice_meet_oracle(mu, nu, s)
 
 
 # ------------------------------------------------------------------ jordan

@@ -42,19 +42,75 @@ def test_dimension_checks():
         csg("union", ball, Ball((0.0,), 1.0))
 
 
-def test_membership_sdf_consistency_on_primitives():
-    rng = np.random.default_rng(5)
+def _probe_points(dim, lo, hi, seed):
+    """Random points plus points exactly on the faces and corners of [lo, hi]
+    and rows holding +inf, -inf and NaN."""
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(-2, 2, size=(4000, dim))
+    on_grid = rng.integers(0, 3, size=(400, dim))
+    pts[:400] = np.choose(on_grid, [np.asarray(lo), np.asarray(hi), pts[:400]])
+    special = np.zeros((6, dim))
+    special[0], special[1], special[2] = np.inf, -np.inf, np.nan
+    special[3, 0], special[4, -1], special[5, 0] = np.inf, -np.inf, np.nan
+    return np.vstack([pts, special])
+
+
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_membership_sdf_consistency_on_primitives(dim):
+    lo, hi = (-1.0,) + (0.0,) * (dim - 1), (0.5,) + (2.0,) * (dim - 1)
     regions = [
-        Ball((0.3, -0.2), 0.8),
-        Box((-1.0, 0.0), (0.5, 2.0)),
-        Halfspace((1.0, 2.0), 0.5),
-        Cone((0.0, 0.0), (1.0, 0.0), 0.7),
+        Ball((0.3,) + (-0.2,) * (dim - 1), 0.8),
+        Box(lo, hi),
+        Halfspace(tuple(float(k + 1) for k in range(dim)), 0.5),
+        Cone((0.0,) * dim, (1.0,) + (0.0,) * (dim - 1), 0.7),
     ]
-    pts = rng.uniform(-2, 2, size=(4000, 2))
+    pts = _probe_points(dim, lo, hi, seed=5 + dim)
     for region in regions:
-        inside = region.contains(pts)
-        d = region.sdf(pts)
+        with np.errstate(invalid="ignore"):
+            inside = region.contains(pts)
+            d = region.sdf(pts)
         assert np.array_equal(inside, d < 0)
+
+
+def _norm_rows(v):
+    return np.linalg.norm(v, axis=1)
+
+
+@pytest.mark.parametrize("dim", range(1, 10))
+def test_distances_equal_reference_formulas(dim):
+    """The column-wise kernels give exactly the np.linalg.norm formulas."""
+    lo, hi = (-0.5,) * dim, (1.0,) * (dim - 1) + (1.5,)
+    pts = _probe_points(dim, lo, hi, seed=20 + dim)
+    for p in (pts, np.asfortranarray(pts), pts[::3]):
+        c = np.linspace(-0.3, 0.4, dim)
+        ball = Ball(tuple(c), 0.9)
+        assert np.array_equal(ball.sdf(p), _norm_rows(p - c) - 0.9, equal_nan=True)
+        assert np.array_equal(PointFeature(tuple(c)).distance(p), _norm_rows(p - c), equal_nan=True)
+
+        box = Box(lo, hi)
+        q = np.maximum(np.asarray(lo) - p, p - np.asarray(hi))
+        box_ref = _norm_rows(np.maximum(q, 0.0)) + np.minimum(q.max(axis=1), 0.0)
+        assert np.array_equal(box.sdf(p), box_ref, equal_nan=True)
+        assert np.array_equal(box.contains(p), box.sdf(p) < 0)
+
+        a, b = np.zeros(dim), np.linspace(1.0, 0.5, dim)
+        with np.errstate(invalid="ignore"):
+            t = np.clip((p - a) @ (b - a) / float((b - a) @ (b - a)), 0.0, 1.0)
+            seg = SegmentFeature(tuple(a), tuple(b)).distance(p)
+        assert np.array_equal(seg, _norm_rows(p - (a + t[:, None] * (b - a))), equal_nan=True)
+        point_seg = SegmentFeature(tuple(c), tuple(c)).distance(p)
+        assert np.array_equal(point_seg, _norm_rows(p - c), equal_nan=True)
+
+        cone = Cone(tuple(c), tuple(np.linspace(1.0, 0.2, dim)), 0.6)
+        axis = np.asarray(cone.axis)
+        r = p - c
+        dist = _norm_rows(r)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            cosang = np.where(dist > 0, r @ axis / np.where(dist > 0, dist, 1.0), 1.0)
+            theta = np.arccos(np.clip(cosang, -1.0, 1.0))
+            cone_ref = dist * np.sin(np.minimum(theta - 0.6, np.pi / 2))
+            assert np.array_equal(cone.sdf(p), cone_ref, equal_nan=True)
+            assert np.array_equal(cone.contains(p), (dist > 0) & (theta < 0.6))
 
 
 def test_primitive_sdf_is_1_lipschitz():
