@@ -41,7 +41,14 @@ from .geometry import (
     region_from_json,
 )
 from .quadrature import SampleSpec
-from .surface_rep import SurfaceFixture, collar_average, gauss_check, surface_reference
+from .surface_rep import (
+    DEFAULT_NODES,
+    SurfaceFixture,
+    UnsupportedFixture,
+    collar_average,
+    gauss_check,
+    surface_reference,
+)
 from .trace_gradient import ScalarField, boundary_trace, calculus_rule_check, density_gradient
 
 SCHEMA = "pure-measure/1"
@@ -101,9 +108,19 @@ def _require(condition: bool, exc: type[ConfigError], message: str, pointer: str
         raise exc(message, pointer)
 
 
-def _check_schedule(node: dict, pointer: str) -> dict:
+def _object(value: Any, name: str, pointer: str) -> dict:
+    _require(isinstance(value, dict), ParseError, f"{name} must be an object", pointer)
+    return value
+
+
+def _list(value: Any, name: str, pointer: str) -> list:
+    _require(isinstance(value, list), ParseError, f"{name} must be a list", pointer)
+    return value
+
+
+def _check_schedule(node: Any, pointer: str) -> dict:
     out = {"delta0": None, "ratio": 0.5, "count": 12}
-    out.update(node or {})
+    out.update(_object(node, "schedule", pointer))
     if out["delta0"] is not None:
         out["delta0"] = _number(out["delta0"], "delta0", pointer + "/delta0", BadSchedule)
         _require(out["delta0"] > 0, BadSchedule, "delta0 must be positive", pointer + "/delta0")
@@ -121,10 +138,10 @@ def _number(value: Any, name: str, pointer: str, exc: type[ConfigError] = ParseE
 
 
 def _at_least(value: Any, minimum: int, name: str, pointer: str, exc: type[ConfigError] = ParseError) -> int:
-    try:
-        value = int(value)
-    except (TypeError, ValueError, OverflowError):
-        raise exc(f"{name} must be an integer", pointer) from None
+    # bools are ints to Python; integral floats such as 5e4 are accepted
+    integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    _require(integral and not isinstance(value, bool), exc, f"{name} must be an integer", pointer)
+    value = int(value)
     _require(value >= minimum, exc, f"{name} must be at least {minimum}", pointer)
     return value
 
@@ -152,27 +169,27 @@ def parse_config(text: str) -> Config:
     schedule = _check_schedule(raw.get("schedule", {}), "/schedule")
 
     regions: dict[str, Region] = {}
-    for name, node in dict(raw.get("regions", {})).items():
+    for name, node in _object(raw.get("regions", {}), "regions", "/regions").items():
         try:
             regions[name] = region_from_json(node)
         except (ValueError, KeyError, TypeError) as e:
             raise ParseError(f"bad region: {e}", f"/regions/{name}") from None
 
     features: dict[str, Feature] = {}
-    for name, node in dict(raw.get("features", {})).items():
+    for name, node in _object(raw.get("features", {}), "features", "/features").items():
         try:
             features[name] = feature_from_json(node)
         except (ValueError, KeyError, TypeError) as e:
             raise ParseError(f"bad feature: {e}", f"/features/{name}") from None
 
     integrands: dict[str, Expression] = {}
-    for name, node in dict(raw.get("integrands", {})).items():
+    for name, node in _object(raw.get("integrands", {}), "integrands", "/integrands").items():
         try:
             integrands[name] = parse_expression(node)
         except ExpressionError as e:
             raise ParseError(f"bad expression: {e}", f"/integrands/{name}") from None
 
-    tasks = list(raw.get("tasks", []))
+    tasks = _list(raw.get("tasks", []), "tasks", "/tasks")
     _require(bool(tasks), ParseError, "config defines no tasks", "/tasks")
     seen_names = set()
     for i, task in enumerate(tasks):
@@ -193,6 +210,8 @@ def parse_config(text: str) -> Config:
             _at_least(task["nodes"], 8, "nodes", ptr + "/nodes")
         tables = {"region": regions, "feature": features, "integrand": integrands}
         _validate_references(task, TASK_KINDS[kind], tables, ptr)
+        if "surface" in TASK_KINDS[kind].regions:
+            _surface_fixture(regions, task, ptr)
 
     resolved = {
         "version": SCHEMA,
@@ -208,9 +227,19 @@ def parse_config(text: str) -> Config:
     return Config(seed, samples, tol, schedule, regions, features, integrands, tasks, resolved)
 
 
+def _surface_fixture(regions: dict[str, Region], task: dict, ptr: str = "") -> SurfaceFixture:
+    """The task's surface fixture; parse_config builds it too, so a bad one fails before any task runs."""
+    try:
+        return SurfaceFixture(regions[task["surface"]], int(task.get("nodes", DEFAULT_NODES)))
+    except UnsupportedFixture as e:
+        raise ParseError(str(e), f"{ptr}/surface") from None
+    except ValueError as e:  # too few nodes or above the node budget
+        raise ParseError(str(e), f"{ptr}/nodes") from None
+
+
 def _validate_references(task: dict, kind: TaskKind, tables: dict[str, dict], ptr: str) -> None:
     def defined(table: str, name: Any, pointer: str) -> None:
-        _require(name in tables[table], UnknownName, f"undefined {table} {name!r}", pointer)
+        _require(isinstance(name, str) and name in tables[table], UnknownName, f"undefined {table} {name!r}", pointer)
 
     for table, fields in (("region", kind.regions), ("feature", kind.features), ("integrand", kind.integrands)):
         for field in fields:
@@ -219,7 +248,7 @@ def _validate_references(task: dict, kind: TaskKind, tables: dict[str, dict], pt
     if "weight" in task:
         defined("integrand", task["weight"], f"{ptr}/weight")
     for field, table in kind.lists:
-        for j, name in enumerate(task.get(field, [])):
+        for j, name in enumerate(_list(task.get(field, []), field, f"{ptr}/{field}")):
             defined(table, name, f"{ptr}/{field}/{j}")
     for field in kind.optional:
         if field in task:
@@ -228,7 +257,7 @@ def _validate_references(task: dict, kind: TaskKind, tables: dict[str, dict], pt
         body = task.get(side, {})
         _require(isinstance(body, dict) and "f" in body, ParseError, f"task needs {side}.f", f"{ptr}/{side}")
         defined("integrand", body["f"], f"{ptr}/{side}/f")
-        for j, g in enumerate(body.get("grad", [])):
+        for j, g in enumerate(_list(body.get("grad", []), "grad", f"{ptr}/{side}/grad")):
             defined("integrand", g, f"{ptr}/{side}/grad/{j}")
 
 
@@ -432,7 +461,7 @@ def _run_calculus_rule_check(config: Config, task: dict, out_dir: Path):
 
 
 def _run_collar_average(config: Config, task: dict, out_dir: Path):
-    fixture = SurfaceFixture(config.regions[task["surface"]], int(task.get("nodes", 2048)))
+    fixture = _surface_fixture(config.regions, task)
     boundary = RegionBoundary(fixture.region)
     result = collar_average(
         config.integrands[task["integrand"]], fixture,
@@ -444,7 +473,7 @@ def _run_collar_average(config: Config, task: dict, out_dir: Path):
 
 
 def _run_gauss_check(config: Config, task: dict, out_dir: Path):
-    fixture = SurfaceFixture(config.regions[task["surface"]], int(task.get("nodes", 2048)))
+    fixture = _surface_fixture(config.regions, task)
     exprs = [config.integrands[g] for g in task["phi"]]
     phi = lambda pts: np.column_stack([e(pts) for e in exprs])
     div = config.integrands[task["div"]] if "div" in task else None

@@ -1,10 +1,20 @@
 """Constructive surface representations: collar averages and flux identities.
 
 Averages over a shrinking inner collar of a smooth boundary converge to the
-surface average, which is computable independently by dense parametric
-quadrature on fixtures with an analytic boundary (balls and boxes in the
-plane and in space).  The same machinery verifies the divergence identity:
-the volume integral of div(phi) against the parametric boundary flux.
+surface average, which is computable independently by parametric quadrature
+on fixtures with an analytic boundary (balls and boxes in the plane and in
+space).  The same machinery verifies the divergence identity: the volume
+integral of div(phi) against the parametric boundary flux.
+
+`nodes` counts quadrature nodes per parametric axis.  A circle uses the
+periodic trapezoid rule (n nodes); a sphere uses n Gauss-Legendre nodes in
+z = cos(theta) times 2n equispaced azimuths, which is exact for spherical
+harmonics of degree <= 2n - 1; box faces use a tensor Gauss-Legendre rule
+(4n nodes for a rectangle, 6n^2 for a box).  Gauss-Legendre rules are
+bounded at MAX_GAUSS_NODES per axis and every rule at MAX_SURFACE_NODES in
+total.  Smooth integrands are exact to rounding at the default; integrands
+that are not smooth on the boundary (such as |x1| on the sphere) converge
+only algebraically in n.
 """
 
 from __future__ import annotations
@@ -20,6 +30,9 @@ from .quadrature import Estimate, SampleSpec, mc_integral
 from .trace_gradient import central_difference
 
 PARAMETRIC_TOL = 1e-6  # quadrature error bound for smooth integrands at default nodes
+DEFAULT_NODES = 64  # nodes per parametric axis
+MAX_SURFACE_NODES = 1 << 21  # total boundary nodes (~120 MB of nodes, normals and weights in 3-D)
+MAX_GAUSS_NODES = 1024  # per axis: leggauss(n) solves a dense n x n eigenproblem, O(n^2) memory, O(n^3) time
 
 
 class UnsupportedFixture(ValueError):
@@ -29,7 +42,7 @@ class UnsupportedFixture(ValueError):
 @dataclass(frozen=True)
 class SurfaceFixture:
     region: Region
-    nodes: int = 2048
+    nodes: int = DEFAULT_NODES
 
     def __post_init__(self):
         if not isinstance(self.region, (Ball, Box)):
@@ -38,70 +51,75 @@ class SurfaceFixture:
             raise UnsupportedFixture("fixture must live in dimension 2 or 3")
         if self.nodes < 8:
             raise ValueError("need at least 8 parametric nodes")
+        if not self.is_circle and self.nodes > MAX_GAUSS_NODES:  # the circle's trapezoid is O(n)
+            raise ValueError(
+                f"{self.nodes} Gauss-Legendre nodes per axis are above the bound of {MAX_GAUSS_NODES}"
+            )
+        if self.node_count > MAX_SURFACE_NODES:
+            raise ValueError(
+                f"{self.nodes} nodes per axis give {self.node_count} boundary nodes, "
+                f"above the bound of {MAX_SURFACE_NODES}"
+            )
+
+    @property
+    def is_circle(self) -> bool:
+        return isinstance(self.region, Ball) and self.region.dim == 2
+
+    @property
+    def node_count(self) -> int:
+        """Total boundary nodes: n (circle), 2n^2 (sphere), 4n (rectangle), 6n^2 (box)."""
+        n, dim = self.nodes, self.region.dim
+        per_face = n ** (dim - 1)
+        return (dim - 1) * per_face if isinstance(self.region, Ball) else 2 * dim * per_face
 
 
-def surface_fixture(region: Region, nodes: int = 2048) -> SurfaceFixture:
+def surface_fixture(region: Region, nodes: int = DEFAULT_NODES) -> SurfaceFixture:
     return SurfaceFixture(region, nodes)
 
 
 def _boundary_quadrature(fixture: SurfaceFixture):
     """Nodes, weights (summing to the surface measure) and outer normals."""
     region, n = fixture.region, fixture.nodes
-    if isinstance(region, Ball):
+    if fixture.is_circle:
         c = np.asarray(region.center)
         r = region.radius
-        if region.dim == 2:
-            theta = 2 * np.pi * np.arange(n) / n
-            normals = np.column_stack([np.cos(theta), np.sin(theta)])
-            pts = c + r * normals
-            weights = np.full(n, 2 * np.pi * r / n)
-            return pts, weights, normals
-        # sphere: trapezoid in the polar angle, periodic in the azimuth
-        n_theta, n_phi = n, 2 * n
-        theta = np.pi * np.arange(n_theta + 1) / n_theta
-        phi = 2 * np.pi * np.arange(n_phi) / n_phi
-        w_theta = np.full(n_theta + 1, np.pi / n_theta)
-        w_theta[0] *= 0.5
-        w_theta[-1] *= 0.5
-        tt, pp = np.meshgrid(theta, phi, indexing="ij")
-        normals = np.column_stack([
-            (np.sin(tt) * np.cos(pp)).ravel(),
-            (np.sin(tt) * np.sin(pp)).ravel(),
-            np.cos(tt).ravel(),
-        ])
+        theta = 2 * np.pi * np.arange(n) / n
+        normals = np.column_stack([np.cos(theta), np.sin(theta)])
         pts = c + r * normals
-        weights = (w_theta[:, None] * (2 * np.pi / n_phi) * np.sin(tt) * r * r).ravel()
+        weights = np.full(n, 2 * np.pi * r / n)
         return pts, weights, normals
-    # boxes: per-face trapezoid grids
+    # Imported here: `import numpy` does not load numpy.polynomial, which costs ~6 ms.
+    from numpy.polynomial.legendre import leggauss
+
+    x, w = leggauss(n)
+    if isinstance(region, Ball):
+        # sphere: Gauss-Legendre in z = cos(theta), periodic trapezoid in the azimuth
+        phi = np.pi * np.arange(2 * n) / n
+        s = np.sqrt(1.0 - x * x)
+        normals = np.column_stack([
+            np.outer(s, np.cos(phi)).ravel(),
+            np.outer(s, np.sin(phi)).ravel(),
+            np.repeat(x, 2 * n),
+        ])
+        pts = np.asarray(region.center) + region.radius * normals
+        weights = np.repeat(w * (np.pi / n) * region.radius ** 2, 2 * n)
+        return pts, weights, normals
+    # boxes: a tensor Gauss-Legendre rule on each face
     lo = np.asarray(region.lo)
     hi = np.asarray(region.hi)
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     dim = region.dim
     pts_list, w_list, nu_list = [], [], []
     for axis in range(dim):
+        others = [k for k in range(dim) if k != axis]
+        grids = np.meshgrid(*(mid[k] + half[k] * x for k in others), indexing="ij")
+        face_w = np.prod(np.meshgrid(*(half[k] * w for k in others), indexing="ij"), axis=0).ravel()
         for side, coord in ((-1.0, lo[axis]), (1.0, hi[axis])):
-            others = [k for k in range(dim) if k != axis]
-            grids = []
-            weights_1d = []
-            for k in others:
-                t = np.linspace(lo[k], hi[k], n + 1)
-                w = np.full(n + 1, (hi[k] - lo[k]) / n)
-                w[0] *= 0.5
-                w[-1] *= 0.5
-                grids.append(t)
-                weights_1d.append(w)
-            if dim == 2:
-                face_pts = np.empty((n + 1, 2))
-                face_pts[:, axis] = coord
-                face_pts[:, others[0]] = grids[0]
-                face_w = weights_1d[0]
-            else:
-                a, b = np.meshgrid(grids[0], grids[1], indexing="ij")
-                face_pts = np.empty((a.size, 3))
-                face_pts[:, axis] = coord
-                face_pts[:, others[0]] = a.ravel()
-                face_pts[:, others[1]] = b.ravel()
-                face_w = (weights_1d[0][:, None] * weights_1d[1][None, :]).ravel()
-            nu = np.zeros((len(face_pts), dim))
+            face_pts = np.empty((face_w.size, dim))
+            face_pts[:, axis] = coord
+            for k, grid in zip(others, grids):
+                face_pts[:, k] = grid.ravel()
+            nu = np.zeros_like(face_pts)
             nu[:, axis] = side
             pts_list.append(face_pts)
             w_list.append(face_w)

@@ -277,6 +277,35 @@ COLLAR_TASK = {"task": "collar_average", "name": "collar", "integrand": "xsq", "
     ({}, dict(DENSITY_TASK, schedule={"delta0": "abc"}), "/tasks/0/schedule/delta0"),
     ({}, dict(COLLAR_TASK, nodes=4), "/tasks/0/nodes"),
     ({}, dict(COLLAR_TASK, nodes="abc"), "/tasks/0/nodes"),
+    # integer fields must be integers: no bools, fractions or strings
+    ({"samples": 2.5}, DENSITY_TASK, "/samples"),
+    ({"seed": 1.9}, DENSITY_TASK, "/seed"),
+    ({"seed": True}, DENSITY_TASK, "/seed"),
+    ({"seed": "3"}, DENSITY_TASK, "/seed"),
+    ({}, dict(DENSITY_TASK, samples=1000.5), "/tasks/0/samples"),
+    ({}, dict(COLLAR_TASK, nodes=8.9), "/tasks/0/nodes"),
+    ({}, dict(COLLAR_TASK, nodes="16"), "/tasks/0/nodes"),
+    ({"schedule": {"count": True}}, DENSITY_TASK, "/schedule/count"),
+    # sections that are not objects (or lists)
+    ({"schedule": 5}, DENSITY_TASK, "/schedule"),
+    ({"regions": [1]}, DENSITY_TASK, "/regions"),
+    ({"features": 3}, DENSITY_TASK, "/features"),
+    ({"integrands": [1]}, DENSITY_TASK, "/integrands"),
+    ({"tasks": 5}, DENSITY_TASK, "/tasks"),
+    ({}, dict(DENSITY_TASK, schedule="x"), "/tasks/0/schedule"),
+    ({}, {"task": "sigma_probe", "members": 5, "union": "halfslab", "feature": "origin2", "omega": "disk"},
+     "/tasks/0/members"),
+    ({}, {"task": "gauss_check", "phi": "xfield", "surface": "disk"}, "/tasks/0/phi"),
+    # surface fixtures are built at parse time: unsupported surfaces and node budgets
+    ({}, dict(COLLAR_TASK, surface="line"), "/tasks/0/surface"),
+    ({}, dict(COLLAR_TASK, surface="square", nodes=1_000_000), "/tasks/0/nodes"),
+    ({"regions": dict(BASE["regions"], ball3={"ball": {"c": [0, 0, 0], "r": 1}})},
+     dict(COLLAR_TASK, surface="ball3", nodes=1_000_000), "/tasks/0/nodes"),
+    ({"regions": dict(BASE["regions"], box3={"box": {"lo": [0, 0, 0], "hi": [1, 1, 1]}})},
+     {"task": "gauss_check", "phi": ["xfield", "yfield", "xfield"], "surface": "box3", "nodes": 600},
+     "/tasks/0/nodes"),
+    # 4n square nodes are under the total budget, but n is too many for a Gauss-Legendre rule
+    ({}, dict(COLLAR_TASK, surface="square", nodes=524288), "/tasks/0/nodes"),
 ])
 def test_main_rejects_bad_tol_delta0_and_nodes(tmp_path, capsys, top, task, pointer):
     cfg = json.loads(config_with([task]))
@@ -299,3 +328,26 @@ def test_parse_accepts_zero_tol_and_eight_nodes():
     cfg = json.loads(config_with([DENSITY_TASK]))
     cfg["tol"] = 0
     assert parse_config(json.dumps(cfg)).tol == 0.0
+
+
+def test_parse_accepts_integral_floats_and_the_node_bound():
+    cfg = json.loads(config_with([dict(COLLAR_TASK, surface="square", nodes=1024.0)]))
+    cfg.update(samples=5e4, seed=3.0)
+    parsed = parse_config(json.dumps(cfg))
+    assert (parsed.samples, parsed.seed) == (50_000, 3)
+    assert type(parsed.samples) is int and type(parsed.seed) is int
+    cfg["regions"]["ball3"] = {"ball": {"c": [0, 0, 0], "r": 1}}
+    cfg["tasks"] = [dict(COLLAR_TASK, surface="ball3", nodes=1024)]  # 2 * 1024^2 = 2^21 nodes
+    parse_config(json.dumps(cfg))
+
+
+def test_default_nodes_reference_on_the_sphere(tmp_path):
+    cfg = json.loads(config_with([
+        {"task": "collar_average", "name": "collar", "integrand": "xsq", "surface": "ball3",
+         "schedule": {"delta0": 0.5, "count": 3}, "samples": 2000},
+    ]))
+    cfg["regions"]["ball3"] = {"ball": {"c": [0, 0, 0], "r": 1}}
+    assert run(parse_config(json.dumps(cfg)), tmp_path) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["tasks"][0]["result"]["surface_reference"] == pytest.approx(1 / 3, abs=1e-15)
+    assert "nodes" not in report["config"]["tasks"][0]

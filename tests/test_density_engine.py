@@ -23,12 +23,15 @@ from puremeasure.geometry import (
     Ball,
     Box,
     Cusp,
+    Halfspace,
+    Intersection,
     PointFeature,
     RegionBoundary,
     Union,
     interval,
+    make_bbox,
 )
-from puremeasure.quadrature import SampleSpec
+from puremeasure.quadrature import SampleSpec, mc_volume
 
 OMEGA1 = interval(-1.0, 1.0)
 ORIGIN1 = PointFeature((0.0,))
@@ -367,3 +370,30 @@ def test_action_empty_neighbourhood_vanishing_reference():
         action_interval(lambda p: p[:, 0], *args)
     with pytest.raises(VanishingReference):
         action_profile(lambda p: p[:, 0], *args)
+
+
+def test_stderr_intervals_cover_known_values_across_seeds():
+    # `stderr` is already the 1.96-sigma half-width (quadrature.CONFIDENCE),
+    # so value ± stderr should hold the true value about 95% of the time.
+    sector = Intersection((Halfspace((-1.0, 0.0), 0.0), Halfspace((0.0, -1.0), 0.0)))
+    segment, unit = Box((0.0,), (0.3,)), make_bbox([0.0], [1.0])
+    boundary = RegionBoundary(DISK)
+    x_sq = lambda p: p[:, 0] ** 2
+    collar_sched = DeltaSchedule(0.5, 0.5, 3)
+    hits = {"sector": 0, "segment": 0, "collar": 0}
+    seeds = range(200)
+    for seed in seeds:
+        spec = SampleSpec(n=1000, seed=seed)
+        # the quarter-disk sector fills 1/4 of every disk around the origin
+        e = density_ratio(sector, ORIGIN2, DISK, 0.5, spec)
+        hits["sector"] += abs(e.value - 0.25) <= e.stderr
+        # the interval (0, 0.3) sampled on (0, 1)
+        e = mc_volume(segment, SampleSpec(n=1000, seed=seed, bbox=unit))
+        hits["segment"] += abs(e.value - 0.3) <= e.stderr
+        # the inner collar 1 - delta < |x| < 1 of the disk: the mean of x1^2 is
+        # (1 + (1 - delta)^2) / 4, which tends to 0.5; each level is its own stream
+        collar = sharp_integral(x_sq, boundary, DISK, collar_sched, spec)
+        hits["collar"] += sum(abs(l.value - (1 + (1 - l.delta) ** 2) / 4) <= l.stderr for l in collar.series)
+    trials = {"sector": len(seeds), "segment": len(seeds), "collar": len(seeds) * collar_sched.count}
+    for name, count in hits.items():
+        assert 0.9 <= count / trials[name] <= 0.99, (name, count / trials[name])
