@@ -73,34 +73,18 @@ class BadSchedule(ConfigError):
     pass
 
 
-@dataclass(frozen=True)
-class TaskKind:
-    """A task kind: its handler and the names its fields must reference.
-
-    `run(config, task, out_dir)` returns the report payload, the CSV files
-    written and whether the result is unintegrable.
-    """
-
-    run: Callable
-    regions: tuple[str, ...] = ()
-    features: tuple[str, ...] = ()
-    integrands: tuple[str, ...] = ()
-    lists: tuple[tuple[str, str], ...] = ()  # (field, table): a field holding a list of names
-    optional: tuple[str, ...] = ()  # integrand fields that may be absent
-    fields: tuple[str, ...] = ()  # scalar-field objects {"f": integrand, "grad": [integrands]}
-
-
 @dataclass
 class Config:
     seed: int
     samples: int
     tol: float
     schedule: dict
-    regions: dict[str, Region]
-    features: dict[str, Feature]
-    integrands: dict[str, Expression]
     tasks: list[dict]
+    jobs: list[Job]  # one per task, bound at parse time by its kind function
     resolved: dict  # echoed verbatim into the report
+
+
+Job = Callable[[Config, Path], tuple[dict, list[str], bool]]  # payload, CSV files, unintegrable
 
 
 def _require(condition: bool, exc: type[ConfigError], message: str, pointer: str):
@@ -131,10 +115,12 @@ def _check_schedule(node: Any, pointer: str) -> dict:
 
 
 def _number(value: Any, name: str, pointer: str, exc: type[ConfigError] = ParseError) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError, OverflowError):
-        raise exc(f"{name} must be a number", pointer) from None
+    if type(value) in (int, float):  # a JSON number; bools and strings are not
+        try:
+            return float(value)
+        except OverflowError:  # an integer beyond the float range
+            pass
+    raise exc(f"{name} must be a number", pointer)
 
 
 def _at_least(value: Any, minimum: int, name: str, pointer: str, exc: type[ConfigError] = ParseError) -> int:
@@ -191,6 +177,8 @@ def parse_config(text: str) -> Config:
 
     tasks = _list(raw.get("tasks", []), "tasks", "/tasks")
     _require(bool(tasks), ParseError, "config defines no tasks", "/tasks")
+    tables = {"region": regions, "feature": features, "integrand": integrands}
+    jobs = []
     seen_names = set()
     for i, task in enumerate(tasks):
         ptr = f"/tasks/{i}"
@@ -206,12 +194,7 @@ def parse_config(text: str) -> Config:
             _at_least(task["samples"], 2, "samples", ptr + "/samples")
         if "tol" in task:
             _tolerance(task["tol"], ptr + "/tol")
-        if "nodes" in task:
-            _at_least(task["nodes"], 8, "nodes", ptr + "/nodes")
-        tables = {"region": regions, "feature": features, "integrand": integrands}
-        _validate_references(task, TASK_KINDS[kind], tables, ptr)
-        if "surface" in TASK_KINDS[kind].regions:
-            _surface_fixture(regions, task, ptr)
+        jobs.append(TASK_KINDS[kind](_Task(task, ptr, tables)))
 
     resolved = {
         "version": SCHEMA,
@@ -224,41 +207,96 @@ def parse_config(text: str) -> Config:
         "integrands": raw.get("integrands", {}),
         "tasks": tasks,
     }
-    return Config(seed, samples, tol, schedule, regions, features, integrands, tasks, resolved)
+    return Config(seed, samples, tol, schedule, tasks, jobs, resolved)
 
 
-def _surface_fixture(regions: dict[str, Region], task: dict, ptr: str = "") -> SurfaceFixture:
-    """The task's surface fixture; parse_config builds it too, so a bad one fails before any task runs."""
-    try:
-        return SurfaceFixture(regions[task["surface"]], int(task.get("nodes", DEFAULT_NODES)))
-    except UnsupportedFixture as e:
-        raise ParseError(str(e), f"{ptr}/surface") from None
-    except ValueError as e:  # too few nodes or above the node budget
-        raise ParseError(str(e), f"{ptr}/nodes") from None
+class _Task:
+    """Reads the fields of one task for its kind function.
 
+    Each read resolves a name or checks a value and fails with the field's
+    JSON pointer, so a bad field stops the config before any task runs.  The
+    seed, samples, tol and schedule are read when the job runs, after the
+    --seed and --samples overrides.
+    """
 
-def _validate_references(task: dict, kind: TaskKind, tables: dict[str, dict], ptr: str) -> None:
-    def defined(table: str, name: Any, pointer: str) -> None:
-        _require(isinstance(name, str) and name in tables[table], UnknownName, f"undefined {table} {name!r}", pointer)
+    def __init__(self, node: dict, ptr: str, tables: dict[str, dict]):
+        self.node, self.ptr, self.tables = node, ptr, tables
+        self.name = node.get("name")
 
-    for table, fields in (("region", kind.regions), ("feature", kind.features), ("integrand", kind.integrands)):
-        for field in fields:
-            _require(field in task, ParseError, f"task needs field {field!r}", ptr)
-            defined(table, task[field], f"{ptr}/{field}")
-    if "weight" in task:
-        defined("integrand", task["weight"], f"{ptr}/weight")
-    for field, table in kind.lists:
-        for j, name in enumerate(_list(task.get(field, []), field, f"{ptr}/{field}")):
-            defined(table, name, f"{ptr}/{field}/{j}")
-    for field in kind.optional:
-        if field in task:
-            defined("integrand", task[field], f"{ptr}/{field}")
-    for side in kind.fields:
-        body = task.get(side, {})
-        _require(isinstance(body, dict) and "f" in body, ParseError, f"task needs {side}.f", f"{ptr}/{side}")
-        defined("integrand", body["f"], f"{ptr}/{side}/f")
-        for j, g in enumerate(_list(body.get("grad", []), "grad", f"{ptr}/{side}/grad")):
-            defined("integrand", g, f"{ptr}/{side}/grad/{j}")
+    def at(self, field: str) -> str:
+        return f"{self.ptr}/{field}"
+
+    def get(self, field: str) -> Any:
+        _require(field in self.node, ParseError, f"task needs field {field!r}", self.at(field))
+        return self.node[field]
+
+    def _lookup(self, table: str, name: Any, pointer: str):
+        known = isinstance(name, str) and name in self.tables[table]
+        _require(known, UnknownName, f"undefined {table} {name!r}", pointer)
+        return self.tables[table][name]
+
+    def region(self, field: str) -> Region:
+        return self._lookup("region", self.get(field), self.at(field))
+
+    def feature(self, field: str) -> Feature:
+        return self._lookup("feature", self.get(field), self.at(field))
+
+    def integrand(self, field: str) -> Expression:
+        return self._lookup("integrand", self.get(field), self.at(field))
+
+    def optional(self, field: str) -> Expression | None:
+        return self.integrand(field) if field in self.node else None
+
+    def _entries(self, field: str, count: int | None) -> list:
+        """The list in `field`, with `count` entries, one per coordinate, or at least one."""
+        entries = _list(self.get(field), field, self.at(field))
+        if count is None:
+            _require(bool(entries), ParseError, f"{field} must not be empty", self.at(field))
+        else:
+            _require(len(entries) == count, ParseError, f"{field} needs {count} entries", self.at(field))
+        return entries
+
+    def names(self, field: str, table: str, count: int | None = None) -> list:
+        return [self._lookup(table, n, f"{self.at(field)}/{j}") for j, n in enumerate(self._entries(field, count))]
+
+    def vector(self, field: str, dim: int) -> Callable:
+        """A vector field given as one integrand per coordinate."""
+        exprs = self.names(field, "integrand", dim)
+        return lambda pts: np.column_stack([e(pts) for e in exprs])
+
+    def point(self, field: str, dim: int) -> tuple[float, ...]:
+        return tuple(_number(c, field, f"{self.at(field)}/{j}") for j, c in enumerate(self._entries(field, dim)))
+
+    def number(self, field: str) -> float:
+        return _number(self.get(field), field, self.at(field))
+
+    def field(self, field: str, dim: int) -> ScalarField:
+        """A scalar-field object {"f": integrand, "grad": [integrands]}; grad is optional."""
+        body = _Task(_object(self.get(field), field, self.at(field)), self.at(field), self.tables)
+        return ScalarField(f=body.integrand("f"), grad=body.vector("grad", dim) if "grad" in body.node else None)
+
+    def surface(self) -> SurfaceFixture:
+        region = self.region("surface")
+        nodes = _at_least(self.node.get("nodes", DEFAULT_NODES), 8, "nodes", self.at("nodes"))
+        try:
+            return SurfaceFixture(region, nodes)
+        except UnsupportedFixture as e:
+            raise ParseError(str(e), self.at("surface")) from None
+        except ValueError as e:  # above the node budget
+            raise ParseError(str(e), self.at("nodes")) from None
+
+    # read when the job runs; parse_config has checked the task's own values
+    def schedule(self, config: Config, feature: Feature, omega: Region) -> DeltaSchedule:
+        node = self.node.get("schedule", config.schedule)
+        if node["delta0"] is None:
+            return DeltaSchedule.auto(feature, omega, node["ratio"], node["count"])
+        return DeltaSchedule(node["delta0"], node["ratio"], node["count"])
+
+    def spec(self, config: Config) -> SampleSpec:
+        return SampleSpec(int(self.node.get("samples", config.samples)), config.seed)
+
+    def tol(self, config: Config) -> float:
+        return float(self.node.get("tol", config.tol))
 
 
 # -------------------------------------------------------------- serialization
@@ -304,224 +342,178 @@ def _probe_rows(result: ProbeResult):
     return [(l.delta, l.value, l.stderr, l.hits) for l in result.series]
 
 
-def _probe_output(task: dict, out_dir: Path, result: ProbeResult, **extra):
+def _probe_output(name: str, out_dir: Path, result: ProbeResult, **extra):
     """Payload, CSV and unintegrable flag of a task whose result is one profile."""
-    csv = _write_series_csv(out_dir, task["name"], _probe_rows(result))
+    csv = _write_series_csv(out_dir, name, _probe_rows(result))
     return {**_jsonable(result), **extra}, [csv], result.unintegrable
 
 
-# ------------------------------------------------------------------ handlers
+# -------------------------------------------------------------- task kinds
+# Each kind reads its fields at parse time and returns the job that runs it.
 
-def _schedule_for(config: Config, task: dict, feature: Feature, omega: Region) -> DeltaSchedule:
-    node = task.get("schedule", config.schedule)
-    if node["delta0"] is None:
-        auto = DeltaSchedule.auto(feature, omega, node["ratio"], node["count"])
-        return auto
-    return DeltaSchedule(node["delta0"], node["ratio"], node["count"])
-
-
-def _spec_for(config: Config, task: dict) -> SampleSpec:
-    return SampleSpec(int(task.get("samples", config.samples)), config.seed)
+def _density_ratio(t: _Task) -> Job:
+    region, feature, omega = t.region("region"), t.feature("feature"), t.region("omega")
+    weight = t.optional("weight")
+    return lambda config, out: _probe_output(t.name, out, density_probe(
+        region, feature, omega, t.schedule(config, feature, omega), t.spec(config), weight=weight, tol=t.tol(config)
+    ))
 
 
-def _tol_for(config: Config, task: dict) -> float:
-    return float(task.get("tol", config.tol))
+def _sharp_integral(t: _Task) -> Job:
+    integrand, feature, omega = t.integrand("integrand"), t.feature("feature"), t.region("omega")
+    weight = t.optional("weight")
+    return lambda config, out: _probe_output(t.name, out, sharp_integral(
+        integrand, feature, omega, t.schedule(config, feature, omega), t.spec(config), weight=weight, tol=t.tol(config)
+    ))
 
 
-def _weight_for(config: Config, task: dict):
-    return config.integrands[task["weight"]] if "weight" in task else None
+def _action_interval(t: _Task) -> Job:
+    integrand, feature, omega = t.integrand("integrand"), t.feature("feature"), t.region("omega")
+    return lambda config, out: (_jsonable(action_profile(
+        integrand, feature, omega, t.schedule(config, feature, omega), t.spec(config), tol=t.tol(config)
+    )), [], False)
 
 
-def _gradient_field(config: Config, task: dict, side: dict | None = None) -> ScalarField:
-    if side is None:
-        body, f_key, grad_key = task, "integrand", "gradient"
-    else:
-        body, f_key, grad_key = side, "f", "grad"
-    f = config.integrands[body[f_key]] if f_key in body else None
-    grad = None
-    if body.get(grad_key):
-        exprs = [config.integrands[g] for g in body[grad_key]]
-        grad = lambda pts: np.column_stack([e(pts) for e in exprs])
-    return ScalarField(f=f, grad=grad)
+def _cone_density(t: _Task) -> Job:
+    omega = t.region("omega")
+    x, v, alpha = t.point("x", omega.dim), t.point("v", omega.dim), t.number("alpha")
+    return lambda config, out: _probe_output(t.name, out, cone_density(
+        x, v, alpha, omega, t.schedule(config, PointFeature(x), omega), t.spec(config), tol=t.tol(config)
+    ))
 
 
-def _run_density_ratio(config: Config, task: dict, out_dir: Path):
-    omega = config.regions[task["omega"]]
-    feature = config.features[task["feature"]]
-    result = density_probe(
-        config.regions[task["region"]], feature, omega,
-        _schedule_for(config, task, feature, omega), _spec_for(config, task),
-        weight=_weight_for(config, task), tol=_tol_for(config, task),
-    )
-    return _probe_output(task, out_dir, result)
+def _sigma_probe(t: _Task) -> Job:
+    members = t.names("members", "region")
+    union, feature, omega = t.region("union"), t.feature("feature"), t.region("omega")
+
+    def job(config: Config, out: Path):
+        report = sigma_probe(
+            members, union, feature, omega, t.schedule(config, feature, omega), t.spec(config),
+            tol=t.tol(config),
+        )
+        csvs = [
+            _write_series_csv(out, f"{t.name}_member{k}", _probe_rows(member))
+            for k, member in enumerate(report.members, start=1)
+        ]
+        csvs.append(_write_series_csv(out, f"{t.name}_union", _probe_rows(report.union)))
+        return _jsonable(report), csvs, False
+    return job
 
 
-def _run_sharp_integral(config: Config, task: dict, out_dir: Path):
-    omega = config.regions[task["omega"]]
-    feature = config.features[task["feature"]]
-    result = sharp_integral(
-        config.integrands[task["integrand"]], feature, omega,
-        _schedule_for(config, task, feature, omega), _spec_for(config, task),
-        weight=_weight_for(config, task), tol=_tol_for(config, task),
-    )
-    return _probe_output(task, out_dir, result)
+def _aura_report(t: _Task) -> Job:
+    feature, omega = t.feature("feature"), t.region("omega")
+
+    def job(config: Config, out: Path):
+        report = aura_report(feature, omega, t.schedule(config, feature, omega), t.spec(config))
+        rows = [(l.delta, l.volume, l.volume_stderr, l.hits) for l in report.levels]
+        return _jsonable(report), [_write_series_csv(out, t.name, rows)], False
+    return job
 
 
-def _run_action_interval(config: Config, task: dict, out_dir: Path):
-    omega = config.regions[task["omega"]]
-    feature = config.features[task["feature"]]
-    profile = action_profile(
-        config.integrands[task["integrand"]], feature, omega,
-        _schedule_for(config, task, feature, omega), _spec_for(config, task),
-        tol=_tol_for(config, task),
-    )
-    return _jsonable(profile), [], False
+def _boundary_trace(t: _Task) -> Job:
+    integrand, omega = t.integrand("integrand"), t.region("omega")
+    x = t.point("x", omega.dim)
+    return lambda config, out: _probe_output(t.name, out, boundary_trace(
+        integrand, omega, x, t.schedule(config, PointFeature(x), omega), t.spec(config), tol=t.tol(config)
+    ))
 
 
-def _run_cone_density(config: Config, task: dict, out_dir: Path):
-    omega = config.regions[task["omega"]]
-    x = tuple(float(c) for c in task["x"])
-    feature = PointFeature(x)
-    result = cone_density(
-        x, tuple(float(c) for c in task["v"]), float(task["alpha"]), omega,
-        _schedule_for(config, task, feature, omega), _spec_for(config, task),
-        tol=_tol_for(config, task),
-    )
-    return _probe_output(task, out_dir, result)
+def _density_gradient(t: _Task) -> Job:
+    omega = t.region("omega")
+    x = t.point("x", omega.dim)
+    f = t.optional("integrand")
+    # without an integrand the gradient is required
+    grad = t.vector("gradient", omega.dim) if f is None or "gradient" in t.node else None
+    field = ScalarField(f=f, grad=grad)
+
+    def job(config: Config, out: Path):
+        tol = t.tol(config)
+        report = density_gradient(
+            omega, x, t.schedule(config, PointFeature(x), omega), t.spec(config), field=field, tol=tol
+        )
+        payload = _jsonable(report)
+        payload["verdicts"] = [
+            "unbounded" if (p.unbounded_lo or p.unbounded_hi)
+            else ("point" if p.interval.width <= tol else "interval")
+            for p in report.profiles
+        ]
+        return payload, [], False
+    return job
 
 
-def _run_sigma_probe(config: Config, task: dict, out_dir: Path):
-    omega = config.regions[task["omega"]]
-    feature = config.features[task["feature"]]
-    report = sigma_probe(
-        [config.regions[m] for m in task.get("members", [])],
-        config.regions[task["union"]], feature, omega,
-        _schedule_for(config, task, feature, omega), _spec_for(config, task),
-        tol=_tol_for(config, task),
-    )
-    csvs = [
-        _write_series_csv(out_dir, f"{task['name']}_member{k}", _probe_rows(member))
-        for k, member in enumerate(report.members, start=1)
-    ]
-    csvs.append(_write_series_csv(out_dir, f"{task['name']}_union", _probe_rows(report.union)))
-    return _jsonable(report), csvs, False
+def _calculus_rule_check(t: _Task) -> Job:
+    omega = t.region("omega")
+    x = t.point("x", omega.dim)
+    rule = t.node.get("rule", "sum")
+    _require(rule in ("sum", "product"), ParseError, "rule must be 'sum' or 'product'", t.at("rule"))
+    f1, f2 = t.field("f1", omega.dim), t.field("f2", omega.dim)
+    return lambda config, out: (_jsonable(calculus_rule_check(
+        rule, f1, f2, x, omega, t.schedule(config, PointFeature(x), omega), t.spec(config), tol=t.tol(config)
+    )), [], False)
 
 
-def _run_aura_report(config: Config, task: dict, out_dir: Path):
-    omega = config.regions[task["omega"]]
-    feature = config.features[task["feature"]]
-    report = aura_report(
-        feature, omega, _schedule_for(config, task, feature, omega), _spec_for(config, task)
-    )
-    rows = [(l.delta, l.volume, l.volume_stderr, l.hits) for l in report.levels]
-    return _jsonable(report), [_write_series_csv(out_dir, task["name"], rows)], False
-
-
-def _run_boundary_trace(config: Config, task: dict, out_dir: Path):
-    omega = config.regions[task["omega"]]
-    x = tuple(float(c) for c in task["x"])
-    feature = PointFeature(x)
-    result = boundary_trace(
-        config.integrands[task["integrand"]], omega, x,
-        _schedule_for(config, task, feature, omega), _spec_for(config, task),
-        tol=_tol_for(config, task),
-    )
-    return _probe_output(task, out_dir, result)
-
-
-def _run_density_gradient(config: Config, task: dict, out_dir: Path):
-    omega = config.regions[task["omega"]]
-    x = tuple(float(c) for c in task["x"])
-    field = _gradient_field(config, task)
-    tol = _tol_for(config, task)
-    report = density_gradient(
-        omega, x, _schedule_for(config, task, PointFeature(x), omega), _spec_for(config, task),
-        field=field, tol=tol,
-    )
-    payload = _jsonable(report)
-    payload["verdicts"] = [
-        "unbounded" if (p.unbounded_lo or p.unbounded_hi)
-        else ("point" if p.interval.width <= tol else "interval")
-        for p in report.profiles
-    ]
-    return payload, [], False
-
-
-def _run_calculus_rule_check(config: Config, task: dict, out_dir: Path):
-    omega = config.regions[task["omega"]]
-    x = tuple(float(c) for c in task["x"])
-    report = calculus_rule_check(
-        task.get("rule", "sum"),
-        _gradient_field(config, task, task["f1"]),
-        _gradient_field(config, task, task["f2"]),
-        x, omega, _schedule_for(config, task, PointFeature(x), omega), _spec_for(config, task),
-        tol=_tol_for(config, task),
-    )
-    return _jsonable(report), [], False
-
-
-def _run_collar_average(config: Config, task: dict, out_dir: Path):
-    fixture = _surface_fixture(config.regions, task)
+def _collar_average(t: _Task) -> Job:
+    integrand, fixture = t.integrand("integrand"), t.surface()
     boundary = RegionBoundary(fixture.region)
-    result = collar_average(
-        config.integrands[task["integrand"]], fixture,
-        _schedule_for(config, task, boundary, fixture.region), _spec_for(config, task),
-        tol=_tol_for(config, task),
-    )
-    reference = surface_reference(config.integrands[task["integrand"]], fixture)
-    return _probe_output(task, out_dir, result, surface_reference=_jsonable(reference))
+
+    def job(config: Config, out: Path):
+        result = collar_average(
+            integrand, fixture, t.schedule(config, boundary, fixture.region), t.spec(config), tol=t.tol(config)
+        )
+        reference = surface_reference(integrand, fixture)
+        return _probe_output(t.name, out, result, surface_reference=_jsonable(reference))
+    return job
 
 
-def _run_gauss_check(config: Config, task: dict, out_dir: Path):
-    fixture = _surface_fixture(config.regions, task)
-    exprs = [config.integrands[g] for g in task["phi"]]
-    phi = lambda pts: np.column_stack([e(pts) for e in exprs])
-    div = config.integrands[task["div"]] if "div" in task else None
-    report = gauss_check(phi, fixture, _spec_for(config, task), div=div)
-    return _jsonable(report), [], False
+def _gauss_check(t: _Task) -> Job:
+    fixture = t.surface()
+    phi, div = t.vector("phi", fixture.region.dim), t.optional("div")
+    return lambda config, out: (_jsonable(gauss_check(phi, fixture, t.spec(config), div=div)), [], False)
 
 
-def _run_fa_lattice(config: Config, task: dict, out_dir: Path):
-    mu = fa_lattice.measure_from_json(task["measure"])
-    ground = mu.algebra.ground
-    full = ground.full
-    pos, neg = fa_lattice.jordan_decompose(mu)
-    sigma_part, pure = fa_lattice.sigma_additive_part(mu)
-    payload = {
-        "total": _jsonable(fa_lattice.evaluate(mu, full)),
-        "total_variation": _jsonable(fa_lattice.total_variation(mu, full)),
-        "jordan": {
-            "positive": fa_lattice.measure_to_json(pos),
-            "negative": fa_lattice.measure_to_json(neg),
-            "orthogonal": fa_lattice.lattice_meet(pos, neg, full) == 0,
-        },
-        "pure_part_zero": pure.is_zero,
-    }
-    if "band" in task:
-        band = ground.subset(task["band"])
-        inside, outside = fa_lattice.band_decompose(mu, band)
-        payload["band"] = {
-            "inside": fa_lattice.measure_to_json(inside),
-            "outside": fa_lattice.measure_to_json(outside),
+def _fa_lattice(t: _Task) -> Job:
+    node = _object(t.get("measure"), "measure", t.at("measure"))
+    try:
+        mu = fa_lattice.measure_from_json(node)
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:
+        raise ParseError(f"bad measure: {e}", t.at("measure")) from None
+    band = None
+    if "band" in t.node:
+        try:
+            band = mu.algebra.ground.subset(_list(t.node["band"], "band", t.at("band")))
+            mu.algebra.require(band)
+        except (KeyError, fa_lattice.NotInAlgebra) as e:
+            raise ParseError(f"bad band: {e}", t.at("band")) from None
+
+    def job(config: Config, out: Path):
+        full = mu.algebra.ground.full
+        pos, neg = fa_lattice.jordan_decompose(mu)
+        sigma_part, pure = fa_lattice.sigma_additive_part(mu)
+        payload = {
+            "total": _jsonable(fa_lattice.evaluate(mu, full)),
+            "total_variation": _jsonable(fa_lattice.total_variation(mu, full)),
+            "jordan": {
+                "positive": fa_lattice.measure_to_json(pos),
+                "negative": fa_lattice.measure_to_json(neg),
+                "orthogonal": fa_lattice.lattice_meet(pos, neg, full) == 0,
+            },
+            "pure_part_zero": pure.is_zero,
         }
-    return payload, [], False
+        if band is not None:
+            inside, outside = fa_lattice.band_decompose(mu, band)
+            payload["band"] = {
+                "inside": fa_lattice.measure_to_json(inside),
+                "outside": fa_lattice.measure_to_json(outside),
+            }
+        return payload, [], False
+    return job
 
 
-TASK_KINDS: dict[str, TaskKind] = {
-    "density_ratio": TaskKind(_run_density_ratio, ("region", "omega"), ("feature",)),
-    "sharp_integral": TaskKind(_run_sharp_integral, ("omega",), ("feature",), ("integrand",)),
-    "action_interval": TaskKind(_run_action_interval, ("omega",), ("feature",), ("integrand",)),
-    "cone_density": TaskKind(_run_cone_density, ("omega",)),
-    "sigma_probe": TaskKind(_run_sigma_probe, ("omega", "union"), ("feature",), lists=(("members", "region"),)),
-    "aura_report": TaskKind(_run_aura_report, ("omega",), ("feature",)),
-    "boundary_trace": TaskKind(_run_boundary_trace, ("omega",), integrands=("integrand",)),
-    "density_gradient": TaskKind(
-        _run_density_gradient, ("omega",), lists=(("gradient", "integrand"),), optional=("integrand",)
-    ),
-    "calculus_rule_check": TaskKind(_run_calculus_rule_check, ("omega",), fields=("f1", "f2")),
-    "collar_average": TaskKind(_run_collar_average, ("surface",), integrands=("integrand",)),
-    "gauss_check": TaskKind(_run_gauss_check, ("surface",), lists=(("phi", "integrand"),), optional=("div",)),
-    "fa_lattice": TaskKind(_run_fa_lattice),
+TASK_KINDS: dict[str, Callable[[_Task], Job]] = {  # a kind is named after its function
+    kind.__name__[1:]: kind for kind in (
+        _density_ratio, _sharp_integral, _action_interval, _cone_density, _sigma_probe, _aura_report,
+        _boundary_trace, _density_gradient, _calculus_rule_check, _collar_average, _gauss_check, _fa_lattice,
+    )
 }
 
 
@@ -531,12 +523,12 @@ def run(config: Config, out_dir: str | Path, only: str | None = None) -> int:
     out.mkdir(parents=True, exist_ok=True)
     entries = []
     failed = False
-    for task in config.tasks:
+    for task, job in zip(config.tasks, config.jobs):
         if only is not None and task["name"] != only:
             continue
         entry = {"name": task["name"], "task": task["task"]}
         try:
-            payload, csvs, unintegrable = TASK_KINDS[task["task"]].run(config, task, out)
+            payload, csvs, unintegrable = job(config, out)
             entry["result"] = payload
             entry["csv"] = csvs
             if unintegrable:

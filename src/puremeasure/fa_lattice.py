@@ -202,6 +202,19 @@ class _BlockValued:
         if len(self.values) != self.algebra.block_count:
             raise ValueError("one value per block required")
 
+    # arithmetic keeps the operand's class: measures give measures, functions give functions
+    def __add__(self, other):
+        _require_shared(self, other)
+        return type(self)(self.algebra, tuple(a + b for a, b in zip(self.values, other.values)))
+
+    def __sub__(self, other):
+        _require_shared(self, other)
+        return type(self)(self.algebra, tuple(a - b for a, b in zip(self.values, other.values)))
+
+    def scaled(self, c):
+        c = _frac(c)
+        return type(self)(self.algebra, tuple(c * v for v in self.values))
+
 
 class FAMeasure(_BlockValued):
     """Bounded finitely additive measure on the algebra of a finite partition.
@@ -222,20 +235,8 @@ class FAMeasure(_BlockValued):
     def is_zero(self) -> bool:
         return all(v == 0 for v in self.values)
 
-    def __add__(self, other: "FAMeasure") -> "FAMeasure":
-        _require_shared(self, other)
-        return FAMeasure(self.algebra, tuple(a + b for a, b in zip(self.values, other.values)))
-
-    def __sub__(self, other: "FAMeasure") -> "FAMeasure":
-        _require_shared(self, other)
-        return FAMeasure(self.algebra, tuple(a - b for a, b in zip(self.values, other.values)))
-
     def __neg__(self) -> "FAMeasure":
         return FAMeasure(self.algebra, tuple(-v for v in self.values))
-
-    def scaled(self, c) -> "FAMeasure":
-        c = _frac(c)
-        return FAMeasure(self.algebra, tuple(c * v for v in self.values))
 
 
 class SimpleFunction(_BlockValued):
@@ -256,18 +257,6 @@ class SimpleFunction(_BlockValued):
 
     def value_at_atom(self, atom_index: int) -> Fraction:
         return self.values[self.algebra.block_of_atom(atom_index)]
-
-    def __add__(self, other: "SimpleFunction") -> "SimpleFunction":
-        _require_shared(self, other)
-        return SimpleFunction(self.algebra, tuple(a + b for a, b in zip(self.values, other.values)))
-
-    def __sub__(self, other: "SimpleFunction") -> "SimpleFunction":
-        _require_shared(self, other)
-        return SimpleFunction(self.algebra, tuple(a - b for a, b in zip(self.values, other.values)))
-
-    def scaled(self, c) -> "SimpleFunction":
-        c = _frac(c)
-        return SimpleFunction(self.algebra, tuple(c * v for v in self.values))
 
 
 def _require_shared(a: _BlockValued, b: _BlockValued) -> None:

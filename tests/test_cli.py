@@ -4,6 +4,7 @@ import pytest
 
 from puremeasure.cli import (
     BadSchedule,
+    ConfigError,
     ParseError,
     UnknownName,
     main,
@@ -263,6 +264,8 @@ def test_main_rejects_bad_seed_and_samples(tmp_path, capsys, seed, task_samples,
 
 
 COLLAR_TASK = {"task": "collar_average", "name": "collar", "integrand": "xsq", "surface": "disk"}
+CONE_TASK, RULES_TASK = FULL_SUITE[3], FULL_SUITE[8]
+MEASURE = FULL_SUITE[-1]["measure"]
 
 
 @pytest.mark.parametrize("top, task, pointer", [
@@ -306,6 +309,36 @@ COLLAR_TASK = {"task": "collar_average", "name": "collar", "integrand": "xsq", "
      "/tasks/0/nodes"),
     # 4n square nodes are under the total budget, but n is too many for a Gauss-Legendre rule
     ({}, dict(COLLAR_TASK, surface="square", nodes=524288), "/tasks/0/nodes"),
+    # numbers are JSON numbers, not bools or numeric strings
+    ({"tol": True}, DENSITY_TASK, "/tol"),
+    ({"tol": "0.5"}, DENSITY_TASK, "/tol"),
+    ({"schedule": {"delta0": True}}, DENSITY_TASK, "/schedule/delta0"),
+    # points are lists of numbers with omega's dimension, alpha a number, rule sum or product
+    ({}, dict(CONE_TASK, x=5), "/tasks/0/x"),
+    ({}, dict(CONE_TASK, x=[0]), "/tasks/0/x"),
+    ({}, dict(CONE_TASK, v=[1, "0"]), "/tasks/0/v/1"),
+    ({}, {k: v for k, v in CONE_TASK.items() if k != "alpha"}, "/tasks/0/alpha"),
+    ({}, dict(CONE_TASK, alpha=True), "/tasks/0/alpha"),
+    ({}, {"task": "boundary_trace", "integrand": "xy", "omega": "square", "x": [0, 0.5, 1]}, "/tasks/0/x"),
+    ({}, {"task": "density_gradient", "omega": "line", "x": [False], "gradient": ["sgn"]}, "/tasks/0/x/0"),
+    ({}, dict(RULES_TASK, x={"x1": 0}), "/tasks/0/x"),
+    ({}, dict(RULES_TASK, rule="quotient"), "/tasks/0/rule"),
+    # presence and shape: a gradient or integrand, one integrand per coordinate, members
+    ({}, {"task": "density_gradient", "omega": "line", "x": [0]}, "/tasks/0/gradient"),
+    ({}, {"task": "density_gradient", "omega": "disk", "x": [0, 0], "gradient": ["sgn"]}, "/tasks/0/gradient"),
+    ({}, dict(RULES_TASK, f1={"f": "xfield", "grad": []}), "/tasks/0/f1/grad"),
+    ({}, dict(RULES_TASK, f2={"grad": ["sgn"]}), "/tasks/0/f2/f"),
+    ({}, {"task": "gauss_check", "phi": ["xfield"], "surface": "disk"}, "/tasks/0/phi"),
+    ({}, {"task": "sigma_probe", "members": [], "union": "halfslab", "feature": "origin2", "omega": "disk"},
+     "/tasks/0/members"),
+    ({}, {"task": "sigma_probe", "union": "halfslab", "feature": "origin2", "omega": "disk"}, "/tasks/0/members"),
+    # fa_lattice measures parse and bands name known atoms
+    ({}, {"task": "fa_lattice", "measure": {"atoms": ["a"], "blocks": [["a"]]}}, "/tasks/0/measure"),
+    ({}, {"task": "fa_lattice", "measure": dict(MEASURE, values=[[1, 0], [1, 1], [1, 1]])}, "/tasks/0/measure"),
+    ({}, {"task": "fa_lattice", "measure": MEASURE, "band": ["z"]}, "/tasks/0/band"),
+    ({}, {"task": "fa_lattice", "measure": MEASURE, "band": "a"}, "/tasks/0/band"),
+    ({}, {"task": "fa_lattice", "measure": dict(MEASURE, blocks=[["a", "b"], ["c"]], values=[[1, 1], [2, 1]]),
+          "band": ["a"]}, "/tasks/0/band"),
 ])
 def test_main_rejects_bad_tol_delta0_and_nodes(tmp_path, capsys, top, task, pointer):
     cfg = json.loads(config_with([task]))
@@ -351,3 +384,25 @@ def test_default_nodes_reference_on_the_sphere(tmp_path):
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["tasks"][0]["result"]["surface_reference"] == pytest.approx(1 / 3, abs=1e-15)
     assert "nodes" not in report["config"]["tasks"][0]
+
+
+OPTIONAL_FIELDS = {"rule", "schedule", "nodes", "div", "band"}
+FIELD_EDITS = [
+    (index, field, edit)
+    for index, task in enumerate(FULL_SUITE)
+    for field in task if field not in ("task", "name")
+    for edit in (("set", "delete") if field not in OPTIONAL_FIELDS else ("set",))
+]
+
+
+@pytest.mark.parametrize("index, field, edit", FIELD_EDITS,
+                         ids=[f"{FULL_SUITE[i]['name']}-{f}-{e}" for i, f, e in FIELD_EDITS])
+def test_every_task_field_is_checked_at_parse(index, field, edit):
+    task = dict(FULL_SUITE[index])
+    if edit == "set":
+        task[field] = "?"
+    else:
+        del task[field]
+    with pytest.raises(ConfigError) as err:
+        parse_config(config_with([task]))
+    assert err.value.pointer.startswith(f"/tasks/0/{field}")

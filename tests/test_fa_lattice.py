@@ -1,4 +1,5 @@
 import json
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -398,6 +399,19 @@ def test_integrate_linearity():
         a, b = Fraction(3, 2), Fraction(-2, 5)
         combo = f.scaled(a) + g.scaled(b)
         assert integrate_simple(combo, mu) == a * integrate_simple(f, mu) + b * integrate_simple(g, mu)
+        assert integrate_simple(f - g, mu) == integrate_simple(f, mu) - integrate_simple(g, mu)
+        # linear in the measure too: sums, differences and scalings of FAMeasures
+        nu = mu_abc(*vals())
+        mix = mu.scaled(a) + nu.scaled(b)
+        assert integrate_simple(f, mix) == a * integrate_simple(f, mu) + b * integrate_simple(f, nu)
+        assert integrate_simple(f, mu - nu) == integrate_simple(f, mu) - integrate_simple(f, nu)
+        assert all(type(m) is FAMeasure for m in (mix, mu - nu, mu.scaled(a)))
+        assert all(type(h) is SimpleFunction for h in (combo, f - g, f.scaled(a)))
+    coarse = SubAlgebra.from_blocks(ABC, [["a", "b"], ["c"]])
+    for fine, other in ((mu, FAMeasure(coarse, (1, 2))), (f, SimpleFunction(coarse, (1, 2)))):
+        for op in (operator.add, operator.sub):
+            with pytest.raises(NotInAlgebra):
+                op(fine, other)
 
 
 # --------------------------------------------------- convergence in measure
