@@ -230,16 +230,20 @@ class _Task:
         _require(field in self.node, ParseError, f"task needs field {field!r}", self.at(field))
         return self.node[field]
 
-    def _lookup(self, table: str, name: Any, pointer: str):
+    def _lookup(self, table: str, name: Any, pointer: str, dim: int | None = None):
+        """The named entry of `table`; with `dim`, a region or feature of omega's dimension."""
         known = isinstance(name, str) and name in self.tables[table]
         _require(known, UnknownName, f"undefined {table} {name!r}", pointer)
-        return self.tables[table][name]
+        entry = self.tables[table][name]
+        if dim is not None:
+            _require(entry.dim == dim, ParseError, f"{table} {name!r} has dimension {entry.dim}, omega {dim}", pointer)
+        return entry
 
-    def region(self, field: str) -> Region:
-        return self._lookup("region", self.get(field), self.at(field))
+    def region(self, field: str, dim: int | None = None) -> Region:
+        return self._lookup("region", self.get(field), self.at(field), dim)
 
-    def feature(self, field: str) -> Feature:
-        return self._lookup("feature", self.get(field), self.at(field))
+    def feature(self, field: str, dim: int) -> Feature:
+        return self._lookup("feature", self.get(field), self.at(field), dim)
 
     def integrand(self, field: str) -> Expression:
         return self._lookup("integrand", self.get(field), self.at(field))
@@ -256,8 +260,9 @@ class _Task:
             _require(len(entries) == count, ParseError, f"{field} needs {count} entries", self.at(field))
         return entries
 
-    def names(self, field: str, table: str, count: int | None = None) -> list:
-        return [self._lookup(table, n, f"{self.at(field)}/{j}") for j, n in enumerate(self._entries(field, count))]
+    def names(self, field: str, table: str, count: int | None = None, dim: int | None = None) -> list:
+        entries = self._entries(field, count)
+        return [self._lookup(table, n, f"{self.at(field)}/{j}", dim) for j, n in enumerate(entries)]
 
     def vector(self, field: str, dim: int) -> Callable:
         """A vector field given as one integrand per coordinate."""
@@ -352,7 +357,8 @@ def _probe_output(name: str, out_dir: Path, result: ProbeResult, **extra):
 # Each kind reads its fields at parse time and returns the job that runs it.
 
 def _density_ratio(t: _Task) -> Job:
-    region, feature, omega = t.region("region"), t.feature("feature"), t.region("omega")
+    omega = t.region("omega")
+    region, feature = t.region("region", omega.dim), t.feature("feature", omega.dim)
     weight = t.optional("weight")
     return lambda config, out: _probe_output(t.name, out, density_probe(
         region, feature, omega, t.schedule(config, feature, omega), t.spec(config), weight=weight, tol=t.tol(config)
@@ -360,7 +366,8 @@ def _density_ratio(t: _Task) -> Job:
 
 
 def _sharp_integral(t: _Task) -> Job:
-    integrand, feature, omega = t.integrand("integrand"), t.feature("feature"), t.region("omega")
+    omega = t.region("omega")
+    integrand, feature = t.integrand("integrand"), t.feature("feature", omega.dim)
     weight = t.optional("weight")
     return lambda config, out: _probe_output(t.name, out, sharp_integral(
         integrand, feature, omega, t.schedule(config, feature, omega), t.spec(config), weight=weight, tol=t.tol(config)
@@ -368,7 +375,8 @@ def _sharp_integral(t: _Task) -> Job:
 
 
 def _action_interval(t: _Task) -> Job:
-    integrand, feature, omega = t.integrand("integrand"), t.feature("feature"), t.region("omega")
+    omega = t.region("omega")
+    integrand, feature = t.integrand("integrand"), t.feature("feature", omega.dim)
     return lambda config, out: (_jsonable(action_profile(
         integrand, feature, omega, t.schedule(config, feature, omega), t.spec(config), tol=t.tol(config)
     )), [], False)
@@ -377,14 +385,18 @@ def _action_interval(t: _Task) -> Job:
 def _cone_density(t: _Task) -> Job:
     omega = t.region("omega")
     x, v, alpha = t.point("x", omega.dim), t.point("v", omega.dim), t.number("alpha")
+    # the checks geometry.Cone makes when the job runs
+    _require(0 < np.linalg.norm(v) < np.inf, ParseError, "v must be a finite nonzero vector", t.at("v"))
+    _require(0 < alpha < np.pi / 2, ParseError, "alpha must lie in (0, pi/2)", t.at("alpha"))
     return lambda config, out: _probe_output(t.name, out, cone_density(
         x, v, alpha, omega, t.schedule(config, PointFeature(x), omega), t.spec(config), tol=t.tol(config)
     ))
 
 
 def _sigma_probe(t: _Task) -> Job:
-    members = t.names("members", "region")
-    union, feature, omega = t.region("union"), t.feature("feature"), t.region("omega")
+    omega = t.region("omega")
+    members = t.names("members", "region", dim=omega.dim)
+    union, feature = t.region("union", omega.dim), t.feature("feature", omega.dim)
 
     def job(config: Config, out: Path):
         report = sigma_probe(
@@ -401,7 +413,8 @@ def _sigma_probe(t: _Task) -> Job:
 
 
 def _aura_report(t: _Task) -> Job:
-    feature, omega = t.feature("feature"), t.region("omega")
+    omega = t.region("omega")
+    feature = t.feature("feature", omega.dim)
 
     def job(config: Config, out: Path):
         report = aura_report(feature, omega, t.schedule(config, feature, omega), t.spec(config))

@@ -14,6 +14,12 @@ level k) that feeds every functional evaluated there: ratios, sharp
 integrals, essential ranges and the volume of F_delta ∩ Omega.  Numerator
 and denominator of every ratio share that stream, which makes normalization
 and set monotonicity exact rather than statistical.
+
+A level samples F_delta ∩ Omega from one of two covers: the
+feature's box inflated by delta and clipped to Omega's, or the feature's
+own neighbourhood (a ball around a point, a shell around a sphere, an
+oriented box around a segment), which is taken only when its volume is
+below PROPOSAL_SHARE of the box's.
 """
 
 from __future__ import annotations
@@ -25,11 +31,14 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .geometry import (
+    Ball,
     Bbox,
     Cone,
     Feature,
     PointFeature,
     Region,
+    RegionBoundary,
+    SegmentFeature,
     bbox_diagonal,
     bbox_inflate,
     bbox_intersect,
@@ -39,11 +48,15 @@ from .geometry import (
 from .quadrature import (
     ESS_QUANTILE,
     MAGNITUDE_CAP,
+    AxisBox,
     EssRange,
     Estimate,
+    OrientedBox,
+    Proposal,
     Range,
     Ratio,
     SampleSpec,
+    Shell,
     Sweep,
     UnboundedRegion,
     _indicator,
@@ -52,6 +65,10 @@ from .quadrature import (
 )
 
 DEFAULT_TOL = 0.02
+# A feature's own proposal replaces the level's box only below this share of
+# the box's volume: its Gaussian directions cost ~3x a uniform per coordinate,
+# so a smaller saving (a 2-D disk at pi/4, a 3-D ball at pi/6) costs time.
+PROPOSAL_SHARE = 0.5
 
 CONVERGED = "converged"
 OSCILLATING = "oscillating"
@@ -184,8 +201,8 @@ def _window_range(rows) -> tuple[float, float]:
 
 # ----------------------------------------------------------- ratio machinery
 
-# The columns of a level's pass, given the level's delta and sampling box.
-Columns = Callable[[float, Bbox], tuple[Sequence[Ratio], Sequence[Range]]]
+# The columns of a level's pass, given the level's delta and proposal.
+Columns = Callable[[float, Proposal], tuple[Sequence[Ratio], Sequence[Range]]]
 
 
 def _level_bbox(feature: Feature, omega: Region, delta: float) -> Bbox:
@@ -195,6 +212,25 @@ def _level_bbox(feature: Feature, omega: Region, delta: float) -> Bbox:
     if bbox_volume(bbox) == 0.0:
         raise VanishingReference(f"F_delta ∩ Omega has an empty bounding box at delta={delta}")
     return bbox
+
+
+def _feature_proposal(feature: Feature, delta: float) -> Proposal | None:
+    """A cover of F_delta of the feature's own shape, where the feature has one."""
+    if isinstance(feature, PointFeature):
+        return Shell(feature.point, 0.0, delta)
+    if isinstance(feature, RegionBoundary) and isinstance(feature.region, Ball):
+        sphere = feature.region
+        return Shell(sphere.center, max(sphere.radius - delta, 0.0), sphere.radius + delta)
+    if isinstance(feature, SegmentFeature) and feature.a != feature.b:
+        return OrientedBox.around_segment(feature.a, feature.b, delta)
+    return None
+
+
+def _level_proposal(feature: Feature, omega: Region, delta: float) -> Proposal:
+    """The feature's own proposal when it saves more than half the clipped box, else the box."""
+    box = AxisBox(_level_bbox(feature, omega, delta))
+    own = _feature_proposal(feature, delta)
+    return own if own is not None and own.volume < PROPOSAL_SHARE * box.volume else box
 
 
 def _reference_weight(feature: Feature, omega: Region, delta: float, weight: Callable | None) -> Callable:
@@ -212,9 +248,9 @@ def _reference_weight(feature: Feature, omega: Region, delta: float, weight: Cal
 def _level_pass(feature: Feature, omega: Region, delta: float, spec: SampleSpec, stream: int,
                 columns: Columns, weight: Callable | None = None) -> Sweep:
     """One kernel pass over F_delta ∩ Omega feeding every column of the level."""
-    bbox = _level_bbox(feature, omega, delta)
-    ratios, ranges = columns(delta, bbox)
-    result = sweep(_reference_weight(feature, omega, delta, weight), bbox, spec, stream, ratios, ranges)
+    proposal = _level_proposal(feature, omega, delta)
+    ratios, ranges = columns(delta, proposal)
+    result = sweep(_reference_weight(feature, omega, delta, weight), proposal, spec, stream, ratios, ranges)
     if result.hits == 0:
         raise VanishingReference(f"no reference mass at delta={delta}")
     return result
@@ -231,7 +267,7 @@ def _profile(feature: Feature, omega: Region, schedule: DeltaSchedule, spec: Sam
 
 def _memberships(regions: Sequence[Region]) -> Columns:
     columns = tuple(Ratio(_indicator(a)) for a in regions)
-    return lambda delta, bbox: (columns, ())
+    return lambda delta, proposal: (columns, ())
 
 
 def _ratio_probe(levels: list[tuple[float, Sweep]], j: int, tol: float,
@@ -294,7 +330,7 @@ def sharp_integral(
     the symmetric mean profile happens to settle).
     """
     columns = (Ratio(fn, cap),)
-    levels = _profile(feature, omega, schedule, spec, lambda delta, bbox: (columns, ()), weight)
+    levels = _profile(feature, omega, schedule, spec, lambda delta, proposal: (columns, ()), weight)
     return _ratio_probe(levels, 0, tol, max_capped_fraction)
 
 
@@ -340,7 +376,7 @@ def action_profile(
 def _action_profiles(ranges_at: Callable[[float], Sequence[Range]], feature: Feature, omega: Region,
                      schedule: DeltaSchedule, spec: SampleSpec, tol: float) -> tuple[ActionProfile, ...]:
     """Action profiles of every range column; the columns may depend on delta."""
-    levels = _profile(feature, omega, schedule, spec, lambda delta, bbox: ((), ranges_at(delta)))
+    levels = _profile(feature, omega, schedule, spec, lambda delta, proposal: ((), ranges_at(delta)))
     width = len(levels[0][1].ranges)
     return tuple(_envelopes([(delta, r.ranges[j]) for delta, r in levels], tol) for j in range(width))
 
@@ -465,7 +501,7 @@ def aura_report(
     shrinking sequence of sets that carries all of the limit functional's
     mass.
     """
-    volume = lambda delta, bbox: ((volume_column(bbox),), ())
+    volume = lambda delta, proposal: ((volume_column(proposal),), ())
     levels = []
     for delta, result in _profile(feature, omega, schedule, spec, volume):
         vol = result.ratios[0]

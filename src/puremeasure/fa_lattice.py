@@ -496,8 +496,28 @@ def measure_to_json(mu: FAMeasure) -> dict:
     }
 
 
+def _labels(value, name: str) -> tuple[str, ...]:
+    if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
+        raise TypeError(f"{name} must be a list of strings")
+    return tuple(value)
+
+
+def _integer(value) -> int:
+    # bools are ints to Python; integral floats such as 2.0 are accepted
+    integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    if not integral or isinstance(value, bool):
+        raise TypeError(f"block values must be integers, got {value!r}")
+    return int(value)
+
+
 def measure_from_json(obj: dict) -> FAMeasure:
-    ground = GroundSet(tuple(obj["atoms"]))
-    algebra = SubAlgebra.from_blocks(ground, obj["blocks"])
-    values = tuple(Fraction(int(n), int(d)) for n, d in obj["values"])
-    return FAMeasure(algebra, values)
+    """Inverse of `measure_to_json`: atoms and blocks are lists of strings, values [num, den] integer pairs."""
+    ground = GroundSet(_labels(obj["atoms"], "atoms"))
+    blocks = obj["blocks"]
+    if not isinstance(blocks, list):
+        raise TypeError("blocks must be a list")
+    algebra = SubAlgebra.from_blocks(ground, [_labels(b, "each block") for b in blocks])
+    values = obj["values"]
+    if not (isinstance(values, list) and all(isinstance(v, list) and len(v) == 2 for v in values)):
+        raise TypeError("values must be a list of [numerator, denominator] pairs")
+    return FAMeasure(algebra, tuple(Fraction(_integer(n), _integer(d)) for n, d in values))

@@ -339,6 +339,32 @@ MEASURE = FULL_SUITE[-1]["measure"]
     ({}, {"task": "fa_lattice", "measure": MEASURE, "band": "a"}, "/tasks/0/band"),
     ({}, {"task": "fa_lattice", "measure": dict(MEASURE, blocks=[["a", "b"], ["c"]], values=[[1, 1], [2, 1]]),
           "band": ["a"]}, "/tasks/0/band"),
+    # measures: atoms and blocks are lists of strings, values pairs of integers
+    ({}, {"task": "fa_lattice", "measure": dict(MEASURE, atoms="abc")}, "/tasks/0/measure"),
+    ({}, {"task": "fa_lattice", "measure": dict(MEASURE, atoms=["a", "b", 3])}, "/tasks/0/measure"),
+    ({}, {"task": "fa_lattice", "measure": dict(MEASURE, blocks=["a", "b", "c"])}, "/tasks/0/measure"),
+    ({}, {"task": "fa_lattice", "measure": dict(MEASURE, values=[[1.5, 1], [1, 1], [1, 1]])}, "/tasks/0/measure"),
+    ({}, {"task": "fa_lattice", "measure": dict(MEASURE, values=[[1, True], [1, 1], [1, 1]])}, "/tasks/0/measure"),
+    ({}, {"task": "fa_lattice", "measure": dict(MEASURE, values=[["1", 1], [1, 1], [1, 1]])}, "/tasks/0/measure"),
+    ({}, {"task": "fa_lattice", "measure": dict(MEASURE, values=[[1, 1, 1], [1, 1], [1, 1]])}, "/tasks/0/measure"),
+    ({}, {"task": "fa_lattice", "measure": dict(MEASURE, values=[2, 1, 1])}, "/tasks/0/measure"),
+    # values the library would reject when the task runs
+    ({}, dict(CONE_TASK, alpha=0), "/tasks/0/alpha"),
+    ({}, dict(CONE_TASK, alpha=1.5708), "/tasks/0/alpha"),
+    ({}, dict(CONE_TASK, alpha=-0.5), "/tasks/0/alpha"),
+    ({}, dict(CONE_TASK, v=[0, 0]), "/tasks/0/v"),
+    ({}, dict(CONE_TASK, v=[0.0, -0.0]), "/tasks/0/v"),
+    ({}, dict(DENSITY_TASK, region="halfslab", omega="disk"), "/tasks/0/feature"),  # a 1-D point on a disk
+    ({}, {"task": "sharp_integral", "integrand": "cosx", "feature": "origin2", "omega": "line"}, "/tasks/0/feature"),
+    ({}, {"task": "action_interval", "integrand": "cosx", "feature": "origin2", "omega": "line"}, "/tasks/0/feature"),
+    ({}, {"task": "aura_report", "feature": "origin1", "omega": "disk"}, "/tasks/0/feature"),
+    ({}, {"task": "sigma_probe", "members": ["slab1"], "union": "halfslab", "feature": "origin1", "omega": "disk"},
+     "/tasks/0/feature"),
+    ({}, dict(DENSITY_TASK, region="disk"), "/tasks/0/region"),
+    ({}, {"task": "sigma_probe", "members": ["slab1", "line"], "union": "halfslab", "feature": "origin2",
+          "omega": "disk"}, "/tasks/0/members/1"),
+    ({}, {"task": "sigma_probe", "members": ["slab1"], "union": "right", "feature": "origin2", "omega": "disk"},
+     "/tasks/0/union"),
 ])
 def test_main_rejects_bad_tol_delta0_and_nodes(tmp_path, capsys, top, task, pointer):
     cfg = json.loads(config_with([task]))

@@ -9,6 +9,7 @@ from puremeasure.density_engine import (
     Interval,
     TooShort,
     VanishingReference,
+    _level_proposal,
     action_interval,
     action_profile,
     aura_report,
@@ -27,11 +28,13 @@ from puremeasure.geometry import (
     Intersection,
     PointFeature,
     RegionBoundary,
+    RegionFeature,
+    SegmentFeature,
     Union,
     interval,
     make_bbox,
 )
-from puremeasure.quadrature import SampleSpec, mc_volume
+from puremeasure.quadrature import AxisBox, OrientedBox, SampleSpec, Shell, mc_volume
 
 OMEGA1 = interval(-1.0, 1.0)
 ORIGIN1 = PointFeature((0.0,))
@@ -372,6 +375,61 @@ def test_action_empty_neighbourhood_vanishing_reference():
         action_profile(lambda p: p[:, 0], *args)
 
 
+# ------------------------------------------------------- level proposals
+
+CUBE8 = Box((-1.0,) * 8, (1.0,) * 8)
+ORIGIN8 = PointFeature((0.0,) * 8)
+QUADRANT8 = Intersection((Halfspace((-1.0,) + (0.0,) * 7, 0.0), Halfspace((0.0, -1.0) + (0.0,) * 6, 0.0)))
+CUBE3 = Box((-1.0,) * 3, (1.0,) * 3)
+DIAGONAL = SegmentFeature((-0.2,) * 3, (0.6,) * 3)
+
+
+@pytest.mark.parametrize("feature, omega, delta, kind", [
+    (ORIGIN1, OMEGA1, 0.1, AxisBox),  # in 1-D the ball is the box
+    (PointFeature((0.0, 0.5)), Box((0.0, 0.0), (1.0, 1.0)), 0.1, AxisBox),  # clipped box 2 d^2 < pi d^2
+    (ORIGIN2, DISK, 0.1, AxisBox),  # pi/4 of the box
+    (PointFeature((0.0,) * 3), Ball((0.0,) * 3, 1.0), 0.1, AxisBox),  # pi/6 of the box
+    (ORIGIN8, CUBE8, 0.1, Shell),  # pi^4/6144 of the box
+    (RegionBoundary(DISK), DISK, 0.05, Shell),
+    (RegionBoundary(DISK), DISK, 0.5, AxisBox),
+    (DIAGONAL, CUBE3, 0.1, OrientedBox),
+    (SegmentFeature((-0.5, 0.0, 0.0), (0.5, 0.0, 0.0)), CUBE3, 0.1, AxisBox),  # already axis-aligned
+    (SegmentFeature((0.1,) * 3, (0.1,) * 3), CUBE3, 0.1, AxisBox),  # degenerate
+    (RegionBoundary(CUBE3), CUBE3, 0.01, AxisBox),
+    (RegionFeature(Ball((0.0,) * 3, 0.1)), CUBE3, 0.01, AxisBox),
+])
+def test_level_proposal_selection(feature, omega, delta, kind):
+    proposal = _level_proposal(feature, omega, delta)
+    assert type(proposal) is kind
+    if kind is Shell and isinstance(feature, PointFeature):
+        assert proposal.r0 == 0.0 and proposal.r1 == delta
+    if kind is Shell and isinstance(feature, RegionBoundary):
+        assert (proposal.r0, proposal.r1) == (1.0 - delta, 1.0 + delta)
+
+
+def test_aura_volumes_are_unbiased_on_feature_proposals():
+    # the inner collar of the unit sphere and the 8-D ball inside the cube
+    sphere = Ball((0.0,) * 3, 1.0)
+    schedule = DeltaSchedule(0.1, 0.5, 3)
+    rep = aura_report(RegionBoundary(sphere), sphere, schedule, SampleSpec(n=100_000, seed=3))
+    for level in rep.levels:
+        exact = 4 * np.pi / 3 * (1 - (1 - level.delta) ** 3)
+        assert abs(level.volume - exact) <= 2 * level.volume_stderr
+    rep = aura_report(ORIGIN8, CUBE8, schedule, SampleSpec(n=1000, seed=3))
+    for level in rep.levels:
+        assert level.volume == pytest.approx(np.pi ** 4 / 24 * level.delta ** 8, rel=1e-12)
+        assert level.hits == 1000  # the ball lies inside the cube
+
+
+def test_feature_proposals_converge_on_thin_features():
+    spec = SampleSpec(n=20_000, seed=4)
+    r = density_probe(QUADRANT8, ORIGIN8, CUBE8, DeltaSchedule(0.4, 0.5, 4), spec)
+    assert r.verdict == CONVERGED and r.limit.mid == pytest.approx(0.25, abs=0.02)
+    quadrant3 = Intersection((Halfspace((0.0, -1.0, 0.0), 0.0), Halfspace((0.0, 0.0, -1.0), 0.0)))
+    r = density_probe(quadrant3, DIAGONAL, CUBE3, DeltaSchedule(0.1, 0.5, 4), spec)
+    assert r.verdict == CONVERGED and r.limit.mid == pytest.approx(0.75, abs=0.02)
+
+
 def test_stderr_intervals_cover_known_values_across_seeds():
     # `stderr` is already the 1.96-sigma half-width (quadrature.CONFIDENCE),
     # so value ± stderr should hold the true value about 95% of the time.
@@ -380,13 +438,16 @@ def test_stderr_intervals_cover_known_values_across_seeds():
     boundary = RegionBoundary(DISK)
     x_sq = lambda p: p[:, 0] ** 2
     collar_sched = DeltaSchedule(0.5, 0.5, 3)
-    hits = {"sector": 0, "segment": 0, "collar": 0}
+    hits = {"sector": 0, "segment": 0, "collar": 0, "quadrant8": 0}
     seeds = range(200)
     for seed in seeds:
         spec = SampleSpec(n=1000, seed=seed)
         # the quarter-disk sector fills 1/4 of every disk around the origin
         e = density_ratio(sector, ORIGIN2, DISK, 0.5, spec)
         hits["sector"] += abs(e.value - 0.25) <= e.stderr
+        # the same quadrant in 8-D, sampled from the ball around the origin
+        e = density_ratio(QUADRANT8, ORIGIN8, CUBE8, 0.5, spec)
+        hits["quadrant8"] += abs(e.value - 0.25) <= e.stderr
         # the interval (0, 0.3) sampled on (0, 1)
         e = mc_volume(segment, SampleSpec(n=1000, seed=seed, bbox=unit))
         hits["segment"] += abs(e.value - 0.3) <= e.stderr
@@ -394,6 +455,7 @@ def test_stderr_intervals_cover_known_values_across_seeds():
         # (1 + (1 - delta)^2) / 4, which tends to 0.5; each level is its own stream
         collar = sharp_integral(x_sq, boundary, DISK, collar_sched, spec)
         hits["collar"] += sum(abs(l.value - (1 + (1 - l.delta) ** 2) / 4) <= l.stderr for l in collar.series)
-    trials = {"sector": len(seeds), "segment": len(seeds), "collar": len(seeds) * collar_sched.count}
+    trials = {"sector": len(seeds), "segment": len(seeds), "collar": len(seeds) * collar_sched.count,
+              "quadrant8": len(seeds)}
     for name, count in hits.items():
         assert 0.9 <= count / trials[name] <= 0.99, (name, count / trials[name])

@@ -1,13 +1,19 @@
+import math
+
 import numpy as np
 import pytest
 
 from puremeasure.geometry import Ball, Box, Intersection, interval
 from puremeasure.quadrature import (
+    CHUNK_PAIRS,
+    AxisBox,
     Estimate,
     NoHits,
+    OrientedBox,
     Range,
     Ratio,
     SampleSpec,
+    Shell,
     UnboundedRegion,
     ess_range,
     mc_integral,
@@ -205,3 +211,111 @@ def test_sweep_evaluates_a_shared_range_block_once():
                    ranges=[Range(block, axis=0), Range(block, axis=1)])
     assert rows == [500, 500]  # once per half-chunk for both columns
     assert result.ranges[0].lo == pytest.approx(-result.ranges[1].hi)
+
+
+# ----------------------------------------------------------------- proposals
+
+def _draws(proposal, n=4000, seed=5, stream=2):
+    return [pair for pair in proposal.pairs(seed, stream, n)]
+
+
+def _frame_coordinates(box, pts):
+    return (pts - box.center) @ box.frame
+
+
+SEGMENT_BOX = OrientedBox.around_segment((-0.2, 0.1, 0.3), (0.6, 0.5, -0.4), 0.05)
+
+
+@pytest.mark.parametrize("dim", range(1, 10))
+def test_axis_box_is_the_old_stream(dim):
+    rng = np.random.default_rng(dim)
+    lo = rng.uniform(-2.0, 0.0, dim)
+    hi = lo + rng.uniform(0.1, 3.0, dim)
+    pairs = CHUNK_PAIRS + 5  # two chunks
+    base = np.random.Philox(seed=np.random.SeedSequence(entropy=(11, 4)))
+    drawn = list(AxisBox((lo, hi)).pairs(11, 4, pairs))
+    assert [len(a) for a, _ in drawn] == [CHUNK_PAIRS, 5]
+    for chunk, (a, b) in enumerate(drawn):
+        u = np.random.Generator(base.jumped(chunk)).random((len(a), dim))
+        assert np.array_equal(a, lo + u * (hi - lo))
+        assert np.array_equal(b, hi - u * (hi - lo))
+        assert a.flags.f_contiguous and b.flags.f_contiguous
+
+
+def test_proposal_draws_lie_in_their_set():
+    ball = Shell((0.3,) * 8, 0.0, 0.2)
+    shell = Shell((0.0, 1.0, -1.0), 0.9, 1.1)
+    for a, b in _draws(ball) + _draws(shell):
+        for pts in (a, b):
+            assert pts.flags.f_contiguous
+    for pts in (p for pair in _draws(ball) for p in pair):
+        assert np.all(np.linalg.norm(pts - ball.center, axis=1) < 0.2)
+    for pts in (p for pair in _draws(shell) for p in pair):
+        r = np.linalg.norm(pts - shell.center, axis=1)
+        assert np.all((0.9 < r) & (r < 1.1))
+    for pts in (p for pair in _draws(SEGMENT_BOX) for p in pair):
+        assert pts.flags.f_contiguous
+        assert np.all(np.abs(_frame_coordinates(SEGMENT_BOX, pts)) < SEGMENT_BOX.half)
+
+
+def test_oriented_box_frame_follows_the_segment():
+    a, b = np.array([-0.2, 0.1, 0.3]), np.array([0.6, 0.5, -0.4])
+    frame = SEGMENT_BOX.frame
+    assert np.allclose(frame.T @ frame, np.eye(3), atol=1e-14)
+    assert np.allclose(np.abs(frame[:, 0]), np.abs(b - a) / np.linalg.norm(b - a), atol=1e-14)
+    assert np.allclose(SEGMENT_BOX.center, 0.5 * (a + b))
+    assert SEGMENT_BOX.half == pytest.approx([0.5 * np.linalg.norm(b - a) + 0.05, 0.05, 0.05])
+
+
+def test_proposals_are_uniform_on_their_set():
+    # E|x|^2 = d r^2 / (d + 2) on a d-ball; E t_k^2 = h_k^2 / 3 on a box
+    ball = Shell((0.0,) * 5, 0.0, 2.0)
+    pts = np.concatenate([a for a, _ in _draws(ball, n=200_000)])
+    assert np.mean(np.sum(pts ** 2, axis=1)) == pytest.approx(5 * 4.0 / 7, rel=0.01)
+    t = _frame_coordinates(SEGMENT_BOX, np.concatenate([a for a, _ in _draws(SEGMENT_BOX, n=200_000)]))
+    assert np.mean(t ** 2, axis=0) == pytest.approx(SEGMENT_BOX.half ** 2 / 3, rel=0.02)
+    # the shell's radius has density proportional to r^2 on (1, 2) in 3-D: E r = (2^4 - 1) / 4 / ((2^3 - 1) / 3)
+    shell = Shell((0.0,) * 3, 1.0, 2.0)
+    r = np.linalg.norm(np.concatenate([a for a, _ in _draws(shell, n=200_000)]), axis=1)
+    assert np.mean(r) == pytest.approx((15 / 4) / (7 / 3), rel=0.005)
+
+
+@pytest.mark.parametrize("make, dim", [
+    (lambda c: AxisBox((c + np.array([-0.5, -2.0]), c + np.array([0.5, 2.0]))), 2),
+    (lambda c: Shell(c, 0.0, 0.3), 8),
+    (lambda c: Shell(c, 0.8, 1.2), 3),
+    (lambda c: OrientedBox.around_segment(c + np.array([-1.0, -0.5, 0.2]), c + np.array([1.0, 0.5, -0.2]), 0.1), 3),
+], ids=["axis_box", "ball", "shell", "oriented_box"])
+def test_pairs_reflect_through_the_centre(make, dim):
+    # products, not powers: numpy's x ** 3 is not exactly odd
+    odd = lambda p: p[:, 0] * p[:, 0] * p[:, 0] - 2.0 * p[:, 0] * p[:, -1] * p[:, -1] + p[:, -1]
+    for a, b in _draws(make(np.zeros(dim))):
+        assert np.array_equal(b, -a)
+        assert np.all(odd(a) + odd(b) == 0.0)
+    moved = make(np.full(dim, 0.75))
+    for a, b in _draws(moved):
+        assert np.allclose(0.5 * (a + b), moved.center, rtol=0, atol=1e-15)
+
+
+def test_proposal_volumes_match_closed_forms():
+    for dim, unit in [(1, 2.0), (2, math.pi), (3, 4 * math.pi / 3), (4, math.pi ** 2 / 2),
+                      (8, math.pi ** 4 / 24), (9, 32 * math.pi ** 4 / 945)]:
+        assert Shell((0.0,) * dim, 0.0, 0.3).volume == pytest.approx(unit * 0.3 ** dim, rel=1e-14)
+    assert Shell((1.0, 2.0, 3.0), 0.9, 1.1).volume == pytest.approx(4 * math.pi / 3 * (1.1 ** 3 - 0.9 ** 3), rel=1e-14)
+    assert Shell((0.0, 0.0), 0.5, 1.5).volume == pytest.approx(2 * math.pi, rel=1e-14)
+    length = math.sqrt(0.8 ** 2 + 0.4 ** 2 + 0.7 ** 2)
+    assert SEGMENT_BOX.volume == pytest.approx((length + 0.1) * 0.1 ** 2, rel=1e-14)
+    assert AxisBox((np.array([0.0, -1.0]), np.array([0.5, 1.0]))).volume == 1.0
+
+
+def test_shell_rejects_bad_radii():
+    with pytest.raises(ValueError):
+        Shell((0.0, 0.0), 1.0, 1.0)
+    with pytest.raises(ValueError):
+        Shell((0.0, 0.0), -0.1, 1.0)
+
+
+def test_sweep_accepts_a_proposal_or_a_box():
+    weight = lambda p: DISK.contains(p).astype(float)
+    spec, columns = SampleSpec(n=5000, seed=3), [Ratio(lambda p: p[:, 0] ** 2)]
+    assert sweep(weight, DISK.bbox, spec, ratios=columns) == sweep(weight, AxisBox(DISK.bbox), spec, ratios=columns)
