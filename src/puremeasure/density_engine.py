@@ -17,9 +17,10 @@ and set monotonicity exact rather than statistical.
 
 A level samples F_delta ∩ Omega from one of two covers: the
 feature's box inflated by delta and clipped to Omega's, or the feature's
-own neighbourhood (a ball around a point, a shell around a sphere, an
-oriented box around a segment), which is taken only when its volume is
-below PROPOSAL_SHARE of the box's.
+own neighbourhood (a ball around a point, a shell around a sphere, only
+its inner half when the sphere bounds Omega, an oriented box around a
+segment), which is taken only when its volume is below PROPOSAL_SHARE of
+the box's.
 """
 
 from __future__ import annotations
@@ -59,7 +60,6 @@ from .quadrature import (
     Shell,
     Sweep,
     UnboundedRegion,
-    _indicator,
     sweep,
     volume_column,
 )
@@ -214,13 +214,18 @@ def _level_bbox(feature: Feature, omega: Region, delta: float) -> Bbox:
     return bbox
 
 
-def _feature_proposal(feature: Feature, delta: float) -> Proposal | None:
-    """A cover of F_delta of the feature's own shape, where the feature has one."""
+def _feature_proposal(feature: Feature, omega: Region, delta: float) -> Proposal | None:
+    """A cover of F_delta ∩ Omega of the feature's own shape, where the feature has one.
+
+    Around a sphere that bounds Omega itself, only the inner half of the
+    shell can meet Omega, so only that half is sampled.
+    """
     if isinstance(feature, PointFeature):
         return Shell(feature.point, 0.0, delta)
     if isinstance(feature, RegionBoundary) and isinstance(feature.region, Ball):
         sphere = feature.region
-        return Shell(sphere.center, max(sphere.radius - delta, 0.0), sphere.radius + delta)
+        outer = sphere.radius if omega == sphere else sphere.radius + delta
+        return Shell(sphere.center, max(sphere.radius - delta, 0.0), outer)
     if isinstance(feature, SegmentFeature) and feature.a != feature.b:
         return OrientedBox.around_segment(feature.a, feature.b, delta)
     return None
@@ -229,7 +234,7 @@ def _feature_proposal(feature: Feature, delta: float) -> Proposal | None:
 def _level_proposal(feature: Feature, omega: Region, delta: float) -> Proposal:
     """The feature's own proposal when it saves more than half the clipped box, else the box."""
     box = AxisBox(_level_bbox(feature, omega, delta))
-    own = _feature_proposal(feature, delta)
+    own = _feature_proposal(feature, omega, delta)
     return own if own is not None and own.volume < PROPOSAL_SHARE * box.volume else box
 
 
@@ -237,7 +242,7 @@ def _reference_weight(feature: Feature, omega: Region, delta: float, weight: Cal
     def w(pts):
         mask = (feature.distance(pts) < delta) & omega.contains(pts)
         if weight is None:
-            return mask.astype(float)
+            return mask
         with np.errstate(all="ignore"):
             base = np.asarray(weight(pts), dtype=float)
         return np.where(mask & np.isfinite(base) & (base > 0), base, 0.0)
@@ -266,7 +271,7 @@ def _profile(feature: Feature, omega: Region, schedule: DeltaSchedule, spec: Sam
 
 
 def _memberships(regions: Sequence[Region]) -> Columns:
-    columns = tuple(Ratio(_indicator(a)) for a in regions)
+    columns = tuple(Ratio(a.contains) for a in regions)
     return lambda delta, proposal: (columns, ())
 
 

@@ -2,9 +2,12 @@
 
 Supports + - * / ^ (right associative), unary minus, numeric literals and
 the functions sin cos exp log sqrt abs sign min max step, with
-step(e) = 1 where e > 0 and 0 elsewhere.  Expressions evaluate pointwise on
-sample blocks of shape (N, n); singularities propagate as non-finite values
-which the quadrature layer tallies.
+step(e) = 1 where e > 0 and 0 elsewhere.  A nonzero integer literal
+exponent (x1^3, x1^-2) is evaluated by products, so an odd power is exactly
+odd and cancels over antithetic pairs; other exponents use np.power.
+Expressions evaluate pointwise on sample blocks of shape (N, n);
+singularities propagate as non-finite values which the quadrature layer
+tallies.
 """
 
 from __future__ import annotations
@@ -164,6 +167,10 @@ def _evaluate(node, pts: np.ndarray):
         fn = _UNARY.get(node[1]) or _BINARY[node[1]]
         return fn(*args)
     a = _evaluate(node[1], pts)
+    if tag == "^":
+        n = _integer_literal(node[2])
+        if n:
+            return _integer_power(a, n)
     b = _evaluate(node[2], pts)
     if tag == "+":
         return a + b
@@ -176,6 +183,32 @@ def _evaluate(node, pts: np.ndarray):
     if tag == "^":
         return np.power(a, b)
     raise AssertionError(f"unhandled node {tag}")
+
+
+def _integer_literal(node) -> int | None:
+    """The value of a literal exponent such as 3 or -2 when it is an integer."""
+    sign = 1
+    if node[0] == "neg":
+        sign, node = -1, node[1]
+    if node[0] == "num" and node[1].is_integer():
+        return sign * int(node[1])
+    return None
+
+
+def _integer_power(a, n: int):
+    """a^n by repeated squaring, the reciprocal for n < 0.
+
+    Every step is a product, so (-a)^n is exactly -(a^n) for odd n and a^n
+    for even n, which np.power does not guarantee; a^2 is a * a, as in np.power.
+    """
+    result, square, k = None, a, abs(n)
+    while k:
+        if k & 1:
+            result = square if result is None else result * square
+        k >>= 1
+        if k:
+            square = square * square
+    return np.divide(1.0, result) if n < 0 else result
 
 
 @dataclass(frozen=True)

@@ -23,14 +23,20 @@ Columns on one sweep share their samples (common random numbers), so each
 agrees exactly with the same column estimated on a separate sweep.
 
 Integrand samples that are non-finite or exceed the magnitude cap are
-tallied and dropped from averages, never averaged.
+tallied and dropped from averages, never averaged.  A half-chunk whose
+values all lie within the cap needs no mask, and where a whole chunk needs
+none the ratio denominator is formed once and shared by every such column.
+An indicator weight arrives as a bool mask.  A range column keeps only the
+O(q n) smallest and largest finite values it has seen, which hold every
+order statistic its quantiles read, so its endpoints are np.quantile's of
+all n values.  None of this moves a bit of any estimate.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -116,24 +122,26 @@ class AxisBox(Proposal):
     """The box lo < x < hi, paired through x -> lo + hi - x.
 
     Draws the (m, dim) uniforms u of every earlier release and writes
-    lo_k + u_k w_k and hi_k - u_k w_k column by column, so the points are
-    bit-identical to lo + u * w and hi - u * w.
+    u_k w_k + lo_k and hi_k - u_k w_k column by column, bit-identical to
+    lo + u * w and hi - u * w.
     """
 
     def __init__(self, bbox: Bbox):
         self.lo, self.hi = (np.asarray(v, dtype=float) for v in bbox)
         self.dim = self.lo.size
+        self.width = self.hi - self.lo
         self.center = 0.5 * (self.lo + self.hi)
         self.volume = bbox_volume(bbox)
 
     def _block(self, gen, m):
         u = gen.random((m, self.dim))
-        a = np.empty((m, self.dim), order="F")
+        # one column is Fortran-ordered already, so its uniforms become the first half
+        a = u if self.dim == 1 else np.empty((m, self.dim), order="F")
         b = np.empty((m, self.dim), order="F")
-        for k, (lo, hi) in enumerate(zip(self.lo, self.hi)):
-            step = u[:, k] * (hi - lo)
-            np.add(lo, step, out=a[:, k])
+        for k, (lo, hi, width) in enumerate(zip(self.lo, self.hi, self.width)):
+            step = np.multiply(u[:, k], width, out=a[:, k])
             np.subtract(hi, step, out=b[:, k])
+            step += lo
         return a, b
 
 
@@ -275,10 +283,12 @@ def sweep(
 ) -> Sweep:
     """One pass over the sample stream feeding every column.
 
-    Numerator and denominator of every ratio share the stream, so ratios of
-    nested sets are exact (a subset never collects more weighted hits than
-    its superset) and the mean of the constant 1 is exactly 1.  Columns are
-    reduced one at a time, so temporaries stay one column wide.  With a
+    `weight` maps points to one reference weight each, or to a bool mask
+    for an indicator weight.  Numerator and denominator of every ratio
+    share the stream, so ratios of nested sets are exact (a subset never
+    collects more weighted hits than its superset) and the mean of the
+    constant 1 is exactly 1.  Columns are reduced one at a time and
+    half-chunk by half-chunk, so temporaries stay one column wide.  With a
     single antithetic pair the variance is unknown and stderr is inf.
     A bounding box is sampled as an `AxisBox`.
     """
@@ -287,58 +297,199 @@ def sweep(
     m = spec.pairs
     hits = 0
     sums = [[0.0, 0.0, 0.0, 0.0, 0.0, 0] for _ in ratios]  # su, suu, sv, svv, suv, capped
-    found: list[list[np.ndarray]] = [[] for _ in ranges]
-    unbounded = [[False, False] for _ in ranges]  # below -cap, above cap
+    tails = [_Tails(col.q, m) for col in ranges]
     with np.errstate(all="ignore"):
         for a, b in proposal.pairs(spec.seed, stream, m):
-            halves = []
-            for pts in (a, b):
-                w = np.asarray(weight(pts), dtype=float)
-                active = w > 0
-                hits += int(np.count_nonzero(active))
-                halves.append((pts, w, active))
-            for col, acc in zip(ratios, sums):
-                u = np.zeros(len(a))
-                d = np.zeros(len(a))
-                for pts, w, active in halves:
-                    v = np.asarray(col.values(pts), dtype=float)
-                    bad = active & (~np.isfinite(v) | (np.abs(v) > col.cap))
-                    acc[5] += int(np.count_nonzero(bad))
-                    keep = active & ~bad
-                    u += 0.5 * np.where(keep, w * v, 0.0)
-                    d += 0.5 * (~bad if col.per_sample else np.where(keep, w, 0.0))
-                acc[0] += float(u.sum())
-                acc[1] += float((u * u).sum())
-                acc[2] += float(d.sum())
-                acc[3] += float((d * d).sum())
-                acc[4] += float((u * d).sum())
-            for pts, w, active in halves:
-                if ranges and active.any():
-                    _feed_ranges(ranges, found, unbounded, np.take(pts, np.flatnonzero(active), axis=0))
+            halves = (_weigh(weight, a), _weigh(weight, b))
+            hits += halves[0].hits + halves[1].hits
+            if ratios:
+                _feed_ratios(ratios, sums, halves)
+            for half in halves:
+                if ranges and half.hits:
+                    _feed_ranges(ranges, tails, np.take(half.pts, np.flatnonzero(half.active), axis=0))
     return Sweep(
         hits,
         tuple(_ratio_result(acc, m, hits) for acc in sums),
-        tuple(_range_result(col, vals, flags, hits) for col, vals, flags in zip(ranges, found, unbounded)),
+        tuple(_range_result(col, tail, hits) for col, tail in zip(ranges, tails)),
     )
 
 
-def _feed_ranges(ranges: Sequence[Range], found: list, unbounded: list, pts: np.ndarray) -> None:
+class _Half(NamedTuple):
+    """One half-chunk: its points and their weight w, zero wherever w is not positive."""
+
+    pts: np.ndarray
+    w: np.ndarray  # a bool mask for an indicator weight
+    active: np.ndarray
+    hits: int
+
+
+def _weigh(weight: Callable, pts: np.ndarray) -> _Half:
+    w = np.asarray(weight(pts))
+    if w.dtype == bool:
+        active = w
+    else:
+        w = w.astype(float, copy=False)
+        active = w > 0
+        if not np.min(w) >= 0.0:  # negative or NaN weights count as no weight
+            w = np.where(active, w, 0.0)
+    return _Half(pts, w, active, int(np.count_nonzero(active)))
+
+
+def _within(v: np.ndarray, cap: float) -> bool:
+    """Every value is finite and at most cap in magnitude."""
+    bound = min(cap, _FLOAT_MAX)
+    return bool(v.min() >= -bound and v.max() <= bound)
+
+
+_FLOAT_MAX = float(np.finfo(float).max)
+
+
+def _ratio_terms(col: Ratio, half: _Half) -> tuple[np.ndarray, np.ndarray | None, int]:
+    """A half-chunk's share 0.5 w v of the pair average u, its share of d, and its capped count.
+
+    When every value lies within the cap nothing is masked, since w is
+    already zero off the hits; the share of d is then None, standing for
+    0.5 w (or 0.5 for a `per_sample` column).
+    """
+    v = np.asarray(col.values(half.pts))
+    if v.dtype != bool:
+        v = v.astype(float, copy=False)
+    if _within(v, col.cap):
+        share = np.multiply(half.w, v, dtype=float)
+        share *= 0.5
+        return share, None, 0
+    v = v.astype(float, copy=False)
+    bad = half.active & (~np.isfinite(v) | (np.abs(v) > col.cap))
+    keep = half.active & ~bad
+    share = np.where(keep, half.w * v, 0.0)
+    share *= 0.5
+    return share, 0.5 * (~bad if col.per_sample else np.where(keep, half.w, 0.0)), int(np.count_nonzero(bad))
+
+
+def _unmasked(half: _Half, per_sample: bool) -> np.ndarray:
+    """A half-chunk's share of d with nothing masked."""
+    return np.full(len(half.pts), 0.5) if per_sample else np.multiply(half.w, 0.5, dtype=float)
+
+
+def _with_sums(d: np.ndarray) -> tuple[np.ndarray, float, float]:
+    return d, float(d.sum()), float((d * d).sum())
+
+
+def _feed_ratios(ratios: Sequence[Ratio], sums: list, halves: tuple[_Half, _Half]) -> None:
+    """Add one chunk's pair averages u (numerator) and d (denominator) to every ratio column.
+
+    Capped and non-finite values are masked out of both, one half-chunk at
+    a time.  Where neither half masks anything, d is the same for every
+    column, so it is formed once per chunk with its two sums, and d is 1
+    for a `per_sample` column.  Either way u and d equal the masked ones
+    up to the sign of a zero, which no sum keeps.
+    """
+    size = len(halves[0].pts)
+    shared = None
+    for col, acc in zip(ratios, sums):
+        (u, da, capped_a), (ub, db, capped_b) = (_ratio_terms(col, half) for half in halves)
+        u += ub
+        acc[5] += capped_a + capped_b
+        su = float(u.sum())
+        if da is None and db is None and col.per_sample:  # d is 1
+            sd = sdd = float(size)
+            suv = su
+        else:
+            if da is None and db is None:
+                if shared is None:
+                    shared = _with_sums(_unmasked(halves[0], False) + _unmasked(halves[1], False))
+                d, sd, sdd = shared
+            else:
+                da = _unmasked(halves[0], col.per_sample) if da is None else da
+                db = _unmasked(halves[1], col.per_sample) if db is None else db
+                d, sd, sdd = _with_sums(da + db)
+            suv = float((u * d).sum())
+        acc[0] += su
+        acc[1] += float((u * u).sum())
+        acc[2] += sd
+        acc[3] += sdd
+        acc[4] += suv
+
+
+class _Tails:
+    """The k smallest and k largest finite values a range column has seen, and their count.
+
+    With k = floor(q * 2m) + 3 for m pairs (so at most 2m values), these
+    hold both order statistics that each of the q and 1 - q quantiles
+    interpolates between: O(q n) values instead of all n.
+    """
+
+    def __init__(self, q: float, pairs: int):
+        self.k = math.floor(q * 2 * pairs) + 3
+        self.count = 0
+        self.low = self.high = np.empty(0)
+        self.below = self.above = False  # a value below -cap / above cap, or a NaN, was seen
+
+
+def _feed_ranges(ranges: Sequence[Range], tails: list[_Tails], pts: np.ndarray) -> None:
     """Add one half-chunk's hit points to every range column.
 
     Only the last values block is kept, so adjacent columns that share a
     values callable (the axes of one gradient) evaluate it once.
     """
     source = block = None
-    for col, vals, flags in zip(ranges, found, unbounded):
+    for col, tail in zip(ranges, tails):
         if col.values is not source:
             source, block = col.values, np.asarray(col.values(pts), dtype=float)
-        v = block if col.axis is None else block[:, col.axis]
+        _add_values(col, tail, block if col.axis is None else block[:, col.axis])
+
+
+def _add_values(col: Range, tail: _Tails, v: np.ndarray) -> None:
+    """Flag the values beyond the cap and keep the finite ones that reach either tail.
+
+    Only values strictly beyond the current k-th smallest (largest) can
+    enter the low (high) tail; the tail is then re-selected by partition.
+    """
+    lo, hi = v.min(), v.max()  # NaN propagates
+    if np.isfinite(lo) and np.isfinite(hi):
+        tail.below |= bool(lo < -col.cap)
+        tail.above |= bool(hi > col.cap)
+    else:
         nan = bool(np.isnan(v).any())
-        flags[0] |= nan or bool(np.any(v < -col.cap))
-        flags[1] |= nan or bool(np.any(v > col.cap))
-        finite = v[np.isfinite(v)]
-        if finite.size:
-            vals.append(finite)
+        tail.below |= nan or bool(np.any(v < -col.cap))
+        tail.above |= nan or bool(np.any(v > col.cap))
+        v = v[np.isfinite(v)]
+        if not v.size:
+            return
+        lo, hi = v.min(), v.max()
+    tail.count += v.size
+    k = tail.k
+    if tail.low.size < k or lo < tail.low[-1]:
+        low = np.concatenate((tail.low, v if tail.low.size < k else v[v < tail.low[-1]]))
+        tail.low = np.partition(low, k - 1)[:k] if low.size >= k else low
+    if tail.high.size < k or hi > tail.high[0]:
+        high = np.concatenate((tail.high, v if tail.high.size < k else v[v > tail.high[0]]))
+        tail.high = np.partition(high, high.size - k)[-k:] if high.size >= k else high
+
+
+def _tail_quantiles(tail: _Tails, q: float) -> np.ndarray:
+    """np.quantile of every value the tails saw at [q, 1 - q], by numpy's 'linear' method.
+
+    Each quantile lerps the order statistics at floor((n - 1) q) and the
+    next rank as numpy does, so the result is its, bit for bit, except for
+    the sign of a zero when 0.0 and -0.0 tie at those ranks.
+    """
+    n = tail.count
+    low, high = np.sort(tail.low), np.sort(tail.high)
+    virtual = (n - 1) * np.array([q, 1.0 - q])
+    prev = np.floor(virtual)
+    last = virtual >= n - 1  # numpy takes the largest value there, at index -1
+    prev[last] = -1
+    gamma = virtual - prev
+    ranks = np.where(last, n - 1, prev).astype(int)
+
+    def order(r: int) -> float:
+        return low[r] if r < low.size else high[r - (n - high.size)]
+
+    a = np.array([order(r) for r in ranks])
+    b = np.array([order(r if top else r + 1) for r, top in zip(ranks, last)])
+    diff = b - a
+    return np.where(gamma >= 0.5, b - diff * (1 - gamma), a + diff * gamma)
 
 
 def _ratio_result(acc: list, m: int, hits: int) -> WeightedMean:
@@ -352,12 +503,9 @@ def _ratio_result(acc: list, m: int, hits: int) -> WeightedMean:
     return WeightedMean(float(ratio), float(se), hits, float(sv), capped, 2 * m)
 
 
-def _range_result(col: Range, vals: list[np.ndarray], flags: list[bool], hits: int) -> EssRange:
-    if vals:
-        lo, hi = np.quantile(np.concatenate(vals), [col.q, 1.0 - col.q])
-    else:
-        lo, hi = -np.inf, np.inf
-    return EssRange(float(-np.inf if flags[0] else lo), float(np.inf if flags[1] else hi), hits)
+def _range_result(col: Range, tail: _Tails, hits: int) -> EssRange:
+    lo, hi = _tail_quantiles(tail, col.q) if tail.count else (-np.inf, np.inf)
+    return EssRange(float(-np.inf if tail.below else lo), float(np.inf if tail.above else hi), hits)
 
 
 def _resolve_box(region: Region, spec: SampleSpec) -> AxisBox:
@@ -365,10 +513,6 @@ def _resolve_box(region: Region, spec: SampleSpec) -> AxisBox:
     if not bbox_is_finite(bbox):
         raise UnboundedRegion("sampling requires a finite bounding box")
     return AxisBox(bbox)
-
-
-def _indicator(region: Region) -> Callable:
-    return lambda pts: region.contains(pts).astype(float)
 
 
 def volume_column(proposal: Proposal) -> Ratio:
@@ -382,7 +526,7 @@ def mc_volume(region: Region, spec: SampleSpec, stream: int = 0) -> Estimate:
     box = _resolve_box(region, spec)
     if box.volume == 0.0:
         return Estimate(0.0, 0.0, 0, 2 * spec.pairs)
-    r = sweep(_indicator(region), box, spec, stream, ratios=[volume_column(box)]).ratios[0]
+    r = sweep(region.contains, box, spec, stream, ratios=[volume_column(box)]).ratios[0]
     return Estimate(r.value, r.stderr, r.hits, r.n)
 
 
@@ -392,7 +536,7 @@ def mc_integral(f: Callable, region: Region, spec: SampleSpec, stream: int = 0) 
     vol = box.volume
     if vol == 0.0:
         return Estimate(0.0, 0.0, 0, 2 * spec.pairs)
-    r = sweep(_indicator(region), box, spec, stream, ratios=[Ratio(f, cap=np.inf, per_sample=True)]).ratios[0]
+    r = sweep(region.contains, box, spec, stream, ratios=[Ratio(f, cap=np.inf, per_sample=True)]).ratios[0]
     if not r.weight > 0:
         return Estimate(0.0, 0.0, r.hits, r.n, r.capped)
     return Estimate(float(vol * r.value), float(vol * r.stderr), r.hits, r.n, r.capped)
@@ -427,7 +571,7 @@ def ess_range(
     box = _resolve_box(region, spec)
     if box.volume == 0.0:
         raise NoHits("region has an empty bounding box")
-    result = sweep(_indicator(region), box, spec, stream, ranges=[column])
+    result = sweep(region.contains, box, spec, stream, ranges=[column])
     if result.hits == 0:
         raise NoHits("no samples landed in the region")
     return result.ranges[0]

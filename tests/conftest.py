@@ -2,6 +2,15 @@ import pytest
 
 from puremeasure.geometry import PointFeature
 
+try:
+    from hypothesis import settings
+except ImportError:  # the property tests skip themselves
+    pass
+else:
+    # `pytest --hypothesis-profile=ci` draws the same examples on every run and
+    # prints the blob that replays a failure with @reproduce_failure
+    settings.register_profile("ci", derandomize=True, deadline=None, print_blob=True)
+
 
 @pytest.fixture
 def distance_calls(monkeypatch) -> list:

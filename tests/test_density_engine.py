@@ -390,13 +390,14 @@ DIAGONAL = SegmentFeature((-0.2,) * 3, (0.6,) * 3)
     (ORIGIN2, DISK, 0.1, AxisBox),  # pi/4 of the box
     (PointFeature((0.0,) * 3), Ball((0.0,) * 3, 1.0), 0.1, AxisBox),  # pi/6 of the box
     (ORIGIN8, CUBE8, 0.1, Shell),  # pi^4/6144 of the box
-    (RegionBoundary(DISK), DISK, 0.05, Shell),
+    (RegionBoundary(DISK), DISK, 0.05, Shell),  # the inner half-shell
     (RegionBoundary(DISK), DISK, 0.5, AxisBox),
     (DIAGONAL, CUBE3, 0.1, OrientedBox),
     (SegmentFeature((-0.5, 0.0, 0.0), (0.5, 0.0, 0.0)), CUBE3, 0.1, AxisBox),  # already axis-aligned
     (SegmentFeature((0.1,) * 3, (0.1,) * 3), CUBE3, 0.1, AxisBox),  # degenerate
     (RegionBoundary(CUBE3), CUBE3, 0.01, AxisBox),
     (RegionFeature(Ball((0.0,) * 3, 0.1)), CUBE3, 0.01, AxisBox),
+    (RegionBoundary(DISK), Box((-2.0, -2.0), (2.0, 2.0)), 0.05, Shell),  # the whole shell
 ])
 def test_level_proposal_selection(feature, omega, delta, kind):
     proposal = _level_proposal(feature, omega, delta)
@@ -404,17 +405,27 @@ def test_level_proposal_selection(feature, omega, delta, kind):
     if kind is Shell and isinstance(feature, PointFeature):
         assert proposal.r0 == 0.0 and proposal.r1 == delta
     if kind is Shell and isinstance(feature, RegionBoundary):
-        assert (proposal.r0, proposal.r1) == (1.0 - delta, 1.0 + delta)
+        # Omega = the disk discards the outer half of the collar
+        assert (proposal.r0, proposal.r1) == (1.0 - delta, 1.0 if omega == DISK else 1.0 + delta)
 
 
 def test_aura_volumes_are_unbiased_on_feature_proposals():
-    # the inner collar of the unit sphere and the 8-D ball inside the cube
+    # the collar of the unit sphere above the plane z = 0.3, its inner
+    # collar (the inner half-shell covers it exactly) and the 8-D ball
+    # inside the cube
     sphere = Ball((0.0,) * 3, 1.0)
     schedule = DeltaSchedule(0.1, 0.5, 3)
+    cap = lambda r, h: np.pi * (r - h) ** 2 * (2 * r + h) / 3  # the cap of B(0, r) above z = h
+    upper = Box((-2.0, -2.0, 0.3), (2.0, 2.0, 2.0))
+    rep = aura_report(RegionBoundary(sphere), upper, DeltaSchedule(0.05, 0.5, 3), SampleSpec(n=100_000, seed=3))
+    for level in rep.levels:
+        assert type(_level_proposal(RegionBoundary(sphere), upper, level.delta)) is Shell
+        exact = cap(1 + level.delta, 0.3) - cap(1 - level.delta, 0.3)
+        assert abs(level.volume - exact) <= 2 * level.volume_stderr
     rep = aura_report(RegionBoundary(sphere), sphere, schedule, SampleSpec(n=100_000, seed=3))
     for level in rep.levels:
-        exact = 4 * np.pi / 3 * (1 - (1 - level.delta) ** 3)
-        assert abs(level.volume - exact) <= 2 * level.volume_stderr
+        assert level.volume == pytest.approx(4 * np.pi / 3 * (1 - (1 - level.delta) ** 3), rel=1e-12)
+        assert level.hits == 100_000
     rep = aura_report(ORIGIN8, CUBE8, schedule, SampleSpec(n=1000, seed=3))
     for level in rep.levels:
         assert level.volume == pytest.approx(np.pi ** 4 / 24 * level.delta ** 8, rel=1e-12)

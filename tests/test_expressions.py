@@ -61,3 +61,26 @@ def test_parse_errors():
     for bad in ["", "x0", "y + 1", "sin()", "min(x1)", "sin(x1", "1 +", "x1 @ 2", "foo(x1)"]:
         with pytest.raises(ExpressionError):
             parse_expression(bad)(np.zeros((1, 3)))
+
+
+def test_odd_integer_powers_cancel_over_antithetic_pairs():
+    from puremeasure.quadrature import AxisBox
+
+    pairs = list(AxisBox((np.array([-1.0]), np.array([1.0]))).pairs(3, 0, 200_000))
+    for text in ("x1^3", "x1^5", "x1^-3", "2*x1^7 - x1^3"):
+        odd = parse_expression(text)
+        assert all(np.array_equal(odd(b), -odd(a)) for a, b in pairs), text
+    even = parse_expression("x1^4")
+    assert all(np.array_equal(even(b), even(a)) for a, b in pairs)
+
+
+def test_integer_powers_are_products():
+    x = np.random.default_rng(4).uniform(-3.0, 3.0, (1000, 1))
+    v = x[:, 0]
+    # the square stays what np.power gives, so outputs that use ^2 keep their bits
+    assert np.array_equal(ev("x1^2", x), v * v) and np.array_equal(ev("x1^2", x), np.power(v, 2.0))
+    assert np.array_equal(ev("x1^3", x), v * v * v)
+    assert np.array_equal(ev("x1^-2", x), 1.0 / (v * v))
+    assert np.array_equal(ev("x1^0", x), np.ones(1000))
+    assert np.array_equal(ev("abs(x1)^0.5", x), np.power(np.abs(v), 0.5))
+    assert ev("0^-1", [[1.0]])[0] == np.inf

@@ -6,7 +6,9 @@ import pytest
 from puremeasure.geometry import Ball, Box, Intersection, interval
 from puremeasure.quadrature import (
     CHUNK_PAIRS,
+    CONFIDENCE,
     AxisBox,
+    EssRange,
     Estimate,
     NoHits,
     OrientedBox,
@@ -14,7 +16,9 @@ from puremeasure.quadrature import (
     Ratio,
     SampleSpec,
     Shell,
+    Sweep,
     UnboundedRegion,
+    WeightedMean,
     ess_range,
     mc_integral,
     mc_volume,
@@ -319,3 +323,122 @@ def test_sweep_accepts_a_proposal_or_a_box():
     weight = lambda p: DISK.contains(p).astype(float)
     spec, columns = SampleSpec(n=5000, seed=3), [Ratio(lambda p: p[:, 0] ** 2)]
     assert sweep(weight, DISK.bbox, spec, ratios=columns) == sweep(weight, AxisBox(DISK.bbox), spec, ratios=columns)
+
+
+# ------------------------------------------------------------ kernel oracle
+
+def _oracle_sweep(weight, proposal, spec, stream=0, ratios=(), ranges=()):
+    """`sweep` as a plain loop: masks for every column, every hit value kept, np.quantile at the end."""
+    m = spec.pairs
+    hits = 0
+    sums = [[0.0, 0.0, 0.0, 0.0, 0.0, 0] for _ in ratios]
+    found = [[] for _ in ranges]
+    unbounded = [[False, False] for _ in ranges]
+    with np.errstate(all="ignore"):
+        for a, b in proposal.pairs(spec.seed, stream, m):
+            halves = []
+            for pts in (a, b):
+                w = np.asarray(weight(pts), dtype=float)
+                active = w > 0
+                hits += int(np.count_nonzero(active))
+                halves.append((pts, w, active))
+            for col, acc in zip(ratios, sums):
+                u = np.zeros(len(a))
+                d = np.zeros(len(a))
+                for pts, w, active in halves:
+                    v = np.asarray(col.values(pts), dtype=float)
+                    bad = active & (~np.isfinite(v) | (np.abs(v) > col.cap))
+                    acc[5] += int(np.count_nonzero(bad))
+                    keep = active & ~bad
+                    u += 0.5 * np.where(keep, w * v, 0.0)
+                    d += 0.5 * (~bad if col.per_sample else np.where(keep, w, 0.0))
+                acc[0] += float(u.sum())
+                acc[1] += float((u * u).sum())
+                acc[2] += float(d.sum())
+                acc[3] += float((d * d).sum())
+                acc[4] += float((u * d).sum())
+            for pts, w, active in halves:
+                if not active.any():
+                    continue
+                hit = np.take(pts, np.flatnonzero(active), axis=0)
+                for col, vals, flags in zip(ranges, found, unbounded):
+                    v = np.asarray(col.values(hit), dtype=float)
+                    v = v if col.axis is None else v[:, col.axis]
+                    nan = bool(np.isnan(v).any())
+                    flags[0] |= nan or bool(np.any(v < -col.cap))
+                    flags[1] |= nan or bool(np.any(v > col.cap))
+                    vals.append(v[np.isfinite(v)])
+    means = []
+    for su, suu, sv, svv, suv, capped in sums:
+        if sv <= 0:
+            means.append(WeightedMean(float("nan"), float("nan"), hits, sv, capped, 2 * m))
+            continue
+        ratio = su / sv
+        resid2 = max(suu - 2 * ratio * suv + ratio * ratio * svv, 0.0)
+        se = CONFIDENCE * np.sqrt(resid2 / (m * (m - 1))) / (sv / m) if m > 1 else np.inf
+        means.append(WeightedMean(float(ratio), float(se), hits, float(sv), capped, 2 * m))
+    extents = []
+    for col, vals, (below, above) in zip(ranges, found, unbounded):
+        values = np.concatenate(vals) if vals else np.empty(0)
+        lo, hi = np.quantile(values, [col.q, 1.0 - col.q]) if values.size else (-np.inf, np.inf)
+        extents.append(EssRange(float(-np.inf if below else lo), float(np.inf if above else hi), hits))
+    return Sweep(hits, tuple(means), tuple(extents))
+
+
+ORACLE_PROPOSALS = {
+    "axis_box": AxisBox((np.array([-1.0, -0.8]), np.array([1.2, 0.9]))),
+    "shell": Shell((0.1, -0.05, 0.0), 0.3, 1.0),
+    "oriented_box": OrientedBox.around_segment((-0.7, 0.2, 0.1), (0.8, -0.3, 0.4), 0.3),
+}
+
+
+def _signed_weight(p):
+    # negative on part of the set and NaN on a thin band: neither counts as weight
+    return np.where(np.abs(p[:, 1]) < 0.02, np.nan, np.cos(2.0 * p[:, 0]) + 0.3 * p[:, 1])
+
+
+ORACLE_WEIGHTS = {
+    "float": _signed_weight,
+    "bool": lambda p: p[:, 0] + p[:, 1] < 0.6,
+}
+
+
+def _wild(p):
+    # +-inf and NaN beside finite values, for columns whose cap is inf
+    x = p[:, 0]
+    return np.where(x > 0.8, np.inf, np.where(x < -0.8, -np.inf, np.where(np.abs(p[:, 1]) < 0.01, np.nan, x)))
+
+
+def _oracle_columns():
+    block = lambda p: np.column_stack([p[:, 0] * p[:, 1], np.sin(3.0 * p[:, 1])])
+    inverse = lambda p: 1.0 / p[:, 0]
+    ratios = [
+        Ratio(lambda p: p[:, 0] * p[:, 0] + p[:, 1]),
+        Ratio(inverse, cap=5.0),  # capped beside the clean column above
+        Ratio(lambda p: p[:, 1] > 0.1),  # bool values, as membership columns give them
+        Ratio(lambda p: np.exp(p[:, 1]), cap=np.inf, per_sample=True),
+        Ratio(inverse, cap=20.0, per_sample=True),
+        Ratio(_wild, cap=np.inf),
+        Ratio(_wild, cap=np.inf, per_sample=True),
+    ]
+    ranges = [
+        Range(block, axis=0),
+        Range(block, axis=1),  # shares the block above
+        Range(inverse),
+        Range(inverse, q=0.2, cap=50.0),
+        Range(_wild, cap=np.inf),
+        Range(lambda p: np.round(4.0 * p[:, 1]) / 4.0 + 1.0, q=0.1),  # heavy ties
+    ]
+    return ratios, ranges
+
+
+@pytest.mark.parametrize("n", [3001, 2 * (3 * CHUNK_PAIRS + 7) - 1], ids=["one_chunk", "three_chunks_odd_rest"])
+@pytest.mark.parametrize("weight", ORACLE_WEIGHTS, ids=list(ORACLE_WEIGHTS))
+@pytest.mark.parametrize("kind", ORACLE_PROPOSALS, ids=list(ORACLE_PROPOSALS))
+def test_sweep_matches_the_plain_loop_bit_for_bit(kind, weight, n):
+    proposal, spec = ORACLE_PROPOSALS[kind], SampleSpec(n=n, seed=19)
+    ratios, ranges = _oracle_columns()
+    result = sweep(ORACLE_WEIGHTS[weight], proposal, spec, 5, ratios, ranges)
+    expected = _oracle_sweep(ORACLE_WEIGHTS[weight], proposal, spec, 5, ratios, ranges)
+    assert repr(result) == repr(expected)  # repr tells -0.0 from 0.0 and matches NaN
+    assert any(r.capped for r in result.ratios) and result.hits > 0
