@@ -35,10 +35,8 @@ from .geometry import (
     Region,
     RegionBoundary,
     SegmentFeature,
-    csg,
     feature_from_json,
     interval,
-    neighborhood_region,
     region_from_json,
     signed_distance,
 )

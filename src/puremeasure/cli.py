@@ -231,11 +231,18 @@ class _Task:
         return self.node[field]
 
     def _lookup(self, table: str, name: Any, pointer: str, dim: int | None = None):
-        """The named entry of `table`; with `dim`, a region or feature of omega's dimension."""
+        """The named entry of `table`.
+
+        With `dim`, a region or feature must have that dimension and an
+        integrand may use no coordinate beyond it.
+        """
         known = isinstance(name, str) and name in self.tables[table]
         _require(known, UnknownName, f"undefined {table} {name!r}", pointer)
         entry = self.tables[table][name]
-        if dim is not None:
+        if dim is not None and table == "integrand":
+            _require(entry.arity <= dim, ParseError, f"integrand {name!r} uses x{entry.arity} in dimension {dim}",
+                     pointer)
+        elif dim is not None:
             _require(entry.dim == dim, ParseError, f"{table} {name!r} has dimension {entry.dim}, omega {dim}", pointer)
         return entry
 
@@ -245,11 +252,11 @@ class _Task:
     def feature(self, field: str, dim: int) -> Feature:
         return self._lookup("feature", self.get(field), self.at(field), dim)
 
-    def integrand(self, field: str) -> Expression:
-        return self._lookup("integrand", self.get(field), self.at(field))
+    def integrand(self, field: str, dim: int) -> Expression:
+        return self._lookup("integrand", self.get(field), self.at(field), dim)
 
-    def optional(self, field: str) -> Expression | None:
-        return self.integrand(field) if field in self.node else None
+    def optional(self, field: str, dim: int) -> Expression | None:
+        return self.integrand(field, dim) if field in self.node else None
 
     def _entries(self, field: str, count: int | None) -> list:
         """The list in `field`, with `count` entries, one per coordinate, or at least one."""
@@ -266,7 +273,7 @@ class _Task:
 
     def vector(self, field: str, dim: int) -> Callable:
         """A vector field given as one integrand per coordinate."""
-        exprs = self.names(field, "integrand", dim)
+        exprs = self.names(field, "integrand", dim, dim)
         return lambda pts: np.column_stack([e(pts) for e in exprs])
 
     def point(self, field: str, dim: int) -> tuple[float, ...]:
@@ -278,7 +285,7 @@ class _Task:
     def field(self, field: str, dim: int) -> ScalarField:
         """A scalar-field object {"f": integrand, "grad": [integrands]}; grad is optional."""
         body = _Task(_object(self.get(field), field, self.at(field)), self.at(field), self.tables)
-        return ScalarField(f=body.integrand("f"), grad=body.vector("grad", dim) if "grad" in body.node else None)
+        return ScalarField(f=body.integrand("f", dim), grad=body.vector("grad", dim) if "grad" in body.node else None)
 
     def surface(self) -> SurfaceFixture:
         region = self.region("surface")
@@ -359,7 +366,7 @@ def _probe_output(name: str, out_dir: Path, result: ProbeResult, **extra):
 def _density_ratio(t: _Task) -> Job:
     omega = t.region("omega")
     region, feature = t.region("region", omega.dim), t.feature("feature", omega.dim)
-    weight = t.optional("weight")
+    weight = t.optional("weight", omega.dim)
     return lambda config, out: _probe_output(t.name, out, density_probe(
         region, feature, omega, t.schedule(config, feature, omega), t.spec(config), weight=weight, tol=t.tol(config)
     ))
@@ -367,8 +374,8 @@ def _density_ratio(t: _Task) -> Job:
 
 def _sharp_integral(t: _Task) -> Job:
     omega = t.region("omega")
-    integrand, feature = t.integrand("integrand"), t.feature("feature", omega.dim)
-    weight = t.optional("weight")
+    integrand, feature = t.integrand("integrand", omega.dim), t.feature("feature", omega.dim)
+    weight = t.optional("weight", omega.dim)
     return lambda config, out: _probe_output(t.name, out, sharp_integral(
         integrand, feature, omega, t.schedule(config, feature, omega), t.spec(config), weight=weight, tol=t.tol(config)
     ))
@@ -376,7 +383,7 @@ def _sharp_integral(t: _Task) -> Job:
 
 def _action_interval(t: _Task) -> Job:
     omega = t.region("omega")
-    integrand, feature = t.integrand("integrand"), t.feature("feature", omega.dim)
+    integrand, feature = t.integrand("integrand", omega.dim), t.feature("feature", omega.dim)
     return lambda config, out: (_jsonable(action_profile(
         integrand, feature, omega, t.schedule(config, feature, omega), t.spec(config), tol=t.tol(config)
     )), [], False)
@@ -424,8 +431,8 @@ def _aura_report(t: _Task) -> Job:
 
 
 def _boundary_trace(t: _Task) -> Job:
-    integrand, omega = t.integrand("integrand"), t.region("omega")
-    x = t.point("x", omega.dim)
+    omega = t.region("omega")
+    integrand, x = t.integrand("integrand", omega.dim), t.point("x", omega.dim)
     return lambda config, out: _probe_output(t.name, out, boundary_trace(
         integrand, omega, x, t.schedule(config, PointFeature(x), omega), t.spec(config), tol=t.tol(config)
     ))
@@ -434,7 +441,7 @@ def _boundary_trace(t: _Task) -> Job:
 def _density_gradient(t: _Task) -> Job:
     omega = t.region("omega")
     x = t.point("x", omega.dim)
-    f = t.optional("integrand")
+    f = t.optional("integrand", omega.dim)
     # without an integrand the gradient is required
     grad = t.vector("gradient", omega.dim) if f is None or "gradient" in t.node else None
     field = ScalarField(f=f, grad=grad)
@@ -466,7 +473,8 @@ def _calculus_rule_check(t: _Task) -> Job:
 
 
 def _collar_average(t: _Task) -> Job:
-    integrand, fixture = t.integrand("integrand"), t.surface()
+    fixture = t.surface()
+    integrand = t.integrand("integrand", fixture.region.dim)
     boundary = RegionBoundary(fixture.region)
 
     def job(config: Config, out: Path):
@@ -480,7 +488,7 @@ def _collar_average(t: _Task) -> Job:
 
 def _gauss_check(t: _Task) -> Job:
     fixture = t.surface()
-    phi, div = t.vector("phi", fixture.region.dim), t.optional("div")
+    phi, div = t.vector("phi", fixture.region.dim), t.optional("div", fixture.region.dim)
     return lambda config, out: (_jsonable(gauss_check(phi, fixture, t.spec(config), div=div)), [], False)
 
 

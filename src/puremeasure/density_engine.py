@@ -47,8 +47,6 @@ from .geometry import (
     bbox_volume,
 )
 from .quadrature import (
-    ESS_QUANTILE,
-    MAGNITUDE_CAP,
     AxisBox,
     EssRange,
     Estimate,
@@ -194,9 +192,15 @@ def _as_row(r) -> tuple[float, float, float]:
 
 
 def _window_range(rows) -> tuple[float, float]:
-    lo = min(v - se for _, v, se in rows)
-    hi = max(v + se for _, v, se in rows)
-    return lo, hi
+    """The least v - se and the greatest v + se; NaN where any row's is NaN.
+
+    Python's min and max skip a NaN unless it comes first, so it is checked
+    for explicitly.
+    """
+    lows = [v - se for _, v, se in rows]
+    highs = [v + se for _, v, se in rows]
+    return (math.nan if any(map(math.isnan, lows)) else min(lows),
+            math.nan if any(map(math.isnan, highs)) else max(highs))
 
 
 # ----------------------------------------------------------- ratio machinery
@@ -275,15 +279,14 @@ def _memberships(regions: Sequence[Region]) -> Columns:
     return lambda delta, proposal: (columns, ())
 
 
-def _ratio_probe(levels: list[tuple[float, Sweep]], j: int, tol: float,
-                 max_capped_fraction: float = 0.0) -> ProbeResult:
-    """Profile and limit of ratio column j; unintegrable once a level caps too many hits."""
+def _ratio_probe(levels: list[tuple[float, Sweep]], j: int, tol: float) -> ProbeResult:
+    """Profile and limit of ratio column j; unintegrable once some level caps a hit."""
     series = []
     for delta, result in levels:
         r = result.ratios[j]
         series.append(LevelEstimate(delta, r.value, r.stderr, r.hits, r.capped))
     limit, verdict = limit_estimate(series, tol)
-    unintegrable = any(l.capped > max_capped_fraction * l.hits for l in series)
+    unintegrable = any(l.capped > 0 for l in series)
     return ProbeResult(tuple(series), limit, verdict, unintegrable)
 
 
@@ -294,10 +297,9 @@ def density_ratio(
     delta: float,
     spec: SampleSpec,
     weight: Callable | None = None,
-    stream: int = 0,
 ) -> Estimate:
     """Weighted volume ratio of A within F_delta ∩ Omega at a single delta."""
-    r = _level_pass(feature, omega, delta, spec, stream, _memberships([a]), weight).ratios[0]
+    r = _level_pass(feature, omega, delta, spec, 0, _memberships([a]), weight).ratios[0]
     return Estimate(r.value, r.stderr, r.hits, r.n)
 
 
@@ -322,21 +324,18 @@ def sharp_integral(
     spec: SampleSpec,
     weight: Callable | None = None,
     tol: float = DEFAULT_TOL,
-    cap: float = MAGNITUDE_CAP,
-    max_capped_fraction: float = 0.0,
 ) -> ProbeResult:
     """Weighted means of fn over F_delta ∩ Omega along the schedule.
 
     For fn continuous at a singleton feature the converged limit is the
     point value.  Samples beyond the magnitude cap witness an essentially
-    unbounded integrand; when their share of the hits exceeds
-    `max_capped_fraction` at any level the result carries the unintegrable
-    flag (integration against a density measure is then meaningless even if
-    the symmetric mean profile happens to settle).
+    unbounded integrand; when any level caps a hit the result carries the
+    unintegrable flag (integration against a density measure is then
+    meaningless even if the symmetric mean profile happens to settle).
     """
-    columns = (Ratio(fn, cap),)
+    columns = (Ratio(fn),)
     levels = _profile(feature, omega, schedule, spec, lambda delta, proposal: (columns, ()), weight)
-    return _ratio_probe(levels, 0, tol, max_capped_fraction)
+    return _ratio_probe(levels, 0, tol)
 
 
 @dataclass(frozen=True)
@@ -364,8 +363,6 @@ def action_profile(
     schedule: DeltaSchedule,
     spec: SampleSpec,
     tol: float = DEFAULT_TOL,
-    q: float = ESS_QUANTILE,
-    cap: float = MAGNITUDE_CAP,
 ) -> ActionProfile:
     """Essential-range profile of fn near the feature, with monotone envelopes.
 
@@ -374,7 +371,7 @@ def action_profile(
     lower envelope the running maximum); the envelopes at the smallest delta
     estimate the action interval.
     """
-    column = Range(fn, q, cap)
+    column = Range(fn)
     return _action_profiles(lambda delta: [column], feature, omega, schedule, spec, tol)[0]
 
 
@@ -412,11 +409,9 @@ def action_interval(
     schedule: DeltaSchedule,
     spec: SampleSpec,
     tol: float = DEFAULT_TOL,
-    q: float = ESS_QUANTILE,
-    cap: float = MAGNITUDE_CAP,
 ) -> Interval:
     """[lim ess inf, lim ess sup] of fn near the feature (quantile surrogate)."""
-    return action_profile(fn, feature, omega, schedule, spec, tol, q, cap).interval
+    return action_profile(fn, feature, omega, schedule, spec, tol).interval
 
 
 def cone_density(

@@ -152,9 +152,6 @@ class SubAlgebra:
     def block_count(self) -> int:
         return len(self.blocks)
 
-    def block_sets(self) -> tuple[AlgebraSet, ...]:
-        return tuple(AlgebraSet(self.ground, b) for b in self.blocks)
-
     def contains(self, s: AlgebraSet) -> bool:
         inside = 0
         for b in self.blocks:
@@ -294,7 +291,7 @@ def _set_partitions(items: Sequence[int]) -> Iterator[list[list[int]]]:
         yield [[first]] + part
 
 
-def tv_partition_oracle(mu: FAMeasure, s: AlgebraSet, bound: int = PARTITION_ENUM_BOUND) -> Fraction:
+def tv_partition_oracle(mu: FAMeasure, s: AlgebraSet) -> Fraction:
     """sup over all finite partitions of s of the summed |mu(part)|.
 
     Exhaustive over set partitions of the blocks inside s; the supremum over
@@ -303,8 +300,8 @@ def tv_partition_oracle(mu: FAMeasure, s: AlgebraSet, bound: int = PARTITION_ENU
     """
     mu.algebra.require(s)
     idxs = mu.algebra.blocks_within(s.mask)
-    if len(idxs) > bound:
-        raise TooLarge(f"{len(idxs)} blocks exceed the partition enumeration bound {bound}")
+    if len(idxs) > PARTITION_ENUM_BOUND:
+        raise TooLarge(f"{len(idxs)} blocks exceed the partition enumeration bound {PARTITION_ENUM_BOUND}")
     best = Fraction(0)
     for partition in _set_partitions(idxs):
         total = sum((abs(sum((mu.values[i] for i in part), Fraction(0))) for part in partition), Fraction(0))

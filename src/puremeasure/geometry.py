@@ -400,23 +400,6 @@ def _check_dims(parts: Sequence[Region]) -> None:
         raise DimensionMismatch(f"mixed dimensions {sorted(dims)}")
 
 
-def csg(op: str, a: Region, b: Region | None = None) -> Region:
-    """Boolean combination of regions; membership exact, sdf a pseudo-distance."""
-    if op == "union":
-        return Union((a, b)) if b is not None else Union((a,))
-    if op == "intersection":
-        return Intersection((a, b)) if b is not None else Intersection((a,))
-    if op == "difference":
-        if b is None:
-            raise ValueError("difference needs two operands")
-        return Difference(a, b)
-    if op == "complement":
-        if b is not None:
-            raise ValueError("complement is unary")
-        return Complement(a)
-    raise ValueError(f"unknown CSG operation {op!r}")
-
-
 def signed_distance(target, x) -> float:
     """Distance of a single point: signed for regions, nonnegative for features.
 
@@ -517,9 +500,17 @@ class RegionBoundary(Feature):
 
 @dataclass(frozen=True)
 class RegionFeature(Feature):
-    """A region used as a feature set; d = max(sdf, 0)."""
+    """A region with an exact signed distance used as a feature set; d = max(sdf, 0).
+
+    A pseudo-distance only bounds the distance from below, so its
+    delta-neighbourhood would be larger than F_delta.
+    """
 
     region: Region
+
+    def __post_init__(self):
+        if not self.region.exact:
+            raise ValueError("region features need a region with an exact signed distance")
 
     @property
     def dim(self) -> int:
@@ -562,10 +553,6 @@ class Neighborhood(Region):
 
     def contains(self, pts) -> np.ndarray:
         return self.feature.distance(pts) < self.delta
-
-
-def neighborhood_region(feature: Feature, delta: float) -> Neighborhood:
-    return Neighborhood(feature, float(delta))
 
 
 # ------------------------------------------------------------- JSON grammar

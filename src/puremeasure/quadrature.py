@@ -58,7 +58,7 @@ class NoHits(RuntimeError):
 
 @dataclass(frozen=True)
 class SampleSpec:
-    """Sampling plan: count, seed, optional bounding-box override.
+    """Sampling plan: sample count and seed.
 
     Sample counts are rounded up to the next even number so that the stream
     consists of whole antithetic pairs.
@@ -66,7 +66,6 @@ class SampleSpec:
 
     n: int = 200_000
     seed: int = 0
-    bbox: Bbox | None = None
 
     def __post_init__(self):
         if self.n < 1:
@@ -275,7 +274,7 @@ class Sweep:
 
 def sweep(
     weight: Callable,
-    proposal: Proposal | Bbox,
+    proposal: Proposal,
     spec: SampleSpec,
     stream: int = 0,
     ratios: Sequence[Ratio] = (),
@@ -290,10 +289,7 @@ def sweep(
     constant 1 is exactly 1.  Columns are reduced one at a time and
     half-chunk by half-chunk, so temporaries stay one column wide.  With a
     single antithetic pair the variance is unknown and stderr is inf.
-    A bounding box is sampled as an `AxisBox`.
     """
-    if not isinstance(proposal, Proposal):
-        proposal = AxisBox(proposal)
     m = spec.pairs
     hits = 0
     sums = [[0.0, 0.0, 0.0, 0.0, 0.0, 0] for _ in ratios]  # su, suu, sv, svv, suv, capped
@@ -508,11 +504,10 @@ def _range_result(col: Range, tail: _Tails, hits: int) -> EssRange:
     return EssRange(float(-np.inf if tail.below else lo), float(np.inf if tail.above else hi), hits)
 
 
-def _resolve_box(region: Region, spec: SampleSpec) -> AxisBox:
-    bbox = spec.bbox if spec.bbox is not None else region.bbox
-    if not bbox_is_finite(bbox):
+def _resolve_box(region: Region) -> AxisBox:
+    if not bbox_is_finite(region.bbox):
         raise UnboundedRegion("sampling requires a finite bounding box")
-    return AxisBox(bbox)
+    return AxisBox(region.bbox)
 
 
 def volume_column(proposal: Proposal) -> Ratio:
@@ -521,57 +516,33 @@ def volume_column(proposal: Proposal) -> Ratio:
     return Ratio(lambda pts: np.full(len(pts), vol), cap=np.inf, per_sample=True)
 
 
-def mc_volume(region: Region, spec: SampleSpec, stream: int = 0) -> Estimate:
+def mc_volume(region: Region, spec: SampleSpec) -> Estimate:
     """Unbiased Lebesgue volume estimate; deterministic for a fixed spec."""
-    box = _resolve_box(region, spec)
+    box = _resolve_box(region)
     if box.volume == 0.0:
         return Estimate(0.0, 0.0, 0, 2 * spec.pairs)
-    r = sweep(region.contains, box, spec, stream, ratios=[volume_column(box)]).ratios[0]
+    r = sweep(region.contains, box, spec, ratios=[volume_column(box)]).ratios[0]
     return Estimate(r.value, r.stderr, r.hits, r.n)
 
 
-def mc_integral(f: Callable, region: Region, spec: SampleSpec, stream: int = 0) -> Estimate:
+def mc_integral(f: Callable, region: Region, spec: SampleSpec) -> Estimate:
     """Volume-weighted mean estimate of the integral of f over the region."""
-    box = _resolve_box(region, spec)
+    box = _resolve_box(region)
     vol = box.volume
     if vol == 0.0:
         return Estimate(0.0, 0.0, 0, 2 * spec.pairs)
-    r = sweep(region.contains, box, spec, stream, ratios=[Ratio(f, cap=np.inf, per_sample=True)]).ratios[0]
+    r = sweep(region.contains, box, spec, ratios=[Ratio(f, cap=np.inf, per_sample=True)]).ratios[0]
     if not r.weight > 0:
         return Estimate(0.0, 0.0, r.hits, r.n, r.capped)
     return Estimate(float(vol * r.value), float(vol * r.stderr), r.hits, r.n, r.capped)
 
 
-def mc_weighted_mean(
-    values: Callable,
-    weight: Callable,
-    bbox: Bbox,
-    spec: SampleSpec,
-    stream: int = 0,
-    cap: float = MAGNITUDE_CAP,
-) -> WeightedMean:
-    """Weighted mean of `values` under the sample-weight field `weight`.
-
-    Samples whose value is non-finite or exceeds `cap` in magnitude are
-    tallied in `capped` and dropped from both sums (see `sweep`).
-    """
-    return sweep(weight, bbox, spec, stream, ratios=[Ratio(values, cap)]).ratios[0]
-
-
-def ess_range(
-    f: Callable,
-    region: Region,
-    spec: SampleSpec,
-    q: float = ESS_QUANTILE,
-    cap: float = MAGNITUDE_CAP,
-    stream: int = 0,
-) -> EssRange:
+def ess_range(f: Callable, region: Region, spec: SampleSpec) -> EssRange:
     """Robust surrogate for (ess inf, ess sup) of f over the region."""
-    column = Range(f, q, cap)
-    box = _resolve_box(region, spec)
+    box = _resolve_box(region)
     if box.volume == 0.0:
         raise NoHits("region has an empty bounding box")
-    result = sweep(region.contains, box, spec, stream, ranges=[column])
+    result = sweep(region.contains, box, spec, ranges=[Range(f)])
     if result.hits == 0:
         raise NoHits("no samples landed in the region")
     return result.ranges[0]

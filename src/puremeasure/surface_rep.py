@@ -33,6 +33,7 @@ PARAMETRIC_TOL = 1e-6  # quadrature error bound for smooth integrands at default
 DEFAULT_NODES = 64  # nodes per parametric axis
 MAX_SURFACE_NODES = 1 << 21  # total boundary nodes (~120 MB of nodes, normals and weights in 3-D)
 MAX_GAUSS_NODES = 1024  # per axis: leggauss(n) solves a dense n x n eigenproblem, O(n^2) memory, O(n^3) time
+FD_STEP = 1e-5  # divergence difference step, relative to the region's bbox diagonal (at least 1)
 
 
 class UnsupportedFixture(ValueError):
@@ -174,15 +175,14 @@ def gauss_check(
     fixture: SurfaceFixture,
     spec: SampleSpec,
     div: Callable | None = None,
-    fd_step: float = 1e-5,
 ) -> GaussReport:
     """Compare the volume integral of div(phi) with the boundary flux of phi.
 
     The divergence may be supplied analytically; otherwise central
-    differences with a fixed step relative to the region size are used.
+    differences with the step FD_STEP, relative to the region size, are used.
     """
     if div is None:
-        h = fd_step * max(bbox_diagonal(fixture.region.bbox), 1.0)
+        h = FD_STEP * max(bbox_diagonal(fixture.region.bbox), 1.0)
         div = lambda pts: sum(central_difference(phi, pts, i, h)[:, i] for i in range(pts.shape[1]))
     lhs = mc_integral(div, fixture.region, spec)
     rhs = surface_flux(phi, fixture)

@@ -25,7 +25,7 @@ from .density_engine import (
     sharp_integral,
 )
 from .geometry import PointFeature, Region, as_points
-from .quadrature import MAGNITUDE_CAP, Range, SampleSpec
+from .quadrature import Range, SampleSpec
 
 BOUNDARY_TOL = 1e-9
 FD_RATIO = 0.1  # finite-difference step as a fraction of the current delta
@@ -48,7 +48,7 @@ class ScalarField:
     """Scalar field with an optional analytic gradient field.
 
     Without an analytic gradient, gradients are formed by central differences
-    whose step is tied to the probing scale (h = delta * fd_ratio), so the
+    whose step is tied to the probing scale (h = delta * FD_RATIO), so the
     difference quotient resolves structure at the scale being examined.
     """
 
@@ -65,10 +65,10 @@ class ScalarField:
         pts = as_points(point, len(tuple(point)))
         return float(np.asarray(self.f(pts), dtype=float)[0])
 
-    def gradient_at_scale(self, delta: float, fd_ratio: float = FD_RATIO) -> Callable:
+    def gradient_at_scale(self, delta: float) -> Callable:
         if self.grad is not None:
             return self.grad
-        h = delta * fd_ratio
+        h = delta * FD_RATIO
 
         def g(pts):
             pts = np.asarray(pts, dtype=float)
@@ -118,7 +118,6 @@ def boundary_trace(
     schedule: DeltaSchedule,
     spec: SampleSpec,
     tol: float = DEFAULT_TOL,
-    boundary_tol: float = BOUNDARY_TOL,
 ) -> ProbeResult:
     """Trace of u at a boundary point: means over shrinking half-balls in Omega.
 
@@ -127,8 +126,8 @@ def boundary_trace(
     """
     pts = as_points(point, omega.dim)
     gap = float(np.abs(omega.sdf(pts))[0])
-    if gap > boundary_tol:
-        raise NotOnBoundary(f"point is {gap:g} away from the boundary (tol {boundary_tol:g})")
+    if gap > BOUNDARY_TOL:
+        raise NotOnBoundary(f"point is {gap:g} away from the boundary (tol {BOUNDARY_TOL:g})")
     return sharp_integral(u, PointFeature(tuple(pts[0])), omega, schedule, spec, tol=tol)
 
 
@@ -139,9 +138,7 @@ def density_gradient(
     spec: SampleSpec,
     field: ScalarField | None = None,
     grad: Callable | None = None,
-    fd_ratio: float = FD_RATIO,
     tol: float = DEFAULT_TOL,
-    cap: float = MAGNITUDE_CAP,
 ) -> GradientReport:
     """Set-valued gradient at a point: per-coordinate action intervals.
 
@@ -157,14 +154,14 @@ def density_gradient(
     elif grad is not None:
         field = ScalarField(f=field.f, grad=grad)
     x = tuple(as_points(point, omega.dim)[0])
-    gradients_at = lambda delta: [field.gradient_at_scale(delta, fd_ratio)]
-    profiles = _gradient_profiles(gradients_at, omega, x, schedule, spec, tol, cap)
+    gradients_at = lambda delta: [field.gradient_at_scale(delta)]
+    profiles = _gradient_profiles(gradients_at, omega, x, schedule, spec, tol)
     return GradientReport(x, _box(profiles), profiles)
 
 
 def _gradient_profiles(gradients_at: Callable[[float], Sequence[Callable]], omega: Region,
-                       x: tuple[float, ...], schedule: DeltaSchedule, spec: SampleSpec, tol: float,
-                       cap: float = MAGNITUDE_CAP) -> tuple[ActionProfile, ...]:
+                       x: tuple[float, ...], schedule: DeltaSchedule, spec: SampleSpec,
+                       tol: float) -> tuple[ActionProfile, ...]:
     """Per-coordinate action profiles of each gradient field, from one shared pass per level.
 
     `gradients_at(delta)` gives the gradient fields (points -> (N, n) array)
@@ -172,7 +169,7 @@ def _gradient_profiles(gradients_at: Callable[[float], Sequence[Callable]], omeg
     field by field, n coordinates each.
     """
     n = omega.dim
-    ranges_at = lambda delta: [Range(g, cap=cap, axis=i) for g in gradients_at(delta) for i in range(n)]
+    ranges_at = lambda delta: [Range(g, axis=i) for g in gradients_at(delta) for i in range(n)]
     return _action_profiles(ranges_at, PointFeature(x), omega, schedule, spec, tol)
 
 
@@ -207,7 +204,6 @@ def calculus_rule_check(
     schedule: DeltaSchedule,
     spec: SampleSpec,
     tol: float = DEFAULT_TOL,
-    fd_ratio: float = FD_RATIO,
 ) -> RuleCheckReport:
     """Containment check for the sum or product rule of set-valued gradients.
 
@@ -222,8 +218,8 @@ def calculus_rule_check(
         raise ValueError("the product rule needs function values for both factors")
 
     def gradients_at(delta):
-        g1 = f1.gradient_at_scale(delta, fd_ratio)
-        g2 = f2.gradient_at_scale(delta, fd_ratio)
+        g1 = f1.gradient_at_scale(delta)
+        g2 = f2.gradient_at_scale(delta)
         if rule == "sum":
             return [g1, g2, lambda pts: np.asarray(g1(pts), dtype=float) + np.asarray(g2(pts), dtype=float)]
 

@@ -266,6 +266,9 @@ def test_main_rejects_bad_seed_and_samples(tmp_path, capsys, seed, task_samples,
 COLLAR_TASK = {"task": "collar_average", "name": "collar", "integrand": "xsq", "surface": "disk"}
 CONE_TASK, RULES_TASK = FULL_SUITE[3], FULL_SUITE[8]
 MEASURE = FULL_SUITE[-1]["measure"]
+WITH_X3 = {"integrands": dict(BASE["integrands"], z="x3")}  # z uses x3: too many coordinates below 3-D
+WITH_QUADRANT = {"features": dict(BASE["features"], quadrant={"intersection": [
+    {"halfspace": {"normal": [1, 0], "offset": 0}}, {"halfspace": {"normal": [0, 1], "offset": 0}}]})}
 
 
 @pytest.mark.parametrize("top, task, pointer", [
@@ -365,6 +368,25 @@ MEASURE = FULL_SUITE[-1]["measure"]
           "omega": "disk"}, "/tasks/0/members/1"),
     ({}, {"task": "sigma_probe", "members": ["slab1"], "union": "right", "feature": "origin2", "omega": "disk"},
      "/tasks/0/union"),
+    # integrands use no coordinate beyond omega's (or the surface's) dimension
+    (WITH_X3, {"task": "sharp_integral", "integrand": "z", "feature": "origin1", "omega": "line"},
+     "/tasks/0/integrand"),
+    (WITH_X3, {"task": "sharp_integral", "integrand": "cosx", "weight": "z", "feature": "origin1", "omega": "line"},
+     "/tasks/0/weight"),
+    (WITH_X3, dict(DENSITY_TASK, weight="z"), "/tasks/0/weight"),
+    (WITH_X3, {"task": "action_interval", "integrand": "z", "feature": "origin2", "omega": "disk"},
+     "/tasks/0/integrand"),
+    (WITH_X3, {"task": "boundary_trace", "integrand": "z", "omega": "square", "x": [0, 0.5]}, "/tasks/0/integrand"),
+    (WITH_X3, {"task": "density_gradient", "omega": "line", "x": [0], "integrand": "z"}, "/tasks/0/integrand"),
+    (WITH_X3, {"task": "density_gradient", "omega": "disk", "x": [0, 0], "gradient": ["sgn", "z"]},
+     "/tasks/0/gradient/1"),
+    (WITH_X3, dict(RULES_TASK, f1={"f": "z"}), "/tasks/0/f1/f"),
+    (WITH_X3, dict(RULES_TASK, f2={"f": "xsq", "grad": ["z"]}), "/tasks/0/f2/grad/0"),
+    (WITH_X3, dict(COLLAR_TASK, integrand="z"), "/tasks/0/integrand"),
+    (WITH_X3, {"task": "gauss_check", "phi": ["xfield", "z"], "surface": "disk"}, "/tasks/0/phi/1"),
+    (WITH_X3, {"task": "gauss_check", "phi": ["xfield", "yfield"], "surface": "disk", "div": "z"}, "/tasks/0/div"),
+    # a region used as a feature needs an exact signed distance
+    (WITH_QUADRANT, dict(DENSITY_TASK, region="halfslab", feature="quadrant", omega="disk"), "/features/quadrant"),
 ])
 def test_main_rejects_bad_tol_delta0_and_nodes(tmp_path, capsys, top, task, pointer):
     cfg = json.loads(config_with([task]))
@@ -398,6 +420,17 @@ def test_parse_accepts_integral_floats_and_the_node_bound():
     cfg["regions"]["ball3"] = {"ball": {"c": [0, 0, 0], "r": 1}}
     cfg["tasks"] = [dict(COLLAR_TASK, surface="ball3", nodes=1024)]  # 2 * 1024^2 = 2^21 nodes
     parse_config(json.dumps(cfg))
+
+
+def test_parse_accepts_integrands_up_to_the_dimension():
+    cfg = json.loads(config_with([
+        dict(COLLAR_TASK, integrand="z", surface="ball3"),
+        {"task": "gauss_check", "phi": ["xfield", "yfield", "z"], "surface": "ball3", "div": "z"},
+        {"task": "sharp_integral", "integrand": "two", "weight": "yfield", "feature": "origin2", "omega": "disk"},
+    ]))
+    cfg["regions"]["ball3"] = {"ball": {"c": [0, 0, 0], "r": 1}}
+    cfg["integrands"]["z"] = "x3"
+    assert len(parse_config(json.dumps(cfg)).jobs) == 3
 
 
 def test_default_nodes_reference_on_the_sphere(tmp_path):

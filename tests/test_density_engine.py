@@ -34,7 +34,7 @@ from puremeasure.geometry import (
     interval,
     make_bbox,
 )
-from puremeasure.quadrature import AxisBox, OrientedBox, SampleSpec, Shell, mc_volume
+from puremeasure.quadrature import AxisBox, OrientedBox, SampleSpec, Shell, sweep, volume_column
 
 OMEGA1 = interval(-1.0, 1.0)
 ORIGIN1 = PointFeature((0.0,))
@@ -109,6 +109,14 @@ def test_limit_estimate_converged():
     iv, verdict = limit_estimate(series, 0.02)
     assert verdict == CONVERGED
     assert iv.mid == pytest.approx(0.5, abs=0.01)
+    iv, verdict = limit_estimate(_flat_rows(), 0.02)
+    assert verdict == CONVERGED
+    assert (iv.lo, iv.hi) == (0.495, 0.505)
+
+
+def _flat_rows(nan_at=None):
+    """Twelve rows of 0.5 ± 0.005, one value NaN if asked (a level whose every hit was capped)."""
+    return [(0.5 * 0.5**k, np.nan if k == nan_at else 0.5, 0.005) for k in range(12)]
 
 
 def test_limit_estimate_oscillating():
@@ -125,6 +133,11 @@ def test_limit_estimate_insufficient_on_divergence():
     series = [(d, 1.0 / np.sqrt(d), 0.0) for d in deltas]
     _, verdict = limit_estimate(series, 0.02)
     assert verdict == INSUFFICIENT
+    # a NaN level anywhere in the tail window (rows 8-11) makes the limit unknown
+    for row in (8, 10, 11):
+        iv, verdict = limit_estimate(_flat_rows(nan_at=row), 0.02)
+        assert verdict == INSUFFICIENT
+        assert np.isnan(iv.lo) and np.isnan(iv.hi)
 
 
 def test_limit_estimate_too_short():
@@ -445,7 +458,7 @@ def test_stderr_intervals_cover_known_values_across_seeds():
     # `stderr` is already the 1.96-sigma half-width (quadrature.CONFIDENCE),
     # so value ± stderr should hold the true value about 95% of the time.
     sector = Intersection((Halfspace((-1.0, 0.0), 0.0), Halfspace((0.0, -1.0), 0.0)))
-    segment, unit = Box((0.0,), (0.3,)), make_bbox([0.0], [1.0])
+    segment, unit = Box((0.0,), (0.3,)), AxisBox(make_bbox([0.0], [1.0]))
     boundary = RegionBoundary(DISK)
     x_sq = lambda p: p[:, 0] ** 2
     collar_sched = DeltaSchedule(0.5, 0.5, 3)
@@ -460,7 +473,7 @@ def test_stderr_intervals_cover_known_values_across_seeds():
         e = density_ratio(QUADRANT8, ORIGIN8, CUBE8, 0.5, spec)
         hits["quadrant8"] += abs(e.value - 0.25) <= e.stderr
         # the interval (0, 0.3) sampled on (0, 1)
-        e = mc_volume(segment, SampleSpec(n=1000, seed=seed, bbox=unit))
+        e = sweep(segment.contains, unit, spec, ratios=[volume_column(unit)]).ratios[0]
         hits["segment"] += abs(e.value - 0.3) <= e.stderr
         # the inner collar 1 - delta < |x| < 1 of the disk: the mean of x1^2 is
         # (1 + (1 - delta)^2) / 4, which tends to 0.5; each level is its own stream

@@ -10,17 +10,18 @@ from puremeasure.geometry import (
     Difference,
     DimensionMismatch,
     Halfspace,
+    Intersection,
+    Neighborhood,
     NonpositiveDelta,
     PointFeature,
     RegionBoundary,
+    RegionFeature,
     SegmentFeature,
     Union,
     as_points,
     bbox_volume,
-    csg,
     feature_from_json,
     interval,
-    neighborhood_region,
     region_from_json,
     signed_distance,
 )
@@ -39,7 +40,7 @@ def test_dimension_checks():
     with pytest.raises(DimensionMismatch):
         signed_distance(ball, (1.0, 2.0, 3.0))
     with pytest.raises(DimensionMismatch):
-        csg("union", ball, Ball((0.0,), 1.0))
+        Union((ball, Ball((0.0,), 1.0)))
 
 
 def _probe_points(dim, lo, hi, seed):
@@ -171,19 +172,19 @@ def test_pseudo_sdf_is_conservative(region):
 
 def test_neighborhood_examples():
     f = PointFeature((0.0,))
-    nb = neighborhood_region(f, 0.3)
+    nb = Neighborhood(f, 0.3)
     assert nb.contains([(0.2,)])[0]
     assert not nb.contains([(0.4,)])[0]
     shell = RegionBoundary(Ball((0.0, 0.0), 1.0))
-    collar = neighborhood_region(shell, 0.1)
+    collar = Neighborhood(shell, 0.1)
     assert collar.contains([(1.05, 0.0)])[0]
     assert not collar.contains([(0.5, 0.0)])[0]
 
 
 def test_neighborhood_monotone_in_delta():
     f = SegmentFeature((0.0, 0.0), (1.0, 0.0))
-    small = neighborhood_region(f, 0.1)
-    big = neighborhood_region(f, 0.3)
+    small = Neighborhood(f, 0.1)
+    big = Neighborhood(f, 0.3)
     pts = np.random.default_rng(2).uniform(-1, 2, size=(2000, 2))
     inside_small = small.contains(pts)
     inside_big = big.contains(pts)
@@ -192,7 +193,7 @@ def test_neighborhood_monotone_in_delta():
 
 def test_neighborhood_rejects_nonpositive_delta():
     with pytest.raises(NonpositiveDelta):
-        neighborhood_region(PointFeature((0.0,)), 0.0)
+        Neighborhood(PointFeature((0.0,)), 0.0)
 
 
 def test_cusp_membership():
@@ -251,6 +252,22 @@ def test_feature_json_grammar():
     as_set = feature_from_json({"ball": {"c": [0, 0], "r": 1}})
     assert as_set.distance([(3.0, 0.0)])[0] == pytest.approx(2.0)
     assert as_set.distance([(0.5, 0.0)])[0] == 0.0
+
+
+def test_region_features_need_an_exact_distance():
+    # max(sdf, 0) of the quadrant x, y <= 0 is 0.09 at (0.09, 0.09), which is 0.127 away
+    quadrant = Intersection((Halfspace((1.0, 0.0), 0.0), Halfspace((0.0, 1.0), 0.0)))
+    for region in (quadrant, Union((Ball((0.0, 0.0), 1.0),)), Cusp(2.0), Complement(quadrant)):
+        with pytest.raises(ValueError, match="exact signed distance"):
+            RegionFeature(region)
+    with pytest.raises(ValueError, match="exact signed distance"):
+        feature_from_json({"intersection": [{"halfspace": {"normal": [1, 0], "offset": 0}},
+                                            {"halfspace": {"normal": [0, 1], "offset": 0}}]})
+    outside = Complement(Ball((0.0, 0.0), 1.0))
+    for region in (Ball((0.0, 0.0), 1.0), Box((0.0, 0.0), (1.0, 1.0)), Halfspace((1.0, 0.0), 0.0),
+                   Cone((0.0, 0.0), (1.0, 0.0), 0.5), outside):
+        assert RegionFeature(region).region == region
+    assert RegionFeature(outside).distance([(0.25, 0.0)])[0] == pytest.approx(0.75)
 
 
 def test_interval_helper_and_bbox_volume():

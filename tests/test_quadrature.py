@@ -22,7 +22,6 @@ from puremeasure.quadrature import (
     ess_range,
     mc_integral,
     mc_volume,
-    mc_weighted_mean,
     sweep,
 )
 
@@ -105,10 +104,15 @@ def test_integral_counts_nonfinite():
     assert np.isfinite(est.value)
 
 
+def _weighted_mean(values, weight, bbox, spec, stream=0, **column):
+    """The one ratio column `Ratio(values, **column)` of a sweep over the box."""
+    return sweep(weight, AxisBox(bbox), spec, stream, ratios=[Ratio(values, **column)]).ratios[0]
+
+
 def test_weighted_mean_normalization_exact():
     omega = interval(-1.0, 1.0)
     spec = SampleSpec(n=50_000, seed=23)
-    wm = mc_weighted_mean(
+    wm = _weighted_mean(
         lambda p: np.ones(len(p)),
         lambda p: omega.contains(p).astype(float),
         omega.bbox,
@@ -122,13 +126,13 @@ def test_weighted_mean_monotone_hits():
     omega = interval(-1.0, 1.0)
     sub = interval(0.0, 1.0)
     spec = SampleSpec(n=50_000, seed=23)
-    inner = mc_weighted_mean(
+    inner = _weighted_mean(
         lambda p: np.ones(len(p)),
         lambda p: sub.contains(p).astype(float),
         omega.bbox,
         spec,
     )
-    outer = mc_weighted_mean(
+    outer = _weighted_mean(
         lambda p: np.ones(len(p)),
         lambda p: omega.contains(p).astype(float),
         omega.bbox,
@@ -181,7 +185,7 @@ def test_single_pair_stderr_is_infinite():
     line = interval(-1.0, 1.0)
     assert mc_volume(DISK, spec).stderr == np.inf
     assert mc_integral(lambda p: p[:, 0] ** 2, line, spec).stderr == np.inf
-    wm = mc_weighted_mean(lambda p: p[:, 0], lambda p: line.contains(p).astype(float), line.bbox, spec)
+    wm = _weighted_mean(lambda p: p[:, 0], lambda p: line.contains(p).astype(float), line.bbox, spec)
     assert wm.stderr == np.inf
 
 
@@ -193,14 +197,14 @@ def test_sweep_columns_equal_standalone_estimators():
     square = lambda p: p[:, 0] ** 2
     bbox = (np.array([-1.5]), np.array([1.5]))
     spec = SampleSpec(n=100_001, seed=8)  # spans several chunks
-    result = sweep(weight, bbox, spec, stream=3,
+    box = AxisBox(bbox)
+    result = sweep(weight, box, spec, stream=3,
                    ratios=[Ratio(inverse, cap=5.0), Ratio(square)], ranges=[Range(inverse), Range(square)])
     assert result.ratios[0].capped > 0
-    assert result.ratios[0] == mc_weighted_mean(inverse, weight, bbox, spec, stream=3, cap=5.0)
-    assert result.ratios[1] == mc_weighted_mean(square, weight, bbox, spec, stream=3)
-    box_spec = SampleSpec(spec.n, spec.seed, bbox)
-    assert result.ranges[0] == ess_range(inverse, region, box_spec, stream=3)
-    assert result.ranges[1] == ess_range(square, region, box_spec, stream=3)
+    assert result.ratios[0] == _weighted_mean(inverse, weight, bbox, spec, stream=3, cap=5.0)
+    assert result.ratios[1] == _weighted_mean(square, weight, bbox, spec, stream=3)
+    assert result.ranges[0] == sweep(region.contains, box, spec, stream=3, ranges=[Range(inverse)]).ranges[0]
+    assert result.ranges[1] == sweep(region.contains, box, spec, stream=3, ranges=[Range(square)]).ranges[0]
     assert result.hits == result.ratios[1].hits == result.ranges[1].hits
 
 
@@ -211,7 +215,7 @@ def test_sweep_evaluates_a_shared_range_block_once():
         rows.append(len(p))
         return np.column_stack([p[:, 0], -p[:, 0]])
 
-    result = sweep(lambda p: np.ones(len(p)), DISK.bbox, SampleSpec(n=1000, seed=1),
+    result = sweep(lambda p: np.ones(len(p)), AxisBox(DISK.bbox), SampleSpec(n=1000, seed=1),
                    ranges=[Range(block, axis=0), Range(block, axis=1)])
     assert rows == [500, 500]  # once per half-chunk for both columns
     assert result.ranges[0].lo == pytest.approx(-result.ranges[1].hi)
@@ -317,12 +321,6 @@ def test_shell_rejects_bad_radii():
         Shell((0.0, 0.0), 1.0, 1.0)
     with pytest.raises(ValueError):
         Shell((0.0, 0.0), -0.1, 1.0)
-
-
-def test_sweep_accepts_a_proposal_or_a_box():
-    weight = lambda p: DISK.contains(p).astype(float)
-    spec, columns = SampleSpec(n=5000, seed=3), [Ratio(lambda p: p[:, 0] ** 2)]
-    assert sweep(weight, DISK.bbox, spec, ratios=columns) == sweep(weight, AxisBox(DISK.bbox), spec, ratios=columns)
 
 
 # ------------------------------------------------------------ kernel oracle
