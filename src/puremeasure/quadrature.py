@@ -1,31 +1,39 @@
 """Seeded Monte Carlo estimation over regions.
 
 The sample stream is generated by the counter-based Philox generator in
-fixed-size chunks, so identical specs give bit-identical estimates and
-chunks could be evaluated in parallel and combined in order without
-changing the result.  Samples are drawn uniformly from a `Proposal`, a set
-symmetric about its centre c with an exact volume, in center-symmetric
-pairs (x, 2c - x); pair averages are the unit of the variance estimate.
+fixed-size chunks, so identical specs give bit-identical estimates, and
+streams can be evaluated concurrently and combined in order without
+changing the result: the density engine runs two of its levels, each on
+its own stream, at a time.  Samples are drawn uniformly from a
+`Proposal`, a set symmetric about its centre c with an exact volume, in
+center-symmetric pairs (x, 2c - x); pair averages are the unit of the
+variance estimate.
 The pairing makes estimates of odd integrands about the centre vanish
 identically instead of merely on average, which the density engine relies
 on for its cancellation fixtures.
 
 There are three kinds of proposal: an axis box (the bounding box of a
 region, drawn as it always was), a spherical shell (a ball when its inner
-radius is 0) and an oriented box.  Each chunk is returned as two
-Fortran-ordered (m, d) blocks, so the column-wise geometry kernels read
-contiguous coordinates.
+radius is 0) and an oriented box.  Pairs are handed out as two
+Fortran-ordered (m, d) blocks, the points and their reflections, so the
+column-wise geometry kernels read contiguous coordinates.
 
-Every estimator is one `sweep` of the stream: each chunk is drawn once, a
-reference weight is evaluated once per half-chunk, and any number of ratio
-and essential-range columns are fed from the points of positive weight.
-Columns on one sweep share their samples (common random numbers), so each
-agrees exactly with the same column estimated on a separate sweep.
+Every estimator is one `sweep` of the stream: each chunk's variates are
+drawn once, and the chunk is evaluated in leaves of at most LEAF_PAIRS
+pairs, cut where numpy's pairwise sum would split the chunk's arrays, so
+that the leaves' sums add back along the same tree to the chunk's sums bit
+for bit while temporaries stay leaf-sized.  A reference weight is
+evaluated once per half-leaf (a leaf's points, or their reflections), and
+any number of ratio and essential-range columns are fed from the points of
+positive weight.  Columns on one sweep share their samples (common random
+numbers), so each agrees exactly with the same column estimated on a
+separate sweep.
 
 Integrand samples that are non-finite or exceed the magnitude cap are
-tallied and dropped from averages, never averaged.  A half-chunk whose
-values all lie within the cap needs no mask, and where a whole chunk needs
-none the ratio denominator is formed once and shared by every such column.
+tallied and dropped from averages, never averaged.  A half-leaf whose
+values all lie within the cap needs no mask, and where neither half of a
+leaf needs one the ratio denominator is formed once and shared by every
+such column.
 An indicator weight arrives as a bool mask.  A range column keeps only the
 O(q n) smallest and largest finite values it has seen, which hold every
 order statistic its quantiles read, so its endpoints are np.quantile's of
@@ -43,6 +51,7 @@ import numpy as np
 from .geometry import Bbox, Region, bbox_is_finite, bbox_volume
 
 CHUNK_PAIRS = 1 << 15
+LEAF_PAIRS = 1 << 14
 MAGNITUDE_CAP = 1.0e3
 ESS_QUANTILE = 1.0e-3
 CONFIDENCE = 1.96
@@ -88,28 +97,39 @@ class Estimate:
 class Proposal:
     """Uniform antithetic pairs on a set symmetric about `center`.
 
-    `volume` is the set's exact Lebesgue volume.  `_block(gen, m)` draws m
-    pairs as two Fortran-ordered (m, dim) arrays, the second the reflection
-    of the first through the centre.
+    `volume` is the set's exact Lebesgue volume.  `_draw(gen, m)` draws the
+    raw variates of m pairs, and `_halves(raw, start, stop)` forms pairs
+    start:stop from them as two Fortran-ordered (stop - start, dim) arrays,
+    the second the reflection of the first through the centre.  A pair is
+    the same bits however the chunk is cut, and `_halves` may reuse the
+    rows start:stop of `raw`, so each range of pairs is formed once.
     """
 
     dim: int
     center: np.ndarray
     volume: float
 
-    def _block(self, gen: np.random.Generator, m: int) -> tuple[np.ndarray, np.ndarray]:
+    def _draw(self, gen: np.random.Generator, m: int):
         raise NotImplementedError
 
-    def pairs(self, seed: int, stream: int, pairs: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """The chunks of `pairs` antithetic pairs; chunk k draws from the Philox stream jumped k times."""
+    def _halves(self, raw, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+        raise NotImplementedError
+
+    def _chunks(self, seed: int, stream: int, pairs: int) -> Iterator[tuple[object, int]]:
+        """The raw variates and pair count of each chunk; chunk k draws from the Philox stream jumped k times."""
         base = np.random.Philox(seed=np.random.SeedSequence(entropy=(int(seed), int(stream))))
         produced = 0
         chunk = 0
         while produced < pairs:
             m = min(CHUNK_PAIRS, pairs - produced)
-            yield self._block(np.random.Generator(base.jumped(chunk)), m)
+            yield self._draw(np.random.Generator(base.jumped(chunk)), m), m
             produced += m
             chunk += 1
+
+    def pairs(self, seed: int, stream: int, pairs: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """The chunks of `pairs` antithetic pairs, each whole."""
+        for raw, m in self._chunks(seed, stream, pairs):
+            yield self._halves(raw, 0, m)
 
     def _reflected(self, offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """center ± offsets for a (dim, m) block of offsets, as (m, dim) transposes."""
@@ -132,8 +152,12 @@ class AxisBox(Proposal):
         self.center = 0.5 * (self.lo + self.hi)
         self.volume = bbox_volume(bbox)
 
-    def _block(self, gen, m):
-        u = gen.random((m, self.dim))
+    def _draw(self, gen, m):
+        return gen.random((m, self.dim))
+
+    def _halves(self, u, start, stop):
+        u = u[start:stop]
+        m = stop - start
         # one column is Fortran-ordered already, so its uniforms become the first half
         a = u if self.dim == 1 else np.empty((m, self.dim), order="F")
         b = np.empty((m, self.dim), order="F")
@@ -149,6 +173,7 @@ class Shell(Proposal):
 
     A Gaussian direction times the radius r1 * (s + u (1 - s))^(1/d), with
     s = (r0 / r1)^d, which inverts the radial density proportional to r^(d-1).
+    The raw variates are the Gaussians and each pair's radius over their norm.
     """
 
     def __init__(self, center, r0: float, r1: float):
@@ -161,18 +186,26 @@ class Shell(Proposal):
         unit_ball = math.pi ** (self.dim / 2) / math.gamma(self.dim / 2 + 1)
         self.volume = unit_ball * self.r1 ** self.dim * (1.0 - self._inner)
 
-    def _block(self, gen, m):
+    def _draw(self, gen, m):
         g = gen.standard_normal((self.dim, m))
         u = gen.random(m)
         radius = self.r1 * (self._inner + u * (1.0 - self._inner)) ** (1.0 / self.dim)
         norm2 = g[0] * g[0]
         for row in g[1:]:
             norm2 += row * row
-        return self._reflected(g * (radius / np.sqrt(norm2)))
+        return g, radius / np.sqrt(norm2)
+
+    def _halves(self, raw, start, stop):
+        g, scale = raw
+        return self._reflected(g[:, start:stop] * scale[start:stop])
 
 
 class OrientedBox(Proposal):
-    """The box center + frame @ t with |t_k| < half[k], for an orthonormal frame."""
+    """The box center + frame @ t with |t_k| < half[k], for an orthonormal frame.
+
+    The raw variates are the offsets frame @ t of the whole chunk, so no
+    product is cut.
+    """
 
     def __init__(self, center, frame, half):
         self.center = np.asarray(center, dtype=float)
@@ -193,10 +226,13 @@ class OrientedBox(Proposal):
         half[0] += 0.5 * length
         return cls(0.5 * (a + b), frame, half)
 
-    def _block(self, gen, m):
+    def _draw(self, gen, m):
         t = gen.random((self.dim, m))
         t = (2.0 * t - 1.0) * self.half[:, None]
-        return self._reflected(self.frame @ t)
+        return self.frame @ t
+
+    def _halves(self, offsets, start, stop):
+        return self._reflected(offsets[:, start:stop])
 
 
 @dataclass(frozen=True)
@@ -287,31 +323,49 @@ def sweep(
     share the stream, so ratios of nested sets are exact (a subset never
     collects more weighted hits than its superset) and the mean of the
     constant 1 is exactly 1.  Columns are reduced one at a time and
-    half-chunk by half-chunk, so temporaries stay one column wide.  With a
+    half-leaf by half-leaf, so temporaries stay one column wide.  With a
     single antithetic pair the variance is unknown and stderr is inf.
     """
     m = spec.pairs
-    hits = 0
-    sums = [[0.0, 0.0, 0.0, 0.0, 0.0, 0] for _ in ratios]  # su, suu, sv, svv, suv, capped
+    total = [0, *[0.0, 0.0, 0.0, 0.0, 0.0, 0] * len(ratios)]  # hits, then su, suu, sv, svv, suv, capped per ratio
     tails = [_Tails(col.q, m) for col in ranges]
+
+    def leaf(raw, start: int, stop: int) -> list:
+        halves = tuple(_weigh(weight, pts) for pts in proposal._halves(raw, start, stop))
+        for half in halves:
+            if ranges and half.hits:
+                _feed_ranges(ranges, tails, np.take(half.pts, np.flatnonzero(half.active), axis=0))
+        return [halves[0].hits + halves[1].hits, *_ratio_sums(ratios, halves)]
+
     with np.errstate(all="ignore"):
-        for a, b in proposal.pairs(spec.seed, stream, m):
-            halves = (_weigh(weight, a), _weigh(weight, b))
-            hits += halves[0].hits + halves[1].hits
-            if ratios:
-                _feed_ratios(ratios, sums, halves)
-            for half in halves:
-                if ranges and half.hits:
-                    _feed_ranges(ranges, tails, np.take(half.pts, np.flatnonzero(half.active), axis=0))
+        for raw, size in proposal._chunks(spec.seed, stream, m):
+            chunk = _pairwise(lambda start, stop: leaf(raw, start, stop), 0, size)
+            total = [t + c for t, c in zip(total, chunk)]
+    hits = total[0]
     return Sweep(
         hits,
-        tuple(_ratio_result(acc, m, hits) for acc in sums),
+        tuple(_ratio_result(total[j:j + 6], m, hits) for j in range(1, len(total), 6)),
         tuple(_range_result(col, tail, hits) for col, tail in zip(ranges, tails)),
     )
 
 
+def _pairwise(leaf: Callable[[int, int], list], start: int, stop: int) -> list:
+    """leaf(start, stop)'s sums, over leaves of at most LEAF_PAIRS pairs cut along numpy's pairwise sum.
+
+    numpy sums n > 128 contiguous values as the sum of the first
+    n//2 - (n//2) % 8 of them plus the sum of the rest, so cutting there and
+    adding the two halves' sums back gives the whole range's sums bit for
+    bit.  The leaves run in order.
+    """
+    n = stop - start
+    if n <= LEAF_PAIRS:
+        return leaf(start, stop)
+    cut = start + n // 2 - n // 2 % 8
+    return [x + y for x, y in zip(_pairwise(leaf, start, cut), _pairwise(leaf, cut, stop))]
+
+
 class _Half(NamedTuple):
-    """One half-chunk: its points and their weight w, zero wherever w is not positive."""
+    """One half-leaf: its points and their weight w, zero wherever w is not positive."""
 
     pts: np.ndarray
     w: np.ndarray  # a bool mask for an indicator weight
@@ -341,7 +395,7 @@ _FLOAT_MAX = float(np.finfo(float).max)
 
 
 def _ratio_terms(col: Ratio, half: _Half) -> tuple[np.ndarray, np.ndarray | None, int]:
-    """A half-chunk's share 0.5 w v of the pair average u, its share of d, and its capped count.
+    """A half-leaf's share 0.5 w v of the pair average u, its share of d, and its capped count.
 
     When every value lies within the cap nothing is masked, since w is
     already zero off the hits; the share of d is then None, standing for
@@ -363,7 +417,7 @@ def _ratio_terms(col: Ratio, half: _Half) -> tuple[np.ndarray, np.ndarray | None
 
 
 def _unmasked(half: _Half, per_sample: bool) -> np.ndarray:
-    """A half-chunk's share of d with nothing masked."""
+    """A half-leaf's share of d with nothing masked."""
     return np.full(len(half.pts), 0.5) if per_sample else np.multiply(half.w, 0.5, dtype=float)
 
 
@@ -371,21 +425,22 @@ def _with_sums(d: np.ndarray) -> tuple[np.ndarray, float, float]:
     return d, float(d.sum()), float((d * d).sum())
 
 
-def _feed_ratios(ratios: Sequence[Ratio], sums: list, halves: tuple[_Half, _Half]) -> None:
-    """Add one chunk's pair averages u (numerator) and d (denominator) to every ratio column.
+def _ratio_sums(ratios: Sequence[Ratio], halves: tuple[_Half, _Half]) -> list:
+    """The sums su, suu, sv, svv, suv and the capped count of every ratio column, over these pairs.
 
-    Capped and non-finite values are masked out of both, one half-chunk at
-    a time.  Where neither half masks anything, d is the same for every
-    column, so it is formed once per chunk with its two sums, and d is 1
-    for a `per_sample` column.  Either way u and d equal the masked ones
-    up to the sign of a zero, which no sum keeps.
+    u (numerator) and d (denominator) are the pair averages.  Capped and
+    non-finite values are masked out of both, one half at a time.  Where
+    neither half masks anything, d is the same for every column, so it is
+    formed once with its two sums, and d is 1 for a `per_sample` column.
+    Either way u and d equal the masked ones up to the sign of a zero,
+    which no sum keeps.
     """
     size = len(halves[0].pts)
     shared = None
-    for col, acc in zip(ratios, sums):
+    out = []
+    for col in ratios:
         (u, da, capped_a), (ub, db, capped_b) = (_ratio_terms(col, half) for half in halves)
         u += ub
-        acc[5] += capped_a + capped_b
         su = float(u.sum())
         if da is None and db is None and col.per_sample:  # d is 1
             sd = sdd = float(size)
@@ -400,11 +455,8 @@ def _feed_ratios(ratios: Sequence[Ratio], sums: list, halves: tuple[_Half, _Half
                 db = _unmasked(halves[1], col.per_sample) if db is None else db
                 d, sd, sdd = _with_sums(da + db)
             suv = float((u * d).sum())
-        acc[0] += su
-        acc[1] += float((u * u).sum())
-        acc[2] += sd
-        acc[3] += sdd
-        acc[4] += suv
+        out += [su, float((u * u).sum()), sd, sdd, suv, capped_a + capped_b]
+    return out
 
 
 class _Tails:
@@ -423,7 +475,7 @@ class _Tails:
 
 
 def _feed_ranges(ranges: Sequence[Range], tails: list[_Tails], pts: np.ndarray) -> None:
-    """Add one half-chunk's hit points to every range column.
+    """Add one half-leaf's hit points to every range column.
 
     Only the last values block is kept, so adjacent columns that share a
     values callable (the axes of one gradient) evaluate it once.

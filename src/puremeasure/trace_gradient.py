@@ -122,7 +122,8 @@ def boundary_trace(
     """Trace of u at a boundary point: means over shrinking half-balls in Omega.
 
     For trace-admissible u the converged limit is the boundary value; at jump
-    points the mean of the one-sided values is obtained.
+    points the mean of the one-sided values is obtained.  `u` must be
+    thread-safe, as in `sharp_integral`.
     """
     pts = as_points(point, omega.dim)
     gap = float(np.abs(omega.sdf(pts))[0])
@@ -145,7 +146,8 @@ def density_gradient(
     `grad` is an analytic gradient field (points -> (N, n) array); otherwise
     `field` supplies function values differentiated at the probing scale.
     All coordinates come from one pass per level and one gradient
-    evaluation per sample.
+    evaluation per sample.  `field` and `grad` must be thread-safe: two
+    levels run at a time on helper threads.
     """
     if field is None:
         if grad is None:
@@ -210,7 +212,8 @@ def calculus_rule_check(
     sum:     grad(f1 + f2) box  must lie in  box(f1) + box(f2)
     product: grad(f1 * f2) box  must lie in  f1(x) * box(f2) + f2(x) * box(f1)
     widened by tol per coordinate.  The three boxes come from one pass per
-    level and equal the boxes of separate `density_gradient` calls.
+    level and equal the boxes of separate `density_gradient` calls.  Both
+    fields must be thread-safe, as in `density_gradient`.
     """
     if rule not in ("sum", "product"):
         raise ValueError(f"unknown rule {rule!r}")

@@ -1,6 +1,9 @@
+import threading
+
 import numpy as np
 import pytest
 
+from puremeasure import density_engine
 from puremeasure.density_engine import (
     CONVERGED,
     INSUFFICIENT,
@@ -9,6 +12,8 @@ from puremeasure.density_engine import (
     Interval,
     TooShort,
     VanishingReference,
+    _in_level_order,
+    _level_pass,
     _level_proposal,
     action_interval,
     action_profile,
@@ -35,6 +40,7 @@ from puremeasure.geometry import (
     make_bbox,
 )
 from puremeasure.quadrature import AxisBox, OrientedBox, SampleSpec, Shell, sweep, volume_column
+from puremeasure.trace_gradient import ScalarField, density_gradient
 
 OMEGA1 = interval(-1.0, 1.0)
 ORIGIN1 = PointFeature((0.0,))
@@ -386,6 +392,82 @@ def test_action_empty_neighbourhood_vanishing_reference():
         action_interval(lambda p: p[:, 0], *args)
     with pytest.raises(VanishingReference):
         action_profile(lambda p: p[:, 0], *args)
+
+
+# ------------------------------------------------------- levels two at a time
+
+def _serial_profile(feature, omega, schedule, spec, columns, weight=None):
+    """The per-level loop run on the calling thread alone, one level after another."""
+    return [(delta, _level_pass(feature, omega, delta, spec, k, columns, weight))
+            for k, delta in enumerate(schedule.deltas())]
+
+
+SLABS = [Box((1.0 / (k + 2), -1.0), (1.0 / (k + 1), 1.0)) for k in range(1, 4)]
+
+# 35,001 pairs per level: a whole chunk of two leaves and a one-leaf rest
+PROFILED = {
+    "density_probe": lambda spec: density_probe(
+        Box((0.0, -1.0), (1.0, 1.0)), ORIGIN2, DISK, sched(ORIGIN2, DISK, count=5), spec),
+    "action_profile": lambda spec: action_profile(
+        lambda p: np.sin(1.0 / p[:, 0]), ORIGIN1, OMEGA1, sched(ORIGIN1, OMEGA1, count=5), spec),
+    "sigma_probe": lambda spec: sigma_probe(
+        SLABS, Box((0.0, -1.0), (0.5, 1.0)), ORIGIN2, DISK, sched(ORIGIN2, DISK, count=5), spec),
+    "density_gradient": lambda spec: density_gradient(
+        DISK, (0.0, 0.0), sched(ORIGIN2, DISK, count=5), spec,
+        field=ScalarField(f=lambda p: np.abs(p[:, 0]) + p[:, 0] * p[:, 1])),
+}
+
+
+@pytest.mark.parametrize("cpus", [1, 2], ids=["one_cpu", "two_cpus"])
+@pytest.mark.parametrize("probe", PROFILED, ids=list(PROFILED))
+def test_profile_equals_the_serial_loop(probe, cpus, monkeypatch):
+    spec = SampleSpec(n=70_001, seed=41)
+    monkeypatch.setattr(density_engine, "_cpus", lambda: cpus)
+    spread = PROFILED[probe](spec)
+    monkeypatch.setattr(density_engine, "_profile", _serial_profile)
+    assert repr(spread) == repr(PROFILED[probe](spec))  # repr tells -0.0 from 0.0 and matches NaN
+
+
+@pytest.mark.parametrize("cpus", [1, 2], ids=["one_cpu", "two_cpus"])
+def test_profile_raises_the_earliest_vanishing_level(cpus, monkeypatch):
+    # levels 0 and 1 reach the small ball; level 2 (delta 0.5) meets its box but
+    # not the ball, and levels 3-5 do not even meet its box, with another message
+    args = (Box((0.0, 0.0), (1.0, 1.0)), ORIGIN2, Ball((0.5, 0.5), 0.1), DeltaSchedule(2.0, 0.5, 6),
+            SampleSpec(n=2000, seed=3))
+    monkeypatch.setattr(density_engine, "_cpus", lambda: cpus)
+    with pytest.raises(VanishingReference) as spread:
+        density_probe(*args)
+    monkeypatch.setattr(density_engine, "_profile", _serial_profile)
+    with pytest.raises(VanishingReference) as serial:
+        density_probe(*args)
+    assert str(spread.value) == str(serial.value) == "no reference mass at delta=0.5"
+
+
+def test_levels_run_in_order_and_raise_the_first_failure(monkeypatch):
+    monkeypatch.setattr(density_engine, "_cpus", lambda: 2)
+    before = threading.active_count()
+    assert _in_level_order(lambda k: k * k, 7) == [k * k for k in range(7)]
+    started = []
+
+    def run(k):
+        started.append(k)
+        if k >= 3:
+            raise ValueError(k)
+        return k
+
+    with pytest.raises(ValueError, match="^3$"):
+        _in_level_order(run, 12)
+    assert set(range(4)) <= set(started)
+    assert threading.active_count() == before  # the helpers are joined
+
+
+def test_levels_run_under_the_callers_error_state(monkeypatch):
+    monkeypatch.setattr(density_engine, "_cpus", lambda: 2)
+    with np.errstate(all="raise"):
+        states = _in_level_order(lambda k: np.geterr(), 3)
+    assert states == [dict(divide="raise", over="raise", under="raise", invalid="raise")] * 3
+    with np.errstate(all="raise"), pytest.raises(FloatingPointError):
+        _in_level_order(lambda k: np.float64(k) / np.float64(0.0), 2)
 
 
 # ------------------------------------------------------- level proposals

@@ -7,6 +7,7 @@ from puremeasure.geometry import Ball, Box, Intersection, interval
 from puremeasure.quadrature import (
     CHUNK_PAIRS,
     CONFIDENCE,
+    LEAF_PAIRS,
     AxisBox,
     EssRange,
     Estimate,
@@ -19,6 +20,7 @@ from puremeasure.quadrature import (
     Sweep,
     UnboundedRegion,
     WeightedMean,
+    _pairwise,
     ess_range,
     mc_integral,
     mc_volume,
@@ -430,7 +432,17 @@ def _oracle_columns():
     return ratios, ranges
 
 
-@pytest.mark.parametrize("n", [3001, 2 * (3 * CHUNK_PAIRS + 7) - 1], ids=["one_chunk", "three_chunks_odd_rest"])
+# A chunk of more than LEAF_PAIRS pairs is cut into leaves where numpy's pairwise sum splits it
+ORACLE_SIZES = {
+    "one_chunk": 3001,
+    "three_chunks_odd_rest": 2 * (3 * CHUNK_PAIRS + 7) - 1,
+    "cli_samples": 50_000,  # 25,000 pairs: leaves of 12,496 and 12,504
+    "one_leaf_over": 2 * (LEAF_PAIRS + 1),  # leaves of 8,192 and 8,193
+    "three_chunks_leaf_rest": 200_000,  # three chunks of two leaves and a 1,696-pair rest
+}
+
+
+@pytest.mark.parametrize("n", ORACLE_SIZES.values(), ids=list(ORACLE_SIZES))
 @pytest.mark.parametrize("weight", ORACLE_WEIGHTS, ids=list(ORACLE_WEIGHTS))
 @pytest.mark.parametrize("kind", ORACLE_PROPOSALS, ids=list(ORACLE_PROPOSALS))
 def test_sweep_matches_the_plain_loop_bit_for_bit(kind, weight, n):
@@ -440,3 +452,15 @@ def test_sweep_matches_the_plain_loop_bit_for_bit(kind, weight, n):
     expected = _oracle_sweep(ORACLE_WEIGHTS[weight], proposal, spec, 5, ratios, ranges)
     assert repr(result) == repr(expected)  # repr tells -0.0 from 0.0 and matches NaN
     assert any(r.capped for r in result.ratios) and result.hits > 0
+
+
+@pytest.mark.parametrize("n", [CHUNK_PAIRS, 25_000, LEAF_PAIRS + 1, 1696])
+def test_numpy_sums_along_the_leaf_cuts(n):
+    # sweep's leaves assume that numpy sums n > 128 contiguous values as the sum of
+    # the first n//2 - (n//2) % 8 plus the sum of the rest; a numpy that sums
+    # otherwise moves the last bits of every estimate, and fails here first
+    rng = np.random.default_rng(n)
+    a = rng.standard_normal(n) * np.exp(8.0 * rng.standard_normal(n))
+    cut = n // 2 - n // 2 % 8
+    assert a.sum() == a[:cut].sum() + a[cut:].sum()
+    assert _pairwise(lambda start, stop: [a[start:stop].sum(), stop - start], 0, n) == [a.sum(), n]
