@@ -1,7 +1,10 @@
 """Batch front door: JSON config in, JSON report plus CSV delta-profiles out.
 
 The CLI is a thin orchestrator; every task maps one-to-one onto a library
-operation.  Reports echo the fully resolved configuration, so a report is a
+operation.  One parse pass checks the config, applies the --seed and
+--samples overrides and binds each task to the job that runs it, with its
+sample spec, tol and schedule settings, so a bad value exits before any
+task runs.  Reports echo the fully resolved configuration, so a report is a
 reproducible record: identical configs (including the seed) give
 byte-identical CSV outputs.
 """
@@ -21,7 +24,10 @@ import numpy as np
 
 from . import fa_lattice
 from .density_engine import (
+    DEFAULT_COUNT,
+    DEFAULT_RATIO,
     DEFAULT_TOL,
+    MAX_LEVELS,
     DeltaSchedule,
     ProbeResult,
     action_profile,
@@ -40,7 +46,7 @@ from .geometry import (
     feature_from_json,
     region_from_json,
 )
-from .quadrature import SampleSpec
+from .quadrature import DEFAULT_SAMPLES, SampleSpec
 from .surface_rep import (
     DEFAULT_NODES,
     SurfaceFixture,
@@ -52,7 +58,6 @@ from .surface_rep import (
 from .trace_gradient import ScalarField, boundary_trace, calculus_rule_check, density_gradient
 
 SCHEMA = "pure-measure/1"
-DEFAULT_SAMPLES = 200_000
 
 
 class ConfigError(ValueError):
@@ -75,16 +80,12 @@ class BadSchedule(ConfigError):
 
 @dataclass
 class Config:
-    seed: int
-    samples: int
-    tol: float
-    schedule: dict
     tasks: list[dict]
     jobs: list[Job]  # one per task, bound at parse time by its kind function
     resolved: dict  # echoed verbatim into the report
 
 
-Job = Callable[[Config, Path], tuple[dict, list[str], bool]]  # payload, CSV files, unintegrable
+Job = Callable[[Path], tuple[dict, list[str], bool]]  # output directory -> payload, CSV files, unintegrable
 
 
 def _require(condition: bool, exc: type[ConfigError], message: str, pointer: str):
@@ -103,7 +104,7 @@ def _list(value: Any, name: str, pointer: str) -> list:
 
 
 def _check_schedule(node: Any, pointer: str) -> dict:
-    out = {"delta0": None, "ratio": 0.5, "count": 12}
+    out = {"delta0": None, "ratio": DEFAULT_RATIO, "count": DEFAULT_COUNT}
     out.update(_object(node, "schedule", pointer))
     if out["delta0"] is not None:
         out["delta0"] = _number(out["delta0"], "delta0", pointer + "/delta0", BadSchedule)
@@ -111,6 +112,7 @@ def _check_schedule(node: Any, pointer: str) -> dict:
     out["ratio"] = _number(out["ratio"], "ratio", pointer + "/ratio", BadSchedule)
     _require(0 < out["ratio"] < 1, BadSchedule, "ratio must lie in (0, 1)", pointer + "/ratio")
     out["count"] = _at_least(out["count"], 3, "count", pointer + "/count", BadSchedule)
+    _require(out["count"] <= MAX_LEVELS, BadSchedule, f"count must be at most {MAX_LEVELS}", pointer + "/count")
     return out
 
 
@@ -138,8 +140,12 @@ def _tolerance(value: Any, pointer: str) -> float:
     return tol
 
 
-def parse_config(text: str) -> Config:
-    """Validate a JSON config; the first problem is reported with its location."""
+def parse_config(text: str, seed: int | None = None, samples: int | None = None) -> Config:
+    """Validate a JSON config and bind its tasks; the first problem is reported with its location.
+
+    `seed` and `samples`, when given, override the config's (the --seed and
+    --samples flags) and are reported at their flag.
+    """
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as e:
@@ -149,8 +155,10 @@ def parse_config(text: str) -> Config:
     version = raw.get("version", SCHEMA)
     _require(version == SCHEMA, ParseError, f"unrecognized version {version!r}", "/version")
 
-    seed = _at_least(raw.get("seed", 0), 0, "seed", "/seed")
-    samples = _at_least(raw.get("samples", DEFAULT_SAMPLES), 2, "samples", "/samples")
+    config_seed = _at_least(raw.get("seed", 0), 0, "seed", "/seed")
+    config_samples = _at_least(raw.get("samples", DEFAULT_SAMPLES), 2, "samples", "/samples")
+    seed = config_seed if seed is None else _at_least(seed, 0, "seed", "--seed")
+    samples = config_samples if samples is None else _at_least(samples, 2, "samples", "--samples")
     tol = _tolerance(raw.get("tol", DEFAULT_TOL), "/tol")
     schedule = _check_schedule(raw.get("schedule", {}), "/schedule")
 
@@ -190,11 +198,9 @@ def parse_config(text: str) -> Config:
         seen_names.add(task["name"])
         if "schedule" in task:
             task["schedule"] = _check_schedule(task["schedule"], ptr + "/schedule")
-        if "samples" in task:
-            _at_least(task["samples"], 2, "samples", ptr + "/samples")
-        if "tol" in task:
-            _tolerance(task["tol"], ptr + "/tol")
-        jobs.append(TASK_KINDS[kind](_Task(task, ptr, tables)))
+        spec = SampleSpec(_at_least(task.get("samples", samples), 2, "samples", ptr + "/samples"), seed)
+        task_tol = _tolerance(task.get("tol", tol), ptr + "/tol")
+        jobs.append(TASK_KINDS[kind](_Task(task, ptr, tables, spec, task_tol, task.get("schedule", schedule))))
 
     resolved = {
         "version": SCHEMA,
@@ -207,7 +213,7 @@ def parse_config(text: str) -> Config:
         "integrands": raw.get("integrands", {}),
         "tasks": tasks,
     }
-    return Config(seed, samples, tol, schedule, tasks, jobs, resolved)
+    return Config(tasks, jobs, resolved)
 
 
 class _Task:
@@ -215,12 +221,14 @@ class _Task:
 
     Each read resolves a name or checks a value and fails with the field's
     JSON pointer, so a bad field stops the config before any task runs.  The
-    seed, samples, tol and schedule are read when the job runs, after the
-    --seed and --samples overrides.
+    task's sample spec, tol and checked schedule settings come bound, the
+    --seed and --samples overrides applied.
     """
 
-    def __init__(self, node: dict, ptr: str, tables: dict[str, dict]):
+    def __init__(self, node: dict, ptr: str, tables: dict[str, dict], spec: SampleSpec, tol: float,
+                 schedule: dict):
         self.node, self.ptr, self.tables = node, ptr, tables
+        self.spec, self.tol, self._schedule = spec, tol, schedule
         self.name = node.get("name")
 
     def at(self, field: str) -> str:
@@ -284,7 +292,8 @@ class _Task:
 
     def field(self, field: str, dim: int) -> ScalarField:
         """A scalar-field object {"f": integrand, "grad": [integrands]}; grad is optional."""
-        body = _Task(_object(self.get(field), field, self.at(field)), self.at(field), self.tables)
+        body = _Task(_object(self.get(field), field, self.at(field)), self.at(field), self.tables,
+                     self.spec, self.tol, self._schedule)
         return ScalarField(f=body.integrand("f", dim), grad=body.vector("grad", dim) if "grad" in body.node else None)
 
     def surface(self) -> SurfaceFixture:
@@ -297,18 +306,12 @@ class _Task:
         except ValueError as e:  # above the node budget
             raise ParseError(str(e), self.at("nodes")) from None
 
-    # read when the job runs; parse_config has checked the task's own values
-    def schedule(self, config: Config, feature: Feature, omega: Region) -> DeltaSchedule:
-        node = self.node.get("schedule", config.schedule)
+    def schedule(self, feature: Feature, omega: Region) -> DeltaSchedule:
+        """The task's schedule, called by its job: an automatic one that cannot be derived is the task's error."""
+        node = self._schedule
         if node["delta0"] is None:
             return DeltaSchedule.auto(feature, omega, node["ratio"], node["count"])
         return DeltaSchedule(node["delta0"], node["ratio"], node["count"])
-
-    def spec(self, config: Config) -> SampleSpec:
-        return SampleSpec(int(self.node.get("samples", config.samples)), config.seed)
-
-    def tol(self, config: Config) -> float:
-        return float(self.node.get("tol", config.tol))
 
 
 # -------------------------------------------------------------- serialization
@@ -367,8 +370,8 @@ def _density_ratio(t: _Task) -> Job:
     omega = t.region("omega")
     region, feature = t.region("region", omega.dim), t.feature("feature", omega.dim)
     weight = t.optional("weight", omega.dim)
-    return lambda config, out: _probe_output(t.name, out, density_probe(
-        region, feature, omega, t.schedule(config, feature, omega), t.spec(config), weight=weight, tol=t.tol(config)
+    return lambda out: _probe_output(t.name, out, density_probe(
+        region, feature, omega, t.schedule(feature, omega), t.spec, weight=weight, tol=t.tol
     ))
 
 
@@ -376,16 +379,16 @@ def _sharp_integral(t: _Task) -> Job:
     omega = t.region("omega")
     integrand, feature = t.integrand("integrand", omega.dim), t.feature("feature", omega.dim)
     weight = t.optional("weight", omega.dim)
-    return lambda config, out: _probe_output(t.name, out, sharp_integral(
-        integrand, feature, omega, t.schedule(config, feature, omega), t.spec(config), weight=weight, tol=t.tol(config)
+    return lambda out: _probe_output(t.name, out, sharp_integral(
+        integrand, feature, omega, t.schedule(feature, omega), t.spec, weight=weight, tol=t.tol
     ))
 
 
 def _action_interval(t: _Task) -> Job:
     omega = t.region("omega")
     integrand, feature = t.integrand("integrand", omega.dim), t.feature("feature", omega.dim)
-    return lambda config, out: (_jsonable(action_profile(
-        integrand, feature, omega, t.schedule(config, feature, omega), t.spec(config), tol=t.tol(config)
+    return lambda out: (_jsonable(action_profile(
+        integrand, feature, omega, t.schedule(feature, omega), t.spec, tol=t.tol
     )), [], False)
 
 
@@ -395,8 +398,8 @@ def _cone_density(t: _Task) -> Job:
     # the checks geometry.Cone makes when the job runs
     _require(0 < np.linalg.norm(v) < np.inf, ParseError, "v must be a finite nonzero vector", t.at("v"))
     _require(0 < alpha < np.pi / 2, ParseError, "alpha must lie in (0, pi/2)", t.at("alpha"))
-    return lambda config, out: _probe_output(t.name, out, cone_density(
-        x, v, alpha, omega, t.schedule(config, PointFeature(x), omega), t.spec(config), tol=t.tol(config)
+    return lambda out: _probe_output(t.name, out, cone_density(
+        x, v, alpha, omega, t.schedule(PointFeature(x), omega), t.spec, tol=t.tol
     ))
 
 
@@ -405,11 +408,8 @@ def _sigma_probe(t: _Task) -> Job:
     members = t.names("members", "region", dim=omega.dim)
     union, feature = t.region("union", omega.dim), t.feature("feature", omega.dim)
 
-    def job(config: Config, out: Path):
-        report = sigma_probe(
-            members, union, feature, omega, t.schedule(config, feature, omega), t.spec(config),
-            tol=t.tol(config),
-        )
+    def job(out: Path):
+        report = sigma_probe(members, union, feature, omega, t.schedule(feature, omega), t.spec, tol=t.tol)
         csvs = [
             _write_series_csv(out, f"{t.name}_member{k}", _probe_rows(member))
             for k, member in enumerate(report.members, start=1)
@@ -423,8 +423,8 @@ def _aura_report(t: _Task) -> Job:
     omega = t.region("omega")
     feature = t.feature("feature", omega.dim)
 
-    def job(config: Config, out: Path):
-        report = aura_report(feature, omega, t.schedule(config, feature, omega), t.spec(config))
+    def job(out: Path):
+        report = aura_report(feature, omega, t.schedule(feature, omega), t.spec)
         rows = [(l.delta, l.volume, l.volume_stderr, l.hits) for l in report.levels]
         return _jsonable(report), [_write_series_csv(out, t.name, rows)], False
     return job
@@ -433,8 +433,8 @@ def _aura_report(t: _Task) -> Job:
 def _boundary_trace(t: _Task) -> Job:
     omega = t.region("omega")
     integrand, x = t.integrand("integrand", omega.dim), t.point("x", omega.dim)
-    return lambda config, out: _probe_output(t.name, out, boundary_trace(
-        integrand, omega, x, t.schedule(config, PointFeature(x), omega), t.spec(config), tol=t.tol(config)
+    return lambda out: _probe_output(t.name, out, boundary_trace(
+        integrand, omega, x, t.schedule(PointFeature(x), omega), t.spec, tol=t.tol
     ))
 
 
@@ -446,15 +446,12 @@ def _density_gradient(t: _Task) -> Job:
     grad = t.vector("gradient", omega.dim) if f is None or "gradient" in t.node else None
     field = ScalarField(f=f, grad=grad)
 
-    def job(config: Config, out: Path):
-        tol = t.tol(config)
-        report = density_gradient(
-            omega, x, t.schedule(config, PointFeature(x), omega), t.spec(config), field=field, tol=tol
-        )
+    def job(out: Path):
+        report = density_gradient(omega, x, t.schedule(PointFeature(x), omega), t.spec, field=field, tol=t.tol)
         payload = _jsonable(report)
         payload["verdicts"] = [
             "unbounded" if (p.unbounded_lo or p.unbounded_hi)
-            else ("point" if p.interval.width <= tol else "interval")
+            else ("point" if p.interval.width <= t.tol else "interval")
             for p in report.profiles
         ]
         return payload, [], False
@@ -467,8 +464,8 @@ def _calculus_rule_check(t: _Task) -> Job:
     rule = t.node.get("rule", "sum")
     _require(rule in ("sum", "product"), ParseError, "rule must be 'sum' or 'product'", t.at("rule"))
     f1, f2 = t.field("f1", omega.dim), t.field("f2", omega.dim)
-    return lambda config, out: (_jsonable(calculus_rule_check(
-        rule, f1, f2, x, omega, t.schedule(config, PointFeature(x), omega), t.spec(config), tol=t.tol(config)
+    return lambda out: (_jsonable(calculus_rule_check(
+        rule, f1, f2, x, omega, t.schedule(PointFeature(x), omega), t.spec, tol=t.tol
     )), [], False)
 
 
@@ -477,10 +474,8 @@ def _collar_average(t: _Task) -> Job:
     integrand = t.integrand("integrand", fixture.region.dim)
     boundary = RegionBoundary(fixture.region)
 
-    def job(config: Config, out: Path):
-        result = collar_average(
-            integrand, fixture, t.schedule(config, boundary, fixture.region), t.spec(config), tol=t.tol(config)
-        )
+    def job(out: Path):
+        result = collar_average(integrand, fixture, t.schedule(boundary, fixture.region), t.spec, tol=t.tol)
         reference = surface_reference(integrand, fixture)
         return _probe_output(t.name, out, result, surface_reference=_jsonable(reference))
     return job
@@ -489,7 +484,7 @@ def _collar_average(t: _Task) -> Job:
 def _gauss_check(t: _Task) -> Job:
     fixture = t.surface()
     phi, div = t.vector("phi", fixture.region.dim), t.optional("div", fixture.region.dim)
-    return lambda config, out: (_jsonable(gauss_check(phi, fixture, t.spec(config), div=div)), [], False)
+    return lambda out: (_jsonable(gauss_check(phi, fixture, t.spec, div=div)), [], False)
 
 
 def _fa_lattice(t: _Task) -> Job:
@@ -506,7 +501,7 @@ def _fa_lattice(t: _Task) -> Job:
         except (KeyError, fa_lattice.NotInAlgebra) as e:
             raise ParseError(f"bad band: {e}", t.at("band")) from None
 
-    def job(config: Config, out: Path):
+    def job(out: Path):
         full = mu.algebra.ground.full
         pos, neg = fa_lattice.jordan_decompose(mu)
         sigma_part, pure = fa_lattice.sigma_additive_part(mu)
@@ -549,7 +544,7 @@ def run(config: Config, out_dir: str | Path, only: str | None = None) -> int:
             continue
         entry = {"name": task["name"], "task": task["task"]}
         try:
-            payload, csvs, unintegrable = job(config, out)
+            payload, csvs, unintegrable = job(out)
             entry["result"] = payload
             entry["csv"] = csvs
             if unintegrable:
@@ -590,13 +585,7 @@ def main(argv=None) -> int:
         print(f"cannot read config: {e}", file=sys.stderr)
         return 1
     try:
-        config = parse_config(text)
-        if args.seed is not None:
-            config.seed = _at_least(args.seed, 0, "seed", "--seed")
-            config.resolved["seed"] = config.seed
-        if args.samples is not None:
-            config.samples = _at_least(args.samples, 2, "samples", "--samples")
-            config.resolved["samples"] = config.samples
+        config = parse_config(text, args.seed, args.samples)
     except ConfigError as e:
         print(f"config error at {e}", file=sys.stderr)
         return 1

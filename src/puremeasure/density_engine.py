@@ -14,12 +14,12 @@ level k) that feeds every functional evaluated there: ratios, sharp
 integrals, essential ranges and the volume of F_delta ∩ Omega.  Numerator
 and denominator of every ratio share that stream, which makes normalization
 and set monotonicity exact rather than statistical.  Since each level reads
-only its own stream, a profile runs two levels at a time on two helper
-threads where two CPUs are free, with the same results as one level after
-another.  So every callable a profile evaluates (an integrand, a weight, a
-field, a region's membership test) may run on a helper thread while
-another level runs on the other one: it must be thread-safe.  Each level
-runs under the caller's numpy error state.
+only its own stream, a profile runs its levels on min(2, CPUs) helper
+threads, with the same results as one level after another.  So every
+callable a profile evaluates (an integrand, a weight, a field, a region's
+membership test) runs on a helper thread, possibly while another level
+calls it on the other one: it must be thread-safe.  Each level runs under
+the caller's numpy error state.
 
 A level samples F_delta ∩ Omega from one of two covers: the
 feature's box inflated by delta and clipped to Omega's, or the feature's
@@ -43,6 +43,7 @@ from .geometry import (
     Bbox,
     Cone,
     Feature,
+    Neighborhood,
     PointFeature,
     Region,
     RegionBoundary,
@@ -70,6 +71,9 @@ from .quadrature import (
 )
 
 DEFAULT_TOL = 0.02
+DEFAULT_RATIO = 0.5
+DEFAULT_COUNT = 12
+MAX_LEVELS = 1024  # a profile queues all of its levels at once
 # A feature's own proposal replaces the level's box only below this share of
 # the box's volume: its Gaussian directions cost ~3x a uniform per coordinate,
 # so a smaller saving (a 2-D disk at pi/4, a 3-D ball at pi/6) costs time.
@@ -93,8 +97,8 @@ class DeltaSchedule:
     """Geometric schedule delta0 * ratio**k, k = 0..count-1."""
 
     delta0: float
-    ratio: float = 0.5
-    count: int = 12
+    ratio: float = DEFAULT_RATIO
+    count: int = DEFAULT_COUNT
 
     def __post_init__(self):
         if self.delta0 <= 0:
@@ -103,12 +107,15 @@ class DeltaSchedule:
             raise ValueError("ratio must lie in (0, 1)")
         if self.count < 3:
             raise ValueError("need at least three levels")
+        if self.count > MAX_LEVELS:
+            raise ValueError(f"need at most {MAX_LEVELS} levels")
 
     def deltas(self) -> list[float]:
         return [self.delta0 * self.ratio**k for k in range(self.count)]
 
     @classmethod
-    def auto(cls, feature: Feature, omega: Region, ratio: float = 0.5, count: int = 12) -> "DeltaSchedule":
+    def auto(cls, feature: Feature, omega: Region, ratio: float = DEFAULT_RATIO,
+             count: int = DEFAULT_COUNT) -> "DeltaSchedule":
         """Half the feature's bbox diagonal, falling back to the domain's when degenerate."""
         d = bbox_diagonal(feature.bbox)
         if not np.isfinite(d) or d <= 0:
@@ -250,8 +257,10 @@ def _level_proposal(feature: Feature, omega: Region, delta: float) -> Proposal:
 
 
 def _reference_weight(feature: Feature, omega: Region, delta: float, weight: Callable | None) -> Callable:
+    neighborhood = Neighborhood(feature, delta)
+
     def w(pts):
-        mask = (feature.distance(pts) < delta) & omega.contains(pts)
+        mask = neighborhood.contains(pts) & omega.contains(pts)
         if weight is None:
             return mask
         with np.errstate(all="ignore"):
@@ -281,18 +290,15 @@ def _profile(feature: Feature, omega: Region, schedule: DeltaSchedule, spec: Sam
 
 
 def _in_level_order(run: Callable[[int], Sweep], count: int) -> list[Sweep]:
-    """[run(k) for k in range(count)], two levels at a time on two helper threads.
+    """[run(k) for k in range(count)] on a pool of min(2, CPUs) helper threads.
 
     The results are read back in level order, so the exception raised is
-    the earliest failing level's, as in the serial loop, and levels not yet
-    started are cancelled.  Each level draws from its own stream, so the
-    results are the same bits whichever thread runs it, and each runs under
-    the caller's numpy error state, which a new thread would not inherit.
-    On one CPU the levels run one after another on the calling thread: two
-    levels taking turns there are no faster and hold two levels' memory.
+    the earliest failing level's, and levels not yet started are cancelled.
+    Each level draws from its own stream, so the results are the same bits
+    whichever thread runs it, and each runs under the caller's numpy error
+    state, which a new thread would not inherit.  On one CPU the one helper
+    runs the levels one after another, so only one level's memory is held.
     """
-    if count < 2 or _cpus() < 2:
-        return [run(k) for k in range(count)]
     from concurrent.futures import ThreadPoolExecutor  # ~8 ms to import: only once a profile needs it
 
     errors = np.geterr()
@@ -301,12 +307,8 @@ def _in_level_order(run: Callable[[int], Sweep], count: int) -> list[Sweep]:
         with np.errstate(**errors):
             return run(k)
 
-    pool = ThreadPoolExecutor(2, thread_name_prefix="puremeasure-level")
-    futures = [pool.submit(level, k) for k in range(count)]
-    try:
-        return [f.result() for f in futures]
-    finally:
-        pool.shutdown(cancel_futures=True)
+    with ThreadPoolExecutor(min(2, _cpus()), thread_name_prefix="puremeasure-level") as pool:
+        return list(pool.map(level, range(count)))
 
 
 def _cpus() -> int:
@@ -357,7 +359,7 @@ def density_probe(
 ) -> ProbeResult:
     """Density ratio profile over the schedule plus its limit estimate.
 
-    `weight` must be thread-safe: two levels run at a time on helper threads.
+    `weight` must be thread-safe: it runs on helper threads, two levels at a time.
     """
     return _ratio_probe(_profile(feature, omega, schedule, spec, _memberships([a]), weight), 0, tol)
 
@@ -378,8 +380,8 @@ def sharp_integral(
     unbounded integrand; when any level caps a hit the result carries the
     unintegrable flag (integration against a density measure is then
     meaningless even if the symmetric mean profile happens to settle).
-    `fn` and `weight` must be thread-safe: two levels run at a time on
-    helper threads.
+    `fn` and `weight` must be thread-safe: they run on helper threads, two
+    levels at a time.
     """
     columns = (Ratio(fn),)
     levels = _profile(feature, omega, schedule, spec, lambda delta, proposal: (columns, ()), weight)
@@ -417,8 +419,8 @@ def action_profile(
     The essential supremum over F_delta ∩ Omega is nondecreasing in delta, so
     the upper envelope is the running minimum over shrinking deltas (and the
     lower envelope the running maximum); the envelopes at the smallest delta
-    estimate the action interval.  `fn` must be thread-safe: two levels run
-    at a time on helper threads.
+    estimate the action interval.  `fn` must be thread-safe: it runs on
+    helper threads, two levels at a time.
     """
     column = Range(fn)
     return _action_profiles(lambda delta: [column], feature, omega, schedule, spec, tol)[0]

@@ -7,7 +7,9 @@ exponent (x1^3, x1^-2) is evaluated by products, so an odd power is exactly
 odd and cancels over antithetic pairs; other exponents use np.power.
 Expressions evaluate pointwise on sample blocks of shape (N, n);
 singularities propagate as non-finite values which the quadrature layer
-tallies.
+tallies.  A tree nests at most MAX_DEPTH levels, each operator, call, unary
+minus and power counting one, so that evaluating it cannot exhaust
+Python's stack.
 """
 
 from __future__ import annotations
@@ -17,6 +19,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+
+
+MAX_DEPTH = 200
 
 
 class ExpressionError(ValueError):
@@ -232,9 +237,24 @@ class Expression:
         return np.broadcast_to(np.asarray(out, dtype=float), (len(pts),)).copy()
 
 
+def _depth(node) -> int:
+    """The operator levels of a tree, counted level by level rather than by recursion."""
+    depth, level = -1, [node]
+    while level:
+        depth += 1
+        level = [c for n in level if n[0] not in ("num", "var") for c in (n[2] if n[0] == "call" else n[1:])]
+    return depth
+
+
 def parse_expression(text: str) -> Expression:
     if not isinstance(text, str) or not text.strip():
         raise ExpressionError("expression must be a nonempty string")
     parser = _Parser(text)
-    ast = parser.parse()
+    too_deep = ExpressionError(f"expression nests too deeply (at most {MAX_DEPTH} levels)")
+    try:  # the parser recurses several frames per level, and once per parenthesis
+        ast = parser.parse()
+    except RecursionError:
+        raise too_deep from None
+    if _depth(ast) > MAX_DEPTH:
+        raise too_deep
     return Expression(text, ast, parser.max_var)

@@ -55,6 +55,7 @@ LEAF_PAIRS = 1 << 14
 MAGNITUDE_CAP = 1.0e3
 ESS_QUANTILE = 1.0e-3
 CONFIDENCE = 1.96
+DEFAULT_SAMPLES = 200_000
 
 
 class UnboundedRegion(ValueError):
@@ -73,7 +74,7 @@ class SampleSpec:
     consists of whole antithetic pairs.
     """
 
-    n: int = 200_000
+    n: int = DEFAULT_SAMPLES
     seed: int = 0
 
     def __post_init__(self):

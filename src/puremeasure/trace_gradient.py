@@ -146,8 +146,8 @@ def density_gradient(
     `grad` is an analytic gradient field (points -> (N, n) array); otherwise
     `field` supplies function values differentiated at the probing scale.
     All coordinates come from one pass per level and one gradient
-    evaluation per sample.  `field` and `grad` must be thread-safe: two
-    levels run at a time on helper threads.
+    evaluation per sample.  `field` and `grad` must be thread-safe: they
+    run on helper threads, two levels at a time.
     """
     if field is None:
         if grad is None:

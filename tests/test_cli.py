@@ -11,6 +11,7 @@ from puremeasure.cli import (
     parse_config,
     run,
 )
+from puremeasure.density_engine import MAX_LEVELS
 
 BASE = {
     "version": "pure-measure/1",
@@ -54,8 +55,8 @@ DENSITY_TASK = {"task": "density_ratio", "name": "dzero", "region": "right", "fe
 
 def test_parse_minimal_config():
     cfg = parse_config(config_with([DENSITY_TASK]))
-    assert cfg.seed == 7
-    assert cfg.samples == 20_000
+    assert cfg.resolved["seed"] == 7
+    assert cfg.resolved["samples"] == 20_000
     assert cfg.tasks[0]["name"] == "dzero"
 
 
@@ -267,6 +268,7 @@ COLLAR_TASK = {"task": "collar_average", "name": "collar", "integrand": "xsq", "
 CONE_TASK, RULES_TASK = FULL_SUITE[3], FULL_SUITE[8]
 MEASURE = FULL_SUITE[-1]["measure"]
 WITH_X3 = {"integrands": dict(BASE["integrands"], z="x3")}  # z uses x3: too many coordinates below 3-D
+DEEP = ["(" * 2000 + "x1" + ")" * 2000, "-" * 5000 + "x1", "+".join(["x1"] * 5000)]
 WITH_QUADRANT = {"features": dict(BASE["features"], quadrant={"intersection": [
     {"halfspace": {"normal": [1, 0], "offset": 0}}, {"halfspace": {"normal": [0, 1], "offset": 0}}]})}
 
@@ -387,6 +389,11 @@ WITH_QUADRANT = {"features": dict(BASE["features"], quadrant={"intersection": [
     (WITH_X3, {"task": "gauss_check", "phi": ["xfield", "yfield"], "surface": "disk", "div": "z"}, "/tasks/0/div"),
     # a region used as a feature needs an exact signed distance
     (WITH_QUADRANT, dict(DENSITY_TASK, region="halfslab", feature="quadrant", omega="disk"), "/features/quadrant"),
+    # an expression nested too deeply for a parser or an evaluator that recurses
+    *[({"integrands": dict(BASE["integrands"], deep=deep)}, DENSITY_TASK, "/integrands/deep") for deep in DEEP],
+    # a schedule's levels are bounded
+    ({"schedule": {"count": MAX_LEVELS + 1}}, DENSITY_TASK, "/schedule/count"),
+    ({}, dict(DENSITY_TASK, schedule={"count": MAX_LEVELS + 1}), "/tasks/0/schedule/count"),
 ])
 def test_main_rejects_bad_tol_delta0_and_nodes(tmp_path, capsys, top, task, pointer):
     cfg = json.loads(config_with([task]))
@@ -405,18 +412,19 @@ def test_main_rejects_bad_tol_delta0_and_nodes(tmp_path, capsys, top, task, poin
 
 def test_parse_accepts_zero_tol_and_eight_nodes():
     cfg = parse_config(config_with([dict(COLLAR_TASK, tol=0, nodes=8)]))
-    assert cfg.tol > 0 and cfg.tasks[0]["nodes"] == 8
+    assert cfg.resolved["tol"] > 0 and cfg.tasks[0]["nodes"] == 8
     cfg = json.loads(config_with([DENSITY_TASK]))
     cfg["tol"] = 0
-    assert parse_config(json.dumps(cfg)).tol == 0.0
+    assert parse_config(json.dumps(cfg)).resolved["tol"] == 0.0
 
 
 def test_parse_accepts_integral_floats_and_the_node_bound():
     cfg = json.loads(config_with([dict(COLLAR_TASK, surface="square", nodes=1024.0)]))
     cfg.update(samples=5e4, seed=3.0)
     parsed = parse_config(json.dumps(cfg))
-    assert (parsed.samples, parsed.seed) == (50_000, 3)
-    assert type(parsed.samples) is int and type(parsed.seed) is int
+    samples, seed = parsed.resolved["samples"], parsed.resolved["seed"]
+    assert (samples, seed) == (50_000, 3)
+    assert type(samples) is int and type(seed) is int
     cfg["regions"]["ball3"] = {"ball": {"c": [0, 0, 0], "r": 1}}
     cfg["tasks"] = [dict(COLLAR_TASK, surface="ball3", nodes=1024)]  # 2 * 1024^2 = 2^21 nodes
     parse_config(json.dumps(cfg))

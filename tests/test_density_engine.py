@@ -8,6 +8,7 @@ from puremeasure.density_engine import (
     CONVERGED,
     INSUFFICIENT,
     OSCILLATING,
+    MAX_LEVELS,
     DeltaSchedule,
     Interval,
     TooShort,
@@ -61,6 +62,8 @@ def test_schedule_validation():
         DeltaSchedule(1.0, ratio=1.5)
     with pytest.raises(ValueError):
         DeltaSchedule(1.0, count=2)
+    with pytest.raises(ValueError):
+        DeltaSchedule(1.0, count=MAX_LEVELS + 1)
     s = DeltaSchedule(1.0, 0.5, 4)
     assert s.deltas() == [1.0, 0.5, 0.25, 0.125]
 

@@ -58,7 +58,8 @@ def test_arity_tracking_and_dimension_check():
 
 
 def test_parse_errors():
-    for bad in ["", "x0", "y + 1", "sin()", "min(x1)", "sin(x1", "1 +", "x1 @ 2", "foo(x1)"]:
+    deep = ["(" * 2000 + "x1" + ")" * 2000, "-" * 5000 + "x1", "+".join(["x1"] * 5000)]
+    for bad in ["", "x0", "y + 1", "sin()", "min(x1)", "sin(x1", "1 +", "x1 @ 2", "foo(x1)", *deep]:
         with pytest.raises(ExpressionError):
             parse_expression(bad)(np.zeros((1, 3)))
 
