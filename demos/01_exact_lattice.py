@@ -51,7 +51,7 @@ print("  pure part is zero:", pure.is_zero)
 
 nu = FAMeasure.on_atoms(ground, [Fraction(1), Fraction(4), Fraction(0)])
 print("\ncontinuity of mu with respect to nu:")
-print("  vanishes on nu-null sets:", continuity_check(mu, nu, "wac"),
+print("  vanishes on nu-null sets:", continuity_check(mu, nu),
       " (nu ignores {c} but mu charges it)")
 
 # outer measure sees sets the algebra cannot: blocks {a,b} and {c}

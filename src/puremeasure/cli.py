@@ -37,7 +37,7 @@ from .density_engine import (
     sharp_integral,
     sigma_probe,
 )
-from .expressions import Expression, ExpressionError, parse_expression
+from .expressions import MAX_DEPTH, Expression, parse_expression
 from .geometry import (
     Feature,
     PointFeature,
@@ -117,12 +117,11 @@ def _check_schedule(node: Any, pointer: str) -> dict:
 
 
 def _number(value: Any, name: str, pointer: str, exc: type[ConfigError] = ParseError) -> float:
-    if type(value) in (int, float):  # a JSON number; bools and strings are not
-        try:
-            return float(value)
-        except OverflowError:  # an integer beyond the float range
-            pass
-    raise exc(f"{name} must be a number", pointer)
+    # a finite JSON number: not a bool, a string, an integer beyond the float range, or the NaN and
+    # Infinity that json.loads reads
+    finite = type(value) in (int, float) and abs(value) <= sys.float_info.max
+    _require(finite, exc, f"{name} must be a finite number", pointer)
+    return float(value)
 
 
 def _at_least(value: Any, minimum: int, name: str, pointer: str, exc: type[ConfigError] = ParseError) -> int:
@@ -136,7 +135,7 @@ def _at_least(value: Any, minimum: int, name: str, pointer: str, exc: type[Confi
 
 def _tolerance(value: Any, pointer: str) -> float:
     tol = _number(value, "tol", pointer)
-    _require(tol >= 0, ParseError, "tol must be a number >= 0", pointer)  # also rejects NaN
+    _require(tol >= 0, ParseError, "tol must be a number >= 0", pointer)
     return tol
 
 
@@ -146,10 +145,20 @@ def parse_config(text: str, seed: int | None = None, samples: int | None = None)
     `seed` and `samples`, when given, override the config's (the --seed and
     --samples flags) and are reported at their flag.
     """
+    too_deep = f"config nests arrays and objects more than {MAX_DEPTH} deep"
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid JSON: {e}", "/") from None
+    except RecursionError:
+        raise ParseError(too_deep, "/") from None
+    # so that the readers below and the report writer, which recurse, stay shallow
+    nested = [(raw, 1)]
+    while nested:
+        node, depth = nested.pop()
+        if isinstance(node, (dict, list)):
+            _require(depth <= MAX_DEPTH, ParseError, too_deep, "/")
+            nested.extend((child, depth + 1) for child in (node.values() if isinstance(node, dict) else node))
     if not isinstance(raw, dict):
         raise ParseError("config must be a JSON object", "/")
     version = raw.get("version", SCHEMA)
@@ -162,30 +171,19 @@ def parse_config(text: str, seed: int | None = None, samples: int | None = None)
     tol = _tolerance(raw.get("tol", DEFAULT_TOL), "/tol")
     schedule = _check_schedule(raw.get("schedule", {}), "/schedule")
 
-    regions: dict[str, Region] = {}
-    for name, node in _object(raw.get("regions", {}), "regions", "/regions").items():
-        try:
-            regions[name] = region_from_json(node)
-        except (ValueError, KeyError, TypeError) as e:
-            raise ParseError(f"bad region: {e}", f"/regions/{name}") from None
-
-    features: dict[str, Feature] = {}
-    for name, node in _object(raw.get("features", {}), "features", "/features").items():
-        try:
-            features[name] = feature_from_json(node)
-        except (ValueError, KeyError, TypeError) as e:
-            raise ParseError(f"bad feature: {e}", f"/features/{name}") from None
-
-    integrands: dict[str, Expression] = {}
-    for name, node in _object(raw.get("integrands", {}), "integrands", "/integrands").items():
-        try:
-            integrands[name] = parse_expression(node)
-        except ExpressionError as e:
-            raise ParseError(f"bad expression: {e}", f"/integrands/{name}") from None
+    tables: dict[str, dict] = {}
+    readers = {"region": region_from_json, "feature": feature_from_json, "integrand": parse_expression}
+    for table, reader in readers.items():
+        section = f"{table}s"
+        tables[table] = {}
+        for name, node in _object(raw.get(section, {}), section, f"/{section}").items():
+            try:
+                tables[table][name] = reader(node)
+            except (ValueError, KeyError, TypeError) as e:
+                raise ParseError(f"bad {table}: {e}", f"/{section}/{name}") from None
 
     tasks = _list(raw.get("tasks", []), "tasks", "/tasks")
     _require(bool(tasks), ParseError, "config defines no tasks", "/tasks")
-    tables = {"region": regions, "feature": features, "integrand": integrands}
     jobs = []
     seen_names = set()
     for i, task in enumerate(tasks):

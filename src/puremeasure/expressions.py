@@ -7,9 +7,11 @@ exponent (x1^3, x1^-2) is evaluated by products, so an odd power is exactly
 odd and cancels over antithetic pairs; other exponents use np.power.
 Expressions evaluate pointwise on sample blocks of shape (N, n);
 singularities propagate as non-finite values which the quadrature layer
-tallies.  A tree nests at most MAX_DEPTH levels, each operator, call, unary
-minus and power counting one, so that evaluating it cannot exhaust
-Python's stack.
+tallies.  An expression nests at most MAX_DEPTH levels, each operator,
+call, unary minus, power and pair of parentheses counting one.  The parser
+counts the levels as it builds the tree, one frame per level, so the bound
+is exact, and a tree within it evaluates well inside Python's default
+recursion limit.
 """
 
 from __future__ import annotations
@@ -71,7 +73,18 @@ def _tokenize(text: str) -> list[tuple[str, str]]:
     return tokens
 
 
+_INFIX = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}  # binding powers
+_NEG = 3  # unary minus binds below ^ and above * and /; so does ^'s right operand
+
+
 class _Parser:
+    """Top-down operator precedence (Pratt 1973).
+
+    Each subtree comes back with its level count, and `depth` is the number
+    of levels that enclose it, so a path of more than MAX_DEPTH levels is
+    rejected where it is found, before the parser descends any further.
+    """
+
     def __init__(self, text: str):
         self.text = text
         self.tokens = _tokenize(text)
@@ -92,71 +105,63 @@ class _Parser:
             raise ExpressionError(f"expected {op!r}, found {val!r} in {self.text!r}")
 
     def parse(self):
-        node = self.expr()
+        node, _ = self.expr(0, 0)
         kind, val = self.next()
         if kind != "end":
             raise ExpressionError(f"unexpected trailing {val!r} in {self.text!r}")
         return node
 
-    def expr(self):
-        node = self.term()
-        while self.peek() == ("op", "+") or self.peek() == ("op", "-"):
-            _, op = self.next()
-            node = (op, node, self.term())
-        return node
+    def expr(self, power: int, depth: int) -> tuple[tuple, int]:
+        """The expression whose infix operators bind more tightly than `power`, and its level count.
 
-    def term(self):
-        node = self.unary()
-        while self.peek() == ("op", "*") or self.peek() == ("op", "/"):
-            _, op = self.next()
-            node = (op, node, self.unary())
-        return node
-
-    def unary(self):
-        if self.peek() == ("op", "-"):
-            self.next()
-            return ("neg", self.unary())
-        return self.power()
-
-    def power(self):
-        base = self.atom()
-        if self.peek() == ("op", "^"):
-            self.next()
-            return ("^", base, self.unary())  # right associative, exponent may be signed
-        return base
-
-    def atom(self):
+        One frame per level: calls parse their arguments here too.
+        """
+        _check_depth(depth)
         kind, val = self.next()
-        if kind == "num":
-            return ("num", float(val))
-        if kind == "name":
-            if self.peek() == ("op", "("):
-                return self.call(val)
+        if (kind, val) == ("op", "-"):
+            operand, levels = self.expr(_NEG, depth + 1)
+            node, levels = ("neg", operand), levels + 1
+        elif (kind, val) == ("op", "("):
+            node, levels = self.expr(0, depth + 1)
+            self.expect(")")
+            levels += 1
+        elif kind == "num":
+            node, levels = ("num", float(val)), 0
+        elif kind == "name" and self.peek() == ("op", "("):
+            if val not in _UNARY and val not in _BINARY:
+                raise ExpressionError(f"unknown function {val!r}")
+            self.next()
+            args = [self.expr(0, depth + 1)]
+            while self.peek() == ("op", ","):
+                self.next()
+                args.append(self.expr(0, depth + 1))
+            self.expect(")")
+            want = 1 if val in _UNARY else 2
+            if len(args) != want:
+                raise ExpressionError(f"{val} takes {want} argument(s), got {len(args)}")
+            node, levels = ("call", val, [a for a, _ in args]), max(n for _, n in args) + 1
+        elif kind == "name":
             m = re.fullmatch(r"x(\d+)", val)
             if m is None or int(m.group(1)) < 1:
                 raise ExpressionError(f"unknown name {val!r}; variables are x1..xn")
             idx = int(m.group(1))
             self.max_var = max(self.max_var, idx)
-            return ("var", idx - 1)
-        if (kind, val) == ("op", "("):
-            node = self.expr()
-            self.expect(")")
-            return node
-        raise ExpressionError(f"unexpected {val!r} in {self.text!r}")
-
-    def call(self, name: str):
-        if name not in _UNARY and name not in _BINARY:
-            raise ExpressionError(f"unknown function {name!r}")
-        self.expect("(")
-        args = [self.expr()]
-        while self.peek() == ("op", ","):
+            node, levels = ("var", idx - 1), 0
+        else:
+            raise ExpressionError(f"unexpected {val!r} in {self.text!r}")
+        while True:
+            kind, op = self.peek()
+            if kind != "op" or _INFIX.get(op, 0) <= power:
+                return node, levels
             self.next()
-            args.append(self.expr())
-        self.expect(")")
-        want = 1 if name in _UNARY else 2
-        if len(args) != want:
-            raise ExpressionError(f"{name} takes {want} argument(s), got {len(args)}")
-        return ("call", name, args)
+            right, right_levels = self.expr(_NEG if op == "^" else _INFIX[op], depth + 1)  # ^ is right associative
+            node, levels = (op, node, right), max(levels, right_levels) + 1
+            _check_depth(depth + levels)
+
+
+def _check_depth(levels: int) -> None:
+    if levels > MAX_DEPTH:
+        raise ExpressionError(f"expression nests too deeply (at most {MAX_DEPTH} levels)")
 
 
 def _evaluate(node, pts: np.ndarray):
@@ -237,24 +242,8 @@ class Expression:
         return np.broadcast_to(np.asarray(out, dtype=float), (len(pts),)).copy()
 
 
-def _depth(node) -> int:
-    """The operator levels of a tree, counted level by level rather than by recursion."""
-    depth, level = -1, [node]
-    while level:
-        depth += 1
-        level = [c for n in level if n[0] not in ("num", "var") for c in (n[2] if n[0] == "call" else n[1:])]
-    return depth
-
-
 def parse_expression(text: str) -> Expression:
     if not isinstance(text, str) or not text.strip():
         raise ExpressionError("expression must be a nonempty string")
     parser = _Parser(text)
-    too_deep = ExpressionError(f"expression nests too deeply (at most {MAX_DEPTH} levels)")
-    try:  # the parser recurses several frames per level, and once per parenthesis
-        ast = parser.parse()
-    except RecursionError:
-        raise too_deep from None
-    if _depth(ast) > MAX_DEPTH:
-        raise too_deep
-    return Expression(text, ast, parser.max_var)
+    return Expression(text, parser.parse(), parser.max_var)

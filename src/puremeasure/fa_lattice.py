@@ -93,18 +93,11 @@ class AlgebraSet:
     def labels(self) -> tuple[str, ...]:
         return tuple(a for i, a in enumerate(self.ground.atoms) if self.mask >> i & 1)
 
-    @property
-    def is_empty(self) -> bool:
-        return self.mask == 0
-
     def union(self, other: "AlgebraSet") -> "AlgebraSet":
         return AlgebraSet(self.ground, self.mask | other.mask)
 
     def intersection(self, other: "AlgebraSet") -> "AlgebraSet":
         return AlgebraSet(self.ground, self.mask & other.mask)
-
-    def difference(self, other: "AlgebraSet") -> "AlgebraSet":
-        return AlgebraSet(self.ground, self.mask & ~other.mask)
 
     def complement(self) -> "AlgebraSet":
         return AlgebraSet(self.ground, self.ground.full.mask & ~self.mask)
@@ -384,17 +377,13 @@ def sigma_additive_part(mu: FAMeasure) -> tuple[FAMeasure, FAMeasure]:
     return band_decompose(mu, mu.algebra.ground.full)
 
 
-def continuity_check(mu: FAMeasure, nu: FAMeasure, mode: str = "wac") -> bool:
-    """Absolute continuity of mu with respect to nu.
+def continuity_check(mu: FAMeasure, nu: FAMeasure) -> bool:
+    """Absolute continuity of mu with respect to nu: mu vanishes on every |nu|-null algebra set.
 
-    mode "wac": mu vanishes on every |nu|-null algebra set.
-    mode "ac": the epsilon-delta criterion.  On a finite algebra any delta
-    below the smallest positive value of |nu| admits only |nu|-null sets, so
-    the criterion reduces to mu vanishing on all of them; both modes are
-    computed independently and must agree.
+    The epsilon-delta criterion is computed beside it.  On a finite algebra
+    any delta below the smallest positive value of |nu| admits only
+    |nu|-null sets, so it reduces to the same condition; the two must agree.
     """
-    if mode not in ("wac", "ac"):
-        raise ValueError(f"mode must be 'wac' or 'ac', got {mode!r}")
     _require_shared(mu, nu)
     tv = total_variation_measure(nu)
     null_blocks = [i for i, w in enumerate(tv.values) if w == 0]
@@ -403,10 +392,9 @@ def continuity_check(mu: FAMeasure, nu: FAMeasure, mode: str = "wac") -> bool:
     # negative subset sums
     pos = sum((mu.values[i] for i in null_blocks if mu.values[i] > 0), Fraction(0))
     neg = sum((-mu.values[i] for i in null_blocks if mu.values[i] < 0), Fraction(0))
-    ac = max(pos, neg) == 0
-    if ac != wac:
+    if (max(pos, neg) == 0) != wac:
         raise AssertionError("epsilon-delta and null-set continuity disagree on a finite algebra")
-    return wac if mode == "wac" else ac
+    return wac
 
 
 def outer_measure(mu: FAMeasure, b: AlgebraSet) -> Fraction:

@@ -17,6 +17,7 @@ is promoted automatically.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -557,19 +558,39 @@ class Neighborhood(Region):
 
 # ------------------------------------------------------------- JSON grammar
 
+def _number(value, name: str) -> float:
+    """A finite JSON number: not a bool, a string, NaN, an infinity or an integer beyond the float range."""
+    if type(value) in (int, float) and abs(value) <= sys.float_info.max:
+        return float(value)
+    raise ValueError(f"{name} must be a finite number, got {value!r}")
+
+
+def _vector(value, name: str) -> tuple[float, ...]:
+    if not isinstance(value, list):
+        raise ValueError(f"{name} must be a list of numbers, got {value!r}")
+    return tuple(_number(v, name) for v in value)
+
+
 def region_from_json(obj) -> Region:
-    """Parse the region grammar; see the named constructors for the keys."""
+    """Parse the region grammar; see the named constructors for the keys.
+
+    Coordinates are lists of finite JSON numbers, `r`, `offset` and `p`
+    finite JSON numbers and a cusp's `dim` an integer.
+    """
     if not isinstance(obj, dict) or len(obj) != 1:
         raise ValueError(f"region spec must be a single-key object, got {obj!r}")
     (key, body), = obj.items()
     if key == "ball":
-        return Ball(tuple(body["c"]), float(body["r"]))
+        return Ball(_vector(body["c"], "c"), _number(body["r"], "r"))
     if key == "box":
-        return Box(tuple(body["lo"]), tuple(body["hi"]))
+        return Box(_vector(body["lo"], "lo"), _vector(body["hi"], "hi"))
     if key == "halfspace":
-        return Halfspace(tuple(body["normal"]), float(body["offset"]))
+        return Halfspace(_vector(body["normal"], "normal"), _number(body["offset"], "offset"))
     if key == "cusp":
-        return Cusp(float(body["p"]), int(body.get("dim", 2)))
+        dim = body.get("dim", 2)
+        if type(dim) is not int:  # bools are not
+            raise ValueError(f"dim must be an integer, got {dim!r}")
+        return Cusp(_number(body["p"], "p"), dim)
     if key == "union":
         return Union(tuple(region_from_json(p) for p in body))
     if key == "intersection":
@@ -587,9 +608,9 @@ def feature_from_json(obj) -> Feature:
     if isinstance(obj, dict) and len(obj) == 1:
         (key, body), = obj.items()
         if key == "point":
-            return PointFeature(tuple(body["c"]))
+            return PointFeature(_vector(body["c"], "c"))
         if key == "segment":
-            return SegmentFeature(tuple(body["a"]), tuple(body["b"]))
+            return SegmentFeature(_vector(body["a"], "a"), _vector(body["b"], "b"))
         if key == "boundary_of":
             return RegionBoundary(region_from_json(body))
     return RegionFeature(region_from_json(obj))

@@ -431,32 +431,26 @@ def _ratio_sums(ratios: Sequence[Ratio], halves: tuple[_Half, _Half]) -> list:
 
     u (numerator) and d (denominator) are the pair averages.  Capped and
     non-finite values are masked out of both, one half at a time.  Where
-    neither half masks anything, d is the same for every column, so it is
-    formed once with its two sums, and d is 1 for a `per_sample` column.
-    Either way u and d equal the masked ones up to the sign of a zero,
-    which no sum keeps.
+    neither half masks anything, d depends only on whether the column is
+    `per_sample`, so it is formed once per kind with its two sums.  Either
+    way u and d equal the masked ones up to the sign of a zero, which no sum
+    keeps.
     """
-    size = len(halves[0].pts)
-    shared = None
+    shared = {}
     out = []
     for col in ratios:
         (u, da, capped_a), (ub, db, capped_b) = (_ratio_terms(col, half) for half in halves)
         u += ub
-        su = float(u.sum())
-        if da is None and db is None and col.per_sample:  # d is 1
-            sd = sdd = float(size)
-            suv = su
+        if da is None and db is None:
+            if col.per_sample not in shared:
+                shared[col.per_sample] = _with_sums(
+                    _unmasked(halves[0], col.per_sample) + _unmasked(halves[1], col.per_sample))
+            d, sd, sdd = shared[col.per_sample]
         else:
-            if da is None and db is None:
-                if shared is None:
-                    shared = _with_sums(_unmasked(halves[0], False) + _unmasked(halves[1], False))
-                d, sd, sdd = shared
-            else:
-                da = _unmasked(halves[0], col.per_sample) if da is None else da
-                db = _unmasked(halves[1], col.per_sample) if db is None else db
-                d, sd, sdd = _with_sums(da + db)
-            suv = float((u * d).sum())
-        out += [su, float((u * u).sum()), sd, sdd, suv, capped_a + capped_b]
+            da = _unmasked(halves[0], col.per_sample) if da is None else da
+            db = _unmasked(halves[1], col.per_sample) if db is None else db
+            d, sd, sdd = _with_sums(da + db)
+        out += [float(u.sum()), float((u * u).sum()), sd, sdd, float((u * d).sum()), capped_a + capped_b]
     return out
 
 

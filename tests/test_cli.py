@@ -12,6 +12,7 @@ from puremeasure.cli import (
     run,
 )
 from puremeasure.density_engine import MAX_LEVELS
+from puremeasure.expressions import MAX_DEPTH
 
 BASE = {
     "version": "pure-measure/1",
@@ -269,6 +270,7 @@ CONE_TASK, RULES_TASK = FULL_SUITE[3], FULL_SUITE[8]
 MEASURE = FULL_SUITE[-1]["measure"]
 WITH_X3 = {"integrands": dict(BASE["integrands"], z="x3")}  # z uses x3: too many coordinates below 3-D
 DEEP = ["(" * 2000 + "x1" + ")" * 2000, "-" * 5000 + "x1", "+".join(["x1"] * 5000)]
+NAN, INF = float("nan"), float("inf")  # json.dumps writes the NaN and Infinity that json.loads reads
 WITH_QUADRANT = {"features": dict(BASE["features"], quadrant={"intersection": [
     {"halfspace": {"normal": [1, 0], "offset": 0}}, {"halfspace": {"normal": [0, 1], "offset": 0}}]})}
 
@@ -394,6 +396,28 @@ WITH_QUADRANT = {"features": dict(BASE["features"], quadrant={"intersection": [
     # a schedule's levels are bounded
     ({"schedule": {"count": MAX_LEVELS + 1}}, DENSITY_TASK, "/schedule/count"),
     ({}, dict(DENSITY_TASK, schedule={"count": MAX_LEVELS + 1}), "/tasks/0/schedule/count"),
+    # a number is a finite JSON number everywhere, in regions and features too
+    ({"regions": dict(BASE["regions"], lax={"box": {"lo": "0", "hi": [True]}})}, DENSITY_TASK, "/regions/lax"),
+    ({"regions": dict(BASE["regions"], lax={"box": {"lo": [0], "hi": [True]}})}, DENSITY_TASK, "/regions/lax"),
+    ({"regions": dict(BASE["regions"], lax={"ball": {"c": [0, NAN], "r": 1}})}, DENSITY_TASK, "/regions/lax"),
+    ({"regions": dict(BASE["regions"], lax={"ball": {"c": [0, 0], "r": "1"}})}, DENSITY_TASK, "/regions/lax"),
+    ({"regions": dict(BASE["regions"], lax={"halfspace": {"normal": [1, 0], "offset": True}})}, DENSITY_TASK,
+     "/regions/lax"),
+    ({"regions": dict(BASE["regions"], lax={"halfspace": {"normal": [1, INF], "offset": 0}})}, DENSITY_TASK,
+     "/regions/lax"),
+    ({"regions": dict(BASE["regions"], lax={"cusp": {"p": "2"}})}, DENSITY_TASK, "/regions/lax"),
+    ({"regions": dict(BASE["regions"], lax={"cusp": {"p": 2, "dim": 2.9}})}, DENSITY_TASK, "/regions/lax"),
+    ({"regions": dict(BASE["regions"], lax={"cusp": {"p": 2, "dim": "3"}})}, DENSITY_TASK, "/regions/lax"),
+    ({"features": dict(BASE["features"], lax={"point": {"c": "0"}})}, DENSITY_TASK, "/features/lax"),
+    ({"features": dict(BASE["features"], lax={"point": {"c": [NAN]}})}, DENSITY_TASK, "/features/lax"),
+    ({"features": dict(BASE["features"], lax={"segment": {"a": [0, 0], "b": [INF, 0]}})}, DENSITY_TASK,
+     "/features/lax"),
+    ({"tol": INF}, DENSITY_TASK, "/tol"),
+    ({"schedule": {"delta0": INF}}, DENSITY_TASK, "/schedule/delta0"),
+    ({}, {"task": "density_gradient", "omega": "line", "x": [NAN], "gradient": ["sgn"]}, "/tasks/0/x/0"),
+    ({}, {"task": "boundary_trace", "integrand": "xy", "omega": "square", "x": [0, NAN]}, "/tasks/0/x/1"),
+    ({}, dict(CONE_TASK, x=[INF, 0]), "/tasks/0/x/0"),
+    ({}, dict(CONE_TASK, v=[1, -INF]), "/tasks/0/v/1"),
 ])
 def test_main_rejects_bad_tol_delta0_and_nodes(tmp_path, capsys, top, task, pointer):
     cfg = json.loads(config_with([task]))
@@ -408,6 +432,33 @@ def test_main_rejects_bad_tol_delta0_and_nodes(tmp_path, capsys, top, task, poin
     assert main(["--config", str(cfg_path), "--out", str(out)]) == 1
     assert pointer in capsys.readouterr().err
     assert not out.exists()
+
+
+NESTED = {  # config texts nested beyond MAX_DEPTH, for json.loads, the region grammar and the report
+    "tasks": '{"tasks": ' + "[" * 5000,
+    "region": config_with([DENSITY_TASK]).replace('"regions": {', '"regions": {"deep": ' + '{"complement": ' * 700
+                                                  + '{"ball": {"c": [0], "r": 1}}' + "}" * 700 + ", ", 1),
+    "unknown field": config_with([dict(DENSITY_TASK, extra="[[]]")]).replace('"[[]]"', "[" * 600 + "]" * 600),
+}
+
+
+@pytest.mark.parametrize("kind", NESTED)
+def test_main_rejects_deep_configs_at_parse(tmp_path, capsys, kind):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(NESTED[kind])
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg_path), "--out", str(out)]) == 1
+    assert f"config error at /: config nests arrays and objects more than {MAX_DEPTH} deep" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_parse_accepts_configs_nested_up_to_max_depth():
+    def nested(lists: int) -> str:  # the config object, the task list and the task hold the lists
+        return config_with([dict(DENSITY_TASK, extra="[]")]).replace('"[]"', "[" * lists + "]" * lists)
+
+    parse_config(nested(MAX_DEPTH - 3))
+    with pytest.raises(ParseError):
+        parse_config(nested(MAX_DEPTH - 2))
 
 
 def test_parse_accepts_zero_tol_and_eight_nodes():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from puremeasure.expressions import ExpressionError, parse_expression
+from puremeasure.expressions import MAX_DEPTH, ExpressionError, parse_expression
 
 
 def ev(text, pts):
@@ -62,6 +62,39 @@ def test_parse_errors():
     for bad in ["", "x0", "y + 1", "sin()", "min(x1)", "sin(x1", "1 +", "x1 @ 2", "foo(x1)", *deep]:
         with pytest.raises(ExpressionError):
             parse_expression(bad)(np.zeros((1, 3)))
+
+
+NESTINGS = {  # text with n levels of one kind
+    "call": lambda n: "sin(" * n + "x1" + ")" * n,
+    "parentheses": lambda n: "(" * n + "x1" + ")" * n,
+    "unary minus": lambda n: "-" * n + "x1",
+    "power chain": lambda n: "^".join(["x1"] * (n + 1)),
+    "sum chain": lambda n: "+".join(["x1"] * (n + 1)),
+}
+
+
+def _from_frames_deep(frames: int, fn):
+    return fn() if frames == 0 else _from_frames_deep(frames - 1, fn)
+
+
+@pytest.mark.parametrize("kind", NESTINGS)
+@pytest.mark.parametrize("frames", [0, 500])
+def test_max_depth_is_the_only_bound(kind, frames):
+    text = NESTINGS[kind]
+    _from_frames_deep(frames, lambda: parse_expression(text(MAX_DEPTH)))
+    with pytest.raises(ExpressionError, match="nests too deeply"):
+        _from_frames_deep(frames, lambda: parse_expression(text(MAX_DEPTH + 1)))
+
+
+def test_levels_add_up_along_a_path():
+    half = MAX_DEPTH // 2
+    mixed = "(" * half + "-" * (half - 1) + "sin(x1)" + ")" * half
+    assert parse_expression(mixed)([[0.5]])[0] == pytest.approx(np.sin(0.5) * (-1) ** (half - 1))
+    siblings = NESTINGS["call"](MAX_DEPTH - 1) + " * " + NESTINGS["unary minus"](MAX_DEPTH - 1)
+    parse_expression(siblings)  # siblings do not add up: each path has MAX_DEPTH levels
+    for deeper in ("(" + mixed + ")", mixed.replace("sin(x1)", "sin(x1 + 1)"), mixed + "^2"):
+        with pytest.raises(ExpressionError, match="nests too deeply"):
+            parse_expression(deeper)
 
 
 def test_odd_integer_powers_cancel_over_antithetic_pairs():

@@ -243,6 +243,25 @@ def test_region_json_grammar():
     with pytest.raises(ValueError):
         region_from_json({"pyramid": {}})
 
+    # coordinates are lists of finite JSON numbers, r, offset and p finite numbers, dim an integer
+    nan, inf = float("nan"), float("inf")
+    for bad in [
+        {"box": {"lo": "0", "hi": [True]}},
+        {"box": {"lo": [0], "hi": [True]}},
+        {"ball": {"c": [0, nan], "r": 1}},
+        {"ball": {"c": [0, 0], "r": "1"}},
+        {"halfspace": {"normal": [1, inf], "offset": 0}},
+        {"halfspace": {"normal": [1, 0], "offset": True}},
+        {"cusp": {"p": "2"}},
+        {"cusp": {"p": 2, "dim": 2.9}},
+        {"cusp": {"p": 2, "dim": "3"}},
+    ]:
+        with pytest.raises((ValueError, TypeError)):
+            region_from_json(bad)
+    for bad in [{"point": {"c": "0"}}, {"point": {"c": [nan]}}, {"segment": {"a": [0, 0], "b": [inf, 0]}}]:
+        with pytest.raises((ValueError, TypeError)):
+            feature_from_json(bad)
+
 
 def test_feature_json_grammar():
     assert isinstance(feature_from_json({"point": {"c": [0, 0]}}), PointFeature)
