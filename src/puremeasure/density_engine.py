@@ -9,8 +9,9 @@ with F_delta the open delta-neighborhood of F.  The limit functional exists
 only abstractly; this engine computes the canonical ratio profile along a
 geometric delta schedule, estimates the limit from the tail of the profile,
 and reports when no limit exists (the [liminf, limsup] interval is then the
-honest answer).  Each level is one pass over one sample stream (stream k at
-level k) that feeds every functional evaluated there: ratios, sharp
+honest answer).  Each level is one pass over one sample stream (the lattice
+replicates shifted from Philox stream k at level k) that feeds every
+functional evaluated there: ratios, sharp
 integrals, essential ranges and the volume of F_delta ∩ Omega.  Numerator
 and denominator of every ratio share that stream, which makes normalization
 and set monotonicity exact rather than statistical.  Since each level reads
@@ -75,8 +76,9 @@ DEFAULT_RATIO = 0.5
 DEFAULT_COUNT = 12
 MAX_LEVELS = 1024  # a profile queues all of its levels at once
 # A feature's own proposal replaces the level's box only below this share of
-# the box's volume: its Gaussian directions cost ~3x a uniform per coordinate,
-# so a smaller saving (a 2-D disk at pi/4, a 3-D ball at pi/6) costs time.
+# the box's volume: a shell's direction costs a cosine and a sine per pair of
+# coordinates where a box's coordinate costs a multiply-add, so a smaller
+# saving (a 2-D disk at pi/4, a 3-D ball at pi/6) costs time.
 PROPOSAL_SHARE = 0.5
 
 CONVERGED = "converged"

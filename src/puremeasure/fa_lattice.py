@@ -9,7 +9,7 @@ floating-point tolerances.  Every closed form has a brute-force counterpart
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
@@ -42,12 +42,14 @@ class GroundSet:
     """Ordered finite set of distinct atom labels."""
 
     atoms: tuple[str, ...]
+    _positions: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "atoms", tuple(self.atoms))
         if not 1 <= len(self.atoms) <= MAX_ATOMS:
             raise ValueError(f"need 1..{MAX_ATOMS} atoms, got {len(self.atoms)}")
-        if len(set(self.atoms)) != len(self.atoms):
+        object.__setattr__(self, "_positions", {label: i for i, label in enumerate(self.atoms)})
+        if len(self._positions) != len(self.atoms):
             raise ValueError("atom labels must be unique")
 
     @property
@@ -56,8 +58,8 @@ class GroundSet:
 
     def index(self, label: str) -> int:
         try:
-            return self.atoms.index(label)
-        except ValueError:
+            return self._positions[label]
+        except KeyError:
             raise KeyError(f"unknown atom {label!r}") from None
 
     def subset(self, labels: Iterable[str]) -> "AlgebraSet":

@@ -1,28 +1,34 @@
-"""Seeded Monte Carlo estimation over regions.
+"""Seeded randomized-lattice estimation over regions.
 
-The sample stream is generated by the counter-based Philox generator in
-fixed-size chunks, so identical specs give bit-identical estimates, and
-streams can be evaluated concurrently and combined in order without
-changing the result: the density engine runs two of its levels, each on
-its own stream, at a time.  Samples are drawn uniformly from a
-`Proposal`, a set symmetric about its centre c with an exact volume, in
-center-symmetric pairs (x, 2c - x); pair averages are the unit of the
-variance estimate.
+Every estimate averages over center-symmetric pairs (x, 2c - x) drawn from a
+`Proposal`, a set symmetric about its centre c with an exact volume onto
+which it maps the unit cube [0, 1)^s.  The unit-cube points are REPLICATES
+independent random shifts of one rank-1 lattice sequence (randomly shifted
+lattice rules, L'Ecuyer & Lemieux 2000): replicate r takes the first points
+of the extensible Korobov sequence of generator LATTICE_A (Hickernell, Hong,
+L'Ecuyer & Lemieux 2000), in radical-inverse order, each shifted by u_r mod 1.
+Each replicate's estimate is unbiased, the replicates are independent, and
+the spread of the replicate sums is the unit of the variance estimate, scaled
+by Student's t at the replicates' degrees of freedom.  The shifts of a pass
+come from the counter-based Philox generator on the stream (seed, stream), so
+identical specs give bit-identical estimates, and streams can be evaluated
+concurrently and combined in order without changing the result: the density
+engine runs two of its levels, each on its own stream, at a time.
 The pairing makes estimates of odd integrands about the centre vanish
 identically instead of merely on average, which the density engine relies
 on for its cancellation fixtures.
 
 There are three kinds of proposal: an axis box (the bounding box of a
-region, drawn as it always was), a spherical shell (a ball when its inner
-radius is 0) and an oriented box.  Pairs are handed out as two
-Fortran-ordered (m, d) blocks, the points and their reflections, so the
-column-wise geometry kernels read contiguous coordinates.
+region), a spherical shell (a ball when its inner radius is 0) and an
+oriented box.  Pairs are handed out as two Fortran-ordered (m, d) blocks,
+the points and their reflections, so the column-wise geometry kernels read
+contiguous coordinates.
 
-Every estimator is one `sweep` of the stream: each chunk's variates are
-drawn once, and the chunk is evaluated in leaves of at most LEAF_PAIRS
-pairs, cut where numpy's pairwise sum would split the chunk's arrays, so
-that the leaves' sums add back along the same tree to the chunk's sums bit
-for bit while temporaries stay leaf-sized.  A reference weight is
+Every estimator is one `sweep` over the replicates: as many whole
+replicates as fit in LEAF_PAIRS pairs are evaluated together, and a
+replicate longer than that is cut where numpy's pairwise sum would split its
+arrays, so that each replicate's sums are those of one array of its values,
+bit for bit, while temporaries stay leaf-sized.  A reference weight is
 evaluated once per half-leaf (a leaf's points, or their reflections), and
 any number of ratio and essential-range columns are fed from the points of
 positive weight.  Columns on one sweep share their samples (common random
@@ -50,11 +56,21 @@ import numpy as np
 
 from .geometry import Bbox, Region, bbox_is_finite, bbox_volume
 
+# Run environments record it; the lattice sequence has no chunks, so it no
+# longer shapes any estimate.
 CHUNK_PAIRS = 1 << 15
 LEAF_PAIRS = 1 << 14
 MAGNITUDE_CAP = 1.0e3
 ESS_QUANTILE = 1.0e-3
-CONFIDENCE = 1.96
+REPLICATES = 16
+# t quantile at 0.975 for 1, 2, ..., 15 degrees of freedom: m replicates make
+# stderr STUDENT_T[m - 2] standard errors, a ~95% half-width.
+STUDENT_T = (12.7062, 4.3027, 3.1824, 2.7764, 2.5706, 2.4469, 2.3646, 2.3060,
+             2.2622, 2.2281, 2.2010, 2.1788, 2.1604, 2.1448, 2.1314)
+# The Korobov generator of the lattice sequence (see `_lattice`) and its bits,
+# after which a replicate's points repeat.  tools/lattice_search.py computes it.
+LATTICE_BITS = 32
+LATTICE_A = 0xA4224509
 DEFAULT_SAMPLES = 200_000
 
 
@@ -95,42 +111,70 @@ class Estimate:
     nonfinite: int = 0
 
 
-class Proposal:
-    """Uniform antithetic pairs on a set symmetric about `center`.
+def _lattice(coords: int, count: int) -> np.ndarray:
+    """The first `count` points of the lattice sequence in `coords` dimensions, as a (coords, count) block.
 
-    `volume` is the set's exact Lebesgue volume.  `_draw(gen, m)` draws the
-    raw variates of m pairs, and `_halves(raw, start, stop)` forms pairs
-    start:stop from them as two Fortran-ordered (stop - start, dim) arrays,
-    the second the reflection of the first through the centre.  A pair is
-    the same bits however the chunk is cut, and `_halves` may reuse the
-    rows start:stop of `raw`, so each range of pairs is formed once.
+    Point i is frac(phi(i) h) with h_j = LATTICE_A^j mod 2^LATTICE_BITS: its
+    first 2^k points are the rank-1 lattice of 2^k points and generator
+    h mod 2^k, for every k.  The products are exact in uint64 and every
+    coordinate is a multiple of 2^-LATTICE_BITS, so no bit depends on the
+    platform.
+    """
+    mask = (1 << LATTICE_BITS) - 1
+    k = np.arange(count, dtype=np.uint64)
+    for width, pattern in ((1, 0x55555555), (2, 0x33333333), (4, 0x0F0F0F0F), (8, 0x00FF00FF), (16, 0x0000FFFF)):
+        k = ((k >> width) & pattern) | ((k & pattern) << width)  # i reversed on LATTICE_BITS = 32 bits
+    h = np.array([pow(LATTICE_A, j, 1 << LATTICE_BITS) for j in range(coords)], dtype=np.uint64)
+    return ((h[:, None] * k) & mask).astype(float) * 2.0 ** -LATTICE_BITS
+
+
+def _shifts(seed: int, stream: int, reps: int, coords: int) -> np.ndarray:
+    """The (coords, reps) random shifts of a pass, from the Philox stream (seed, stream)."""
+    gen = np.random.Generator(np.random.Philox(seed=np.random.SeedSequence(entropy=(int(seed), int(stream)))))
+    return gen.random((reps, coords)).T
+
+
+def _shifted(base: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """(base + shift) mod 1 for points and shifts in [0, 1)."""
+    u = base + shift
+    u -= u >= 1.0
+    return u
+
+
+def _replicates(pairs: int) -> tuple[int, int, int]:
+    """(reps, size, extra): min(REPLICATES, pairs) replicates, the first `extra` of size + 1 pairs and the rest of size."""
+    reps = min(REPLICATES, pairs)
+    return (reps, *divmod(pairs, reps))
+
+
+class Proposal:
+    """Antithetic pairs on a set symmetric about `center`, mapped from the unit cube.
+
+    `volume` is the set's exact Lebesgue volume and `coords` the dimension s
+    of the unit cube.  `_halves(u)` maps a C-ordered (coords, m) block of
+    points of [0, 1)^s, uniformly onto the set, as two Fortran-ordered
+    (m, dim) arrays: the points and their reflections through the centre.
+    It may overwrite u.
     """
 
     dim: int
+    coords: int
     center: np.ndarray
     volume: float
 
-    def _draw(self, gen: np.random.Generator, m: int):
+    def _halves(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError
-
-    def _halves(self, raw, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
-        raise NotImplementedError
-
-    def _chunks(self, seed: int, stream: int, pairs: int) -> Iterator[tuple[object, int]]:
-        """The raw variates and pair count of each chunk; chunk k draws from the Philox stream jumped k times."""
-        base = np.random.Philox(seed=np.random.SeedSequence(entropy=(int(seed), int(stream))))
-        produced = 0
-        chunk = 0
-        while produced < pairs:
-            m = min(CHUNK_PAIRS, pairs - produced)
-            yield self._draw(np.random.Generator(base.jumped(chunk)), m), m
-            produced += m
-            chunk += 1
 
     def pairs(self, seed: int, stream: int, pairs: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """The chunks of `pairs` antithetic pairs, each whole."""
-        for raw, m in self._chunks(seed, stream, pairs):
-            yield self._halves(raw, 0, m)
+        """Each replicate's pairs of a pass of `pairs` pairs, one (points, reflections) block per replicate.
+
+        This is what `sweep` evaluates, replicate by replicate.
+        """
+        reps, size, extra = _replicates(pairs)
+        base = _lattice(self.coords, size + (extra > 0))
+        shifts = _shifts(seed, stream, reps, self.coords)
+        for r in range(reps):
+            yield self._halves(_shifted(base[:, :size + (r < extra)], shifts[:, r:r + 1]))
 
     def _reflected(self, offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """center ± offsets for a (dim, m) block of offsets, as (m, dim) transposes."""
@@ -139,31 +183,24 @@ class Proposal:
 
 
 class AxisBox(Proposal):
-    """The box lo < x < hi, paired through x -> lo + hi - x.
+    """The box lo < x < hi, paired through x -> lo + hi - x: the affine map lo + u w.
 
-    Draws the (m, dim) uniforms u of every earlier release and writes
-    u_k w_k + lo_k and hi_k - u_k w_k column by column, bit-identical to
-    lo + u * w and hi - u * w.
+    Writes u_k w_k + lo_k and hi_k - u_k w_k coordinate by coordinate, the
+    first in place of u.
     """
 
     def __init__(self, bbox: Bbox):
         self.lo, self.hi = (np.asarray(v, dtype=float) for v in bbox)
-        self.dim = self.lo.size
+        self.dim = self.coords = self.lo.size
         self.width = self.hi - self.lo
         self.center = 0.5 * (self.lo + self.hi)
         self.volume = bbox_volume(bbox)
 
-    def _draw(self, gen, m):
-        return gen.random((m, self.dim))
-
-    def _halves(self, u, start, stop):
-        u = u[start:stop]
-        m = stop - start
-        # one column is Fortran-ordered already, so its uniforms become the first half
-        a = u if self.dim == 1 else np.empty((m, self.dim), order="F")
-        b = np.empty((m, self.dim), order="F")
+    def _halves(self, u):
+        a = u.T  # a C-ordered (dim, m) block is a Fortran-ordered (m, dim) one
+        b = np.empty(a.shape, order="F")
         for k, (lo, hi, width) in enumerate(zip(self.lo, self.hi, self.width)):
-            step = np.multiply(u[:, k], width, out=a[:, k])
+            step = np.multiply(u[k], width, out=u[k])
             np.subtract(hi, step, out=b[:, k])
             step += lo
         return a, b
@@ -172,9 +209,12 @@ class AxisBox(Proposal):
 class Shell(Proposal):
     """The shell r0 < |x - center| < r1; a ball when r0 is 0.
 
-    A Gaussian direction times the radius r1 * (s + u (1 - s))^(1/d), with
-    s = (r0 / r1)^d, which inverts the radial density proportional to r^(d-1).
-    The raw variates are the Gaussians and each pair's radius over their norm.
+    u_0 gives the radius r1 * (s + u_0 (1 - s))^(1/d), with s = (r0 / r1)^d,
+    which inverts the radial density proportional to r^(d-1); the other
+    coordinates give the direction.  In 1-D it is +1 (the reflection takes
+    the other one), in 2-D the angle 2 pi u_1, in 3-D the area-preserving
+    map z = 1 - 2 u_1 and azimuth 2 pi u_2, and from 4-D on the normalised
+    Box-Muller Gaussians of the pairs (u_1, u_2), (u_3, u_4), ...
     """
 
     def __init__(self, center, r0: float, r1: float):
@@ -182,37 +222,47 @@ class Shell(Proposal):
             raise ValueError("a shell needs 0 <= r0 < r1")
         self.center = np.asarray(center, dtype=float)
         self.dim = self.center.size
+        self.coords = self.dim if self.dim <= 3 else 1 + 2 * math.ceil(self.dim / 2)
         self.r0, self.r1 = float(r0), float(r1)
         self._inner = (self.r0 / self.r1) ** self.dim
         unit_ball = math.pi ** (self.dim / 2) / math.gamma(self.dim / 2 + 1)
         self.volume = unit_ball * self.r1 ** self.dim * (1.0 - self._inner)
 
-    def _draw(self, gen, m):
-        g = gen.standard_normal((self.dim, m))
-        u = gen.random(m)
-        radius = self.r1 * (self._inner + u * (1.0 - self._inner)) ** (1.0 / self.dim)
+    def _halves(self, u):
+        radius = self.r1 * (self._inner + u[0] * (1.0 - self._inner)) ** (1.0 / self.dim)
+        if self.dim == 1:
+            return self._reflected(radius[None, :])
+        if self.dim == 2:
+            angle = 2.0 * math.pi * u[1]
+            return self._reflected(np.stack([radius * np.cos(angle), radius * np.sin(angle)]))
+        if self.dim == 3:
+            rho = 2.0 * radius * np.sqrt(u[1] * (1.0 - u[1]))
+            angle = 2.0 * math.pi * u[2]
+            return self._reflected(np.stack([rho * np.cos(angle), rho * np.sin(angle), radius * (1.0 - 2.0 * u[1])]))
+        g = np.empty((self.coords - 1, u.shape[1]))
+        norm = np.sqrt(-np.log1p(-u[1::2]))
+        angle = 2.0 * math.pi * u[2::2]
+        np.multiply(norm, np.cos(angle), out=g[0::2])
+        np.multiply(norm, np.sin(angle), out=g[1::2])
+        g = g[:self.dim]
         norm2 = g[0] * g[0]
         for row in g[1:]:
             norm2 += row * row
-        return g, radius / np.sqrt(norm2)
-
-    def _halves(self, raw, start, stop):
-        g, scale = raw
-        return self._reflected(g[:, start:stop] * scale[start:stop])
+        g *= radius / np.sqrt(norm2)
+        return self._reflected(g)
 
 
 class OrientedBox(Proposal):
     """The box center + frame @ t with |t_k| < half[k], for an orthonormal frame.
 
-    The raw variates are the offsets frame @ t of the whole chunk, so no
-    product is cut.
+    The affine map t = (2 u - 1) half.
     """
 
     def __init__(self, center, frame, half):
         self.center = np.asarray(center, dtype=float)
         self.frame = np.asarray(frame, dtype=float)
         self.half = np.asarray(half, dtype=float)
-        self.dim = self.center.size
+        self.dim = self.coords = self.center.size
         self.volume = float(np.prod(2.0 * self.half))
 
     @classmethod
@@ -227,13 +277,9 @@ class OrientedBox(Proposal):
         half[0] += 0.5 * length
         return cls(0.5 * (a + b), frame, half)
 
-    def _draw(self, gen, m):
-        t = gen.random((self.dim, m))
-        t = (2.0 * t - 1.0) * self.half[:, None]
-        return self.frame @ t
-
-    def _halves(self, offsets, start, stop):
-        return self._reflected(offsets[:, start:stop])
+    def _halves(self, u):
+        t = (2.0 * u - 1.0) * self.half[:, None]
+        return self._reflected(self.frame @ t)
 
 
 @dataclass(frozen=True)
@@ -317,37 +363,71 @@ def sweep(
     ratios: Sequence[Ratio] = (),
     ranges: Sequence[Range] = (),
 ) -> Sweep:
-    """One pass over the sample stream feeding every column.
+    """One pass over the replicates feeding every column.
 
     `weight` maps points to one reference weight each, or to a bool mask
     for an indicator weight.  Numerator and denominator of every ratio
-    share the stream, so ratios of nested sets are exact (a subset never
+    share the points, so ratios of nested sets are exact (a subset never
     collects more weighted hits than its superset) and the mean of the
     constant 1 is exactly 1.  Columns are reduced one at a time and
     half-leaf by half-leaf, so temporaries stay one column wide.  With a
     single antithetic pair the variance is unknown and stderr is inf.
     """
     m = spec.pairs
-    total = [0, *[0.0, 0.0, 0.0, 0.0, 0.0, 0] * len(ratios)]  # hits, then su, suu, sv, svv, suv, capped per ratio
+    reps, size, extra = _replicates(m)
+    base = _lattice(proposal.coords, size + (extra > 0))
+    shifts = _shifts(spec.seed, stream, reps, proposal.coords)
+    hits = 0
+    sums = np.zeros((len(ratios), 2, reps))  # each ratio's numerator and denominator sum per replicate
+    capped = [0] * len(ratios)
     tails = [_Tails(col.q, m) for col in ranges]
 
-    def leaf(raw, start: int, stop: int) -> list:
-        halves = tuple(_weigh(weight, pts) for pts in proposal._halves(raw, start, stop))
+    def leaf(runs: list[tuple[int, int, int]], start: int, stop: int) -> list:
+        """Pairs start:stop of each replicate of the runs, replicate by replicate."""
+        shape = [(hi - lo, min(stop, count) - start) for lo, hi, count in runs]
+        blocks = [_shifted(base[:, None, start:start + width], shifts[:, lo:hi, None]).reshape(len(base), -1)
+                  for (lo, hi, _), (_, width) in zip(runs, shape)]
+        u = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)
+        halves = tuple(_weigh(weight, pts) for pts in proposal._halves(u))
         for half in halves:
             if ranges and half.hits:
                 _feed_ranges(ranges, tails, np.take(half.pts, np.flatnonzero(half.active), axis=0))
-        return [halves[0].hits + halves[1].hits, *_ratio_sums(ratios, halves)]
+        return [halves[0].hits + halves[1].hits, *_ratio_sums(ratios, halves, shape)]
 
     with np.errstate(all="ignore"):
-        for raw, size in proposal._chunks(spec.seed, stream, m):
-            chunk = _pairwise(lambda start, stop: leaf(raw, start, stop), 0, size)
-            total = [t + c for t, c in zip(total, chunk)]
-    hits = total[0]
+        for runs in _leaves(reps, size, extra):
+            hit, *cols = _pairwise(lambda start, stop: leaf(runs, start, stop), 0, runs[0][2])
+            hits += hit
+            lo, hi = runs[0][0], runs[-1][1]
+            for j in range(len(ratios)):
+                sums[j, :, lo:hi] = cols[3 * j:3 * j + 2]
+                capped[j] += cols[3 * j + 2]
     return Sweep(
         hits,
-        tuple(_ratio_result(total[j:j + 6], m, hits) for j in range(1, len(total), 6)),
+        tuple(_ratio_result(u, d, c, m, hits) for (u, d), c in zip(sums, capped)),
         tuple(_range_result(col, tail, hits) for col, tail in zip(ranges, tails)),
     )
+
+
+def _leaves(reps: int, size: int, extra: int) -> Iterator[list[tuple[int, int, int]]]:
+    """The replicates evaluated together, as runs (lo, hi, count) of replicates of count pairs each.
+
+    Whole replicates share a leaf, in order, up to LEAF_PAIRS pairs; a longer
+    replicate runs alone and `_pairwise` cuts it.  The first `extra`
+    replicates hold size + 1 pairs, so a leaf has at most two runs.
+    """
+    runs, total = [], 0
+    for r in range(reps):
+        count = size + (r < extra)
+        if runs and total + count > LEAF_PAIRS:
+            yield runs
+            runs, total = [], 0
+        if runs and runs[-1][2] == count:
+            runs[-1] = (runs[-1][0], r + 1, count)
+        else:
+            runs.append((r, r + 1, count))
+        total += count
+    yield runs
 
 
 def _pairwise(leaf: Callable[[int, int], list], start: int, stop: int) -> list:
@@ -356,7 +436,8 @@ def _pairwise(leaf: Callable[[int, int], list], start: int, stop: int) -> list:
     numpy sums n > 128 contiguous values as the sum of the first
     n//2 - (n//2) % 8 of them plus the sum of the rest, so cutting there and
     adding the two halves' sums back gives the whole range's sums bit for
-    bit.  The leaves run in order.
+    bit.  The leaves run in order.  A leaf's sums may be arrays, one entry
+    per replicate.
     """
     n = stop - start
     if n <= LEAF_PAIRS:
@@ -422,19 +503,28 @@ def _unmasked(half: _Half, per_sample: bool) -> np.ndarray:
     return np.full(len(half.pts), 0.5) if per_sample else np.multiply(half.w, 0.5, dtype=float)
 
 
-def _with_sums(d: np.ndarray) -> tuple[np.ndarray, float, float]:
-    return d, float(d.sum()), float((d * d).sum())
+def _by_replicate(v: np.ndarray, shape: list[tuple[int, int]]) -> np.ndarray:
+    """The sum of each replicate's run of v, for runs of (replicates, pairs each) in order.
+
+    A row sum of a C-ordered block runs along numpy's pairwise tree as a
+    1-D sum does, so each equals v[run].sum() bit for bit.
+    """
+    sums, start = [], 0
+    for reps, count in shape:
+        sums.append(v[start:start + reps * count].reshape(reps, count).sum(axis=1))
+        start += reps * count
+    return sums[0] if len(sums) == 1 else np.concatenate(sums)
 
 
-def _ratio_sums(ratios: Sequence[Ratio], halves: tuple[_Half, _Half]) -> list:
-    """The sums su, suu, sv, svv, suv and the capped count of every ratio column, over these pairs.
+def _ratio_sums(ratios: Sequence[Ratio], halves: tuple[_Half, _Half], shape: list[tuple[int, int]]) -> list:
+    """The numerator and denominator sums per replicate and the capped count of every ratio column.
 
-    u (numerator) and d (denominator) are the pair averages.  Capped and
-    non-finite values are masked out of both, one half at a time.  Where
-    neither half masks anything, d depends only on whether the column is
-    `per_sample`, so it is formed once per kind with its two sums.  Either
-    way u and d equal the masked ones up to the sign of a zero, which no sum
-    keeps.
+    The pairs are runs of replicates as `_by_replicate` reads them.  u
+    (numerator) and d (denominator) are the pair averages.  Capped and
+    non-finite values are masked out of both, one half at a time.  Where neither half masks
+    anything, d depends only on whether the column is `per_sample`, so it is
+    formed and summed once per kind.  Either way u and d equal the masked
+    ones up to the sign of a zero, which no sum keeps.
     """
     shared = {}
     out = []
@@ -443,14 +533,14 @@ def _ratio_sums(ratios: Sequence[Ratio], halves: tuple[_Half, _Half]) -> list:
         u += ub
         if da is None and db is None:
             if col.per_sample not in shared:
-                shared[col.per_sample] = _with_sums(
-                    _unmasked(halves[0], col.per_sample) + _unmasked(halves[1], col.per_sample))
-            d, sd, sdd = shared[col.per_sample]
+                shared[col.per_sample] = _by_replicate(
+                    _unmasked(halves[0], col.per_sample) + _unmasked(halves[1], col.per_sample), shape)
+            sd = shared[col.per_sample]
         else:
             da = _unmasked(halves[0], col.per_sample) if da is None else da
             db = _unmasked(halves[1], col.per_sample) if db is None else db
-            d, sd, sdd = _with_sums(da + db)
-        out += [float(u.sum()), float((u * u).sum()), sd, sdd, float((u * d).sum()), capped_a + capped_b]
+            sd = _by_replicate(da + db, shape)
+        out += [_by_replicate(u, shape), sd, capped_a + capped_b]
     return out
 
 
@@ -535,15 +625,23 @@ def _tail_quantiles(tail: _Tails, q: float) -> np.ndarray:
     return np.where(gamma >= 0.5, b - diff * (1 - gamma), a + diff * gamma)
 
 
-def _ratio_result(acc: list, m: int, hits: int) -> WeightedMean:
-    su, suu, sv, svv, suv, capped = acc
-    if sv <= 0:
-        return WeightedMean(float("nan"), float("nan"), hits, sv, capped, 2 * m)
-    ratio = su / sv
-    mean_v = sv / m
-    resid2 = max(suu - 2 * ratio * suv + ratio * ratio * svv, 0.0)
-    se = CONFIDENCE * np.sqrt(resid2 / (m * (m - 1))) / mean_v if m > 1 else np.inf
-    return WeightedMean(float(ratio), float(se), hits, float(sv), capped, 2 * m)
+def _ratio_result(su: np.ndarray, sv: np.ndarray, capped: int, m: int, hits: int) -> WeightedMean:
+    """The ratio of the numerator and denominator sums, with the replicates' ratio-estimator stderr.
+
+    With reps replicate sums u_r and d_r and R = sum u / sum d, the half-width
+    is t * sqrt(sum (u_r - R d_r)^2 / (reps (reps - 1))) / mean d, with t
+    Student's at reps - 1 degrees of freedom.
+    """
+    total_v = float(sv.sum())
+    if total_v <= 0:
+        return WeightedMean(float("nan"), float("nan"), hits, total_v, capped, 2 * m)
+    ratio = float(su.sum()) / total_v
+    reps = len(su)
+    se = math.inf
+    if reps > 1:
+        resid = su - ratio * sv
+        se = STUDENT_T[reps - 2] * math.sqrt(float((resid * resid).sum()) / (reps * (reps - 1))) / (total_v / reps)
+    return WeightedMean(ratio, se, hits, total_v, capped, 2 * m)
 
 
 def _range_result(col: Range, tail: _Tails, hits: int) -> EssRange:

@@ -375,7 +375,7 @@ def test_sigma_probe_weighs_each_half_chunk_once(distance_calls):
     members = [Box((1.0 / (k + 2), -1.0), (1.0 / (k + 1), 1.0)) for k in range(1, 9)]
     sigma_probe(members, Box((0.0, -1.0), (0.5, 1.0)), ORIGIN2, DISK, sched(ORIGIN2, DISK, count=4),
                 SampleSpec(n=2000, seed=26))
-    assert distance_calls == [1000] * 8  # 4 levels x 2 half-chunks, shared by all 9 probes
+    assert distance_calls == [1000] * 8  # 4 levels x 2 half-leaves, shared by all 9 probes
 
 
 def test_single_pair_is_insufficient():
@@ -539,9 +539,35 @@ def test_feature_proposals_converge_on_thin_features():
     assert r.verdict == CONVERGED and r.limit.mid == pytest.approx(0.75, abs=0.02)
 
 
+# ⋃ₖ (2^(-2k-1), 2^(-2k)) near 0: on a ratio-1/2 schedule from delta = 1 its
+# density ratios alternate exactly between 1/3 and 1/6, so no limit exists
+DYADIC = Union(tuple(interval(2.0 ** (-2 * k - 1), 2.0 ** (-2 * k)) for k in range(13)))
+# of 40 seeds at n = 20,000, those whose quadrant profile ends converged with
+# 1/4 inside its interval under the plain Monte Carlo points the lattice
+# replicates replaced; the lattice gets all 40
+MONTE_CARLO_QUADRANT_HITS = 36
+
+
+@pytest.mark.parametrize("n", [2000, 20_000])
+def test_dyadic_union_stays_oscillating(n):
+    for seed in range(40):
+        r = density_probe(DYADIC, ORIGIN1, OMEGA1, DeltaSchedule(1.0, 0.5), SampleSpec(n=n, seed=seed))
+        assert r.verdict == OSCILLATING, seed
+
+
+def test_quadrant_verdicts_are_no_worse_than_monte_carlo():
+    quadrant = Intersection((Halfspace((-1.0, 0.0), 0.0), Halfspace((0.0, -1.0), 0.0)))
+    right = 0
+    for seed in range(40):
+        r = density_probe(quadrant, ORIGIN2, DISK, sched(ORIGIN2, DISK), SampleSpec(n=20_000, seed=seed))
+        right += r.verdict == CONVERGED and r.limit.contains(0.25)
+    assert right >= MONTE_CARLO_QUADRANT_HITS
+
+
 def test_stderr_intervals_cover_known_values_across_seeds():
-    # `stderr` is already the 1.96-sigma half-width (quadrature.CONFIDENCE),
-    # so value ± stderr should hold the true value about 95% of the time.
+    # `stderr` is already the ~95% half-width (Student's t at the replicates'
+    # degrees of freedom, quadrature.STUDENT_T), so value ± stderr should hold
+    # the true value about 95% of the time.
     sector = Intersection((Halfspace((-1.0, 0.0), 0.0), Halfspace((0.0, -1.0), 0.0)))
     segment, unit = Box((0.0,), (0.3,)), AxisBox(make_bbox([0.0], [1.0]))
     boundary = RegionBoundary(DISK)

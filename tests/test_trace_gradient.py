@@ -211,7 +211,7 @@ def test_gradients_take_one_pass_per_level(distance_calls):
     kink = ScalarField(f=lambda p: np.abs(p[:, 0]) + p[:, 1] * p[:, 2])
     s = DeltaSchedule(0.5, 0.5, 3)
     density_gradient(ball3, (0.0, 0.0, 0.0), s, SampleSpec(n=2000, seed=43), field=kink)
-    assert distance_calls == [1000] * 6  # 3 levels x 2 half-chunks for all 3 coordinates
+    assert distance_calls == [1000] * 6  # 3 levels x 2 half-leaves for all 3 coordinates
     distance_calls.clear()
     calculus_rule_check("sum", kink, kink, (0.0, 0.0, 0.0), ball3, s, SampleSpec(n=2000, seed=43))
     assert distance_calls == [1000] * 6  # and for all 3 fields
