@@ -393,8 +393,9 @@ def _action_interval(t: _Task) -> Job:
 def _cone_density(t: _Task) -> Job:
     omega = t.region("omega")
     x, v, alpha = t.point("x", omega.dim), t.point("v", omega.dim), t.number("alpha")
-    # the checks geometry.Cone makes when the job runs
-    _require(0 < np.linalg.norm(v) < np.inf, ParseError, "v must be a finite nonzero vector", t.at("v"))
+    # the checks geometry.Cone makes when the job runs, without numpy's overflow warning
+    with np.errstate(over="ignore"):
+        _require(0 < np.linalg.norm(v) < np.inf, ParseError, "v must be a finite nonzero vector", t.at("v"))
     _require(0 < alpha < np.pi / 2, ParseError, "alpha must lie in (0, pi/2)", t.at("alpha"))
     return lambda out: _probe_output(t.name, out, cone_density(
         x, v, alpha, omega, t.schedule(PointFeature(x), omega), t.spec, tol=t.tol

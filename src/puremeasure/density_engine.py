@@ -170,7 +170,7 @@ class ProbeResult:
     unintegrable: bool = False
 
 
-def limit_estimate(series: Sequence, tol: float) -> tuple[Interval, str]:
+def limit_estimate(series: Sequence[LevelEstimate], tol: float) -> tuple[Interval, str]:
     """Estimate the limit of a profile sorted by decreasing delta.
 
     The tail window holds the last ceil(K/3) entries; its stderr-widened
@@ -178,19 +178,18 @@ def limit_estimate(series: Sequence, tol: float) -> tuple[Interval, str]:
     tol; oscillating means the spread exceeds tol but agrees with the
     previous window (a stable envelope); everything else is insufficient.
     """
-    rows = [_as_row(r) for r in series]
-    if len(rows) < 3:
+    if len(series) < 3:
         raise TooShort("need at least three profile entries")
-    w = math.ceil(len(rows) / 3)
-    lo, hi = _window_range(rows[-w:])
+    w = math.ceil(len(series) / 3)
+    lo, hi = _window_range(series[-w:])
     interval = Interval(lo, hi, tol)
     if not (np.isfinite(lo) and np.isfinite(hi)):
         return interval, INSUFFICIENT
     spread = hi - lo
     if spread <= tol:
         return interval, CONVERGED
-    if len(rows) >= 2 * w:
-        lo2, hi2 = _window_range(rows[-2 * w:-w])
+    if len(series) >= 2 * w:
+        lo2, hi2 = _window_range(series[-2 * w:-w])
         if np.isfinite(lo2) and np.isfinite(hi2):
             spread2 = hi2 - lo2
             margin = max(tol, 0.25 * max(spread, spread2))
@@ -200,21 +199,14 @@ def limit_estimate(series: Sequence, tol: float) -> tuple[Interval, str]:
     return interval, INSUFFICIENT
 
 
-def _as_row(r) -> tuple[float, float, float]:
-    if isinstance(r, LevelEstimate):
-        return r.delta, r.value, r.stderr
-    delta, value, stderr = r
-    return float(delta), float(value), float(stderr)
-
-
-def _window_range(rows) -> tuple[float, float]:
-    """The least v - se and the greatest v + se; NaN where any row's is NaN.
+def _window_range(rows: Sequence[LevelEstimate]) -> tuple[float, float]:
+    """The least value - stderr and the greatest value + stderr; NaN where any row's is NaN.
 
     Python's min and max skip a NaN unless it comes first, so it is checked
     for explicitly.
     """
-    lows = [v - se for _, v, se in rows]
-    highs = [v + se for _, v, se in rows]
+    lows = [r.value - r.stderr for r in rows]
+    highs = [r.value + r.stderr for r in rows]
     return (math.nan if any(map(math.isnan, lows)) else min(lows),
             math.nan if any(map(math.isnan, highs)) else max(highs))
 

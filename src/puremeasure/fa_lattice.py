@@ -428,26 +428,25 @@ def integrate_simple(f: SimpleFunction, mu: FAMeasure) -> Fraction:
 class SimpleFunctionSequence:
     """Finitely described function sequence with a decidable limit behaviour.
 
-    `prefix` lists finitely many leading terms (they never affect the limit);
-    beyond it the sequence is either constantly `tail` ("constant") or equals
-    limit + tail/k ("decay").
+    From some term on, the sequence is either constantly `tail` ("constant")
+    or equals limit + tail/k ("decay"); finitely many leading terms never
+    affect the limit, so they are not kept.
     """
 
     tail_kind: str
     tail: SimpleFunction
-    prefix: tuple[SimpleFunction, ...] = ()
 
     def __post_init__(self):
         if self.tail_kind not in ("constant", "decay"):
             raise ValueError(f"unknown tail kind {self.tail_kind!r}")
 
 
-def constant_tail(fn: SimpleFunction, prefix: Sequence[SimpleFunction] = ()) -> SimpleFunctionSequence:
-    return SimpleFunctionSequence("constant", fn, tuple(prefix))
+def constant_tail(fn: SimpleFunction) -> SimpleFunctionSequence:
+    return SimpleFunctionSequence("constant", fn)
 
 
-def decay_tail(step: SimpleFunction, prefix: Sequence[SimpleFunction] = ()) -> SimpleFunctionSequence:
-    return SimpleFunctionSequence("decay", step, tuple(prefix))
+def decay_tail(step: SimpleFunction) -> SimpleFunctionSequence:
+    return SimpleFunctionSequence("decay", step)
 
 
 def converges_in_measure(seq: SimpleFunctionSequence, f: SimpleFunction, mu: FAMeasure, eps) -> bool:

@@ -257,9 +257,10 @@ class Cone(Region):
 
     def __post_init__(self):
         v = np.asarray(self.axis, dtype=float)
-        norm = np.linalg.norm(v)
-        if norm == 0:
-            raise ValueError("axis must be nonzero")
+        with np.errstate(over="ignore"):  # an axis like (1e308, 1e308) overflows to inf
+            norm = np.linalg.norm(v)
+        if not 0 < norm < np.inf:
+            raise ValueError("axis must be a finite nonzero vector")
         object.__setattr__(self, "axis", tuple(v / norm))
         object.__setattr__(self, "apex", tuple(float(c) for c in self.apex))
         if not 0 < self.alpha < np.pi / 2:

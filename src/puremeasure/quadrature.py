@@ -35,11 +35,14 @@ positive weight.  Columns on one sweep share their samples (common random
 numbers), so each agrees exactly with the same column estimated on a
 separate sweep.
 
-Integrand samples that are non-finite or exceed the magnitude cap are
-tallied and dropped from averages, never averaged.  A half-leaf whose
-values all lie within the cap needs no mask, and where neither half of a
-leaf needs one the ratio denominator is formed once and shared by every
-such column.
+A column is nothing but its values: the kernel reads the cap and the
+quantile from its own MAGNITUDE_CAP and ESS_QUANTILE.  A ratio column
+tallies as capped, and never averages, the samples that are non-finite or
+exceed MAGNITUDE_CAP in magnitude (the witness of an essentially unbounded
+integrand); a per-sample mean (a volume, `mc_integral`) drops only the
+non-finite ones.  A half-leaf whose values all lie within the cap needs no
+mask, and where neither half of a leaf needs one the ratio denominator is
+formed once and shared by every such column.
 An indicator weight arrives as a bool mask.  A range column keeps only the
 O(q n) smallest and largest finite values it has seen, which hold every
 order statistic its quantiles read, so its endpoints are np.quantile's of
@@ -317,33 +320,27 @@ class Ratio:
 
     `values` maps sample points to one value each; only points of positive
     reference weight w count.  A sample whose value is non-finite or exceeds
-    `cap` in magnitude is tallied as capped and dropped from both sums.
-    With `per_sample` the denominator counts every kept sample of the
+    MAGNITUDE_CAP in magnitude is tallied as capped and dropped from both
+    sums.  With `per_sample` the denominator counts every kept sample of the
     proposal instead of weighing it, so the column is the mean of w*v over
-    the proposal.
+    the proposal, and only non-finite values are dropped.
     """
 
     values: Callable
-    cap: float = MAGNITUDE_CAP
     per_sample: bool = False
 
 
 @dataclass(frozen=True)
 class Range:
-    """Essential-range column: the q and 1-q quantiles of the finite values where w > 0.
+    """Essential-range column: the ESS_QUANTILE and 1 - ESS_QUANTILE quantiles of its finite values.
 
-    `values` maps the points of positive weight to one value each, or to a
-    block whose column `axis` is taken.
+    `values` maps the points of positive weight w to one value each, or to
+    a block whose column `axis` is taken.  An end is infinite once a value
+    beyond MAGNITUDE_CAP on its side, or a NaN, is seen.
     """
 
     values: Callable
-    q: float = ESS_QUANTILE
-    cap: float = MAGNITUDE_CAP
     axis: int | None = None
-
-    def __post_init__(self):
-        if not 0 < self.q < 0.5:
-            raise ValueError("quantile must lie in (0, 0.5)")
 
 
 @dataclass(frozen=True)
@@ -380,7 +377,7 @@ def sweep(
     hits = 0
     sums = np.zeros((len(ratios), 2, reps))  # each ratio's numerator and denominator sum per replicate
     capped = [0] * len(ratios)
-    tails = [_Tails(col.q, m) for col in ranges]
+    tails = [_Tails(ESS_QUANTILE, m) for _ in ranges]
 
     def leaf(runs: list[tuple[int, int, int]], start: int, stop: int) -> list:
         """Pairs start:stop of each replicate of the runs, replicate by replicate."""
@@ -405,7 +402,7 @@ def sweep(
     return Sweep(
         hits,
         tuple(_ratio_result(u, d, c, m, hits) for (u, d), c in zip(sums, capped)),
-        tuple(_range_result(col, tail, hits) for col, tail in zip(ranges, tails)),
+        tuple(_range_result(tail, hits) for tail in tails),
     )
 
 
@@ -467,31 +464,28 @@ def _weigh(weight: Callable, pts: np.ndarray) -> _Half:
     return _Half(pts, w, active, int(np.count_nonzero(active)))
 
 
-def _within(v: np.ndarray, cap: float) -> bool:
-    """Every value is finite and at most cap in magnitude."""
-    bound = min(cap, _FLOAT_MAX)
-    return bool(v.min() >= -bound and v.max() <= bound)
-
-
 _FLOAT_MAX = float(np.finfo(float).max)
 
 
 def _ratio_terms(col: Ratio, half: _Half) -> tuple[np.ndarray, np.ndarray | None, int]:
     """A half-leaf's share 0.5 w v of the pair average u, its share of d, and its capped count.
 
-    When every value lies within the cap nothing is masked, since w is
-    already zero off the hits; the share of d is then None, standing for
-    0.5 w (or 0.5 for a `per_sample` column).
+    A ratio column caps at MAGNITUDE_CAP; a `per_sample` one at the largest
+    float, so it drops only non-finite values.  When every value lies within
+    the cap nothing is masked, since w is already zero off the hits; the
+    share of d is then None, standing for 0.5 w (or 0.5 for a `per_sample`
+    column).
     """
+    cap = _FLOAT_MAX if col.per_sample else MAGNITUDE_CAP
     v = np.asarray(col.values(half.pts))
     if v.dtype != bool:
         v = v.astype(float, copy=False)
-    if _within(v, col.cap):
+    if v.min() >= -cap and v.max() <= cap:  # no NaN passes
         share = np.multiply(half.w, v, dtype=float)
         share *= 0.5
         return share, None, 0
     v = v.astype(float, copy=False)
-    bad = half.active & (~np.isfinite(v) | (np.abs(v) > col.cap))
+    bad = half.active & (~np.isfinite(v) | (np.abs(v) > cap))
     keep = half.active & ~bad
     share = np.where(keep, half.w * v, 0.0)
     share *= 0.5
@@ -556,36 +550,36 @@ class _Tails:
         self.k = math.floor(q * 2 * pairs) + 3
         self.count = 0
         self.low = self.high = np.empty(0)
-        self.below = self.above = False  # a value below -cap / above cap, or a NaN, was seen
+        self.below = self.above = False  # a value beyond MAGNITUDE_CAP on that side, or a NaN, was seen
 
 
 def _feed_ranges(ranges: Sequence[Range], tails: list[_Tails], pts: np.ndarray) -> None:
     """Add one half-leaf's hit points to every range column.
 
     Only the last values block is kept, so adjacent columns that share a
-    values callable (the axes of one gradient) evaluate it once.
+    values callable (the axes of one gradient block) evaluate it once.
     """
     source = block = None
     for col, tail in zip(ranges, tails):
         if col.values is not source:
             source, block = col.values, np.asarray(col.values(pts), dtype=float)
-        _add_values(col, tail, block if col.axis is None else block[:, col.axis])
+        _add_values(tail, block if col.axis is None else block[:, col.axis])
 
 
-def _add_values(col: Range, tail: _Tails, v: np.ndarray) -> None:
-    """Flag the values beyond the cap and keep the finite ones that reach either tail.
+def _add_values(tail: _Tails, v: np.ndarray) -> None:
+    """Flag the values beyond MAGNITUDE_CAP and keep the finite ones that reach either tail.
 
     Only values strictly beyond the current k-th smallest (largest) can
     enter the low (high) tail; the tail is then re-selected by partition.
     """
     lo, hi = v.min(), v.max()  # NaN propagates
     if np.isfinite(lo) and np.isfinite(hi):
-        tail.below |= bool(lo < -col.cap)
-        tail.above |= bool(hi > col.cap)
+        tail.below |= bool(lo < -MAGNITUDE_CAP)
+        tail.above |= bool(hi > MAGNITUDE_CAP)
     else:
         nan = bool(np.isnan(v).any())
-        tail.below |= nan or bool(np.any(v < -col.cap))
-        tail.above |= nan or bool(np.any(v > col.cap))
+        tail.below |= nan or bool(np.any(v < -MAGNITUDE_CAP))
+        tail.above |= nan or bool(np.any(v > MAGNITUDE_CAP))
         v = v[np.isfinite(v)]
         if not v.size:
             return
@@ -644,8 +638,8 @@ def _ratio_result(su: np.ndarray, sv: np.ndarray, capped: int, m: int, hits: int
     return WeightedMean(ratio, se, hits, total_v, capped, 2 * m)
 
 
-def _range_result(col: Range, tail: _Tails, hits: int) -> EssRange:
-    lo, hi = _tail_quantiles(tail, col.q) if tail.count else (-np.inf, np.inf)
+def _range_result(tail: _Tails, hits: int) -> EssRange:
+    lo, hi = _tail_quantiles(tail, ESS_QUANTILE) if tail.count else (-np.inf, np.inf)
     return EssRange(float(-np.inf if tail.below else lo), float(np.inf if tail.above else hi), hits)
 
 
@@ -658,7 +652,7 @@ def _resolve_box(region: Region) -> AxisBox:
 def volume_column(proposal: Proposal) -> Ratio:
     """Column whose value is the volume of {w > 0}, for an indicator weight w sampled from proposal."""
     vol = proposal.volume
-    return Ratio(lambda pts: np.full(len(pts), vol), cap=np.inf, per_sample=True)
+    return Ratio(lambda pts: np.full(len(pts), vol), per_sample=True)
 
 
 def mc_volume(region: Region, spec: SampleSpec) -> Estimate:
@@ -676,7 +670,7 @@ def mc_integral(f: Callable, region: Region, spec: SampleSpec) -> Estimate:
     vol = box.volume
     if vol == 0.0:
         return Estimate(0.0, 0.0, 0, 2 * spec.pairs)
-    r = sweep(region.contains, box, spec, ratios=[Ratio(f, cap=np.inf, per_sample=True)]).ratios[0]
+    r = sweep(region.contains, box, spec, ratios=[Ratio(f, per_sample=True)]).ratios[0]
     if not r.weight > 0:
         return Estimate(0.0, 0.0, r.hits, r.n, r.capped)
     return Estimate(float(vol * r.value), float(vol * r.stderr), r.hits, r.n, r.capped)

@@ -156,22 +156,23 @@ def density_gradient(
     elif grad is not None:
         field = ScalarField(f=field.f, grad=grad)
     x = tuple(as_points(point, omega.dim)[0])
-    gradients_at = lambda delta: [field.gradient_at_scale(delta)]
-    profiles = _gradient_profiles(gradients_at, omega, x, schedule, spec, tol)
+    profiles = _gradient_profiles(field.gradient_at_scale, omega.dim, omega, x, schedule, spec, tol)
     return GradientReport(x, _box(profiles), profiles)
 
 
-def _gradient_profiles(gradients_at: Callable[[float], Sequence[Callable]], omega: Region,
+def _gradient_profiles(block_at: Callable[[float], Callable], width: int, omega: Region,
                        x: tuple[float, ...], schedule: DeltaSchedule, spec: SampleSpec,
                        tol: float) -> tuple[ActionProfile, ...]:
-    """Per-coordinate action profiles of each gradient field, from one shared pass per level.
+    """The action profile of every column of a gradient block, from one pass per level.
 
-    `gradients_at(delta)` gives the gradient fields (points -> (N, n) array)
-    at one level; each is evaluated once per sample.  The profiles come
-    field by field, n coordinates each.
+    `block_at(delta)` gives the level's block (points -> (N, width) array),
+    which every column shares, so it is evaluated once per sample.
     """
-    n = omega.dim
-    ranges_at = lambda delta: [Range(g, axis=i) for g in gradients_at(delta) for i in range(n)]
+
+    def ranges_at(delta):
+        block = block_at(delta)
+        return [Range(block, axis=i) for i in range(width)]
+
     return _action_profiles(ranges_at, PointFeature(x), omega, schedule, spec, tol)
 
 
@@ -212,30 +213,34 @@ def calculus_rule_check(
     sum:     grad(f1 + f2) box  must lie in  box(f1) + box(f2)
     product: grad(f1 * f2) box  must lie in  f1(x) * box(f2) + f2(x) * box(f1)
     widened by tol per coordinate.  The three boxes come from one pass per
-    level and equal the boxes of separate `density_gradient` calls.  Both
-    fields must be thread-safe, as in `density_gradient`.
+    level, with each factor's gradient evaluated once per sample, and equal
+    the boxes of separate `density_gradient` calls.  Both fields must be
+    thread-safe, as in `density_gradient`.
     """
     if rule not in ("sum", "product"):
         raise ValueError(f"unknown rule {rule!r}")
     if rule == "product" and (f1.f is None or f2.f is None):
         raise ValueError("the product rule needs function values for both factors")
 
-    def gradients_at(delta):
+    def block_at(delta):
+        """[grad f1 | grad f2 | the rule's side] at one level."""
         g1 = f1.gradient_at_scale(delta)
         g2 = f2.gradient_at_scale(delta)
-        if rule == "sum":
-            return [g1, g2, lambda pts: np.asarray(g1(pts), dtype=float) + np.asarray(g2(pts), dtype=float)]
 
-        def g(pts):
+        def block(pts):
+            a = np.asarray(g1(pts), dtype=float)
+            b = np.asarray(g2(pts), dtype=float)
+            if rule == "sum":
+                return np.hstack([a, b, a + b])
             v1 = np.asarray(f1.f(pts), dtype=float)[:, None]
             v2 = np.asarray(f2.f(pts), dtype=float)[:, None]
-            return v1 * np.asarray(g2(pts), dtype=float) + v2 * np.asarray(g1(pts), dtype=float)
+            return np.hstack([a, b, v1 * b + v2 * a])
 
-        return [g1, g2, g]
+        return block
 
-    x = tuple(as_points(point, omega.dim)[0])
-    profiles = _gradient_profiles(gradients_at, omega, x, schedule, spec, tol)
     n = omega.dim
+    x = tuple(as_points(point, n)[0])
+    profiles = _gradient_profiles(block_at, 3 * n, omega, x, schedule, spec, tol)
     box1, box2, lhs = (_box(profiles[k * n:(k + 1) * n]) for k in range(3))
     if rule == "sum":
         rhs = GradientBox(tuple(_interval_sum(a, b, tol) for a, b in zip(box1.intervals, box2.intervals)))

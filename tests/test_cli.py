@@ -418,6 +418,7 @@ WITH_QUADRANT = {"features": dict(BASE["features"], quadrant={"intersection": [
     ({}, {"task": "boundary_trace", "integrand": "xy", "omega": "square", "x": [0, NAN]}, "/tasks/0/x/1"),
     ({}, dict(CONE_TASK, x=[INF, 0]), "/tasks/0/x/0"),
     ({}, dict(CONE_TASK, v=[1, -INF]), "/tasks/0/v/1"),
+    ({}, dict(CONE_TASK, v=[1e308, 1e308]), "/tasks/0/v"),  # its norm overflows, without a warning
 ])
 def test_main_rejects_bad_tol_delta0_and_nodes(tmp_path, capsys, top, task, pointer):
     cfg = json.loads(config_with([task]))

@@ -11,6 +11,7 @@ from puremeasure.density_engine import (
     MAX_LEVELS,
     DeltaSchedule,
     Interval,
+    LevelEstimate,
     TooShort,
     VanishingReference,
     _in_level_order,
@@ -112,9 +113,14 @@ def test_density_ratio_vanishing_reference():
 
 # ------------------------------------------------------------ limit estimate
 
+def _levels(rows):
+    """A profile of LevelEstimate rows from (delta, value, stderr) triples."""
+    return [LevelEstimate(delta, value, stderr, 0) for delta, value, stderr in rows]
+
+
 def test_limit_estimate_converged():
     deltas = [0.5 * 0.5**k for k in range(12)]
-    series = [(d, 0.5 + d, 0.0) for d in deltas]
+    series = _levels((d, 0.5 + d, 0.0) for d in deltas)
     iv, verdict = limit_estimate(series, 0.02)
     assert verdict == CONVERGED
     assert iv.mid == pytest.approx(0.5, abs=0.01)
@@ -125,12 +131,12 @@ def test_limit_estimate_converged():
 
 def _flat_rows(nan_at=None):
     """Twelve rows of 0.5 ± 0.005, one value NaN if asked (a level whose every hit was capped)."""
-    return [(0.5 * 0.5**k, np.nan if k == nan_at else 0.5, 0.005) for k in range(12)]
+    return _levels((0.5 * 0.5**k, np.nan if k == nan_at else 0.5, 0.005) for k in range(12))
 
 
 def test_limit_estimate_oscillating():
     deltas = [0.5 * 0.5**k for k in range(30)]
-    series = [(d, np.sin(1.0 / d), 0.0) for d in deltas]
+    series = _levels((d, np.sin(1.0 / d), 0.0) for d in deltas)
     iv, verdict = limit_estimate(series, 0.05)
     assert verdict == OSCILLATING
     assert -1.1 <= iv.lo <= iv.hi <= 1.1
@@ -139,7 +145,7 @@ def test_limit_estimate_oscillating():
 
 def test_limit_estimate_insufficient_on_divergence():
     deltas = [0.5 * 0.5**k for k in range(12)]
-    series = [(d, 1.0 / np.sqrt(d), 0.0) for d in deltas]
+    series = _levels((d, 1.0 / np.sqrt(d), 0.0) for d in deltas)
     _, verdict = limit_estimate(series, 0.02)
     assert verdict == INSUFFICIENT
     # a NaN level anywhere in the tail window (rows 8-11) makes the limit unknown
@@ -151,7 +157,7 @@ def test_limit_estimate_insufficient_on_divergence():
 
 def test_limit_estimate_too_short():
     with pytest.raises(TooShort):
-        limit_estimate([(0.5, 1.0, 0.0), (0.25, 1.0, 0.0)], 0.02)
+        limit_estimate(_levels([(0.5, 1.0, 0.0), (0.25, 1.0, 0.0)]), 0.02)
 
 
 # ------------------------------------------------------------ sharp integral
@@ -275,6 +281,10 @@ def test_cone_density_cusp_axis_and_anti_axis():
 def test_cone_aperture_validated():
     with pytest.raises(ValueError):
         cone_density((0.0, 0.0), (1.0, 0.0), 2.0, DISK, sched(ORIGIN2, DISK), SampleSpec(n=1000, seed=0))
+    # the norm of (1e308, 1e308) overflows: such an axis would become (0, 0),
+    # and a cone that contains no point would converge to 0 instead of 1/(2 pi)
+    with pytest.raises(ValueError, match="finite nonzero"):
+        cone_density((0.0, 0.0), (1e308, 1e308), 0.5, DISK, sched(ORIGIN2, DISK), SampleSpec(n=1000, seed=0))
 
 
 # -------------------------------------------------------------- sigma probe
@@ -594,3 +604,18 @@ def test_stderr_intervals_cover_known_values_across_seeds():
               "quadrant8": len(seeds)}
     for name, count in hits.items():
         assert 0.9 <= count / trials[name] <= 0.99, (name, count / trials[name])
+
+
+@pytest.mark.xfail(strict=True, reason="1-D replicates of 2^k lattice points under-cover: 0.87 over these seeds")
+def test_stderr_intervals_cover_the_segment_at_a_power_of_two():
+    # The segment fixture above at n = 1024 instead of 1000.  A 1-D replicate
+    # of 2^k points is likely a shifted regular grid, whose estimate takes
+    # only a few values, so the t interval over 16 of them misjudges the
+    # spread.  A fix makes this pass, which strict mode reports.
+    segment, unit = Box((0.0,), (0.3,)), AxisBox(make_bbox([0.0], [1.0]))
+    seeds = range(200)
+    hits = 0
+    for seed in seeds:
+        e = sweep(segment.contains, unit, SampleSpec(n=1024, seed=seed), ratios=[volume_column(unit)]).ratios[0]
+        hits += abs(e.value - 0.3) <= e.stderr
+    assert 0.9 <= hits / len(seeds) <= 0.99, hits / len(seeds)

@@ -7,9 +7,11 @@ from puremeasure import quadrature
 from puremeasure.geometry import Ball, Box, Intersection, interval
 from puremeasure.quadrature import (
     CHUNK_PAIRS,
+    ESS_QUANTILE,
     LATTICE_A,
     LATTICE_BITS,
     LEAF_PAIRS,
+    MAGNITUDE_CAP,
     REPLICATES,
     STUDENT_T,
     AxisBox,
@@ -114,9 +116,9 @@ def test_integral_counts_nonfinite():
     assert np.isfinite(est.value)
 
 
-def _weighted_mean(values, weight, bbox, spec, stream=0, **column):
-    """The one ratio column `Ratio(values, **column)` of a sweep over the box."""
-    return sweep(weight, AxisBox(bbox), spec, stream, ratios=[Ratio(values, **column)]).ratios[0]
+def _weighted_mean(values, weight, bbox, spec, stream=0):
+    """The one ratio column `Ratio(values)` of a sweep over the box."""
+    return sweep(weight, AxisBox(bbox), spec, stream, ratios=[Ratio(values)]).ratios[0]
 
 
 def test_weighted_mean_normalization_exact():
@@ -200,7 +202,8 @@ def test_single_pair_stderr_is_infinite():
 
 
 def test_sweep_columns_equal_standalone_estimators():
-    # one column caps samples; every column still equals its own estimator
+    # one column caps samples (the hits with |x1| < 1 / MAGNITUDE_CAP); every
+    # column still equals its own estimator
     region = interval(-1.0, 1.0)
     weight = lambda p: region.contains(p).astype(float)
     inverse = lambda p: 1.0 / p[:, 0]
@@ -209,9 +212,9 @@ def test_sweep_columns_equal_standalone_estimators():
     spec = SampleSpec(n=100_001, seed=8)  # spans several chunks
     box = AxisBox(bbox)
     result = sweep(weight, box, spec, stream=3,
-                   ratios=[Ratio(inverse, cap=5.0), Ratio(square)], ranges=[Range(inverse), Range(square)])
+                   ratios=[Ratio(inverse), Ratio(square)], ranges=[Range(inverse), Range(square)])
     assert result.ratios[0].capped > 0
-    assert result.ratios[0] == _weighted_mean(inverse, weight, bbox, spec, stream=3, cap=5.0)
+    assert result.ratios[0] == _weighted_mean(inverse, weight, bbox, spec, stream=3)
     assert result.ratios[1] == _weighted_mean(square, weight, bbox, spec, stream=3)
     assert result.ranges[0] == sweep(region.contains, box, spec, stream=3, ranges=[Range(inverse)]).ranges[0]
     assert result.ranges[1] == sweep(region.contains, box, spec, stream=3, ranges=[Range(square)]).ranges[0]
@@ -393,7 +396,13 @@ def test_shell_rejects_bad_radii():
 # ------------------------------------------------------------ kernel oracle
 
 def _oracle_sweep(weight, proposal, spec, stream=0, ratios=(), ranges=()):
-    """`sweep` as a plain loop over the replicates: masks for every column, every hit value kept, np.quantile at the end."""
+    """`sweep` as a plain loop over the replicates: masks for every column, every hit value kept, np.quantile at the end.
+
+    It applies the kernel's rule itself: a ratio column drops values beyond
+    MAGNITUDE_CAP, a per-sample one only non-finite values, and a range
+    column reads the ESS_QUANTILE quantiles and turns an end infinite past
+    MAGNITUDE_CAP or at a NaN.
+    """
     m = spec.pairs
     hits = 0
     sums = [[[], [], 0] for _ in ratios]  # each replicate's numerator and denominator sum, and the capped count
@@ -410,9 +419,10 @@ def _oracle_sweep(weight, proposal, spec, stream=0, ratios=(), ranges=()):
             for col, acc in zip(ratios, sums):
                 u = np.zeros(len(a))
                 d = np.zeros(len(a))
+                cap = np.inf if col.per_sample else MAGNITUDE_CAP
                 for pts, w, active in halves:
                     v = np.asarray(col.values(pts), dtype=float)
-                    bad = active & (~np.isfinite(v) | (np.abs(v) > col.cap))
+                    bad = active & (~np.isfinite(v) | (np.abs(v) > cap))
                     acc[2] += int(np.count_nonzero(bad))
                     keep = active & ~bad
                     u += 0.5 * np.where(keep, w * v, 0.0)
@@ -427,8 +437,8 @@ def _oracle_sweep(weight, proposal, spec, stream=0, ratios=(), ranges=()):
                     v = np.asarray(col.values(hit), dtype=float)
                     v = v if col.axis is None else v[:, col.axis]
                     nan = bool(np.isnan(v).any())
-                    flags[0] |= nan or bool(np.any(v < -col.cap))
-                    flags[1] |= nan or bool(np.any(v > col.cap))
+                    flags[0] |= nan or bool(np.any(v < -MAGNITUDE_CAP))
+                    flags[1] |= nan or bool(np.any(v > MAGNITUDE_CAP))
                     vals.append(v[np.isfinite(v)])
     means = []
     for us, ds, capped in sums:
@@ -444,9 +454,9 @@ def _oracle_sweep(weight, proposal, spec, stream=0, ratios=(), ranges=()):
             if reps > 1 else np.inf
         means.append(WeightedMean(ratio, se, hits, sv, capped, 2 * m))
     extents = []
-    for col, vals, (below, above) in zip(ranges, found, unbounded):
+    for vals, (below, above) in zip(found, unbounded):
         values = np.concatenate(vals) if vals else np.empty(0)
-        lo, hi = np.quantile(values, [col.q, 1.0 - col.q]) if values.size else (-np.inf, np.inf)
+        lo, hi = np.quantile(values, [ESS_QUANTILE, 1.0 - ESS_QUANTILE]) if values.size else (-np.inf, np.inf)
         extents.append(EssRange(float(-np.inf if below else lo), float(np.inf if above else hi), hits))
     return Sweep(hits, tuple(means), tuple(extents))
 
@@ -470,7 +480,7 @@ ORACLE_WEIGHTS = {
 
 
 def _wild(p):
-    # +-inf and NaN beside finite values, for columns whose cap is inf
+    # +-inf and NaN beside finite values within MAGNITUDE_CAP
     x = p[:, 0]
     return np.where(x > 0.8, np.inf, np.where(x < -0.8, -np.inf, np.where(np.abs(p[:, 1]) < 0.01, np.nan, x)))
 
@@ -480,20 +490,19 @@ def _oracle_columns():
     inverse = lambda p: 1.0 / p[:, 0]
     ratios = [
         Ratio(lambda p: p[:, 0] * p[:, 0] + p[:, 1]),
-        Ratio(inverse, cap=5.0),  # capped beside the clean column above
+        Ratio(inverse),  # capped where |x1| < 1 / MAGNITUDE_CAP, beside the clean column above
         Ratio(lambda p: p[:, 1] > 0.1),  # bool values, as membership columns give them
-        Ratio(lambda p: np.exp(p[:, 1]), cap=np.inf, per_sample=True),
-        Ratio(inverse, cap=20.0, per_sample=True),
-        Ratio(_wild, cap=np.inf),
-        Ratio(_wild, cap=np.inf, per_sample=True),
+        Ratio(lambda p: np.exp(p[:, 1]), per_sample=True),
+        Ratio(inverse, per_sample=True),  # keeps its values beyond MAGNITUDE_CAP
+        Ratio(_wild),
+        Ratio(_wild, per_sample=True),
     ]
     ranges = [
         Range(block, axis=0),
         Range(block, axis=1),  # shares the block above
         Range(inverse),
-        Range(inverse, q=0.2, cap=50.0),
-        Range(_wild, cap=np.inf),
-        Range(lambda p: np.round(4.0 * p[:, 1]) / 4.0 + 1.0, q=0.1),  # heavy ties
+        Range(_wild),
+        Range(lambda p: np.round(4.0 * p[:, 1]) / 4.0 + 1.0),  # heavy ties
     ]
     return ratios, ranges
 

@@ -8,7 +8,7 @@ st = pytest.importorskip("hypothesis.strategies")
 
 from hypothesis import example, given, settings  # noqa: E402
 
-from puremeasure.quadrature import Range, _add_values, _tail_quantiles, _Tails  # noqa: E402
+from puremeasure.quadrature import _add_values, _tail_quantiles, _Tails  # noqa: E402
 
 # x + 0.0 turns -0.0 into 0.0: which of two tied signed zeros np.quantile
 # returns depends on its partition, not on the values
@@ -26,10 +26,9 @@ values = st.lists(st.one_of(finite, tied), min_size=1, max_size=400)
 def test_tails_give_the_numpy_quantiles(vals, q, chunk, spare_pairs):
     arr = np.array(vals)
     pairs = (arr.size + 1) // 2 + spare_pairs  # spare pairs raise k, down to n <= k
-    col = Range(lambda p: p, q=q, cap=np.inf)
     tail = _Tails(q, pairs)
     for start in range(0, arr.size, chunk):
-        _add_values(col, tail, arr[start:start + chunk])
+        _add_values(tail, arr[start:start + chunk])
     assert tail.count == arr.size
     assert tail.low.size <= tail.k and tail.high.size <= tail.k
     assert repr(_tail_quantiles(tail, q).tolist()) == repr(np.quantile(arr, [q, 1.0 - q]).tolist())

@@ -206,6 +206,23 @@ def test_rule_check_boxes_equal_separate_gradients():
     assert rep.lhs == density_gradient(LINE, (0.0,), s, spec, grad=product).box
 
 
+@pytest.mark.parametrize("rule", ["sum", "product"])
+def test_rule_check_evaluates_each_gradient_once_per_sample(rule):
+    calls = {"f1": [], "f2": []}
+
+    def counted(name, grad):
+        def g(p):
+            calls[name].append(len(p))
+            return grad(p)
+
+        return g
+
+    f1 = ScalarField(f=lambda p: np.cos(p[:, 0]), grad=counted("f1", lambda p: -np.sin(p)))
+    f2 = ScalarField(f=lambda p: p[:, 0] ** 2, grad=counted("f2", lambda p: 2.0 * p))
+    calculus_rule_check(rule, f1, f2, (0.0,), LINE, DeltaSchedule(0.5, 0.5, 4), SampleSpec(n=2000, seed=44))
+    assert calls == {"f1": [1000] * 8, "f2": [1000] * 8}  # 4 levels x 2 half-leaves, every sample a hit
+
+
 def test_gradients_take_one_pass_per_level(distance_calls):
     ball3 = Ball((0.0, 0.0, 0.0), 1.0)
     kink = ScalarField(f=lambda p: np.abs(p[:, 0]) + p[:, 1] * p[:, 2])
