@@ -15,7 +15,7 @@ from puremeasure.surface_rep import (
 )
 
 circle = surface_fixture(Ball((0.0, 0.0), 1.0))
-sched = DeltaSchedule(0.64, 0.5, 8)
+sched = DeltaSchedule(0.64, 8)
 
 collar = collar_average(lambda p: p[:, 0] ** 2, circle, sched,
                         SampleSpec(n=1_000_000, seed=5), tol=0.05)

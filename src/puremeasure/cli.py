@@ -1,12 +1,12 @@
 """Batch front door: JSON config in, JSON report plus CSV delta-profiles out.
 
 The CLI is a thin orchestrator; every task maps one-to-one onto a library
-operation.  One parse pass checks the config, applies the --seed and
---samples overrides and binds each task to the job that runs it, with its
-sample spec, tol and schedule settings, so a bad value exits before any
-task runs.  Reports echo the fully resolved configuration, so a report is a
-reproducible record: identical configs (including the seed) give
-byte-identical CSV outputs.
+operation.  One parse pass checks the config, applies the --seed and --samples
+overrides and binds each task to the job that runs it, with its sample spec,
+tol and schedule (delta0 and count; delta halves at every level), so a bad
+value, an unbounded omega or a trace point off the boundary exits before any
+task runs.  Reports echo the resolved configuration: identical configs
+(including the seed) give byte-identical CSV outputs.
 """
 
 from __future__ import annotations
@@ -22,10 +22,9 @@ from typing import Any, Callable
 
 import numpy as np
 
-from . import fa_lattice
+from . import fa_lattice, trace_gradient
 from .density_engine import (
     DEFAULT_COUNT,
-    DEFAULT_RATIO,
     DEFAULT_TOL,
     MAX_LEVELS,
     DeltaSchedule,
@@ -43,6 +42,7 @@ from .geometry import (
     PointFeature,
     Region,
     RegionBoundary,
+    bbox_is_finite,
     feature_from_json,
     region_from_json,
 )
@@ -104,13 +104,13 @@ def _list(value: Any, name: str, pointer: str) -> list:
 
 
 def _check_schedule(node: Any, pointer: str) -> dict:
-    out = {"delta0": None, "ratio": DEFAULT_RATIO, "count": DEFAULT_COUNT}
-    out.update(_object(node, "schedule", pointer))
+    out = {"delta0": None, "count": DEFAULT_COUNT}
+    for key in _object(node, "schedule", pointer):
+        _require(key in out, BadSchedule, "not delta0 or count; delta halves at every level", f"{pointer}/{key}")
+    out.update(node)
     if out["delta0"] is not None:
         out["delta0"] = _number(out["delta0"], "delta0", pointer + "/delta0", BadSchedule)
         _require(out["delta0"] > 0, BadSchedule, "delta0 must be positive", pointer + "/delta0")
-    out["ratio"] = _number(out["ratio"], "ratio", pointer + "/ratio", BadSchedule)
-    _require(0 < out["ratio"] < 1, BadSchedule, "ratio must lie in (0, 1)", pointer + "/ratio")
     out["count"] = _at_least(out["count"], 3, "count", pointer + "/count", BadSchedule)
     _require(out["count"] <= MAX_LEVELS, BadSchedule, f"count must be at most {MAX_LEVELS}", pointer + "/count")
     return out
@@ -255,6 +255,12 @@ class _Task:
     def region(self, field: str, dim: int | None = None) -> Region:
         return self._lookup("region", self.get(field), self.at(field), dim)
 
+    def omega(self) -> Region:
+        """The task's omega, whose bounding box bounds every level of a sampling task, so it must be finite."""
+        omega = self.region("omega")
+        _require(bbox_is_finite(omega.bbox), ParseError, "omega must have a finite bounding box", self.at("omega"))
+        return omega
+
     def feature(self, field: str, dim: int) -> Feature:
         return self._lookup("feature", self.get(field), self.at(field), dim)
 
@@ -308,8 +314,8 @@ class _Task:
         """The task's schedule, called by its job: an automatic one that cannot be derived is the task's error."""
         node = self._schedule
         if node["delta0"] is None:
-            return DeltaSchedule.auto(feature, omega, node["ratio"], node["count"])
-        return DeltaSchedule(node["delta0"], node["ratio"], node["count"])
+            return DeltaSchedule.auto(feature, omega, node["count"])
+        return DeltaSchedule(node["delta0"], node["count"])
 
 
 # -------------------------------------------------------------- serialization
@@ -365,7 +371,7 @@ def _probe_output(name: str, out_dir: Path, result: ProbeResult, **extra):
 # Each kind reads its fields at parse time and returns the job that runs it.
 
 def _density_ratio(t: _Task) -> Job:
-    omega = t.region("omega")
+    omega = t.omega()
     region, feature = t.region("region", omega.dim), t.feature("feature", omega.dim)
     weight = t.optional("weight", omega.dim)
     return lambda out: _probe_output(t.name, out, density_probe(
@@ -374,7 +380,7 @@ def _density_ratio(t: _Task) -> Job:
 
 
 def _sharp_integral(t: _Task) -> Job:
-    omega = t.region("omega")
+    omega = t.omega()
     integrand, feature = t.integrand("integrand", omega.dim), t.feature("feature", omega.dim)
     weight = t.optional("weight", omega.dim)
     return lambda out: _probe_output(t.name, out, sharp_integral(
@@ -383,7 +389,7 @@ def _sharp_integral(t: _Task) -> Job:
 
 
 def _action_interval(t: _Task) -> Job:
-    omega = t.region("omega")
+    omega = t.omega()
     integrand, feature = t.integrand("integrand", omega.dim), t.feature("feature", omega.dim)
     return lambda out: (_jsonable(action_profile(
         integrand, feature, omega, t.schedule(feature, omega), t.spec, tol=t.tol
@@ -391,7 +397,7 @@ def _action_interval(t: _Task) -> Job:
 
 
 def _cone_density(t: _Task) -> Job:
-    omega = t.region("omega")
+    omega = t.omega()
     x, v, alpha = t.point("x", omega.dim), t.point("v", omega.dim), t.number("alpha")
     # the checks geometry.Cone makes when the job runs, without numpy's overflow warning
     with np.errstate(over="ignore"):
@@ -403,7 +409,7 @@ def _cone_density(t: _Task) -> Job:
 
 
 def _sigma_probe(t: _Task) -> Job:
-    omega = t.region("omega")
+    omega = t.omega()
     members = t.names("members", "region", dim=omega.dim)
     union, feature = t.region("union", omega.dim), t.feature("feature", omega.dim)
 
@@ -419,7 +425,7 @@ def _sigma_probe(t: _Task) -> Job:
 
 
 def _aura_report(t: _Task) -> Job:
-    omega = t.region("omega")
+    omega = t.omega()
     feature = t.feature("feature", omega.dim)
 
     def job(out: Path):
@@ -430,15 +436,19 @@ def _aura_report(t: _Task) -> Job:
 
 
 def _boundary_trace(t: _Task) -> Job:
-    omega = t.region("omega")
+    omega = t.omega()
     integrand, x = t.integrand("integrand", omega.dim), t.point("x", omega.dim)
+    try:
+        trace_gradient.boundary_point(omega, x)
+    except trace_gradient.NotOnBoundary as e:
+        raise ParseError(str(e), t.at("x")) from None
     return lambda out: _probe_output(t.name, out, boundary_trace(
         integrand, omega, x, t.schedule(PointFeature(x), omega), t.spec, tol=t.tol
     ))
 
 
 def _density_gradient(t: _Task) -> Job:
-    omega = t.region("omega")
+    omega = t.omega()
     x = t.point("x", omega.dim)
     f = t.optional("integrand", omega.dim)
     # without an integrand the gradient is required
@@ -458,7 +468,7 @@ def _density_gradient(t: _Task) -> Job:
 
 
 def _calculus_rule_check(t: _Task) -> Job:
-    omega = t.region("omega")
+    omega = t.omega()
     x = t.point("x", omega.dim)
     rule = t.node.get("rule", "sum")
     _require(rule in ("sum", "product"), ParseError, "rule must be 'sum' or 'product'", t.at("rule"))

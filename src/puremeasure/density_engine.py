@@ -7,7 +7,7 @@ A the limit, as delta shrinks, of the weighted volume ratio
 
 with F_delta the open delta-neighborhood of F.  The limit functional exists
 only abstractly; this engine computes the canonical ratio profile along a
-geometric delta schedule, estimates the limit from the tail of the profile,
+halving delta schedule, estimates the limit from the tail of the profile,
 and reports when no limit exists (the [liminf, limsup] interval is then the
 honest answer).  Each level is one pass over one sample stream (the lattice
 replicates shifted from Philox stream k at level k) that feeds every
@@ -72,7 +72,6 @@ from .quadrature import (
 )
 
 DEFAULT_TOL = 0.02
-DEFAULT_RATIO = 0.5
 DEFAULT_COUNT = 12
 MAX_LEVELS = 1024  # a profile queues all of its levels at once
 # A feature's own proposal replaces the level's box only below this share of
@@ -96,35 +95,31 @@ class TooShort(ValueError):
 
 @dataclass(frozen=True)
 class DeltaSchedule:
-    """Geometric schedule delta0 * ratio**k, k = 0..count-1."""
+    """delta0 * 0.5**k, k = 0..count-1: only delta -> 0 matters, so delta halves at every level."""
 
     delta0: float
-    ratio: float = DEFAULT_RATIO
     count: int = DEFAULT_COUNT
 
     def __post_init__(self):
         if self.delta0 <= 0:
             raise ValueError("delta0 must be positive")
-        if not 0 < self.ratio < 1:
-            raise ValueError("ratio must lie in (0, 1)")
         if self.count < 3:
             raise ValueError("need at least three levels")
         if self.count > MAX_LEVELS:
             raise ValueError(f"need at most {MAX_LEVELS} levels")
 
     def deltas(self) -> list[float]:
-        return [self.delta0 * self.ratio**k for k in range(self.count)]
+        return [self.delta0 * 0.5**k for k in range(self.count)]
 
     @classmethod
-    def auto(cls, feature: Feature, omega: Region, ratio: float = DEFAULT_RATIO,
-             count: int = DEFAULT_COUNT) -> "DeltaSchedule":
+    def auto(cls, feature: Feature, omega: Region, count: int = DEFAULT_COUNT) -> "DeltaSchedule":
         """Half the feature's bbox diagonal, falling back to the domain's when degenerate."""
         d = bbox_diagonal(feature.bbox)
         if not np.isfinite(d) or d <= 0:
             if not bbox_is_finite(omega.bbox):
                 raise UnboundedRegion("cannot derive a schedule from an unbounded domain")
             d = bbox_diagonal(omega.bbox)
-        return cls(d / 2.0, ratio, count)
+        return cls(d / 2.0, count)
 
 
 @dataclass(frozen=True)
@@ -259,7 +254,7 @@ def _reference_weight(feature: Feature, omega: Region, delta: float, weight: Cal
             return mask
         with np.errstate(all="ignore"):
             base = np.asarray(weight(pts), dtype=float)
-        return np.where(mask & np.isfinite(base) & (base > 0), base, 0.0)
+        return np.where(mask, base, 0.0)
 
     return w
 
@@ -338,8 +333,7 @@ def density_ratio(
     weight: Callable | None = None,
 ) -> Estimate:
     """Weighted volume ratio of A within F_delta ∩ Omega at a single delta."""
-    r = _level_pass(feature, omega, delta, spec, 0, _memberships([a]), weight).ratios[0]
-    return Estimate(r.value, r.stderr, r.hits, r.n)
+    return _level_pass(feature, omega, delta, spec, 0, _memberships([a]), weight).ratios[0]
 
 
 def density_probe(

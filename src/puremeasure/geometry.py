@@ -576,7 +576,7 @@ def region_from_json(obj) -> Region:
     """Parse the region grammar; see the named constructors for the keys.
 
     Coordinates are lists of finite JSON numbers, `r`, `offset` and `p`
-    finite JSON numbers and a cusp's `dim` an integer.
+    finite JSON numbers and a cusp's `dim` an integer, or an integral float such as 3.0.
     """
     if not isinstance(obj, dict) or len(obj) != 1:
         raise ValueError(f"region spec must be a single-key object, got {obj!r}")
@@ -589,9 +589,9 @@ def region_from_json(obj) -> Region:
         return Halfspace(_vector(body["normal"], "normal"), _number(body["offset"], "offset"))
     if key == "cusp":
         dim = body.get("dim", 2)
-        if type(dim) is not int:  # bools are not
+        if not (type(dim) is int or (type(dim) is float and dim.is_integer())):  # bools are neither
             raise ValueError(f"dim must be an integer, got {dim!r}")
-        return Cusp(_number(body["p"], "p"), dim)
+        return Cusp(_number(body["p"], "p"), int(dim))
     if key == "union":
         return Union(tuple(region_from_json(p) for p in body))
     if key == "intersection":

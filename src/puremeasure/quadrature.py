@@ -52,7 +52,7 @@ all n values.  None of this moves a bit of any estimate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -107,11 +107,13 @@ class SampleSpec:
 
 @dataclass(frozen=True)
 class Estimate:
+    """A ratio column's value and ~95% half-width from n samples, its hits and the samples it dropped."""
+
     value: float
     stderr: float
     hits: int
     n: int
-    nonfinite: int = 0
+    capped: int = 0
 
 
 def _lattice(coords: int, count: int) -> np.ndarray:
@@ -286,18 +288,6 @@ class OrientedBox(Proposal):
 
 
 @dataclass(frozen=True)
-class WeightedMean:
-    """Ratio estimate of (integral of w*v) / (integral of w) over a proposal."""
-
-    value: float
-    stderr: float
-    hits: int
-    weight: float
-    capped: int
-    n: int
-
-
-@dataclass(frozen=True)
 class EssRange:
     """Empirical essential-range surrogate: extreme quantiles of hit samples.
 
@@ -318,12 +308,12 @@ class EssRange:
 class Ratio:
     """Ratio column: the sum of w*v over the sum of w, on kept samples.
 
-    `values` maps sample points to one value each; only points of positive
-    reference weight w count.  A sample whose value is non-finite or exceeds
-    MAGNITUDE_CAP in magnitude is tallied as capped and dropped from both
-    sums.  With `per_sample` the denominator counts every kept sample of the
-    proposal instead of weighing it, so the column is the mean of w*v over
-    the proposal, and only non-finite values are dropped.
+    `values` maps sample points to one value each; only points of finite
+    positive reference weight w count.  A sample whose value is non-finite
+    or exceeds MAGNITUDE_CAP in magnitude is tallied as capped and dropped
+    from both sums.  With `per_sample` the denominator counts every kept
+    sample of the proposal instead of weighing it, so the column is the mean
+    of w*v over the proposal, and only non-finite values are dropped.
     """
 
     values: Callable
@@ -348,7 +338,7 @@ class Sweep:
     """Results of one pass: the hit count and one result per column, in order."""
 
     hits: int
-    ratios: tuple[WeightedMean, ...]
+    ratios: tuple[Estimate, ...]
     ranges: tuple[EssRange, ...]
 
 
@@ -363,12 +353,13 @@ def sweep(
     """One pass over the replicates feeding every column.
 
     `weight` maps points to one reference weight each, or to a bool mask
-    for an indicator weight.  Numerator and denominator of every ratio
-    share the points, so ratios of nested sets are exact (a subset never
-    collects more weighted hits than its superset) and the mean of the
-    constant 1 is exactly 1.  Columns are reduced one at a time and
-    half-leaf by half-leaf, so temporaries stay one column wide.  With a
-    single antithetic pair the variance is unknown and stderr is inf.
+    for an indicator weight; a weight that is not finite and positive counts
+    as none.  Numerator and denominator of every ratio share the points, so
+    ratios of nested sets are exact (a subset never collects more weighted
+    hits than its superset) and the mean of the constant 1 is exactly 1.
+    Columns are reduced one at a time and half-leaf by half-leaf, so
+    temporaries stay one column wide.  With a single antithetic pair the
+    variance is unknown and stderr is inf.
     """
     m = spec.pairs
     reps, size, extra = _replicates(m)
@@ -444,7 +435,7 @@ def _pairwise(leaf: Callable[[int, int], list], start: int, stop: int) -> list:
 
 
 class _Half(NamedTuple):
-    """One half-leaf: its points and their weight w, zero wherever w is not positive."""
+    """One half-leaf: its points and their weight w, zero wherever w is not finite and positive."""
 
     pts: np.ndarray
     w: np.ndarray  # a bool mask for an indicator weight
@@ -459,7 +450,8 @@ def _weigh(weight: Callable, pts: np.ndarray) -> _Half:
     else:
         w = w.astype(float, copy=False)
         active = w > 0
-        if not np.min(w) >= 0.0:  # negative or NaN weights count as no weight
+        if not (np.min(w) >= 0.0 and np.max(w) < np.inf):  # a negative, NaN or infinite weight is no weight
+            active &= w < np.inf
             w = np.where(active, w, 0.0)
     return _Half(pts, w, active, int(np.count_nonzero(active)))
 
@@ -619,7 +611,7 @@ def _tail_quantiles(tail: _Tails, q: float) -> np.ndarray:
     return np.where(gamma >= 0.5, b - diff * (1 - gamma), a + diff * gamma)
 
 
-def _ratio_result(su: np.ndarray, sv: np.ndarray, capped: int, m: int, hits: int) -> WeightedMean:
+def _ratio_result(su: np.ndarray, sv: np.ndarray, capped: int, m: int, hits: int) -> Estimate:
     """The ratio of the numerator and denominator sums, with the replicates' ratio-estimator stderr.
 
     With reps replicate sums u_r and d_r and R = sum u / sum d, the half-width
@@ -628,14 +620,14 @@ def _ratio_result(su: np.ndarray, sv: np.ndarray, capped: int, m: int, hits: int
     """
     total_v = float(sv.sum())
     if total_v <= 0:
-        return WeightedMean(float("nan"), float("nan"), hits, total_v, capped, 2 * m)
+        return Estimate(float("nan"), float("nan"), hits, 2 * m, capped)
     ratio = float(su.sum()) / total_v
     reps = len(su)
     se = math.inf
     if reps > 1:
         resid = su - ratio * sv
         se = STUDENT_T[reps - 2] * math.sqrt(float((resid * resid).sum()) / (reps * (reps - 1))) / (total_v / reps)
-    return WeightedMean(ratio, se, hits, total_v, capped, 2 * m)
+    return Estimate(ratio, se, hits, 2 * m, capped)
 
 
 def _range_result(tail: _Tails, hits: int) -> EssRange:
@@ -660,20 +652,18 @@ def mc_volume(region: Region, spec: SampleSpec) -> Estimate:
     box = _resolve_box(region)
     if box.volume == 0.0:
         return Estimate(0.0, 0.0, 0, 2 * spec.pairs)
-    r = sweep(region.contains, box, spec, ratios=[volume_column(box)]).ratios[0]
-    return Estimate(r.value, r.stderr, r.hits, r.n)
+    return sweep(region.contains, box, spec, ratios=[volume_column(box)]).ratios[0]
 
 
 def mc_integral(f: Callable, region: Region, spec: SampleSpec) -> Estimate:
     """Volume-weighted mean estimate of the integral of f over the region."""
     box = _resolve_box(region)
-    vol = box.volume
-    if vol == 0.0:
+    if box.volume == 0.0:
         return Estimate(0.0, 0.0, 0, 2 * spec.pairs)
     r = sweep(region.contains, box, spec, ratios=[Ratio(f, per_sample=True)]).ratios[0]
-    if not r.weight > 0:
-        return Estimate(0.0, 0.0, r.hits, r.n, r.capped)
-    return Estimate(float(vol * r.value), float(vol * r.stderr), r.hits, r.n, r.capped)
+    if r.capped == r.n:  # every sample dropped: nothing to average
+        return replace(r, value=0.0, stderr=0.0)
+    return replace(r, value=box.volume * r.value, stderr=box.volume * r.stderr)
 
 
 def ess_range(f: Callable, region: Region, spec: SampleSpec) -> EssRange:

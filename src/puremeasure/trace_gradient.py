@@ -125,11 +125,16 @@ def boundary_trace(
     points the mean of the one-sided values is obtained.  `u` must be
     thread-safe, as in `sharp_integral`.
     """
+    return sharp_integral(u, PointFeature(boundary_point(omega, point)), omega, schedule, spec, tol=tol)
+
+
+def boundary_point(omega: Region, point: Sequence[float]) -> tuple[float, ...]:
+    """The point as a tuple, or NotOnBoundary when it lies more than BOUNDARY_TOL from the boundary of Omega."""
     pts = as_points(point, omega.dim)
     gap = float(np.abs(omega.sdf(pts))[0])
     if gap > BOUNDARY_TOL:
         raise NotOnBoundary(f"point is {gap:g} away from the boundary (tol {BOUNDARY_TOL:g})")
-    return sharp_integral(u, PointFeature(tuple(pts[0])), omega, schedule, spec, tol=tol)
+    return tuple(pts[0])
 
 
 def density_gradient(

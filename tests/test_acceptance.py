@@ -230,7 +230,7 @@ def test_surface_representation():
     with criterion("collar averages and the divergence identity", 60.0):
         circle = surface_fixture(Ball((0.0, 0.0), 1.0))
         collar = collar_average(
-            lambda p: p[:, 0] ** 2, circle, DeltaSchedule(0.64, 0.5, 8),
+            lambda p: p[:, 0] ** 2, circle, DeltaSchedule(0.64, 8),
             SampleSpec(n=1_000_000, seed=SEED), tol=0.05,
         )
         reference = surface_reference(lambda p: p[:, 0] ** 2, circle)

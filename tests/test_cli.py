@@ -148,7 +148,7 @@ def test_report_echoes_resolved_config(tmp_path):
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["schema"] == "pure-measure/1"
     assert report["config"]["samples"] == 20_000
-    assert report["config"]["schedule"] == {"delta0": None, "ratio": 0.5, "count": 8}
+    assert report["config"]["schedule"] == {"delta0": None, "count": 8}
     assert report["config"]["tasks"][0]["name"] == "dzero"
 
 
@@ -271,6 +271,8 @@ MEASURE = FULL_SUITE[-1]["measure"]
 WITH_X3 = {"integrands": dict(BASE["integrands"], z="x3")}  # z uses x3: too many coordinates below 3-D
 DEEP = ["(" * 2000 + "x1" + ")" * 2000, "-" * 5000 + "x1", "+".join(["x1"] * 5000)]
 NAN, INF = float("nan"), float("inf")  # json.dumps writes the NaN and Infinity that json.loads reads
+UNBOUNDED = {"regions": dict(BASE["regions"], halfline={"halfspace": {"normal": [-1], "offset": 0}},
+                            outside={"complement": {"box": {"lo": [-1], "hi": [1]}}})}
 WITH_QUADRANT = {"features": dict(BASE["features"], quadrant={"intersection": [
     {"halfspace": {"normal": [1, 0], "offset": 0}}, {"halfspace": {"normal": [0, 1], "offset": 0}}]})}
 
@@ -419,6 +421,15 @@ WITH_QUADRANT = {"features": dict(BASE["features"], quadrant={"intersection": [
     ({}, dict(CONE_TASK, x=[INF, 0]), "/tasks/0/x/0"),
     ({}, dict(CONE_TASK, v=[1, -INF]), "/tasks/0/v/1"),
     ({}, dict(CONE_TASK, v=[1e308, 1e308]), "/tasks/0/v"),  # its norm overflows, without a warning
+    # a schedule takes only delta0 and count: a misspelt key is not ignored, and delta always halves
+    ({"schedule": {"cout": 3}}, DENSITY_TASK, "/schedule/cout"),
+    ({}, dict(DENSITY_TASK, schedule={"ratio": 0.5}), "/tasks/0/schedule/ratio"),
+    # a trace point must lie on the boundary of omega
+    ({}, {"task": "boundary_trace", "integrand": "xy", "omega": "square", "x": [0.5, 0.5]}, "/tasks/0/x"),
+    # every sampling task bounds its levels by omega's bounding box
+    (UNBOUNDED, dict(DENSITY_TASK, omega="halfline", schedule={"delta0": 0.5}), "/tasks/0/omega"),
+    (UNBOUNDED, dict(DENSITY_TASK, omega="outside"), "/tasks/0/omega"),
+    ({"regions": dict(BASE["regions"], lax={"cusp": {"p": 2, "dim": True}})}, DENSITY_TASK, "/regions/lax"),
 ])
 def test_main_rejects_bad_tol_delta0_and_nodes(tmp_path, capsys, top, task, pointer):
     cfg = json.loads(config_with([task]))
@@ -473,6 +484,7 @@ def test_parse_accepts_zero_tol_and_eight_nodes():
 def test_parse_accepts_integral_floats_and_the_node_bound():
     cfg = json.loads(config_with([dict(COLLAR_TASK, surface="square", nodes=1024.0)]))
     cfg.update(samples=5e4, seed=3.0)
+    cfg["regions"]["cusp3"] = {"cusp": {"p": 2, "dim": 3.0}}
     parsed = parse_config(json.dumps(cfg))
     samples, seed = parsed.resolved["samples"], parsed.resolved["seed"]
     assert (samples, seed) == (50_000, 3)

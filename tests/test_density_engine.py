@@ -60,12 +60,10 @@ def test_schedule_validation():
     with pytest.raises(ValueError):
         DeltaSchedule(0.0)
     with pytest.raises(ValueError):
-        DeltaSchedule(1.0, ratio=1.5)
-    with pytest.raises(ValueError):
         DeltaSchedule(1.0, count=2)
     with pytest.raises(ValueError):
         DeltaSchedule(1.0, count=MAX_LEVELS + 1)
-    s = DeltaSchedule(1.0, 0.5, 4)
+    s = DeltaSchedule(1.0, 4)
     assert s.deltas() == [1.0, 0.5, 0.25, 0.125]
 
 
@@ -334,7 +332,7 @@ def test_aura_collar_volumes_decrease():
 def test_aura_vanishing_reference():
     far = PointFeature((5.0,))
     with pytest.raises(VanishingReference):
-        aura_report(far, OMEGA1, DeltaSchedule(0.5, 0.5, 3), SampleSpec(n=1000, seed=22))
+        aura_report(far, OMEGA1, DeltaSchedule(0.5, 3), SampleSpec(n=1000, seed=22))
 
 
 # ------------------------------------------------------ cross-op invariants
@@ -391,7 +389,7 @@ def test_sigma_probe_weighs_each_half_chunk_once(distance_calls):
 def test_single_pair_is_insufficient():
     square = Box((-1.0, -1.0), (1.0, 1.0))
     for seed in (2, 6, 8, 9):
-        r = cone_density((0.0, 0.0), (1.0, 0.0), np.pi / 4, square, DeltaSchedule(0.5, 0.5, 3),
+        r = cone_density((0.0, 0.0), (1.0, 0.0), np.pi / 4, square, DeltaSchedule(0.5, 3),
                          SampleSpec(n=2, seed=seed))
         assert r.verdict == INSUFFICIENT
         assert all(level.stderr == np.inf for level in r.series)
@@ -400,7 +398,7 @@ def test_single_pair_is_insufficient():
 def test_action_empty_neighbourhood_vanishing_reference():
     far = PointFeature((1.5, 1.5))
     square = Box((0.0, 0.0), (1.0, 1.0))
-    args = (far, square, DeltaSchedule(0.6, 0.5, 3), SampleSpec(n=1000, seed=27))
+    args = (far, square, DeltaSchedule(0.6, 3), SampleSpec(n=1000, seed=27))
     with pytest.raises(VanishingReference):
         action_interval(lambda p: p[:, 0], *args)
     with pytest.raises(VanishingReference):
@@ -445,7 +443,7 @@ def test_profile_equals_the_serial_loop(probe, cpus, monkeypatch):
 def test_profile_raises_the_earliest_vanishing_level(cpus, monkeypatch):
     # levels 0 and 1 reach the small ball; level 2 (delta 0.5) meets its box but
     # not the ball, and levels 3-5 do not even meet its box, with another message
-    args = (Box((0.0, 0.0), (1.0, 1.0)), ORIGIN2, Ball((0.5, 0.5), 0.1), DeltaSchedule(2.0, 0.5, 6),
+    args = (Box((0.0, 0.0), (1.0, 1.0)), ORIGIN2, Ball((0.5, 0.5), 0.1), DeltaSchedule(2.0, 6),
             SampleSpec(n=2000, seed=3))
     monkeypatch.setattr(density_engine, "_cpus", lambda: cpus)
     with pytest.raises(VanishingReference) as spread:
@@ -522,10 +520,10 @@ def test_aura_volumes_are_unbiased_on_feature_proposals():
     # collar (the inner half-shell covers it exactly) and the 8-D ball
     # inside the cube
     sphere = Ball((0.0,) * 3, 1.0)
-    schedule = DeltaSchedule(0.1, 0.5, 3)
+    schedule = DeltaSchedule(0.1, 3)
     cap = lambda r, h: np.pi * (r - h) ** 2 * (2 * r + h) / 3  # the cap of B(0, r) above z = h
     upper = Box((-2.0, -2.0, 0.3), (2.0, 2.0, 2.0))
-    rep = aura_report(RegionBoundary(sphere), upper, DeltaSchedule(0.05, 0.5, 3), SampleSpec(n=100_000, seed=3))
+    rep = aura_report(RegionBoundary(sphere), upper, DeltaSchedule(0.05, 3), SampleSpec(n=100_000, seed=3))
     for level in rep.levels:
         assert type(_level_proposal(RegionBoundary(sphere), upper, level.delta)) is Shell
         exact = cap(1 + level.delta, 0.3) - cap(1 - level.delta, 0.3)
@@ -542,10 +540,10 @@ def test_aura_volumes_are_unbiased_on_feature_proposals():
 
 def test_feature_proposals_converge_on_thin_features():
     spec = SampleSpec(n=20_000, seed=4)
-    r = density_probe(QUADRANT8, ORIGIN8, CUBE8, DeltaSchedule(0.4, 0.5, 4), spec)
+    r = density_probe(QUADRANT8, ORIGIN8, CUBE8, DeltaSchedule(0.4, 4), spec)
     assert r.verdict == CONVERGED and r.limit.mid == pytest.approx(0.25, abs=0.02)
     quadrant3 = Intersection((Halfspace((0.0, -1.0, 0.0), 0.0), Halfspace((0.0, 0.0, -1.0), 0.0)))
-    r = density_probe(quadrant3, DIAGONAL, CUBE3, DeltaSchedule(0.1, 0.5, 4), spec)
+    r = density_probe(quadrant3, DIAGONAL, CUBE3, DeltaSchedule(0.1, 4), spec)
     assert r.verdict == CONVERGED and r.limit.mid == pytest.approx(0.75, abs=0.02)
 
 
@@ -561,7 +559,7 @@ MONTE_CARLO_QUADRANT_HITS = 36
 @pytest.mark.parametrize("n", [2000, 20_000])
 def test_dyadic_union_stays_oscillating(n):
     for seed in range(40):
-        r = density_probe(DYADIC, ORIGIN1, OMEGA1, DeltaSchedule(1.0, 0.5), SampleSpec(n=n, seed=seed))
+        r = density_probe(DYADIC, ORIGIN1, OMEGA1, DeltaSchedule(1.0), SampleSpec(n=n, seed=seed))
         assert r.verdict == OSCILLATING, seed
 
 
@@ -582,7 +580,7 @@ def test_stderr_intervals_cover_known_values_across_seeds():
     segment, unit = Box((0.0,), (0.3,)), AxisBox(make_bbox([0.0], [1.0]))
     boundary = RegionBoundary(DISK)
     x_sq = lambda p: p[:, 0] ** 2
-    collar_sched = DeltaSchedule(0.5, 0.5, 3)
+    collar_sched = DeltaSchedule(0.5, 3)
     hits = {"sector": 0, "segment": 0, "collar": 0, "quadrant8": 0}
     seeds = range(200)
     for seed in seeds:

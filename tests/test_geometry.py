@@ -242,6 +242,8 @@ def test_region_json_grammar():
 
     with pytest.raises(ValueError):
         region_from_json({"pyramid": {}})
+    cusp = region_from_json({"cusp": {"p": 2, "dim": 3.0}})  # an integral float, as the config's integers
+    assert cusp.dim == 3 and type(cusp.dim) is int
 
     # coordinates are lists of finite JSON numbers, r, offset and p finite numbers, dim an integer
     nan, inf = float("nan"), float("inf")
@@ -255,6 +257,7 @@ def test_region_json_grammar():
         {"cusp": {"p": "2"}},
         {"cusp": {"p": 2, "dim": 2.9}},
         {"cusp": {"p": 2, "dim": "3"}},
+        {"cusp": {"p": 2, "dim": True}},
     ]:
         with pytest.raises((ValueError, TypeError)):
             region_from_json(bad)

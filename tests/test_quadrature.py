@@ -25,7 +25,6 @@ from puremeasure.quadrature import (
     Shell,
     Sweep,
     UnboundedRegion,
-    WeightedMean,
     _lattice,
     _pairwise,
     _shifts,
@@ -112,7 +111,7 @@ def test_integral_counts_nonfinite():
     region = interval(0.0, 1.0)
     spec = SampleSpec(n=20_000, seed=17)
     est = mc_integral(lambda p: np.log(p[:, 0] - 0.5), region, spec)
-    assert est.nonfinite > 0
+    assert est.capped > 0
     assert np.isfinite(est.value)
 
 
@@ -398,10 +397,11 @@ def test_shell_rejects_bad_radii():
 def _oracle_sweep(weight, proposal, spec, stream=0, ratios=(), ranges=()):
     """`sweep` as a plain loop over the replicates: masks for every column, every hit value kept, np.quantile at the end.
 
-    It applies the kernel's rule itself: a ratio column drops values beyond
-    MAGNITUDE_CAP, a per-sample one only non-finite values, and a range
-    column reads the ESS_QUANTILE quantiles and turns an end infinite past
-    MAGNITUDE_CAP or at a NaN.
+    It applies the kernel's rules itself: a weight counts only where it is
+    finite and positive, a ratio column drops values beyond MAGNITUDE_CAP, a
+    per-sample one only non-finite values, and a range column reads the
+    ESS_QUANTILE quantiles and turns an end infinite past MAGNITUDE_CAP or
+    at a NaN.
     """
     m = spec.pairs
     hits = 0
@@ -413,7 +413,7 @@ def _oracle_sweep(weight, proposal, spec, stream=0, ratios=(), ranges=()):
             halves = []
             for pts in (a, b):
                 w = np.asarray(weight(pts), dtype=float)
-                active = w > 0
+                active = (w > 0) & np.isfinite(w)
                 hits += int(np.count_nonzero(active))
                 halves.append((pts, w, active))
             for col, acc in zip(ratios, sums):
@@ -445,14 +445,14 @@ def _oracle_sweep(weight, proposal, spec, stream=0, ratios=(), ranges=()):
         us, ds = np.array(us), np.array(ds)
         sv = float(ds.sum())
         if sv <= 0:
-            means.append(WeightedMean(float("nan"), float("nan"), hits, sv, capped, 2 * m))
+            means.append(Estimate(float("nan"), float("nan"), hits, 2 * m, capped))
             continue
         ratio = float(us.sum()) / sv
         reps = len(us)
         resid = us - ratio * ds
         se = STUDENT_T[reps - 2] * math.sqrt(float((resid * resid).sum()) / (reps * (reps - 1))) / (sv / reps) \
             if reps > 1 else np.inf
-        means.append(WeightedMean(ratio, se, hits, sv, capped, 2 * m))
+        means.append(Estimate(ratio, se, hits, 2 * m, capped))
     extents = []
     for vals, (below, above) in zip(found, unbounded):
         values = np.concatenate(vals) if vals else np.empty(0)
@@ -469,8 +469,9 @@ ORACLE_PROPOSALS = {
 
 
 def _signed_weight(p):
-    # negative on part of the set and NaN on a thin band: neither counts as weight
-    return np.where(np.abs(p[:, 1]) < 0.02, np.nan, np.cos(2.0 * p[:, 0]) + 0.3 * p[:, 1])
+    # negative on part of the set, NaN on a thin band and +inf on another: none counts as weight
+    w = np.where(np.abs(p[:, 1]) < 0.02, np.nan, np.cos(2.0 * p[:, 0]) + 0.3 * p[:, 1])
+    return np.where(np.abs(p[:, 0] + 0.1) < 0.02, np.inf, w)
 
 
 ORACLE_WEIGHTS = {

@@ -201,7 +201,7 @@ def test_gauss_on_sphere():
 
 # ------------------------------------------------------------ collar average
 
-COLLAR_SCHED = DeltaSchedule(0.64, 0.5, 8)
+COLLAR_SCHED = DeltaSchedule(0.64, 8)
 
 
 def test_collar_average_of_x_squared():

@@ -75,7 +75,7 @@ def test_trace_matches_point_value_on_smooth_fixture_suite():
 def test_trace_at_jump_point_gives_one_sided_mean():
     # informational fixture: interior jump, the mean of the one-sided traces
     omega = interval(0.0, 1.0)
-    sched = DeltaSchedule(0.25, 0.5, 10)
+    sched = DeltaSchedule(0.25, 10)
     u = lambda p: (p[:, 0] > 0.5).astype(float)
     r = sharp_integral(u, PointFeature((0.5,)), omega, sched, SampleSpec(n=50_000, seed=37))
     assert r.limit.mid == pytest.approx(0.5, abs=0.05)
@@ -183,7 +183,7 @@ def test_gradient_box_containment_helper():
 
 def test_gradient_empty_neighbourhood_vanishing_reference():
     with pytest.raises(VanishingReference):
-        density_gradient(SQUARE, (1.5, 1.5), DeltaSchedule(0.6, 0.5, 3), SampleSpec(n=1000, seed=0),
+        density_gradient(SQUARE, (1.5, 1.5), DeltaSchedule(0.6, 3), SampleSpec(n=1000, seed=0),
                          grad=lambda p: np.ones_like(p))
 
 
@@ -219,14 +219,14 @@ def test_rule_check_evaluates_each_gradient_once_per_sample(rule):
 
     f1 = ScalarField(f=lambda p: np.cos(p[:, 0]), grad=counted("f1", lambda p: -np.sin(p)))
     f2 = ScalarField(f=lambda p: p[:, 0] ** 2, grad=counted("f2", lambda p: 2.0 * p))
-    calculus_rule_check(rule, f1, f2, (0.0,), LINE, DeltaSchedule(0.5, 0.5, 4), SampleSpec(n=2000, seed=44))
+    calculus_rule_check(rule, f1, f2, (0.0,), LINE, DeltaSchedule(0.5, 4), SampleSpec(n=2000, seed=44))
     assert calls == {"f1": [1000] * 8, "f2": [1000] * 8}  # 4 levels x 2 half-leaves, every sample a hit
 
 
 def test_gradients_take_one_pass_per_level(distance_calls):
     ball3 = Ball((0.0, 0.0, 0.0), 1.0)
     kink = ScalarField(f=lambda p: np.abs(p[:, 0]) + p[:, 1] * p[:, 2])
-    s = DeltaSchedule(0.5, 0.5, 3)
+    s = DeltaSchedule(0.5, 3)
     density_gradient(ball3, (0.0, 0.0, 0.0), s, SampleSpec(n=2000, seed=43), field=kink)
     assert distance_calls == [1000] * 6  # 3 levels x 2 half-leaves for all 3 coordinates
     distance_calls.clear()
