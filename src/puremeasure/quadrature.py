@@ -28,7 +28,12 @@ Every estimator is one `sweep` over the replicates: as many whole
 replicates as fit in LEAF_PAIRS pairs are evaluated together, and a
 replicate longer than that is cut where numpy's pairwise sum would split its
 arrays, so that each replicate's sums are those of one array of its values,
-bit for bit, while temporaries stay leaf-sized.  A reference weight is
+bit for bit, while temporaries stay leaf-sized.  A sweep allocates one work
+block, sized to its largest leaf, and frees it when it returns: every leaf
+writes its points, their reflections, any sanitized weight and the ratio
+shares there instead of in fresh arrays, which moves no bit.  So the points
+a callable receives are overwritten by the next leaf: it may return a view
+of them, but must copy anything it keeps.  A reference weight is
 evaluated once per half-leaf (a leaf's points, or their reflections), and
 any number of ratio and essential-range columns are fed from the points of
 positive weight.  Columns on one sweep share their samples (common random
@@ -139,10 +144,11 @@ def _shifts(seed: int, stream: int, reps: int, coords: int) -> np.ndarray:
     return gen.random((reps, coords)).T
 
 
-def _shifted(base: np.ndarray, shift: np.ndarray) -> np.ndarray:
-    """(base + shift) mod 1 for points and shifts in [0, 1)."""
-    u = base + shift
-    u -= u >= 1.0
+def _shifted(base: np.ndarray, shift: np.ndarray, out: np.ndarray | None = None,
+             mask: np.ndarray | None = None) -> np.ndarray:
+    """(base + shift) mod 1 for points and shifts in [0, 1), into `out` with u >= 1 in `mask` when given."""
+    u = np.add(base, shift, out=out)
+    u -= np.greater_equal(u, 1.0, out=mask)
     return u
 
 
@@ -159,7 +165,9 @@ class Proposal:
     of the unit cube.  `_halves(u)` maps a C-ordered (coords, m) block of
     points of [0, 1)^s, uniformly onto the set, as two Fortran-ordered
     (m, dim) arrays: the points and their reflections through the centre.
-    It may overwrite u.
+    It may overwrite u.  `_halves(u, out)` writes the reflections into the
+    Fortran-ordered (m, dim) block `out` and the points into u's memory, so
+    u must then be contiguous.
     """
 
     dim: int
@@ -167,7 +175,7 @@ class Proposal:
     center: np.ndarray
     volume: float
 
-    def _halves(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _halves(self, u: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError
 
     def pairs(self, seed: int, stream: int, pairs: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -181,10 +189,18 @@ class Proposal:
         for r in range(reps):
             yield self._halves(_shifted(base[:, :size + (r < extra)], shifts[:, r:r + 1]))
 
-    def _reflected(self, offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """center ± offsets for a (dim, m) block of offsets, as (m, dim) transposes."""
+    def _reflected(self, offsets: np.ndarray, u: np.ndarray, out: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+        """center ± offsets for a (dim, m) block of offsets, as (m, dim) transposes.
+
+        With `out`, center + offsets goes into u's memory, which the offsets
+        must not share, and center - offsets into out.
+        """
         c = self.center[:, None]
-        return (c + offsets).T, (c - offsets).T
+        if out is None:
+            return (c + offsets).T, (c - offsets).T
+        points = np.add(c, offsets, out=u.reshape(-1)[:offsets.size].reshape(offsets.shape))
+        np.subtract(c, offsets, out=out.T)
+        return points.T, out
 
 
 class AxisBox(Proposal):
@@ -201,9 +217,9 @@ class AxisBox(Proposal):
         self.center = 0.5 * (self.lo + self.hi)
         self.volume = bbox_volume(bbox)
 
-    def _halves(self, u):
+    def _halves(self, u, out=None):
         a = u.T  # a C-ordered (dim, m) block is a Fortran-ordered (m, dim) one
-        b = np.empty(a.shape, order="F")
+        b = np.empty(a.shape, order="F") if out is None else out
         for k, (lo, hi, width) in enumerate(zip(self.lo, self.hi, self.width)):
             step = np.multiply(u[k], width, out=u[k])
             np.subtract(hi, step, out=b[:, k])
@@ -233,17 +249,18 @@ class Shell(Proposal):
         unit_ball = math.pi ** (self.dim / 2) / math.gamma(self.dim / 2 + 1)
         self.volume = unit_ball * self.r1 ** self.dim * (1.0 - self._inner)
 
-    def _halves(self, u):
+    def _halves(self, u, out=None):
         radius = self.r1 * (self._inner + u[0] * (1.0 - self._inner)) ** (1.0 / self.dim)
         if self.dim == 1:
-            return self._reflected(radius[None, :])
+            return self._reflected(radius[None, :], u, out)
         if self.dim == 2:
             angle = 2.0 * math.pi * u[1]
-            return self._reflected(np.stack([radius * np.cos(angle), radius * np.sin(angle)]))
+            return self._reflected(np.stack([radius * np.cos(angle), radius * np.sin(angle)]), u, out)
         if self.dim == 3:
             rho = 2.0 * radius * np.sqrt(u[1] * (1.0 - u[1]))
             angle = 2.0 * math.pi * u[2]
-            return self._reflected(np.stack([rho * np.cos(angle), rho * np.sin(angle), radius * (1.0 - 2.0 * u[1])]))
+            offsets = np.stack([rho * np.cos(angle), rho * np.sin(angle), radius * (1.0 - 2.0 * u[1])])
+            return self._reflected(offsets, u, out)
         g = np.empty((self.coords - 1, u.shape[1]))
         norm = np.sqrt(-np.log1p(-u[1::2]))
         angle = 2.0 * math.pi * u[2::2]
@@ -254,13 +271,13 @@ class Shell(Proposal):
         for row in g[1:]:
             norm2 += row * row
         g *= radius / np.sqrt(norm2)
-        return self._reflected(g)
+        return self._reflected(g, u, out)
 
 
 class OrientedBox(Proposal):
     """The box center + frame @ t with |t_k| < half[k], for an orthonormal frame.
 
-    The affine map t = (2 u - 1) half.
+    The affine map t = (2 u - 1) half, formed in place of u.
     """
 
     def __init__(self, center, frame, half):
@@ -282,9 +299,11 @@ class OrientedBox(Proposal):
         half[0] += 0.5 * length
         return cls(0.5 * (a + b), frame, half)
 
-    def _halves(self, u):
-        t = (2.0 * u - 1.0) * self.half[:, None]
-        return self._reflected(self.frame @ t)
+    def _halves(self, u, out=None):
+        u *= 2.0
+        u -= 1.0
+        u *= self.half[:, None]
+        return self._reflected(self.frame @ u, u, out)
 
 
 @dataclass(frozen=True)
@@ -369,32 +388,71 @@ def sweep(
     sums = np.zeros((len(ratios), 2, reps))  # each ratio's numerator and denominator sum per replicate
     capped = [0] * len(ratios)
     tails = [_Tails(ESS_QUANTILE, m) for _ in ranges]
+    leaves = list(_leaves(reps, size, extra))
+    work = _Work(max(min(LEAF_PAIRS, sum((hi - lo) * count for lo, hi, count in runs)) for runs in leaves),
+                 proposal, bool(ratios))
 
     def leaf(runs: list[tuple[int, int, int]], start: int, stop: int) -> list:
         """Pairs start:stop of each replicate of the runs, replicate by replicate."""
         shape = [(hi - lo, min(stop, count) - start) for lo, hi, count in runs]
-        blocks = [_shifted(base[:, None, start:start + width], shifts[:, lo:hi, None]).reshape(len(base), -1)
-                  for (lo, hi, _), (_, width) in zip(runs, shape)]
-        u = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)
-        halves = tuple(_weigh(weight, pts) for pts in proposal._halves(u))
+        u, mask, reflections, weights, shares = work.slots(sum(n * width for n, width in shape))
+        at = 0
+        for (lo, hi, _), (n, width) in zip(runs, shape):
+            cols = slice(at, at + n * width)
+            _shifted(base[:, None, start:start + width], shifts[:, lo:hi, None],
+                     u[:, cols].reshape(len(base), n, width), mask[:, cols].reshape(len(base), n, width))
+            at += n * width
+        halves = tuple(_weigh(weight, pts, out) for pts, out in zip(proposal._halves(u, reflections), weights))
         for half in halves:
             if ranges and half.hits:
                 _feed_ranges(ranges, tails, np.take(half.pts, np.flatnonzero(half.active), axis=0))
-        return [halves[0].hits + halves[1].hits, *_ratio_sums(ratios, halves, shape)]
+        return [halves[0].hits + halves[1].hits, *_ratio_sums(ratios, halves, shape, shares)]
 
     with np.errstate(all="ignore"):
-        for runs in _leaves(reps, size, extra):
+        for runs in leaves:
             hit, *cols = _pairwise(lambda start, stop: leaf(runs, start, stop), 0, runs[0][2])
             hits += hit
             lo, hi = runs[0][0], runs[-1][1]
             for j in range(len(ratios)):
                 sums[j, :, lo:hi] = cols[3 * j:3 * j + 2]
                 capped[j] += cols[3 * j + 2]
-    return Sweep(
-        hits,
-        tuple(_ratio_result(u, d, c, m, hits) for (u, d), c in zip(sums, capped)),
-        tuple(_range_result(tail, hits) for tail in tails),
-    )
+        return Sweep(
+            hits,
+            tuple(_ratio_result(u, d, c, m, hits) for (u, d), c in zip(sums, capped)),
+            tuple(_range_result(tail, hits) for tail in tails),
+        )
+
+
+class _Work:
+    """One sweep's work block: a slot for every leaf-sized array that a leaf writes, `rows` pairs each.
+
+    The slots are the unit-cube points u (coords rows) and their u >= 1
+    mask, the reflected half (dim columns), a weight per half, written only
+    where a weight needs sanitizing, and, with ratio columns, each half's
+    numerator and denominator shares of one column, where the shared
+    denominators are formed too.  A leaf of m pairs takes the first m rows
+    of each slot, each a contiguous array laid out as a fresh one would be.
+    Every slot is written before it is read, and the next leaf overwrites
+    it.  The block is one allocation of the largest leaf's size, freed when
+    the sweep returns.
+    """
+
+    def __init__(self, rows: int, proposal: Proposal, ratios: bool):
+        self.rows, self.coords, self.dim = rows, proposal.coords, proposal.dim
+        self.columns = 2 + 4 * ratios
+        floats = rows * (self.coords + self.dim + self.columns)
+        block = np.empty(8 * floats + rows * self.coords, dtype=np.uint8)
+        self.floats, self.mask = block[:8 * floats].view(float), block[8 * floats:].view(bool)
+
+    def slots(self, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[np.ndarray], list[np.ndarray]]:
+        """A leaf's u, mask, reflections, two weights and four shares, for m <= rows pairs."""
+        points, rows = self.coords * m, self.rows
+        at = self.coords * rows
+        reflections = self.floats[at:at + self.dim * m].reshape((m, self.dim), order="F")
+        at += self.dim * rows
+        columns = [self.floats[at + k * rows:at + k * rows + m] for k in range(self.columns)]
+        return (self.floats[:points].reshape(self.coords, m), self.mask[:points].reshape(self.coords, m),
+                reflections, columns[:2], columns[2:])
 
 
 def _leaves(reps: int, size: int, extra: int) -> Iterator[list[tuple[int, int, int]]]:
@@ -443,7 +501,8 @@ class _Half(NamedTuple):
     hits: int
 
 
-def _weigh(weight: Callable, pts: np.ndarray) -> _Half:
+def _weigh(weight: Callable, pts: np.ndarray, out: np.ndarray) -> _Half:
+    """The half-leaf of points pts; a weight that needs sanitizing is written into out."""
     w = np.asarray(weight(pts))
     if w.dtype == bool:
         active = w
@@ -452,41 +511,52 @@ def _weigh(weight: Callable, pts: np.ndarray) -> _Half:
         active = w > 0
         if not (np.min(w) >= 0.0 and np.max(w) < np.inf):  # a negative, NaN or infinite weight is no weight
             active &= w < np.inf
-            w = np.where(active, w, 0.0)
+            out.fill(0.0)
+            np.copyto(out, w, where=active)
+            w = out
     return _Half(pts, w, active, int(np.count_nonzero(active)))
 
 
 _FLOAT_MAX = float(np.finfo(float).max)
 
 
-def _ratio_terms(col: Ratio, half: _Half) -> tuple[np.ndarray, np.ndarray | None, int]:
+def _ratio_terms(col: Ratio, half: _Half, share: np.ndarray,
+                 dshare: np.ndarray) -> tuple[np.ndarray, np.ndarray | None, int]:
     """A half-leaf's share 0.5 w v of the pair average u, its share of d, and its capped count.
 
     A ratio column caps at MAGNITUDE_CAP; a `per_sample` one at the largest
     float, so it drops only non-finite values.  When every value lies within
     the cap nothing is masked, since w is already zero off the hits; the
     share of d is then None, standing for 0.5 w (or 0.5 for a `per_sample`
-    column).
+    column).  The shares are written into `share` and `dshare`.
     """
     cap = _FLOAT_MAX if col.per_sample else MAGNITUDE_CAP
     v = np.asarray(col.values(half.pts))
     if v.dtype != bool:
         v = v.astype(float, copy=False)
+    np.multiply(half.w, v, dtype=float, out=share)
     if v.min() >= -cap and v.max() <= cap:  # no NaN passes
-        share = np.multiply(half.w, v, dtype=float)
         share *= 0.5
         return share, None, 0
-    v = v.astype(float, copy=False)
     bad = half.active & (~np.isfinite(v) | (np.abs(v) > cap))
     keep = half.active & ~bad
-    share = np.where(keep, half.w * v, 0.0)
+    np.copyto(share, 0.0, where=~keep)
     share *= 0.5
-    return share, 0.5 * (~bad if col.per_sample else np.where(keep, half.w, 0.0)), int(np.count_nonzero(bad))
+    if col.per_sample:
+        np.multiply(~bad, 0.5, dtype=float, out=dshare)
+    else:
+        dshare.fill(0.0)
+        np.copyto(dshare, half.w, where=keep)
+        dshare *= 0.5
+    return share, dshare, int(np.count_nonzero(bad))
 
 
-def _unmasked(half: _Half, per_sample: bool) -> np.ndarray:
-    """A half-leaf's share of d with nothing masked."""
-    return np.full(len(half.pts), 0.5) if per_sample else np.multiply(half.w, 0.5, dtype=float)
+def _unmasked(half: _Half, per_sample: bool, out: np.ndarray) -> np.ndarray:
+    """A half-leaf's share of d with nothing masked, written into out."""
+    if per_sample:
+        out.fill(0.5)
+        return out
+    return np.multiply(half.w, 0.5, dtype=float, out=out)
 
 
 def _by_replicate(v: np.ndarray, shape: list[tuple[int, int]]) -> np.ndarray:
@@ -502,7 +572,8 @@ def _by_replicate(v: np.ndarray, shape: list[tuple[int, int]]) -> np.ndarray:
     return sums[0] if len(sums) == 1 else np.concatenate(sums)
 
 
-def _ratio_sums(ratios: Sequence[Ratio], halves: tuple[_Half, _Half], shape: list[tuple[int, int]]) -> list:
+def _ratio_sums(ratios: Sequence[Ratio], halves: tuple[_Half, _Half], shape: list[tuple[int, int]],
+                shares: list[np.ndarray]) -> list:
     """The numerator and denominator sums per replicate and the capped count of every ratio column.
 
     The pairs are runs of replicates as `_by_replicate` reads them.  u
@@ -510,22 +581,25 @@ def _ratio_sums(ratios: Sequence[Ratio], halves: tuple[_Half, _Half], shape: lis
     non-finite values are masked out of both, one half at a time.  Where neither half masks
     anything, d depends only on whether the column is `per_sample`, so it is
     formed and summed once per kind.  Either way u and d equal the masked
-    ones up to the sign of a zero, which no sum keeps.
+    ones up to the sign of a zero, which no sum keeps.  Each half's shares
+    of u and d go into its two of the four `shares`, one column at a time.
     """
     shared = {}
     out = []
     for col in ratios:
-        (u, da, capped_a), (ub, db, capped_b) = (_ratio_terms(col, half) for half in halves)
+        u, da, capped_a = _ratio_terms(col, halves[0], shares[0], shares[1])
+        ub, db, capped_b = _ratio_terms(col, halves[1], shares[2], shares[3])
         u += ub
         if da is None and db is None:
             if col.per_sample not in shared:
-                shared[col.per_sample] = _by_replicate(
-                    _unmasked(halves[0], col.per_sample) + _unmasked(halves[1], col.per_sample), shape)
+                d = _unmasked(halves[0], col.per_sample, shares[1])
+                d += _unmasked(halves[1], col.per_sample, shares[3])
+                shared[col.per_sample] = _by_replicate(d, shape)
             sd = shared[col.per_sample]
         else:
-            da = _unmasked(halves[0], col.per_sample) if da is None else da
-            db = _unmasked(halves[1], col.per_sample) if db is None else db
-            sd = _by_replicate(da + db, shape)
+            da = _unmasked(halves[0], col.per_sample, shares[1]) if da is None else da
+            da += _unmasked(halves[1], col.per_sample, shares[3]) if db is None else db
+            sd = _by_replicate(da, shape)
         out += [_by_replicate(u, shape), sd, capped_a + capped_b]
     return out
 
@@ -616,7 +690,9 @@ def _ratio_result(su: np.ndarray, sv: np.ndarray, capped: int, m: int, hits: int
 
     With reps replicate sums u_r and d_r and R = sum u / sum d, the half-width
     is t * sqrt(sum (u_r - R d_r)^2 / (reps (reps - 1))) / mean d, with t
-    Student's at reps - 1 degrees of freedom.
+    Student's at reps - 1 degrees of freedom.  It is inf with one replicate,
+    and where a sum overflowed.  `sweep` calls it with floating-point
+    warnings off.
     """
     total_v = float(sv.sum())
     if total_v <= 0:
@@ -624,7 +700,7 @@ def _ratio_result(su: np.ndarray, sv: np.ndarray, capped: int, m: int, hits: int
     ratio = float(su.sum()) / total_v
     reps = len(su)
     se = math.inf
-    if reps > 1:
+    if reps > 1 and math.isfinite(ratio) and math.isfinite(total_v):
         resid = su - ratio * sv
         se = STUDENT_T[reps - 2] * math.sqrt(float((resid * resid).sum()) / (reps * (reps - 1))) / (total_v / reps)
     return Estimate(ratio, se, hits, 2 * m, capped)

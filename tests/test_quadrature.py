@@ -115,6 +115,13 @@ def test_integral_counts_nonfinite():
     assert np.isfinite(est.value)
 
 
+def test_overflowing_column_reads_infinite_stderr():
+    # every value is finite and within the per-sample cap, but the replicate sums
+    # overflow: the variance is unknown, so stderr is inf, and nothing warns
+    est = mc_integral(lambda p: np.full(len(p), 1e308), interval(0.0, 1.0), SampleSpec(n=1000))
+    assert est.value == np.inf and est.stderr == np.inf and est.capped == 0
+
+
 def _weighted_mean(values, weight, bbox, spec, stream=0):
     """The one ratio column `Ratio(values)` of a sweep over the box."""
     return sweep(weight, AxisBox(bbox), spec, stream, ratios=[Ratio(values)]).ratios[0]
@@ -477,6 +484,7 @@ def _signed_weight(p):
 ORACLE_WEIGHTS = {
     "float": _signed_weight,
     "bool": lambda p: p[:, 0] + p[:, 1] < 0.6,
+    "view": lambda p: p[:, 0],  # a view of the points it is handed, negative on part of the set
 }
 
 
@@ -490,6 +498,7 @@ def _oracle_columns():
     block = lambda p: np.column_stack([p[:, 0] * p[:, 1], np.sin(3.0 * p[:, 1])])
     inverse = lambda p: 1.0 / p[:, 0]
     ratios = [
+        Ratio(lambda p: p[:, 0]),  # a view of the points it is handed, read before every other column
         Ratio(lambda p: p[:, 0] * p[:, 0] + p[:, 1]),
         Ratio(inverse),  # capped where |x1| < 1 / MAGNITUDE_CAP, beside the clean column above
         Ratio(lambda p: p[:, 1] > 0.1),  # bool values, as membership columns give them
@@ -504,6 +513,7 @@ def _oracle_columns():
         Range(inverse),
         Range(_wild),
         Range(lambda p: np.round(4.0 * p[:, 1]) / 4.0 + 1.0),  # heavy ties
+        Range(lambda p: p, axis=1),  # the points it is handed, unchanged
     ]
     return ratios, ranges
 
@@ -541,6 +551,20 @@ def test_long_replicates_match_the_plain_loop_bit_for_bit(kind, weight, monkeypa
     ratios, ranges = _oracle_columns()
     result = sweep(ORACLE_WEIGHTS[weight], proposal, spec, 2, ratios, ranges)
     assert repr(result) == repr(_oracle_sweep(ORACLE_WEIGHTS[weight], proposal, spec, 2, ratios, ranges))
+
+
+def test_a_callable_may_run_a_sweep_of_its_own():
+    # a weight and a ratio column that each estimate a volume between receiving
+    # their points and reading them: a work block shared with the inner sweep
+    # would overwrite those points, or the first half's shares, in between
+    def area():
+        return mc_volume(DISK, SampleSpec(n=4000, seed=2)).value
+
+    weight = lambda p: area() * p[:, 0] + p[:, 1]
+    ratios = [Ratio(lambda p: area() - p[:, 1]), Ratio(lambda p: p[:, 0] * p[:, 1])]
+    proposal, spec = ORACLE_PROPOSALS["axis_box"], SampleSpec(n=3001, seed=29)
+    result = sweep(weight, proposal, spec, 1, ratios)
+    assert repr(result) == repr(_oracle_sweep(weight, proposal, spec, 1, ratios))
 
 
 @pytest.mark.parametrize("n", [CHUNK_PAIRS, 25_000, LEAF_PAIRS + 1, 1696])
