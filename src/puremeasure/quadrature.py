@@ -2,11 +2,16 @@
 
 Every estimate averages over center-symmetric pairs (x, 2c - x) drawn from a
 `Proposal`, a set symmetric about its centre c with an exact volume onto
-which it maps the unit cube [0, 1)^s.  The unit-cube points are REPLICATES
-independent random shifts of one rank-1 lattice sequence (randomly shifted
-lattice rules, L'Ecuyer & Lemieux 2000): replicate r takes the first points
-of the extensible Korobov sequence of generator LATTICE_A (Hickernell, Hong,
-L'Ecuyer & Lemieux 2000), in radical-inverse order, each shifted by u_r mod 1.
+which it maps the unit cube [0, 1)^s.  The unit-cube points are independent
+random shifts of one rank-1 lattice (randomly shifted lattice rules,
+L'Ecuyer & Lemieux 2000): each replicate is the first 2^k points of the
+extensible Korobov sequence of generator LATTICE_A (Hickernell, Hong,
+L'Ecuyer & Lemieux 2000), a whole 2^k-point lattice, shifted by its own u_r
+mod 1.  A pass of m requested pairs takes 2^k, the largest power of two at
+most m / REPLICATES, and m // 2^k replicates, between REPLICATES and
+2 REPLICATES - 1 of them (one per pair below REPLICATES pairs), so it
+evaluates more than 15/16 of the pairs, and `Estimate.n` reports the
+samples it evaluated.
 Each replicate's estimate is unbiased, the replicates are independent, and
 the spread of the replicate sums is the unit of the variance estimate, scaled
 by Student's t at the replicates' degrees of freedom.  The shifts of a pass
@@ -24,11 +29,11 @@ oriented box.  Pairs are handed out as two Fortran-ordered (m, d) blocks,
 the points and their reflections, so the column-wise geometry kernels read
 contiguous coordinates.
 
-Every estimator is one `sweep` over the replicates: as many whole
-replicates as fit in LEAF_PAIRS pairs are evaluated together, and a
-replicate longer than that is cut where numpy's pairwise sum would split its
-arrays, so that each replicate's sums are those of one array of its values,
-bit for bit, while temporaries stay leaf-sized.  A sweep allocates one work
+Every estimator is one `sweep` over the replicates: LEAF_PAIRS / 2^k whole
+replicates are evaluated together as one leaf, and a replicate longer than
+LEAF_PAIRS is cut in halves, where numpy's pairwise sum splits its array, so
+that each replicate's sums are those of one array of its values, bit for
+bit, while temporaries stay leaf-sized.  A sweep allocates one work
 block, sized to its largest leaf, and frees it when it returns: every leaf
 writes its points, their reflections, any sanitized weight and the ratio
 shares there instead of in fresh arrays, which moves no bit.  So the points
@@ -52,6 +57,12 @@ An indicator weight arrives as a bool mask.  A range column keeps only the
 O(q n) smallest and largest finite values it has seen, which hold every
 order statistic its quantiles read, so its endpoints are np.quantile's of
 all n values.  None of this moves a bit of any estimate.
+
+Under an indicator weight, a ratio column of bool values (a membership) or
+of one constant value (a volume) is quantized: one sample moves a replicate
+sum by a fixed step, and on a whole lattice every replicate may read the
+same value.  Its stderr then counts one step's rounding variance, unless
+every sample agrees (see `_ratio_result`).
 """
 
 from __future__ import annotations
@@ -71,10 +82,13 @@ LEAF_PAIRS = 1 << 14
 MAGNITUDE_CAP = 1.0e3
 ESS_QUANTILE = 1.0e-3
 REPLICATES = 16
-# t quantile at 0.975 for 1, 2, ..., 15 degrees of freedom: m replicates make
-# stderr STUDENT_T[m - 2] standard errors, a ~95% half-width.
+# t quantile at 0.975 for 1, 2, ..., 30 degrees of freedom: a pass has at
+# most 2 REPLICATES - 1 replicates, and m >= 2 of them make stderr
+# STUDENT_T[m - 2] standard errors, a ~95% half-width.
 STUDENT_T = (12.7062, 4.3027, 3.1824, 2.7764, 2.5706, 2.4469, 2.3646, 2.3060,
-             2.2622, 2.2281, 2.2010, 2.1788, 2.1604, 2.1448, 2.1314)
+             2.2622, 2.2281, 2.2010, 2.1788, 2.1604, 2.1448, 2.1314, 2.1199,
+             2.1098, 2.1009, 2.0930, 2.0860, 2.0796, 2.0739, 2.0687, 2.0639,
+             2.0595, 2.0555, 2.0518, 2.0484, 2.0452, 2.0423)
 # The Korobov generator of the lattice sequence (see `_lattice`) and its bits,
 # after which a replicate's points repeat.  tools/lattice_search.py computes it.
 LATTICE_BITS = 32
@@ -152,10 +166,22 @@ def _shifted(base: np.ndarray, shift: np.ndarray, out: np.ndarray | None = None,
     return u
 
 
-def _replicates(pairs: int) -> tuple[int, int, int]:
-    """(reps, size, extra): min(REPLICATES, pairs) replicates, the first `extra` of size + 1 pairs and the rest of size."""
-    reps = min(REPLICATES, pairs)
-    return (reps, *divmod(pairs, reps))
+def _replicates(pairs: int) -> tuple[int, int]:
+    """(reps, size): whole lattices of size = 2^k pairs, the most that `pairs` holds, and reps of them.
+
+    2^k is the largest power of two at most pairs / REPLICATES (1 below
+    REPLICATES pairs), so there are REPLICATES to 2 REPLICATES - 1
+    replicates (as many as pairs below REPLICATES), and they take more than
+    15/16 of the pairs.
+    """
+    size = 1 << max((pairs // REPLICATES).bit_length() - 1, 0)
+    return pairs // size, size
+
+
+def _samples(spec: SampleSpec) -> int:
+    """The samples a pass of spec evaluates: twice its replicates' pairs."""
+    reps, size = _replicates(spec.pairs)
+    return 2 * reps * size
 
 
 class Proposal:
@@ -179,15 +205,15 @@ class Proposal:
         raise NotImplementedError
 
     def pairs(self, seed: int, stream: int, pairs: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """Each replicate's pairs of a pass of `pairs` pairs, one (points, reflections) block per replicate.
+        """Each replicate's pairs of a pass of `pairs` requested pairs, one (points, reflections) block per replicate.
 
         This is what `sweep` evaluates, replicate by replicate.
         """
-        reps, size, extra = _replicates(pairs)
-        base = _lattice(self.coords, size + (extra > 0))
+        reps, size = _replicates(pairs)
+        base = _lattice(self.coords, size)
         shifts = _shifts(seed, stream, reps, self.coords)
         for r in range(reps):
-            yield self._halves(_shifted(base[:, :size + (r < extra)], shifts[:, r:r + 1]))
+            yield self._halves(_shifted(base, shifts[:, r:r + 1]))
 
     def _reflected(self, offsets: np.ndarray, u: np.ndarray, out: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
         """center ± offsets for a (dim, m) block of offsets, as (m, dim) transposes.
@@ -261,11 +287,14 @@ class Shell(Proposal):
             angle = 2.0 * math.pi * u[2]
             offsets = np.stack([rho * np.cos(angle), rho * np.sin(angle), radius * (1.0 - 2.0 * u[1])])
             return self._reflected(offsets, u, out)
+        # sqrt(-log(1 - u)) and 2 pi u are formed in place of u, and cos and sin in g
         g = np.empty((self.coords - 1, u.shape[1]))
-        norm = np.sqrt(-np.log1p(-u[1::2]))
-        angle = 2.0 * math.pi * u[2::2]
-        np.multiply(norm, np.cos(angle), out=g[0::2])
-        np.multiply(norm, np.sin(angle), out=g[1::2])
+        norm = np.negative(u[1::2], out=u[1::2])
+        np.log1p(norm, out=norm)
+        np.sqrt(np.negative(norm, out=norm), out=norm)
+        angle = np.multiply(u[2::2], 2.0 * math.pi, out=u[2::2])
+        np.multiply(np.cos(angle, out=g[0::2]), norm, out=g[0::2])
+        np.multiply(np.sin(angle, out=g[1::2]), norm, out=g[1::2])
         g = g[:self.dim]
         norm2 = g[0] * g[0]
         for row in g[1:]:
@@ -380,45 +409,40 @@ def sweep(
     temporaries stay one column wide.  With a single antithetic pair the
     variance is unknown and stderr is inf.
     """
-    m = spec.pairs
-    reps, size, extra = _replicates(m)
-    base = _lattice(proposal.coords, size + (extra > 0))
+    reps, size = _replicates(spec.pairs)
+    m = reps * size
+    base = _lattice(proposal.coords, size)
     shifts = _shifts(spec.seed, stream, reps, proposal.coords)
     hits = 0
     sums = np.zeros((len(ratios), 2, reps))  # each ratio's numerator and denominator sum per replicate
     capped = [0] * len(ratios)
+    steps = [_Step() for _ in ratios]
     tails = [_Tails(ESS_QUANTILE, m) for _ in ranges]
-    leaves = list(_leaves(reps, size, extra))
-    work = _Work(max(min(LEAF_PAIRS, sum((hi - lo) * count for lo, hi, count in runs)) for runs in leaves),
-                 proposal, bool(ratios))
+    work = _Work(min(LEAF_PAIRS, m), proposal, bool(ratios))
 
-    def leaf(runs: list[tuple[int, int, int]], start: int, stop: int) -> list:
-        """Pairs start:stop of each replicate of the runs, replicate by replicate."""
-        shape = [(hi - lo, min(stop, count) - start) for lo, hi, count in runs]
-        u, mask, reflections, weights, shares = work.slots(sum(n * width for n, width in shape))
-        at = 0
-        for (lo, hi, _), (n, width) in zip(runs, shape):
-            cols = slice(at, at + n * width)
-            _shifted(base[:, None, start:start + width], shifts[:, lo:hi, None],
-                     u[:, cols].reshape(len(base), n, width), mask[:, cols].reshape(len(base), n, width))
-            at += n * width
+    def leaf(lo: int, hi: int, start: int, stop: int) -> list:
+        """Pairs start:stop of replicates lo:hi, replicate by replicate."""
+        shape = (hi - lo, stop - start)
+        u, mask, reflections, weights, shares = work.slots(shape[0] * shape[1])
+        _shifted(base[:, None, start:stop], shifts[:, lo:hi, None],
+                 u.reshape(len(base), *shape), mask.reshape(len(base), *shape))
         halves = tuple(_weigh(weight, pts, out) for pts, out in zip(proposal._halves(u, reflections), weights))
         for half in halves:
             if ranges and half.hits:
                 _feed_ranges(ranges, tails, np.take(half.pts, np.flatnonzero(half.active), axis=0))
-        return [halves[0].hits + halves[1].hits, *_ratio_sums(ratios, halves, shape, shares)]
+        return [halves[0].hits + halves[1].hits, *_ratio_sums(ratios, halves, shape, shares, steps)]
 
     with np.errstate(all="ignore"):
-        for runs in leaves:
-            hit, *cols = _pairwise(lambda start, stop: leaf(runs, start, stop), 0, runs[0][2])
+        for lo, hi in _leaves(reps, size):
+            hit, *cols = _pairwise(lambda start, stop: leaf(lo, hi, start, stop), 0, size)
             hits += hit
-            lo, hi = runs[0][0], runs[-1][1]
             for j in range(len(ratios)):
                 sums[j, :, lo:hi] = cols[3 * j:3 * j + 2]
                 capped[j] += cols[3 * j + 2]
         return Sweep(
             hits,
-            tuple(_ratio_result(u, d, c, m, hits) for (u, d), c in zip(sums, capped)),
+            tuple(_ratio_result(u, d, c, m, hits, step.variance(2 * m if col.per_sample else hits))
+                  for (u, d), c, step, col in zip(sums, capped, steps, ratios)),
             tuple(_range_result(tail, hits) for tail in tails),
         )
 
@@ -455,40 +479,29 @@ class _Work:
                 reflections, columns[:2], columns[2:])
 
 
-def _leaves(reps: int, size: int, extra: int) -> Iterator[list[tuple[int, int, int]]]:
-    """The replicates evaluated together, as runs (lo, hi, count) of replicates of count pairs each.
+def _leaves(reps: int, size: int) -> list[tuple[int, int]]:
+    """The replicates evaluated together, as ranges lo:hi, in order.
 
-    Whole replicates share a leaf, in order, up to LEAF_PAIRS pairs; a longer
-    replicate runs alone and `_pairwise` cuts it.  The first `extra`
-    replicates hold size + 1 pairs, so a leaf has at most two runs.
+    LEAF_PAIRS / size whole replicates of size pairs, both powers of two,
+    share a leaf; a longer replicate runs alone and `_pairwise` cuts it.
     """
-    runs, total = [], 0
-    for r in range(reps):
-        count = size + (r < extra)
-        if runs and total + count > LEAF_PAIRS:
-            yield runs
-            runs, total = [], 0
-        if runs and runs[-1][2] == count:
-            runs[-1] = (runs[-1][0], r + 1, count)
-        else:
-            runs.append((r, r + 1, count))
-        total += count
-    yield runs
+    per_leaf = max(LEAF_PAIRS // size, 1)
+    return [(lo, min(lo + per_leaf, reps)) for lo in range(0, reps, per_leaf)]
 
 
 def _pairwise(leaf: Callable[[int, int], list], start: int, stop: int) -> list:
-    """leaf(start, stop)'s sums, over leaves of at most LEAF_PAIRS pairs cut along numpy's pairwise sum.
+    """leaf(start, stop)'s sums, over leaves of at most LEAF_PAIRS pairs cut in exact halves.
 
     numpy sums n > 128 contiguous values as the sum of the first
-    n//2 - (n//2) % 8 of them plus the sum of the rest, so cutting there and
-    adding the two halves' sums back gives the whole range's sums bit for
-    bit.  The leaves run in order.  A leaf's sums may be arrays, one entry
-    per replicate.
+    n//2 - (n//2) % 8 of them plus the sum of the rest; for a replicate of
+    2^k pairs that is its exact half, so cutting there and adding the two
+    halves' sums back gives the whole range's sums bit for bit.  The leaves
+    run in order.  A leaf's sums may be arrays, one entry per replicate.
     """
     n = stop - start
     if n <= LEAF_PAIRS:
         return leaf(start, stop)
-    cut = start + n // 2 - n // 2 % 8
+    cut = start + n // 2
     return [x + y for x, y in zip(_pairwise(leaf, start, cut), _pairwise(leaf, cut, stop))]
 
 
@@ -520,24 +533,61 @@ def _weigh(weight: Callable, pts: np.ndarray, out: np.ndarray) -> _Half:
 _FLOAT_MAX = float(np.finfo(float).max)
 
 
-def _ratio_terms(col: Ratio, half: _Half, share: np.ndarray,
-                 dshare: np.ndarray) -> tuple[np.ndarray, np.ndarray | None, int]:
+class _Step:
+    """Whether a ratio column is quantized, and on how many samples its share w v is not 0.
+
+    It is where every half-leaf has an indicator weight and bool values or
+    one constant value c within the cap, so w v is 0 or c: c = 1 for bool
+    values.  `c` is None before the first half-leaf and NaN once a half-leaf
+    is not quantized or takes another c.
+    """
+
+    def __init__(self):
+        self.c: float | None = None
+        self.on = 0
+
+    def add(self, c: float, wv: np.ndarray) -> None:
+        self.c = c if self.c is None or self.c == c else math.nan
+        if self.c == self.c:
+            self.on += int(np.count_nonzero(wv))
+
+    def variance(self, samples: int) -> float:
+        """One step's rounding variance h^2 / 12 in a replicate sum, h = 0.5 |c| the share of one sample.
+
+        It is 0 when the column is not quantized and when all of the
+        `samples` that its denominator counts agree, all c or all 0, as
+        every sample does on an exact 0 or an exact bound.
+        """
+        if self.c is None or self.c != self.c or self.on in (0, samples):
+            return 0.0
+        return (0.5 * self.c) ** 2 / 12.0
+
+
+def _ratio_terms(col: Ratio, half: _Half, share: np.ndarray, dshare: np.ndarray,
+                 step: _Step) -> tuple[np.ndarray, np.ndarray | None, int]:
     """A half-leaf's share 0.5 w v of the pair average u, its share of d, and its capped count.
 
     A ratio column caps at MAGNITUDE_CAP; a `per_sample` one at the largest
     float, so it drops only non-finite values.  When every value lies within
     the cap nothing is masked, since w is already zero off the hits; the
     share of d is then None, standing for 0.5 w (or 0.5 for a `per_sample`
-    column).  The shares are written into `share` and `dshare`.
+    column).  The shares are written into `share` and `dshare`, and w v is
+    added to the column's `step`.
     """
     cap = _FLOAT_MAX if col.per_sample else MAGNITUDE_CAP
     v = np.asarray(col.values(half.pts))
     if v.dtype != bool:
         v = v.astype(float, copy=False)
     np.multiply(half.w, v, dtype=float, out=share)
-    if v.min() >= -cap and v.max() <= cap:  # no NaN passes
+    lo, hi = v.min(), v.max()
+    if lo >= -cap and hi <= cap:  # no NaN passes
+        c = math.nan
+        if half.w.dtype == bool:
+            c = 1.0 if v.dtype == bool else float(lo) if lo == hi else math.nan
+        step.add(c, share)
         share *= 0.5
         return share, None, 0
+    step.add(math.nan, share)
     bad = half.active & (~np.isfinite(v) | (np.abs(v) > cap))
     keep = half.active & ~bad
     np.copyto(share, 0.0, where=~keep)
@@ -559,24 +609,20 @@ def _unmasked(half: _Half, per_sample: bool, out: np.ndarray) -> np.ndarray:
     return np.multiply(half.w, 0.5, dtype=float, out=out)
 
 
-def _by_replicate(v: np.ndarray, shape: list[tuple[int, int]]) -> np.ndarray:
-    """The sum of each replicate's run of v, for runs of (replicates, pairs each) in order.
+def _by_replicate(v: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """The sum of each replicate's run of v, for shape = (replicates, pairs each).
 
     A row sum of a C-ordered block runs along numpy's pairwise tree as a
     1-D sum does, so each equals v[run].sum() bit for bit.
     """
-    sums, start = [], 0
-    for reps, count in shape:
-        sums.append(v[start:start + reps * count].reshape(reps, count).sum(axis=1))
-        start += reps * count
-    return sums[0] if len(sums) == 1 else np.concatenate(sums)
+    return v.reshape(shape).sum(axis=1)
 
 
-def _ratio_sums(ratios: Sequence[Ratio], halves: tuple[_Half, _Half], shape: list[tuple[int, int]],
-                shares: list[np.ndarray]) -> list:
+def _ratio_sums(ratios: Sequence[Ratio], halves: tuple[_Half, _Half], shape: tuple[int, int],
+                shares: list[np.ndarray], steps: list[_Step]) -> list:
     """The numerator and denominator sums per replicate and the capped count of every ratio column.
 
-    The pairs are runs of replicates as `_by_replicate` reads them.  u
+    The pairs are replicates as `_by_replicate` reads them.  u
     (numerator) and d (denominator) are the pair averages.  Capped and
     non-finite values are masked out of both, one half at a time.  Where neither half masks
     anything, d depends only on whether the column is `per_sample`, so it is
@@ -586,9 +632,9 @@ def _ratio_sums(ratios: Sequence[Ratio], halves: tuple[_Half, _Half], shape: lis
     """
     shared = {}
     out = []
-    for col in ratios:
-        u, da, capped_a = _ratio_terms(col, halves[0], shares[0], shares[1])
-        ub, db, capped_b = _ratio_terms(col, halves[1], shares[2], shares[3])
+    for col, step in zip(ratios, steps):
+        u, da, capped_a = _ratio_terms(col, halves[0], shares[0], shares[1], step)
+        ub, db, capped_b = _ratio_terms(col, halves[1], shares[2], shares[3], step)
         u += ub
         if da is None and db is None:
             if col.per_sample not in shared:
@@ -685,14 +731,17 @@ def _tail_quantiles(tail: _Tails, q: float) -> np.ndarray:
     return np.where(gamma >= 0.5, b - diff * (1 - gamma), a + diff * gamma)
 
 
-def _ratio_result(su: np.ndarray, sv: np.ndarray, capped: int, m: int, hits: int) -> Estimate:
+def _ratio_result(su: np.ndarray, sv: np.ndarray, capped: int, m: int, hits: int, rounding: float) -> Estimate:
     """The ratio of the numerator and denominator sums, with the replicates' ratio-estimator stderr.
 
     With reps replicate sums u_r and d_r and R = sum u / sum d, the half-width
-    is t * sqrt(sum (u_r - R d_r)^2 / (reps (reps - 1))) / mean d, with t
-    Student's at reps - 1 degrees of freedom.  It is inf with one replicate,
-    and where a sum overflowed.  `sweep` calls it with floating-point
-    warnings off.
+    is t * sqrt((sum (u_r - R d_r)^2 + reps * rounding) / (reps (reps - 1)))
+    / mean d, with t Student's at reps - 1 degrees of freedom.  `rounding`
+    is a quantized column's step variance (`_Step.variance`): each u_r of a
+    whole lattice can take few values, which may all agree, so the residuals
+    alone can read 0 on a ratio strictly inside its range (L'Ecuyer, Munger
+    & Tuffin 2010).  It is inf with one replicate, and where a sum
+    overflowed.  `sweep` calls it with floating-point warnings off.
     """
     total_v = float(sv.sum())
     if total_v <= 0:
@@ -702,7 +751,8 @@ def _ratio_result(su: np.ndarray, sv: np.ndarray, capped: int, m: int, hits: int
     se = math.inf
     if reps > 1 and math.isfinite(ratio) and math.isfinite(total_v):
         resid = su - ratio * sv
-        se = STUDENT_T[reps - 2] * math.sqrt(float((resid * resid).sum()) / (reps * (reps - 1))) / (total_v / reps)
+        squares = float((resid * resid).sum()) + reps * rounding
+        se = STUDENT_T[reps - 2] * math.sqrt(squares / (reps * (reps - 1))) / (total_v / reps)
     return Estimate(ratio, se, hits, 2 * m, capped)
 
 
@@ -727,7 +777,7 @@ def mc_volume(region: Region, spec: SampleSpec) -> Estimate:
     """Unbiased Lebesgue volume estimate; deterministic for a fixed spec."""
     box = _resolve_box(region)
     if box.volume == 0.0:
-        return Estimate(0.0, 0.0, 0, 2 * spec.pairs)
+        return Estimate(0.0, 0.0, 0, _samples(spec))
     return sweep(region.contains, box, spec, ratios=[volume_column(box)]).ratios[0]
 
 
@@ -735,7 +785,7 @@ def mc_integral(f: Callable, region: Region, spec: SampleSpec) -> Estimate:
     """Volume-weighted mean estimate of the integral of f over the region."""
     box = _resolve_box(region)
     if box.volume == 0.0:
-        return Estimate(0.0, 0.0, 0, 2 * spec.pairs)
+        return Estimate(0.0, 0.0, 0, _samples(spec))
     r = sweep(region.contains, box, spec, ratios=[Ratio(f, per_sample=True)]).ratios[0]
     if r.capped == r.n:  # every sample dropped: nothing to average
         return replace(r, value=0.0, stderr=0.0)

@@ -383,7 +383,7 @@ def test_sigma_probe_weighs_each_half_chunk_once(distance_calls):
     members = [Box((1.0 / (k + 2), -1.0), (1.0 / (k + 1), 1.0)) for k in range(1, 9)]
     sigma_probe(members, Box((0.0, -1.0), (0.5, 1.0)), ORIGIN2, DISK, sched(ORIGIN2, DISK, count=4),
                 SampleSpec(n=2000, seed=26))
-    assert distance_calls == [1000] * 8  # 4 levels x 2 half-leaves, shared by all 9 probes
+    assert distance_calls == [992] * 8  # 4 levels x 2 half-leaves of 31 lattices of 32 pairs, shared by all 9 probes
 
 
 def test_single_pair_is_insufficient():
@@ -531,11 +531,11 @@ def test_aura_volumes_are_unbiased_on_feature_proposals():
     rep = aura_report(RegionBoundary(sphere), sphere, schedule, SampleSpec(n=100_000, seed=3))
     for level in rep.levels:
         assert level.volume == pytest.approx(4 * np.pi / 3 * (1 - (1 - level.delta) ** 3), rel=1e-12)
-        assert level.hits == 100_000
+        assert level.hits == 98_304  # 24 whole lattices of 2048 pairs
     rep = aura_report(ORIGIN8, CUBE8, schedule, SampleSpec(n=1000, seed=3))
     for level in rep.levels:
         assert level.volume == pytest.approx(np.pi ** 4 / 24 * level.delta ** 8, rel=1e-12)
-        assert level.hits == 1000  # the ball lies inside the cube
+        assert level.hits == 992  # the ball lies inside the cube; 31 lattices of 16 pairs
 
 
 def test_feature_proposals_converge_on_thin_features():
@@ -575,45 +575,76 @@ def test_quadrant_verdicts_are_no_worse_than_monte_carlo():
 def test_stderr_intervals_cover_known_values_across_seeds():
     # `stderr` is already the ~95% half-width (Student's t at the replicates'
     # degrees of freedom, quadrature.STUDENT_T), so value ± stderr should hold
-    # the true value about 95% of the time.
+    # the true value about 95% of the time, whether the pass holds 31 lattices
+    # of 16 pairs (n = 1000) or 16 of 2^k pairs (n = 1024, 2048, 4096).
     sector = Intersection((Halfspace((-1.0, 0.0), 0.0), Halfspace((0.0, -1.0), 0.0)))
     segment, unit = Box((0.0,), (0.3,)), AxisBox(make_bbox([0.0], [1.0]))
     boundary = RegionBoundary(DISK)
     x_sq = lambda p: p[:, 0] ** 2
     collar_sched = DeltaSchedule(0.5, 3)
-    hits = {"sector": 0, "segment": 0, "collar": 0, "quadrant8": 0}
     seeds = range(200)
-    for seed in seeds:
-        spec = SampleSpec(n=1000, seed=seed)
-        # the quarter-disk sector fills 1/4 of every disk around the origin
-        e = density_ratio(sector, ORIGIN2, DISK, 0.5, spec)
-        hits["sector"] += abs(e.value - 0.25) <= e.stderr
-        # the same quadrant in 8-D, sampled from the ball around the origin
-        e = density_ratio(QUADRANT8, ORIGIN8, CUBE8, 0.5, spec)
-        hits["quadrant8"] += abs(e.value - 0.25) <= e.stderr
-        # the interval (0, 0.3) sampled on (0, 1)
-        e = sweep(segment.contains, unit, spec, ratios=[volume_column(unit)]).ratios[0]
-        hits["segment"] += abs(e.value - 0.3) <= e.stderr
-        # the inner collar 1 - delta < |x| < 1 of the disk: the mean of x1^2 is
-        # (1 + (1 - delta)^2) / 4, which tends to 0.5; each level is its own stream
-        collar = sharp_integral(x_sq, boundary, DISK, collar_sched, spec)
-        hits["collar"] += sum(abs(l.value - (1 + (1 - l.delta) ** 2) / 4) <= l.stderr for l in collar.series)
-    trials = {"sector": len(seeds), "segment": len(seeds), "collar": len(seeds) * collar_sched.count,
-              "quadrant8": len(seeds)}
-    for name, count in hits.items():
-        assert 0.9 <= count / trials[name] <= 0.99, (name, count / trials[name])
+    trials = {"sector": len(seeds), "segment": len(seeds), "collar": len(seeds) * collar_sched.count}
+    for n in (1000, 1024, 2048, 4096):
+        hits = dict.fromkeys(trials, 0)
+        for seed in seeds:
+            spec = SampleSpec(n=n, seed=seed)
+            # the quarter-disk sector fills 1/4 of every disk around the origin
+            e = density_ratio(sector, ORIGIN2, DISK, 0.5, spec)
+            hits["sector"] += abs(e.value - 0.25) <= e.stderr
+            # the interval (0, 0.3) sampled on (0, 1)
+            e = sweep(segment.contains, unit, spec, ratios=[volume_column(unit)]).ratios[0]
+            hits["segment"] += abs(e.value - 0.3) <= e.stderr
+            # the inner collar 1 - delta < |x| < 1 of the disk: the mean of x1^2 is
+            # (1 + (1 - delta)^2) / 4, which tends to 0.5; each level is its own stream
+            collar = sharp_integral(x_sq, boundary, DISK, collar_sched, spec)
+            hits["collar"] += sum(abs(l.value - (1 + (1 - l.delta) ** 2) / 4) <= l.stderr for l in collar.series)
+        for name, count in hits.items():
+            assert 0.9 <= count / trials[name] <= 0.99, (n, name, count / trials[name])
+        for seed in range(20):
+            # the same quadrant in 8-D, sampled from the ball around the origin: a
+            # whole lattice splits evenly among the quadrants of (x1, x2), so every
+            # replicate reads 1/4 exactly, yet the interval keeps one hit's rounding
+            e = density_ratio(QUADRANT8, ORIGIN8, CUBE8, 0.5, SampleSpec(n=n, seed=seed))
+            assert e.value == 0.25 and e.stderr > 0, (n, seed)
 
 
-@pytest.mark.xfail(strict=True, reason="1-D replicates of 2^k lattice points under-cover: 0.87 over these seeds")
+def test_ratios_on_which_every_hit_agrees_keep_stderr_zero():
+    # the cusp's tip lies inside the cone along it and outside the cone against
+    # it, at every delta: both ratios are exact, as plain Monte Carlo reports
+    cusp = Cusp(2.0)
+    for x_axis, value in ((1.0, 1.0), (-1.0, 0.0)):
+        r = cone_density((0.0, 0.0), (x_axis, 0.0), np.pi / 4, cusp, DeltaSchedule(0.1, 3), SampleSpec(n=4096, seed=5))
+        assert all((l.value, l.stderr) == (value, 0.0) and l.hits > 0 for l in r.series), r.series
+
+
 def test_stderr_intervals_cover_the_segment_at_a_power_of_two():
-    # The segment fixture above at n = 1024 instead of 1000.  A 1-D replicate
-    # of 2^k points is likely a shifted regular grid, whose estimate takes
-    # only a few values, so the t interval over 16 of them misjudges the
-    # spread.  A fix makes this pass, which strict mode reports.
+    # The segment fixture above over 1000 seeds at n = 1024 and 4096, where
+    # each replicate is a shifted grid of 2^k points and its reflection, whose
+    # hit count takes one of two adjacent values, so the replicates often all
+    # agree: the residuals alone covered 0.864 and 0.855.  One hit's rounding
+    # variance in the interval keeps it at ~95% or above.
     segment, unit = Box((0.0,), (0.3,)), AxisBox(make_bbox([0.0], [1.0]))
+    seeds = range(1000)
+    for n in (1024, 4096):
+        hits = 0
+        for seed in seeds:
+            e = sweep(segment.contains, unit, SampleSpec(n=n, seed=seed), ratios=[volume_column(unit)]).ratios[0]
+            hits += abs(e.value - 0.3) <= e.stderr
+        assert 0.9 <= hits / len(seeds) <= 0.99, (n, hits / len(seeds))
+
+
+@pytest.mark.xfail(strict=True, reason="8-D wedge of 1 radian at n = 1024: 0.77 over these seeds")
+def test_stderr_intervals_cover_a_thin_wedge_at_a_power_of_two():
+    # The 1-radian wedge 0 < angle(x1, x2) < 1 in 8-D, whose density at the
+    # origin is 1 / (2 pi).  At n = 1024 ~10 of a replicate's 64 samples fall
+    # in the wedge, and the lattice's 2-D projection is coarse: the interval holds
+    # 0.93-0.965 at n = 1000, 2048 and 4096, but 0.77 here.  A fix makes this
+    # pass, which strict mode reports.
+    wedge = Intersection((Halfspace((0.0, -1.0) + (0.0,) * 6, 0.0),
+                          Halfspace((-np.sin(1.0), np.cos(1.0)) + (0.0,) * 6, 0.0)))
     seeds = range(200)
     hits = 0
     for seed in seeds:
-        e = sweep(segment.contains, unit, SampleSpec(n=1024, seed=seed), ratios=[volume_column(unit)]).ratios[0]
-        hits += abs(e.value - 0.3) <= e.stderr
+        e = density_ratio(wedge, ORIGIN8, CUBE8, 0.5, SampleSpec(n=1024, seed=seed))
+        hits += abs(e.value - 1 / (2 * np.pi)) <= e.stderr
     assert 0.9 <= hits / len(seeds) <= 0.99, hits / len(seeds)

@@ -46,8 +46,11 @@ def test_disk_volume_matches_pi():
 
 def test_empty_region_volume():
     empty = Intersection((Box((0, 0), (1, 1)), Box((2, 2), (3, 3))))
-    est = mc_volume(empty, SampleSpec(n=1000, seed=1))
+    spec = SampleSpec(n=1000, seed=1)
+    est = mc_volume(empty, spec)
     assert est.value == 0.0 and est.hits == 0
+    # an empty bounding box reports the samples a pass would evaluate
+    assert est.n == mc_integral(lambda p: p[:, 0], empty, spec).n == mc_volume(DISK, spec).n == 992
 
 
 def test_box_volume_is_exact():
@@ -189,10 +192,10 @@ def test_ess_range_no_hits():
 
 
 def test_estimate_invariants():
-    spec = SampleSpec(n=10_001, seed=4)  # odd count rounds up to even
+    spec = SampleSpec(n=10_001, seed=4)  # odd count rounds up to 5001 pairs
     est = mc_volume(DISK, spec)
     assert isinstance(est, Estimate)
-    assert est.n == 10_002
+    assert est.n == 2 * 19 * 256  # 19 whole lattices of 256 pairs
     assert 0 <= est.hits <= est.n
     assert est.stderr >= 0
 
@@ -236,7 +239,7 @@ def test_sweep_evaluates_a_shared_range_block_once():
 
     result = sweep(lambda p: np.ones(len(p)), AxisBox(DISK.bbox), SampleSpec(n=1000, seed=1),
                    ranges=[Range(block, axis=0), Range(block, axis=1)])
-    assert rows == [500, 500]  # once per half-leaf for both columns
+    assert rows == [496, 496]  # once per half-leaf for both columns: 31 lattices of 16 pairs
     assert result.ranges[0].lo == pytest.approx(-result.ranges[1].hi)
 
 
@@ -253,16 +256,23 @@ def _frame_coordinates(box, pts):
 SEGMENT_BOX = OrientedBox.around_segment((-0.2, 0.1, 0.3), (0.6, 0.5, -0.4), 0.05)
 
 
+def _layout(pairs):
+    """(replicates, pairs each), from the definition: the largest 2^k with 16 replicates of 2^k in `pairs`, as many as fit."""
+    size = 1
+    while 2 * size * REPLICATES <= pairs:
+        size *= 2
+    return pairs // size, size
+
+
 def _unit_points(coords, seed, stream, pairs):
     """Each replicate's shifted lattice points, from the definition: frac(phi(i) a^j / 2^bits + shift)."""
-    reps = min(REPLICATES, pairs)
-    size, extra = divmod(pairs, reps)
+    reps, size = _layout(pairs)
     shifts = np.random.Generator(np.random.Philox(seed=np.random.SeedSequence(entropy=(seed, stream)))).random(
         (reps, coords))
     out = []
     for r in range(reps):
         rows = []
-        for i in range(size + (r < extra)):
+        for i in range(size):
             phi = int(format(i, f"0{LATTICE_BITS}b")[::-1], 2)  # the radical inverse, times 2^bits
             rows.append([(phi * pow(LATTICE_A, j, 1 << LATTICE_BITS) % (1 << LATTICE_BITS)) / 2.0 ** LATTICE_BITS
                          for j in range(coords)])
@@ -279,7 +289,7 @@ def test_axis_box_is_the_old_stream(dim):
     hi = lo + rng.uniform(0.1, 3.0, dim)
     pairs = 3 * REPLICATES + 5
     drawn = list(AxisBox((lo, hi)).pairs(11, 4, pairs))
-    assert [len(a) for a, _ in drawn] == [4] * 5 + [3] * 11
+    assert [len(a) for a, _ in drawn] == [2] * 26
     for (a, b), u in zip(drawn, _unit_points(dim, 11, 4, pairs)):
         assert np.array_equal(a, lo + u * (hi - lo))
         assert np.array_equal(b, hi - u * (hi - lo))
@@ -300,9 +310,20 @@ def test_lattice_sequence_extends_the_power_of_two_lattices():
 
 @pytest.mark.parametrize("pairs", [1, 2, 15, 16, 17, 1501, 100_000])
 def test_replicates_take_exactly_the_sample_count(pairs):
-    sizes = [len(a) for a, _ in AxisBox((np.zeros(2), np.ones(2))).pairs(3, 1, pairs)]
-    assert sum(sizes) == pairs and len(sizes) == min(REPLICATES, pairs)
-    assert sizes == sorted(sizes, reverse=True) and sizes[0] - sizes[-1] <= 1
+    # R whole lattices of 2^k pairs each: 16 <= R <= 31 from 16 pairs on (one
+    # replicate per pair below), more than 15/16 of the pairs, and Estimate.n
+    # reports exactly the samples they hold
+    box = AxisBox((np.zeros(2), np.ones(2)))
+    sizes = [len(a) for a, _ in box.pairs(3, 1, pairs)]
+    size = sizes[0]
+    assert set(sizes) == {size} and size & (size - 1) == 0
+    if pairs >= REPLICATES:
+        assert REPLICATES <= len(sizes) < 2 * REPLICATES
+    else:
+        assert len(sizes) == pairs
+    assert 16 * sum(sizes) > 15 * pairs
+    spec = SampleSpec(n=2 * pairs, seed=3)
+    assert sweep(lambda p: p[:, 0] < 0.5, box, spec, ratios=[Ratio(lambda p: p[:, 1])]).ratios[0].n == 2 * sum(sizes)
 
 
 def test_shifts_are_independent_per_stream():
@@ -408,35 +429,50 @@ def _oracle_sweep(weight, proposal, spec, stream=0, ratios=(), ranges=()):
     finite and positive, a ratio column drops values beyond MAGNITUDE_CAP, a
     per-sample one only non-finite values, and a range column reads the
     ESS_QUANTILE quantiles and turns an end infinite past MAGNITUDE_CAP or
-    at a NaN.
+    at a NaN.  Under a bool weight everywhere, a ratio column whose values
+    are bool (c = 1), or one constant c with none dropped, adds (c / 2)^2 / 12
+    per replicate to its squared residuals, unless its denominator's samples
+    all agree on w v.
     """
-    m = spec.pairs
-    hits = 0
-    sums = [[[], [], 0] for _ in ratios]  # each replicate's numerator and denominator sum, and the capped count
+    hits = used = 0
+    # each replicate's numerator and denominator sum, the capped count, the
+    # values w v takes besides 0 or None where not quantized, the samples where
+    # w v is not 0, and those the denominator counts
+    sums = [[[], [], 0, set(), 0, 0] for _ in ratios]
     found = [[] for _ in ranges]
     unbounded = [[False, False] for _ in ranges]
     with np.errstate(all="ignore"):
-        for a, b in proposal.pairs(spec.seed, stream, m):
+        for a, b in proposal.pairs(spec.seed, stream, spec.pairs):
+            used += len(a)
             halves = []
             for pts in (a, b):
-                w = np.asarray(weight(pts), dtype=float)
+                raw = np.asarray(weight(pts))
+                w = raw.astype(float)
                 active = (w > 0) & np.isfinite(w)
                 hits += int(np.count_nonzero(active))
-                halves.append((pts, w, active))
+                halves.append((pts, w, active, raw.dtype == bool))
             for col, acc in zip(ratios, sums):
                 u = np.zeros(len(a))
                 d = np.zeros(len(a))
                 cap = np.inf if col.per_sample else MAGNITUDE_CAP
-                for pts, w, active in halves:
-                    v = np.asarray(col.values(pts), dtype=float)
+                for pts, w, active, indicator in halves:
+                    values = np.asarray(col.values(pts))
+                    v = values.astype(float)
                     bad = active & (~np.isfinite(v) | (np.abs(v) > cap))
                     acc[2] += int(np.count_nonzero(bad))
                     keep = active & ~bad
                     u += 0.5 * np.where(keep, w * v, 0.0)
                     d += 0.5 * (~bad if col.per_sample else np.where(keep, w, 0.0))
+                    within = np.all(np.abs(v) <= cap) and np.all(np.isfinite(v))
+                    if acc[3] is not None and indicator and within and (values.dtype == bool or np.all(v == v[0])):
+                        acc[3].add(1.0 if values.dtype == bool else float(v[0]))
+                    else:
+                        acc[3] = None
+                    acc[4] += int(np.count_nonzero(keep & (v != 0)))
+                    acc[5] += int(np.count_nonzero(~bad if col.per_sample else keep))
                 acc[0].append(float(u.sum()))
                 acc[1].append(float(d.sum()))
-            for pts, w, active in halves:
+            for pts, w, active, _ in halves:
                 if not active.any():
                     continue
                 hit = np.take(pts, np.flatnonzero(active), axis=0)
@@ -448,18 +484,20 @@ def _oracle_sweep(weight, proposal, spec, stream=0, ratios=(), ranges=()):
                     flags[1] |= nan or bool(np.any(v > MAGNITUDE_CAP))
                     vals.append(v[np.isfinite(v)])
     means = []
-    for us, ds, capped in sums:
+    for us, ds, capped, quanta, on, counted in sums:
         us, ds = np.array(us), np.array(ds)
         sv = float(ds.sum())
         if sv <= 0:
-            means.append(Estimate(float("nan"), float("nan"), hits, 2 * m, capped))
+            means.append(Estimate(float("nan"), float("nan"), hits, 2 * used, capped))
             continue
         ratio = float(us.sum()) / sv
         reps = len(us)
         resid = us - ratio * ds
-        se = STUDENT_T[reps - 2] * math.sqrt(float((resid * resid).sum()) / (reps * (reps - 1))) / (sv / reps) \
-            if reps > 1 else np.inf
-        means.append(Estimate(ratio, se, hits, 2 * m, capped))
+        rounding = (0.5 * quanta.pop()) ** 2 / 12.0 if quanta is not None and len(quanta) == 1 and 0 < on < counted \
+            else 0.0
+        se = STUDENT_T[reps - 2] * math.sqrt((float((resid * resid).sum()) + reps * rounding) / (reps * (reps - 1))) \
+            / (sv / reps) if reps > 1 else np.inf
+        means.append(Estimate(ratio, se, hits, 2 * used, capped))
     extents = []
     for vals, (below, above) in zip(found, unbounded):
         values = np.concatenate(vals) if vals else np.empty(0)
@@ -502,6 +540,8 @@ def _oracle_columns():
         Ratio(lambda p: p[:, 0] * p[:, 0] + p[:, 1]),
         Ratio(inverse),  # capped where |x1| < 1 / MAGNITUDE_CAP, beside the clean column above
         Ratio(lambda p: p[:, 1] > 0.1),  # bool values, as membership columns give them
+        Ratio(lambda p: np.full(len(p), 2.5)),  # constant, so every hit agrees
+        Ratio(lambda p: np.full(len(p), -1.5), per_sample=True),  # constant, as a volume column's
         Ratio(lambda p: np.exp(p[:, 1]), per_sample=True),
         Ratio(inverse, per_sample=True),  # keeps its values beyond MAGNITUDE_CAP
         Ratio(_wild),
@@ -518,14 +558,13 @@ def _oracle_columns():
     return ratios, ranges
 
 
-# Whole replicates share a leaf of at most LEAF_PAIRS pairs; the first
-# pairs % 16 replicates hold one pair more than the rest
+# A leaf holds LEAF_PAIRS / 2^k whole replicates of 2^k pairs each
 ORACLE_SIZES = {
-    "one_chunk": 3001,  # 13 replicates of 94 pairs and 3 of 93 in one leaf
-    "three_chunks_odd_rest": 2 * (3 * CHUNK_PAIRS + 7) - 1,  # 7 of 6145 and 9 of 6144; one leaf holds both sizes
-    "cli_samples": 50_000,  # 8 of 1563 and 8 of 1562: leaves of 10 and 6 replicates
-    "one_leaf_over": 2 * (LEAF_PAIRS + 1),  # 1 of 1025 and 15 of 1024: leaves of 15 and 1 replicates
-    "three_chunks_leaf_rest": 200_000,  # 16 of 6250, two to a leaf
+    "one_chunk": 3001,  # 23 replicates of 64 pairs in one leaf
+    "three_chunks_odd_rest": 2 * (3 * CHUNK_PAIRS + 7) - 1,  # 24 of 4096: six leaves of 4
+    "cli_samples": 50_000,  # 24 of 1024: leaves of 16 and 8
+    "one_leaf_over": 2 * (LEAF_PAIRS + 1),  # 16 of 1024: exactly one full leaf, one pair left out
+    "three_chunks_leaf_rest": 2 * (31 * 512 + 511),  # 31 of 512: one leaf, 511 pairs left out
 }
 
 
@@ -544,8 +583,9 @@ def test_sweep_matches_the_plain_loop_bit_for_bit(kind, weight, n):
 @pytest.mark.parametrize("weight", ORACLE_WEIGHTS, ids=list(ORACLE_WEIGHTS))
 @pytest.mark.parametrize("kind", ORACLE_PROPOSALS, ids=list(ORACLE_PROPOSALS))
 def test_long_replicates_match_the_plain_loop_bit_for_bit(kind, weight, monkeypatch):
-    # a replicate longer than LEAF_PAIRS runs alone, cut along numpy's pairwise
-    # sum; a small LEAF_PAIRS (above numpy's 128-value block) cuts them here
+    # a replicate longer than LEAF_PAIRS runs alone, cut in halves along numpy's
+    # pairwise sum; a small LEAF_PAIRS (above numpy's 128-value block) cuts the
+    # 21 replicates of 512 pairs here
     monkeypatch.setattr(quadrature, "LEAF_PAIRS", 256)
     proposal, spec = ORACLE_PROPOSALS[kind], SampleSpec(n=2 * (REPLICATES * 700 + 3), seed=23)
     ratios, ranges = _oracle_columns()
@@ -567,11 +607,12 @@ def test_a_callable_may_run_a_sweep_of_its_own():
     assert repr(result) == repr(_oracle_sweep(weight, proposal, spec, 1, ratios))
 
 
-@pytest.mark.parametrize("n", [CHUNK_PAIRS, 25_000, LEAF_PAIRS + 1, 1696])
+@pytest.mark.parametrize("n", [CHUNK_PAIRS, 4 * LEAF_PAIRS, LEAF_PAIRS + 1, 1696])
 def test_numpy_sums_along_the_leaf_cuts(n):
     # sweep's leaves assume that numpy sums n > 128 contiguous values as the sum of
-    # the first n//2 - (n//2) % 8 plus the sum of the rest; a numpy that sums
-    # otherwise moves the last bits of every estimate, and fails here first
+    # the first n//2 - (n//2) % 8 plus the sum of the rest, the exact half of a
+    # replicate of 2^k pairs; a numpy that sums otherwise moves the last bits of
+    # every estimate, and fails here first
     rng = np.random.default_rng(n)
     a = rng.standard_normal(n) * np.exp(8.0 * rng.standard_normal(n))
     cut = n // 2 - n // 2 % 8
