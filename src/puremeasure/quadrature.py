@@ -24,10 +24,10 @@ identically instead of merely on average, which the density engine relies
 on for its cancellation fixtures.
 
 There are three kinds of proposal: an axis box (the bounding box of a
-region), a spherical shell (a ball when its inner radius is 0) and an
-oriented box.  Pairs are handed out as two Fortran-ordered (m, d) blocks,
-the points and their reflections, so the column-wise geometry kernels read
-contiguous coordinates.
+region), a spherical shell (a ball when its inner radius is 0), whose
+radius coordinate is tent-folded, and an oriented box.  Pairs are handed
+out as two Fortran-ordered (m, d) blocks, the points and their reflections,
+so the column-wise geometry kernels read contiguous coordinates.
 
 Every estimator is one `sweep` over the replicates: LEAF_PAIRS / 2^k whole
 replicates are evaluated together as one leaf, and a replicate longer than
@@ -58,11 +58,14 @@ O(q n) smallest and largest finite values it has seen, which hold every
 order statistic its quantiles read, so its endpoints are np.quantile's of
 all n values.  None of this moves a bit of any estimate.
 
-Under an indicator weight, a ratio column of bool values (a membership) or
-of one constant value (a volume) is quantized: one sample moves a replicate
-sum by a fixed step, and on a whole lattice every replicate may read the
-same value.  Its stderr then counts one step's rounding variance, unless
-every sample agrees (see `_ratio_result`).
+Under an indicator weight, or a weight of one value on its support, a
+ratio column of bool values (a membership) or of one constant value (a
+volume) is quantized: one sample moves a replicate sum by a fixed step, and
+on a whole lattice every replicate may read the same value.  Its stderr
+then counts one step's rounding variance.  Any other column counts the
+float grid of its replicate sums, which is all a rule exact on its
+integrand leaves (the folded shell on a radius-linear integrand).  Neither
+is counted where every sample agrees (see `_Step.rounding`).
 """
 
 from __future__ import annotations
@@ -256,12 +259,19 @@ class AxisBox(Proposal):
 class Shell(Proposal):
     """The shell r0 < |x - center| < r1; a ball when r0 is 0.
 
-    u_0 gives the radius r1 * (s + u_0 (1 - s))^(1/d), with s = (r0 / r1)^d,
-    which inverts the radial density proportional to r^(d-1); the other
-    coordinates give the direction.  In 1-D it is +1 (the reflection takes
-    the other one), in 2-D the angle 2 pi u_1, in 3-D the area-preserving
-    map z = 1 - 2 u_1 and azimuth 2 pi u_2, and from 4-D on the normalised
-    Box-Muller Gaussians of the pairs (u_1, u_2), (u_3, u_4), ...
+    u_0 is folded by the tent map t = 1 - |2 u_0 - 1| (Hickernell 2002),
+    which keeps it uniform on [0, 1], and t gives the radius
+    r1 * (s + t (1 - s))^(1/d), with s = (r0 / r1)^d, which inverts the
+    radial density proportional to r^(d-1).  A shifted lattice rule
+    converges fast only on periodic integrands; the fold makes a smooth
+    function of the radius periodic in u_0, and integrates one linear in t,
+    such as r^2 in 2-D, exactly on a whole lattice (Dick, Nuyens &
+    Pillichshammer 2014).  u_0 = 1/2 folds to t = 1, radius r1.  The other
+    coordinates, unfolded, give the direction.  In 1-D it is +1 (the
+    reflection takes the other one), in 2-D the angle 2 pi u_1, in 3-D the
+    area-preserving map z = 1 - 2 u_1 and azimuth 2 pi u_2, and from 4-D on
+    the normalised Box-Muller Gaussians of the pairs (u_1, u_2), (u_3, u_4),
+    ...
     """
 
     def __init__(self, center, r0: float, r1: float):
@@ -276,7 +286,12 @@ class Shell(Proposal):
         self.volume = unit_ball * self.r1 ** self.dim * (1.0 - self._inner)
 
     def _halves(self, u, out=None):
-        radius = self.r1 * (self._inner + u[0] * (1.0 - self._inner)) ** (1.0 / self.dim)
+        t = u[0]  # folded in place: t = 1 - |2 u_0 - 1|
+        t *= 2.0
+        t -= 1.0
+        np.abs(t, out=t)
+        np.subtract(1.0, t, out=t)
+        radius = self.r1 * (self._inner + t * (1.0 - self._inner)) ** (1.0 / self.dim)
         if self.dim == 1:
             return self._reflected(radius[None, :], u, out)
         if self.dim == 2:
@@ -416,7 +431,7 @@ def sweep(
     hits = 0
     sums = np.zeros((len(ratios), 2, reps))  # each ratio's numerator and denominator sum per replicate
     capped = [0] * len(ratios)
-    steps = [_Step() for _ in ratios]
+    steps = [_Step(col.per_sample) for col in ratios]
     tails = [_Tails(ESS_QUANTILE, m) for _ in ranges]
     work = _Work(min(LEAF_PAIRS, m), proposal, bool(ratios))
 
@@ -441,7 +456,7 @@ def sweep(
                 capped[j] += cols[3 * j + 2]
         return Sweep(
             hits,
-            tuple(_ratio_result(u, d, c, m, hits, step.variance(2 * m if col.per_sample else hits))
+            tuple(_ratio_result(u, d, c, m, hits, step.rounding(u, 2 * m if col.per_sample else hits))
                   for (u, d), c, step, col in zip(sums, capped, steps, ratios)),
             tuple(_range_result(tail, hits) for tail in tails),
         )
@@ -512,6 +527,7 @@ class _Half(NamedTuple):
     w: np.ndarray  # a bool mask for an indicator weight
     active: np.ndarray
     hits: int
+    level: float | None  # the one value w takes on its support (1 for a mask), NaN if more, None if no support
 
 
 def _weigh(weight: Callable, pts: np.ndarray, out: np.ndarray) -> _Half:
@@ -519,48 +535,84 @@ def _weigh(weight: Callable, pts: np.ndarray, out: np.ndarray) -> _Half:
     w = np.asarray(weight(pts))
     if w.dtype == bool:
         active = w
-    else:
-        w = w.astype(float, copy=False)
-        active = w > 0
-        if not (np.min(w) >= 0.0 and np.max(w) < np.inf):  # a negative, NaN or infinite weight is no weight
-            active &= w < np.inf
-            out.fill(0.0)
-            np.copyto(out, w, where=active)
-            w = out
-    return _Half(pts, w, active, int(np.count_nonzero(active)))
+        hits = int(np.count_nonzero(active))
+        return _Half(pts, w, active, hits, 1.0 if hits else None)
+    w = w.astype(float, copy=False)
+    active = w > 0
+    lo, hi = np.min(w), np.max(w)
+    if not (lo >= 0.0 and hi < np.inf):  # a negative, NaN or infinite weight is no weight
+        active &= w < np.inf
+        out.fill(0.0)
+        np.copyto(out, w, where=active)
+        w = out
+        lo, hi = 0.0, np.max(w)  # w is 0 where the weight was not
+    hits = int(np.count_nonzero(active))
+    level = None
+    if hits:  # hi > 0 is w's largest value on its support, and its only one where its least there is hi too
+        level = float(hi) if lo == hi or np.min(w, where=active, initial=hi) == hi else math.nan
+    return _Half(pts, w, active, hits, level)
 
 
 _FLOAT_MAX = float(np.finfo(float).max)
 
 
-class _Step:
-    """Whether a ratio column is quantized, and on how many samples its share w v is not 0.
+def _one(seen: float | None, value: float | None) -> float | None:
+    """The one value seen so far: None before any, NaN once two differ."""
+    if value is None or seen == value:
+        return seen
+    return value if seen is None else math.nan
 
-    It is where every half-leaf has an indicator weight and bool values or
-    one constant value c within the cap, so w v is 0 or c: c = 1 for bool
-    values.  `c` is None before the first half-leaf and NaN once a half-leaf
-    is not quantized or takes another c.
+
+class _Step:
+    """What a ratio column's samples say about the rounding in its replicate sums.
+
+    A column averages v under its weight, or w v over the proposal for a
+    `per_sample` column.  `value` is the one value c that v takes on every
+    point of every half-leaf, hit or not (c = 1 for bool values, which read
+    0 or 1), and `weight` the one value a that w takes on its support (a = 1
+    for a bool mask); each is NaN once a half-leaf shows more than one or
+    caps a value.  `on` counts the samples on which w v is not 0.  Where
+    both exist the column is quantized: w v is 0 or a c, and one sample
+    moves a replicate sum by h = |a c| / 2.  So a float weight of one value
+    on its support quantizes a column as a bool mask does.
     """
 
-    def __init__(self):
-        self.c: float | None = None
+    def __init__(self, per_sample: bool):
+        self.per_sample = per_sample
+        self.value: float | None = None
+        self.weight: float | None = None
         self.on = 0
 
-    def add(self, c: float, wv: np.ndarray) -> None:
-        self.c = c if self.c is None or self.c == c else math.nan
-        if self.c == self.c:
+    def add(self, value: float, weight: float | None, wv: np.ndarray) -> None:
+        self.value = _one(self.value, value)
+        self.weight = _one(self.weight, weight)
+        if self.on == 0 or self.value == self.value:  # else only on > 0 matters, and it is known
             self.on += int(np.count_nonzero(wv))
 
-    def variance(self, samples: int) -> float:
-        """One step's rounding variance h^2 / 12 in a replicate sum, h = 0.5 |c| the share of one sample.
+    def rounding(self, su: np.ndarray, samples: int) -> float:
+        """The rounding variance the replicate numerator sums su carry, summed over the replicates.
 
-        It is 0 when the column is not quantized and when all of the
-        `samples` that its denominator counts agree, all c or all 0, as
-        every sample does on an exact 0 or an exact bound.
+        It is 0 where all of the `samples` that the denominator counts agree
+        on what the column averages: w v is 0 on all of them (a ratio of
+        exactly 0), or v (w v for a `per_sample` column) is one value on all
+        of them (a constant, a membership ratio of exactly 1, a volume whose
+        samples all hit).  Since `value` reads v off the hits too, a float
+        column that agrees on its hits alone (0/1 floats that read 1 on every
+        hit) is not seen to agree.  A quantized column adds one step's,
+        h^2 / 12 per replicate; any other adds the float grid of each sum,
+        spacing(|u_r|)^2 / 12, so that replicates that agree to the last bit
+        still leave a stderr above 0.
         """
-        if self.c is None or self.c != self.c or self.on in (0, samples):
+        if self.on == 0:
             return 0.0
-        return (0.5 * self.c) ** 2 / 12.0
+        quantum = self.value * self.weight
+        averaged = quantum if self.per_sample else self.value
+        if self.on == samples and averaged == averaged:
+            return 0.0
+        if quantum == quantum:
+            return len(su) * ((0.5 * quantum) ** 2 / 12.0)
+        grid = np.spacing(np.abs(su))
+        return float((grid * grid).sum()) / 12.0
 
 
 def _ratio_terms(col: Ratio, half: _Half, share: np.ndarray, dshare: np.ndarray,
@@ -581,16 +633,13 @@ def _ratio_terms(col: Ratio, half: _Half, share: np.ndarray, dshare: np.ndarray,
     np.multiply(half.w, v, dtype=float, out=share)
     lo, hi = v.min(), v.max()
     if lo >= -cap and hi <= cap:  # no NaN passes
-        c = math.nan
-        if half.w.dtype == bool:
-            c = 1.0 if v.dtype == bool else float(lo) if lo == hi else math.nan
-        step.add(c, share)
+        step.add(1.0 if v.dtype == bool else float(lo) if lo == hi else math.nan, half.level, share)
         share *= 0.5
         return share, None, 0
-    step.add(math.nan, share)
     bad = half.active & (~np.isfinite(v) | (np.abs(v) > cap))
     keep = half.active & ~bad
     np.copyto(share, 0.0, where=~keep)
+    step.add(math.nan, half.level, share)
     share *= 0.5
     if col.per_sample:
         np.multiply(~bad, 0.5, dtype=float, out=dshare)
@@ -735,13 +784,15 @@ def _ratio_result(su: np.ndarray, sv: np.ndarray, capped: int, m: int, hits: int
     """The ratio of the numerator and denominator sums, with the replicates' ratio-estimator stderr.
 
     With reps replicate sums u_r and d_r and R = sum u / sum d, the half-width
-    is t * sqrt((sum (u_r - R d_r)^2 + reps * rounding) / (reps (reps - 1)))
+    is t * sqrt((sum (u_r - R d_r)^2 + rounding) / (reps (reps - 1)))
     / mean d, with t Student's at reps - 1 degrees of freedom.  `rounding`
-    is a quantized column's step variance (`_Step.variance`): each u_r of a
-    whole lattice can take few values, which may all agree, so the residuals
-    alone can read 0 on a ratio strictly inside its range (L'Ecuyer, Munger
-    & Tuffin 2010).  It is inf with one replicate, and where a sum
-    overflowed.  `sweep` calls it with floating-point warnings off.
+    is the variance that the u_r carry below what their spread can show
+    (`_Step.rounding`): each u_r of a whole lattice can take few values, which
+    may all agree, so the residuals alone can read 0 on a ratio strictly
+    inside its range (L'Ecuyer, Munger & Tuffin 2010), and a lattice rule
+    exact on the integrand leaves residuals of rounding alone, which may
+    cancel to 0.  It is inf with one replicate, and where a sum overflowed.
+    `sweep` calls it with floating-point warnings off.
     """
     total_v = float(sv.sum())
     if total_v <= 0:
@@ -751,7 +802,7 @@ def _ratio_result(su: np.ndarray, sv: np.ndarray, capped: int, m: int, hits: int
     se = math.inf
     if reps > 1 and math.isfinite(ratio) and math.isfinite(total_v):
         resid = su - ratio * sv
-        squares = float((resid * resid).sum()) + reps * rounding
+        squares = float((resid * resid).sum()) + rounding
         se = STUDENT_T[reps - 2] * math.sqrt(squares / (reps * (reps - 1))) / (total_v / reps)
     return Estimate(ratio, se, hits, 2 * m, capped)
 

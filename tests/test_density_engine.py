@@ -617,6 +617,42 @@ def test_ratios_on_which_every_hit_agrees_keep_stderr_zero():
         assert all((l.value, l.stderr) == (value, 0.0) and l.hits > 0 for l in r.series), r.series
 
 
+def test_a_weight_of_one_value_is_an_indicator():
+    # a float weight that is 1 on its support quantizes a membership column as
+    # the bool mask does: the same value and stderr, and the stderr is not 0
+    # although every replicate reads 1/4
+    for seed in range(3):
+        spec = SampleSpec(n=1024, seed=seed)
+        plain = density_ratio(QUADRANT8, ORIGIN8, CUBE8, 0.5, spec)
+        weighted = density_ratio(QUADRANT8, ORIGIN8, CUBE8, 0.5, spec, weight=lambda p: np.ones(len(p)))
+        assert (weighted.value, weighted.stderr) == (plain.value, plain.stderr), seed
+        assert weighted.value == 0.25 and weighted.stderr > 0, seed
+
+
+@pytest.mark.parametrize("n", [1000, 200_000])
+def test_folded_shell_integrates_the_circle_collar_exactly(n):
+    # on the shell 1 - delta < |x| < 1, x1^2 = r^2 cos^2(theta) with r^2 linear
+    # in the folded radius coordinate: every whole lattice integrates it
+    # exactly, so each level's mean is (1 + (1 - delta)^2) / 4 to rounding
+    boundary = RegionBoundary(DISK)
+    schedule = DeltaSchedule(0.32, 6)
+    assert all(isinstance(_level_proposal(boundary, DISK, d), Shell) for d in schedule.deltas())
+    for seed in range(3):
+        r = sharp_integral(lambda p: p[:, 0] ** 2, boundary, DISK, schedule, SampleSpec(n=n, seed=seed))
+        for level in r.series:
+            assert abs(level.value - (1 + (1 - level.delta) ** 2) / 4) <= 4e-16, (seed, level)
+
+
+def test_exact_levels_keep_a_stderr_above_zero():
+    # with the fold, the collar's replicate sums can agree to the last bit
+    # (at seed 2 the smallest delta did), which left stderr exactly 0; the
+    # float grid of the sums keeps it above 0 without moving the value
+    boundary = RegionBoundary(DISK)
+    r = sharp_integral(lambda p: p[:, 0] ** 2, boundary, DISK, sched(boundary, DISK), SampleSpec(n=200_000, seed=2))
+    assert all(level.stderr > 0 for level in r.series), r.series
+    assert all(level.stderr < 1e-15 for level in r.series[2:]), r.series
+
+
 def test_stderr_intervals_cover_the_segment_at_a_power_of_two():
     # The segment fixture above over 1000 seeds at n = 1024 and 4096, where
     # each replicate is a shifted grid of 2^k points and its reflection, whose

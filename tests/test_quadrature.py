@@ -402,6 +402,21 @@ def test_pairs_reflect_through_the_centre(make, dim):
         assert np.allclose(0.5 * (a + b), moved.center, rtol=0, atol=1e-15)
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 8])
+def test_a_folded_radius_of_one_maps_onto_the_outer_sphere(dim):
+    # the fold sends u_0 = 1/2 to 1: its points lie at radius r1, finite
+    shell = Shell(np.full(dim, 0.5), 0.6, 1.5)
+    u = np.full((shell.coords, 3), 0.25)
+    u[0] = [0.5, 0.0, 0.75]
+    a, b = shell._halves(u)
+    r = np.linalg.norm(a - shell.center, axis=1)
+    assert np.all(np.isfinite(a)) and np.allclose(a + b, 2 * shell.center, rtol=0, atol=1e-15)
+    assert r[0] == pytest.approx(1.5, rel=1e-15)
+    # u_0 = 0 folds to 0, the inner radius, and 3/4 to 1/2 as 1/4 does
+    assert r[1] == pytest.approx(0.6, rel=1e-15)
+    assert r[2] == pytest.approx((0.6 ** dim + 0.5 * (1.5 ** dim - 0.6 ** dim)) ** (1 / dim), rel=1e-14)
+
+
 def test_proposal_volumes_match_closed_forms():
     for dim, unit in [(1, 2.0), (2, math.pi), (3, 4 * math.pi / 3), (4, math.pi ** 2 / 2),
                       (8, math.pi ** 4 / 24), (9, 32 * math.pi ** 4 / 945)]:
@@ -429,16 +444,19 @@ def _oracle_sweep(weight, proposal, spec, stream=0, ratios=(), ranges=()):
     finite and positive, a ratio column drops values beyond MAGNITUDE_CAP, a
     per-sample one only non-finite values, and a range column reads the
     ESS_QUANTILE quantiles and turns an end infinite past MAGNITUDE_CAP or
-    at a NaN.  Under a bool weight everywhere, a ratio column whose values
-    are bool (c = 1), or one constant c with none dropped, adds (c / 2)^2 / 12
-    per replicate to its squared residuals, unless its denominator's samples
-    all agree on w v.
+    at a NaN.  Where the weight takes one value a on its support (1 for a
+    bool weight) and a ratio column's values are bool (c = 1) or one
+    constant c on every half, with none dropped, the column adds
+    (a c / 2)^2 / 12 per replicate to its squared residuals; any other adds
+    spacing(|u_r|)^2 / 12 for each numerator sum u_r.  Neither is added
+    where w v is 0 on every sample its denominator counts, or is not 0 on
+    any of them and the column's one c (a c for a per-sample column) exists.
     """
     hits = used = 0
     # each replicate's numerator and denominator sum, the capped count, the
-    # values w v takes besides 0 or None where not quantized, the samples where
-    # w v is not 0, and those the denominator counts
-    sums = [[[], [], 0, set(), 0, 0] for _ in ratios]
+    # values c and a the halves take (None once a half takes more than one),
+    # the samples where w v is not 0, and those the denominator counts
+    sums = [[[], [], 0, set(), set(), 0, 0] for _ in ratios]
     found = [[] for _ in ranges]
     unbounded = [[False, False] for _ in ranges]
     with np.errstate(all="ignore"):
@@ -450,12 +468,12 @@ def _oracle_sweep(weight, proposal, spec, stream=0, ratios=(), ranges=()):
                 w = raw.astype(float)
                 active = (w > 0) & np.isfinite(w)
                 hits += int(np.count_nonzero(active))
-                halves.append((pts, w, active, raw.dtype == bool))
+                halves.append((pts, w, active, set(w[active].tolist())))
             for col, acc in zip(ratios, sums):
                 u = np.zeros(len(a))
                 d = np.zeros(len(a))
                 cap = np.inf if col.per_sample else MAGNITUDE_CAP
-                for pts, w, active, indicator in halves:
+                for pts, w, active, levels in halves:
                     values = np.asarray(col.values(pts))
                     v = values.astype(float)
                     bad = active & (~np.isfinite(v) | (np.abs(v) > cap))
@@ -464,12 +482,12 @@ def _oracle_sweep(weight, proposal, spec, stream=0, ratios=(), ranges=()):
                     u += 0.5 * np.where(keep, w * v, 0.0)
                     d += 0.5 * (~bad if col.per_sample else np.where(keep, w, 0.0))
                     within = np.all(np.abs(v) <= cap) and np.all(np.isfinite(v))
-                    if acc[3] is not None and indicator and within and (values.dtype == bool or np.all(v == v[0])):
-                        acc[3].add(1.0 if values.dtype == bool else float(v[0]))
-                    else:
-                        acc[3] = None
-                    acc[4] += int(np.count_nonzero(keep & (v != 0)))
-                    acc[5] += int(np.count_nonzero(~bad if col.per_sample else keep))
+                    one = within and (values.dtype == bool or np.all(v == v[0]))
+                    acc[3] = acc[3] | {1.0 if values.dtype == bool else float(v[0])} if one and acc[3] is not None \
+                        else None
+                    acc[4] = acc[4] | levels if len(levels) <= 1 and acc[4] is not None else None
+                    acc[5] += int(np.count_nonzero(keep & (v != 0)))
+                    acc[6] += int(np.count_nonzero(~bad if col.per_sample else keep))
                 acc[0].append(float(u.sum()))
                 acc[1].append(float(d.sum()))
             for pts, w, active, _ in halves:
@@ -484,7 +502,7 @@ def _oracle_sweep(weight, proposal, spec, stream=0, ratios=(), ranges=()):
                     flags[1] |= nan or bool(np.any(v > MAGNITUDE_CAP))
                     vals.append(v[np.isfinite(v)])
     means = []
-    for us, ds, capped, quanta, on, counted in sums:
+    for col, (us, ds, capped, values, levels, on, counted) in zip(ratios, sums):
         us, ds = np.array(us), np.array(ds)
         sv = float(ds.sum())
         if sv <= 0:
@@ -493,9 +511,18 @@ def _oracle_sweep(weight, proposal, spec, stream=0, ratios=(), ranges=()):
         ratio = float(us.sum()) / sv
         reps = len(us)
         resid = us - ratio * ds
-        rounding = (0.5 * quanta.pop()) ** 2 / 12.0 if quanta is not None and len(quanta) == 1 and 0 < on < counted \
-            else 0.0
-        se = STUDENT_T[reps - 2] * math.sqrt((float((resid * resid).sum()) + reps * rounding) / (reps * (reps - 1))) \
+        c = values.pop() if values is not None and len(values) == 1 else None
+        a = levels.pop() if levels is not None and len(levels) == 1 else None
+        quantum = c * a if c is not None and a is not None else None
+        averaged = quantum if col.per_sample else c
+        if on == 0 or (on == counted and averaged is not None):
+            rounding = 0.0
+        elif quantum is not None:
+            rounding = reps * ((0.5 * quantum) ** 2 / 12.0)
+        else:
+            grid = np.spacing(np.abs(us))
+            rounding = float((grid * grid).sum()) / 12.0
+        se = STUDENT_T[reps - 2] * math.sqrt((float((resid * resid).sum()) + rounding) / (reps * (reps - 1))) \
             / (sv / reps) if reps > 1 else np.inf
         means.append(Estimate(ratio, se, hits, 2 * used, capped))
     extents = []
@@ -523,6 +550,7 @@ ORACLE_WEIGHTS = {
     "float": _signed_weight,
     "bool": lambda p: p[:, 0] + p[:, 1] < 0.6,
     "view": lambda p: p[:, 0],  # a view of the points it is handed, negative on part of the set
+    "level": lambda p: np.where(p[:, 0] + p[:, 1] < 0.6, 2.5, 0.0),  # one value on its support, as a mask
 }
 
 
