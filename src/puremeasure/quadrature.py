@@ -17,8 +17,9 @@ the spread of the replicate sums is the unit of the variance estimate, scaled
 by Student's t at the replicates' degrees of freedom.  The shifts of a pass
 come from the counter-based Philox generator on the stream (seed, stream), so
 identical specs give bit-identical estimates, and streams can be evaluated
-concurrently and combined in order without changing the result: the density
-engine runs two of its levels, each on its own stream, at a time.
+concurrently and combined in order without changing the result: in 3 or
+more dimensions the density engine runs two of its levels, each on its own
+stream, at a time.
 The pairing makes estimates of odd integrands about the centre vanish
 identically instead of merely on average, which the density engine relies
 on for its cancellation fixtures.

@@ -48,6 +48,9 @@ OMEGA1 = interval(-1.0, 1.0)
 ORIGIN1 = PointFeature((0.0,))
 DISK = Ball((0.0, 0.0), 1.0)
 ORIGIN2 = PointFeature((0.0, 0.0))
+BALL3 = Ball((0.0,) * 3, 1.0)
+ORIGIN3 = PointFeature((0.0,) * 3)
+OCTANT = Box((0.0,) * 3, (1.0,) * 3)
 
 
 def sched(feature, omega, count=12):
@@ -405,7 +408,7 @@ def test_action_empty_neighbourhood_vanishing_reference():
         action_profile(lambda p: p[:, 0], *args)
 
 
-# ------------------------------------------------------- levels two at a time
+# ------------------------------------- levels two at a time in 3-D and up
 
 def _serial_profile(feature, omega, schedule, spec, columns, weight=None):
     """The per-level loop run on the calling thread alone, one level after another."""
@@ -415,7 +418,8 @@ def _serial_profile(feature, omega, schedule, spec, columns, weight=None):
 
 SLABS = [Box((1.0 / (k + 2), -1.0), (1.0 / (k + 1), 1.0)) for k in range(1, 4)]
 
-# 35,001 pairs per level: a whole chunk of two leaves and a one-leaf rest
+# 35,001 pairs per level: a whole chunk of two leaves and a one-leaf rest;
+# the 1-D and 2-D probes run on the calling thread, the 3-D ones on the pool
 PROFILED = {
     "density_probe": lambda spec: density_probe(
         Box((0.0, -1.0), (1.0, 1.0)), ORIGIN2, DISK, sched(ORIGIN2, DISK, count=5), spec),
@@ -426,6 +430,11 @@ PROFILED = {
     "density_gradient": lambda spec: density_gradient(
         DISK, (0.0, 0.0), sched(ORIGIN2, DISK, count=5), spec,
         field=ScalarField(f=lambda p: np.abs(p[:, 0]) + p[:, 0] * p[:, 1])),
+    "density_probe_3d": lambda spec: density_probe(
+        OCTANT, ORIGIN3, BALL3, sched(ORIGIN3, BALL3, count=5), spec),
+    "sharp_integral_3d": lambda spec: sharp_integral(
+        lambda p: np.abs(p[:, 0]) + p[:, 1] * p[:, 2], ORIGIN3, BALL3, sched(ORIGIN3, BALL3, count=5), spec,
+        weight=lambda p: 1.0 + p[:, 2]),
 }
 
 
@@ -441,23 +450,29 @@ def test_profile_equals_the_serial_loop(probe, cpus, monkeypatch):
 
 @pytest.mark.parametrize("cpus", [1, 2], ids=["one_cpu", "two_cpus"])
 def test_profile_raises_the_earliest_vanishing_level(cpus, monkeypatch):
-    # levels 0 and 1 reach the small ball; level 2 (delta 0.5) meets its box but
-    # not the ball, and levels 3-5 do not even meet its box, with another message
-    args = (Box((0.0, 0.0), (1.0, 1.0)), ORIGIN2, Ball((0.5, 0.5), 0.1), DeltaSchedule(2.0, 6),
-            SampleSpec(n=2000, seed=3))
+    # in 2-D and in 3-D (on the pool): levels 0 and 1 reach the small ball;
+    # level 2 (delta 0.5) meets its box but not the ball, and levels 3-5 do
+    # not even meet its box, with another message
+    def errors():
+        messages = []
+        for dim in (2, 3):
+            args = (Box((0.0,) * dim, (1.0,) * dim), PointFeature((0.0,) * dim), Ball((0.5,) * dim, 0.1),
+                    DeltaSchedule(2.0, 6), SampleSpec(n=2000, seed=3))
+            with pytest.raises(VanishingReference) as error:
+                density_probe(*args)
+            messages.append(str(error.value))
+        return messages
+
     monkeypatch.setattr(density_engine, "_cpus", lambda: cpus)
-    with pytest.raises(VanishingReference) as spread:
-        density_probe(*args)
+    spread = errors()
     monkeypatch.setattr(density_engine, "_profile", _serial_profile)
-    with pytest.raises(VanishingReference) as serial:
-        density_probe(*args)
-    assert str(spread.value) == str(serial.value) == "no reference mass at delta=0.5"
+    assert spread == errors() == ["no reference mass at delta=0.5"] * 2
 
 
 def test_levels_run_in_order_and_raise_the_first_failure(monkeypatch):
     monkeypatch.setattr(density_engine, "_cpus", lambda: 2)
     before = threading.active_count()
-    assert _in_level_order(lambda k: k * k, 7) == [k * k for k in range(7)]
+    assert _in_level_order(lambda k: k * k, 7, 3) == [k * k for k in range(7)]
     started = []
 
     def run(k):
@@ -467,7 +482,7 @@ def test_levels_run_in_order_and_raise_the_first_failure(monkeypatch):
         return k
 
     with pytest.raises(ValueError, match="^3$"):
-        _in_level_order(run, 12)
+        _in_level_order(run, 12, 3)
     assert set(range(4)) <= set(started)
     assert threading.active_count() == before  # the helpers are joined
 
@@ -475,10 +490,46 @@ def test_levels_run_in_order_and_raise_the_first_failure(monkeypatch):
 def test_levels_run_under_the_callers_error_state(monkeypatch):
     monkeypatch.setattr(density_engine, "_cpus", lambda: 2)
     with np.errstate(all="raise"):
-        states = _in_level_order(lambda k: np.geterr(), 3)
+        states = _in_level_order(lambda k: np.geterr(), 3, 3)
     assert states == [dict(divide="raise", over="raise", under="raise", invalid="raise")] * 3
     with np.errstate(all="raise"), pytest.raises(FloatingPointError):
-        _in_level_order(lambda k: np.float64(k) / np.float64(0.0), 2)
+        _in_level_order(lambda k: np.float64(k) / np.float64(0.0), 2, 3)
+
+
+@pytest.mark.parametrize("dim, cpus", [(2, 1), (2, 2), (3, 1)], ids=["2d_one_cpu", "2d_two_cpus", "3d_one_cpu"])
+def test_levels_run_on_the_calling_thread_below_three_dimensions_or_on_one_cpu(dim, cpus, monkeypatch):
+    monkeypatch.setattr(density_engine, "_cpus", lambda: cpus)
+    callers = set()
+
+    def weight(p):
+        callers.add(threading.get_ident())
+        return np.ones(len(p))
+
+    origin, ball = PointFeature((0.0,) * dim), Ball((0.0,) * dim, 1.0)
+    density_probe(Box((0.0,) * dim, (1.0,) * dim), origin, ball, sched(origin, ball, count=4),
+                  SampleSpec(n=2000, seed=5), weight=weight)
+    assert callers == {threading.get_ident()}
+
+
+def test_levels_in_three_dimensions_run_two_at_a_time_on_helpers(monkeypatch):
+    monkeypatch.setattr(density_engine, "_cpus", lambda: 2)
+    both = threading.Barrier(2, timeout=10)  # a serial run breaks it instead of hanging
+    lock = threading.Lock()
+    callers = {}
+
+    def weight(p):
+        with lock:
+            first = threading.get_ident() not in callers
+            callers[threading.get_ident()] = threading.current_thread().name
+        if first:  # each helper's first level waits until the other has started one
+            both.wait()
+        return np.ones(len(p))
+
+    density_probe(OCTANT, ORIGIN3, BALL3, sched(ORIGIN3, BALL3, count=4), SampleSpec(n=2000, seed=5),
+                  weight=weight)
+    assert threading.get_ident() not in callers
+    assert len(callers) == 2
+    assert all(name.startswith("puremeasure-level") for name in callers.values())
 
 
 # ------------------------------------------------------- level proposals
