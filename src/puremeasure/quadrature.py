@@ -54,10 +54,13 @@ integrand); a per-sample mean (a volume, `mc_integral`) drops only the
 non-finite ones.  A half-leaf whose values all lie within the cap needs no
 mask, and where neither half of a leaf needs one the ratio denominator is
 formed once and shared by every such column.
-An indicator weight arrives as a bool mask.  A range column keeps only the
-O(q n) smallest and largest finite values it has seen, which hold every
-order statistic its quantiles read, so its endpoints are np.quantile's of
-all n values.  None of this moves a bit of any estimate.
+An indicator weight arrives as a bool mask, under which a ratio column of
+bool values (a membership) is counted rather than multiplied and summed in
+floats: each replicate's sums are half its samples in w & v and in w.  A
+range column keeps only the O(q n) smallest and largest finite values it
+has seen, which hold every order statistic its quantiles read, so its
+endpoints are np.quantile's of all n values.  None of this moves a bit of
+any estimate.
 
 Under an indicator weight, or a weight of one value on its support, a
 ratio column of bool values (a membership) or of one constant value (a
@@ -470,7 +473,8 @@ class _Work:
     mask, the reflected half (dim columns), a weight per half, written only
     where a weight needs sanitizing, and, with ratio columns, each half's
     numerator and denominator shares of one column, where the shared
-    denominators are formed too.  A leaf of m pairs takes the first m rows
+    denominators are formed too, and each half's mark w & v of a counted
+    column (see `_ratio_sums`).  A leaf of m pairs takes the first m rows
     of each slot, each a contiguous array laid out as a fresh one would be.
     Every slot is written before it is read, and the next leaf overwrites
     it.  The block is one allocation of the largest leaf's size, freed when
@@ -480,19 +484,21 @@ class _Work:
     def __init__(self, rows: int, proposal: Proposal, ratios: bool):
         self.rows, self.coords, self.dim = rows, proposal.coords, proposal.dim
         self.columns = 2 + 4 * ratios
+        self.flags = self.coords + 2 * ratios
         floats = rows * (self.coords + self.dim + self.columns)
-        block = np.empty(8 * floats + rows * self.coords, dtype=np.uint8)
+        block = np.empty(8 * floats + rows * self.flags, dtype=np.uint8)
         self.floats, self.mask = block[:8 * floats].view(float), block[8 * floats:].view(bool)
 
     def slots(self, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[np.ndarray], list[np.ndarray]]:
-        """A leaf's u, mask, reflections, two weights and four shares, for m <= rows pairs."""
+        """A leaf's u, mask, reflections, two weights and four shares, then two marks, for m <= rows pairs."""
         points, rows = self.coords * m, self.rows
         at = self.coords * rows
         reflections = self.floats[at:at + self.dim * m].reshape((m, self.dim), order="F")
         at += self.dim * rows
         columns = [self.floats[at + k * rows:at + k * rows + m] for k in range(self.columns)]
+        marks = [self.mask[k * rows:k * rows + m] for k in range(self.coords, self.flags)]
         return (self.floats[:points].reshape(self.coords, m), self.mask[:points].reshape(self.coords, m),
-                reflections, columns[:2], columns[2:])
+                reflections, columns[:2], columns[2:] + marks)
 
 
 def _leaves(reps: int, size: int) -> list[tuple[int, int]]:
@@ -584,10 +590,13 @@ class _Step:
         self.weight: float | None = None
         self.on = 0
 
-    def add(self, value: float, weight: float | None, wv: np.ndarray) -> None:
+    def add(self, value: float, weight: float | None, wv: np.ndarray | int) -> None:
+        """Add a half-leaf's w v, or the count of its samples where w v is not 0."""
         self.value = _one(self.value, value)
         self.weight = _one(self.weight, weight)
-        if self.on == 0 or self.value == self.value:  # else only on > 0 matters, and it is known
+        if isinstance(wv, int):
+            self.on += wv
+        elif self.on == 0 or self.value == self.value:  # else only on > 0 matters, and it is known
             self.on += int(np.count_nonzero(wv))
 
     def rounding(self, su: np.ndarray, samples: int) -> float:
@@ -616,9 +625,15 @@ class _Step:
         return float((grid * grid).sum()) / 12.0
 
 
-def _ratio_terms(col: Ratio, half: _Half, share: np.ndarray, dshare: np.ndarray,
+def _values(col: Ratio, half: _Half) -> np.ndarray:
+    """A ratio column's values on a half-leaf: bool where the callable gives bool, else float."""
+    v = np.asarray(col.values(half.pts))
+    return v if v.dtype == bool else v.astype(float, copy=False)
+
+
+def _ratio_terms(col: Ratio, half: _Half, v: np.ndarray, share: np.ndarray, dshare: np.ndarray,
                  step: _Step) -> tuple[np.ndarray, np.ndarray | None, int]:
-    """A half-leaf's share 0.5 w v of the pair average u, its share of d, and its capped count.
+    """A half-leaf's share 0.5 w v of the pair average u, its share of d, and its capped count, for values v.
 
     A ratio column caps at MAGNITUDE_CAP; a `per_sample` one at the largest
     float, so it drops only non-finite values.  When every value lies within
@@ -628,9 +643,6 @@ def _ratio_terms(col: Ratio, half: _Half, share: np.ndarray, dshare: np.ndarray,
     added to the column's `step`.
     """
     cap = _FLOAT_MAX if col.per_sample else MAGNITUDE_CAP
-    v = np.asarray(col.values(half.pts))
-    if v.dtype != bool:
-        v = v.astype(float, copy=False)
     np.multiply(half.w, v, dtype=float, out=share)
     lo, hi = v.min(), v.max()
     if lo >= -cap and hi <= cap:  # no NaN passes
@@ -668,6 +680,20 @@ def _by_replicate(v: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     return v.reshape(shape).sum(axis=1)
 
 
+def _count(flags: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """The number of True entries in each replicate's run of the bool array flags.
+
+    count_nonzero of a whole array is a fast count, while count_nonzero(axis=1)
+    is an integer sum along rows, so a few long rows are counted one by one.
+    On a 2-core x86-64 VM, 4 rows of 4096 took 9 us one by one against
+    17 us summed, and 16 rows of 1024 took 23 us against 17 us.
+    """
+    rows = flags.reshape(shape)
+    if shape[0] <= 8:
+        return np.array([np.count_nonzero(row) for row in rows])
+    return np.count_nonzero(rows, axis=1)
+
+
 def _ratio_sums(ratios: Sequence[Ratio], halves: tuple[_Half, _Half], shape: tuple[int, int],
                 shares: list[np.ndarray], steps: list[_Step]) -> list:
     """The numerator and denominator sums per replicate and the capped count of every ratio column.
@@ -678,20 +704,51 @@ def _ratio_sums(ratios: Sequence[Ratio], halves: tuple[_Half, _Half], shape: tup
     anything, d depends only on whether the column is `per_sample`, so it is
     formed and summed once per kind.  Either way u and d equal the masked
     ones up to the sign of a zero, which no sum keeps.  Each half's shares
-    of u and d go into its two of the four `shares`, one column at a time.
+    of u and d go into its two of the first four `shares`, one column at a
+    time.
+
+    Under a bool mask on both halves, a column whose values are bool is
+    counted: w v is 0 or 1, so a replicate's sum of u is half the number of
+    its samples in w & v, and the unmasked d of a ratio column half the
+    number in w.  Every partial sum of the halves' 0 and 1/2 is a multiple
+    of 1/2 far below 2^53, so the float sums are these counts, bit for bit.
+    Each half's w & v is written into its mark, the last two `shares`, and
+    counted before the next values are asked for; a half whose values are
+    not bool after a counted one takes its share from the mark.
     """
+    masks = halves[0].w.dtype == bool and halves[1].w.dtype == bool
     shared = {}
+
+    def unmasked(per_sample: bool) -> np.ndarray:
+        if per_sample not in shared:
+            if masks and not per_sample:
+                shared[per_sample] = 0.5 * (_count(halves[0].w, shape) + _count(halves[1].w, shape))
+            else:
+                d = _unmasked(halves[0], per_sample, shares[1])
+                d += _unmasked(halves[1], per_sample, shares[3])
+                shared[per_sample] = _by_replicate(d, shape)
+        return shared[per_sample]
+
     out = []
     for col, step in zip(ratios, steps):
-        u, da, capped_a = _ratio_terms(col, halves[0], shares[0], shares[1], step)
-        ub, db, capped_b = _ratio_terms(col, halves[1], shares[2], shares[3], step)
+        v = _values(col, halves[0])
+        if masks and v.dtype == bool:
+            counts = _count(np.logical_and(halves[0].w, v, out=shares[4]), shape)
+            step.add(1.0, halves[0].level, int(counts.sum()))
+            v = _values(col, halves[1])
+            if v.dtype == bool:
+                more = _count(np.logical_and(halves[1].w, v, out=shares[5]), shape)
+                step.add(1.0, halves[1].level, int(more.sum()))
+                out += [0.5 * (counts + more), unmasked(col.per_sample), 0]
+                continue
+            u, da, capped_a = np.multiply(shares[4], 0.5, dtype=float, out=shares[0]), None, 0
+        else:
+            u, da, capped_a = _ratio_terms(col, halves[0], v, shares[0], shares[1], step)
+            v = _values(col, halves[1])
+        ub, db, capped_b = _ratio_terms(col, halves[1], v, shares[2], shares[3], step)
         u += ub
         if da is None and db is None:
-            if col.per_sample not in shared:
-                d = _unmasked(halves[0], col.per_sample, shares[1])
-                d += _unmasked(halves[1], col.per_sample, shares[3])
-                shared[col.per_sample] = _by_replicate(d, shape)
-            sd = shared[col.per_sample]
+            sd = unmasked(col.per_sample)
         else:
             da = _unmasked(halves[0], col.per_sample, shares[1]) if da is None else da
             da += _unmasked(halves[1], col.per_sample, shares[3]) if db is None else db

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -27,6 +28,7 @@ from puremeasure.quadrature import (
     UnboundedRegion,
     _lattice,
     _pairwise,
+    _ratio_result,
     _shifts,
     ess_range,
     mc_integral,
@@ -619,6 +621,86 @@ def test_long_replicates_match_the_plain_loop_bit_for_bit(kind, weight, monkeypa
     ratios, ranges = _oracle_columns()
     result = sweep(ORACLE_WEIGHTS[weight], proposal, spec, 2, ratios, ranges)
     assert repr(result) == repr(_oracle_sweep(ORACLE_WEIGHTS[weight], proposal, spec, 2, ratios, ranges))
+
+
+def _counted_columns():
+    # bool columns under a bool weight are counted, per-sample or not; a
+    # float and a capped column in the same sweep are not
+    return [
+        Ratio(lambda p: p[:, 1] > 0.1),
+        Ratio(lambda p: p[:, 0] * p[:, 1]),
+        Ratio(lambda p: np.abs(p[:, 0]) < 0.3),
+        Ratio(_wild),
+        Ratio(lambda p: p[:, 0] > -0.2, per_sample=True),
+        Ratio(lambda p: p[:, 0] > 5.0),  # no sample inside
+        Ratio(lambda p: p[:, 0] > -5.0),  # every sample inside: a ratio of exactly 1, stderr 0
+    ]
+
+
+def _recorded_sweep(monkeypatch, weight, proposal, spec, ratios):
+    """sweep's result, and the replicate sums that each ratio column hands to `_ratio_result`."""
+    sums = []
+
+    def recorded(su, sv, *rest):
+        sums.append((su.tolist(), sv.tolist()))
+        return _ratio_result(su, sv, *rest)
+
+    monkeypatch.setattr(quadrature, "_ratio_result", recorded)
+    return sweep(weight, proposal, spec, 3, ratios), sums
+
+
+def _every_second(weight):
+    """weight on odd calls, no hit on even ones: a sweep's first half-leaves, the points, go without."""
+    calls = itertools.count()
+    return lambda p: weight(p) & bool(next(calls) % 2)
+
+
+def _assert_counted_columns_match_the_float_path(monkeypatch, kind, n, mask):
+    # the bool mask is counted; the same weight as the floats 0 and 1 runs the
+    # float path, whose replicate sums and stderr must be the same bits
+    proposal, spec = ORACLE_PROPOSALS[kind], SampleSpec(n=n, seed=31)
+    counted, counted_sums = _recorded_sweep(monkeypatch, mask(), proposal, spec, _counted_columns())
+    as_floats = mask()
+    summed, float_sums = _recorded_sweep(monkeypatch, lambda p: as_floats(p).astype(float), proposal, spec,
+                                         _counted_columns())
+    assert counted_sums == float_sums
+    assert repr(counted) == repr(summed)
+    assert repr(counted) == repr(_oracle_sweep(mask(), proposal, spec, 3, _counted_columns()))
+    assert counted.ratios[0].stderr > 0 and counted.ratios[3].capped > 0
+    assert (counted.ratios[-1].value, counted.ratios[-1].stderr) == (1.0, 0.0)
+
+
+MASKS = {
+    "mask": lambda: ORACLE_WEIGHTS["bool"],
+    "reflections_only": lambda: _every_second(ORACLE_WEIGHTS["bool"]),
+}
+
+
+@pytest.mark.parametrize("mask", MASKS, ids=list(MASKS))
+@pytest.mark.parametrize("n", [1000, 1024, 200_000])
+@pytest.mark.parametrize("kind", ["axis_box", "shell"])
+def test_counted_columns_match_the_float_path_bit_for_bit(kind, n, mask, monkeypatch):
+    _assert_counted_columns_match_the_float_path(monkeypatch, kind, n, MASKS[mask])
+
+
+@pytest.mark.parametrize("kind", ["axis_box", "shell"])
+def test_counted_long_replicates_match_the_float_path_bit_for_bit(kind, monkeypatch):
+    # 21 replicates of 512 pairs, each cut in halves by `_pairwise`
+    monkeypatch.setattr(quadrature, "LEAF_PAIRS", 256)
+    _assert_counted_columns_match_the_float_path(monkeypatch, kind, 2 * (REPLICATES * 700 + 3), MASKS["mask"])
+
+
+def test_a_column_bool_on_one_half_only_matches_the_plain_loop():
+    # values that are bool on the points and float on their reflections: the
+    # points' half is counted and then joins the float path through its mark
+    def column():
+        calls = itertools.count()
+        return Ratio(lambda p: (p[:, 1] > 0.1) if next(calls) % 2 == 0 else (p[:, 1] > 0.1).astype(float))
+
+    proposal, spec = ORACLE_PROPOSALS["axis_box"], SampleSpec(n=3001, seed=37)
+    result = sweep(ORACLE_WEIGHTS["bool"], proposal, spec, 1, [column()])
+    assert repr(result) == repr(_oracle_sweep(ORACLE_WEIGHTS["bool"], proposal, spec, 1, [column()]))
+    assert result.ratios[0].stderr > 0
 
 
 def test_a_callable_may_run_a_sweep_of_its_own():
