@@ -25,12 +25,13 @@ membership test) runs on a helper thread, possibly while another level
 calls it on the other one: it must be thread-safe.  Each level runs under
 the caller's numpy error state.
 
-A level samples F_delta ∩ Omega from one of two covers: the
-feature's box inflated by delta and clipped to Omega's, or the feature's
-own neighbourhood (a ball around a point, a shell around a sphere, only
-its inner half when the sphere bounds Omega, an oriented box around a
-segment), which is taken only when its volume is below PROPOSAL_SHARE of
-the box's.
+A level samples F_delta ∩ Omega from one of two covers, whichever is
+smaller: the feature's box inflated by delta and clipped to Omega's, or
+the feature's own neighbourhood (a ball around a point in 2 or more
+dimensions, a shell around a sphere, only its inner half when the sphere
+bounds Omega, an oriented box around a segment).  On the ball a cone's
+membership depends on the direction coordinates alone, so every replicate,
+a whole lattice, reads a sector's angular fraction to within one hit.
 """
 
 from __future__ import annotations
@@ -77,11 +78,6 @@ from .quadrature import (
 DEFAULT_TOL = 0.02
 DEFAULT_COUNT = 12
 MAX_LEVELS = 1024  # a profile queues all of its levels at once
-# A feature's own proposal replaces the level's box only below this share of
-# the box's volume: a shell's direction costs a cosine and a sine per pair of
-# coordinates where a box's coordinate costs a multiply-add, so a smaller
-# saving (a 2-D disk at pi/4, a 3-D ball at pi/6) costs time.
-PROPOSAL_SHARE = 0.5
 
 CONVERGED = "converged"
 OSCILLATING = "oscillating"
@@ -228,10 +224,12 @@ def _feature_proposal(feature: Feature, omega: Region, delta: float) -> Proposal
     """A cover of F_delta ∩ Omega of the feature's own shape, where the feature has one.
 
     Around a sphere that bounds Omega itself, only the inner half of the
-    shell can meet Omega, so only that half is sampled.
+    shell can meet Omega, so only that half is sampled.  A 1-D point has
+    none: its ball is the interval its box already is, and the ball's
+    folded radius coordinate would only make it a worse rule.
     """
     if isinstance(feature, PointFeature):
-        return Shell(feature.point, 0.0, delta)
+        return Shell(feature.point, 0.0, delta) if feature.dim > 1 else None
     if isinstance(feature, RegionBoundary) and isinstance(feature.region, Ball):
         sphere = feature.region
         outer = sphere.radius if omega == sphere else sphere.radius + delta
@@ -242,10 +240,10 @@ def _feature_proposal(feature: Feature, omega: Region, delta: float) -> Proposal
 
 
 def _level_proposal(feature: Feature, omega: Region, delta: float) -> Proposal:
-    """The feature's own proposal when it saves more than half the clipped box, else the box."""
+    """The feature's own proposal when its volume is below the clipped box's, else the box."""
     box = AxisBox(_level_bbox(feature, omega, delta))
     own = _feature_proposal(feature, omega, delta)
-    return own if own is not None and own.volume < PROPOSAL_SHARE * box.volume else box
+    return own if own is not None and own.volume < box.volume else box
 
 
 def _reference_weight(feature: Feature, omega: Region, delta: float, weight: Callable | None) -> Callable:

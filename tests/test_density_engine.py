@@ -30,6 +30,7 @@ from puremeasure.density_engine import (
 from puremeasure.geometry import (
     Ball,
     Box,
+    Cone,
     Cusp,
     Halfspace,
     Intersection,
@@ -260,6 +261,19 @@ def test_action_profile_flags_unbounded():
 
 
 # ------------------------------------------------------------- cone density
+
+@pytest.mark.parametrize("n", [1000, 200_000])
+def test_a_disk_sector_reads_its_angular_fraction_on_the_ball(n):
+    # below delta = 1 the ball around the origin is smaller than its clipped
+    # box, and on the ball the cone's membership depends on the angle
+    # coordinate alone: a whole lattice puts exactly 1/4 of every replicate in
+    # the pi/4 sector, while the interval keeps one hit's rounding
+    for seed in range(3):
+        r = cone_density((0.0, 0.0), (1.0, 0.0), np.pi / 4, DISK, sched(ORIGIN2, DISK), SampleSpec(n=n, seed=seed))
+        levels = [l for l in r.series if l.delta < 1]
+        assert len(levels) == 11
+        assert all(l.value == 0.25 and l.stderr > 0 for l in levels), (seed, r.series)
+
 
 def test_cone_density_disk_sector():
     r = cone_density(
@@ -542,13 +556,13 @@ DIAGONAL = SegmentFeature((-0.2,) * 3, (0.6,) * 3)
 
 
 @pytest.mark.parametrize("feature, omega, delta, kind", [
-    (ORIGIN1, OMEGA1, 0.1, AxisBox),  # in 1-D the ball is the box
+    (ORIGIN1, OMEGA1, 0.1, AxisBox),  # a 1-D point has no ball of its own: it would be the box
     (PointFeature((0.0, 0.5)), Box((0.0, 0.0), (1.0, 1.0)), 0.1, AxisBox),  # clipped box 2 d^2 < pi d^2
-    (ORIGIN2, DISK, 0.1, AxisBox),  # pi/4 of the box
-    (PointFeature((0.0,) * 3), Ball((0.0,) * 3, 1.0), 0.1, AxisBox),  # pi/6 of the box
+    (ORIGIN2, DISK, 0.1, Shell),  # pi/4 of the box
+    (PointFeature((0.0,) * 3), Ball((0.0,) * 3, 1.0), 0.1, Shell),  # pi/6 of the box
     (ORIGIN8, CUBE8, 0.1, Shell),  # pi^4/6144 of the box
     (RegionBoundary(DISK), DISK, 0.05, Shell),  # the inner half-shell
-    (RegionBoundary(DISK), DISK, 0.5, AxisBox),
+    (RegionBoundary(DISK), DISK, 0.5, Shell),  # 3 pi / 16 = 0.59 of the clipped box [-1, 1]^2
     (DIAGONAL, CUBE3, 0.1, OrientedBox),
     (SegmentFeature((-0.5, 0.0, 0.0), (0.5, 0.0, 0.0)), CUBE3, 0.1, AxisBox),  # already axis-aligned
     (SegmentFeature((0.1,) * 3, (0.1,) * 3), CUBE3, 0.1, AxisBox),  # degenerate
@@ -621,6 +635,34 @@ def test_quadrant_verdicts_are_no_worse_than_monte_carlo():
         r = density_probe(quadrant, ORIGIN2, DISK, sched(ORIGIN2, DISK), SampleSpec(n=20_000, seed=seed))
         right += r.verdict == CONVERGED and r.limit.contains(0.25)
     assert right >= MONTE_CARLO_QUADRANT_HITS
+    # at n = 2000 the ball reads the quadrant's 1/4 exactly below delta = 1,
+    # where the box's noise had every seed read oscillating
+    for seed in range(60):
+        r = density_probe(quadrant, ORIGIN2, DISK, sched(ORIGIN2, DISK), SampleSpec(n=2000, seed=seed))
+        assert r.verdict == CONVERGED and r.limit.contains(0.25), seed
+
+
+SQUARE = Box((0.0, 0.0), (1.0, 1.0))
+EDGE = PointFeature((0.0, 0.5))
+# the pi/4 cone along x1 from the middle of the square's left edge: half of
+# every half-disk around it, sampled from the clipped box (2 d^2 < pi d^2)
+EDGE_CONE = Cone((0.0, 0.5), (1.0, 0.0), np.pi / 4)
+
+
+@pytest.mark.parametrize("n", [
+    pytest.param(2000, marks=pytest.mark.xfail(
+        strict=True, reason="the box-sampled edge sector reads oscillating on 44 of 60 seeds at n = 2000")),
+    20_000,
+])
+def test_a_box_sampled_sector_converges_across_seeds(n):
+    # The edge sector's profile holds 1/2 at every seed, yet at n = 2000 the
+    # replicates' noise on the box makes its tail windows differ by more than
+    # tol while agreeing with each other, which reads as oscillating (ROADMAP
+    # item 3).  A fix makes n = 2000 pass, which strict mode reports.
+    for seed in range(60):
+        r = density_probe(EDGE_CONE, EDGE, SQUARE, sched(EDGE, SQUARE), SampleSpec(n=n, seed=seed))
+        assert r.limit.contains(0.5), seed
+        assert r.verdict == CONVERGED, seed
 
 
 def test_stderr_intervals_cover_known_values_across_seeds():
@@ -632,23 +674,33 @@ def test_stderr_intervals_cover_known_values_across_seeds():
     segment, unit = Box((0.0,), (0.3,)), AxisBox(make_bbox([0.0], [1.0]))
     boundary = RegionBoundary(DISK)
     x_sq = lambda p: p[:, 0] ** 2
-    collar_sched = DeltaSchedule(0.5, 3)
+    x_plus_y = lambda p: p[:, 0] + p[:, 1]
+    collar_sched, edge_sched = DeltaSchedule(0.5, 3), DeltaSchedule(0.4, 3)
     seeds = range(200)
-    trials = {"sector": len(seeds), "segment": len(seeds), "collar": len(seeds) * collar_sched.count}
+    trials = {"edge_sector": len(seeds), "segment": len(seeds), "edge_mean": len(seeds) * edge_sched.count}
     for n in (1000, 1024, 2048, 4096):
         hits = dict.fromkeys(trials, 0)
         for seed in seeds:
             spec = SampleSpec(n=n, seed=seed)
-            # the quarter-disk sector fills 1/4 of every disk around the origin
-            e = density_ratio(sector, ORIGIN2, DISK, 0.5, spec)
-            hits["sector"] += abs(e.value - 0.25) <= e.stderr
+            # the pi/4 cone from the square's edge fills 1/2 of every half-disk there
+            e = density_ratio(EDGE_CONE, EDGE, SQUARE, 0.4, spec)
+            hits["edge_sector"] += abs(e.value - 0.5) <= e.stderr
             # the interval (0, 0.3) sampled on (0, 1)
             e = sweep(segment.contains, unit, spec, ratios=[volume_column(unit)]).ratios[0]
             hits["segment"] += abs(e.value - 0.3) <= e.stderr
-            # the inner collar 1 - delta < |x| < 1 of the disk: the mean of x1^2 is
-            # (1 + (1 - delta)^2) / 4, which tends to 0.5; each level is its own stream
+            # the mean of x1 + x2 over the half-disk of radius delta there is
+            # 0.5 + 4 delta / (3 pi); each level is its own stream
+            mean = sharp_integral(x_plus_y, EDGE, SQUARE, edge_sched, spec)
+            hits["edge_mean"] += sum(abs(l.value - (0.5 + 4 * l.delta / (3 * np.pi))) <= l.stderr
+                                     for l in mean.series)
+            # the quarter-disk sector fills 1/4 of every disk around the origin; the
+            # ball reads it exactly, yet the interval keeps one hit's rounding
+            e = density_ratio(sector, ORIGIN2, DISK, 0.5, spec)
+            assert e.value == 0.25 and e.stderr > 0, (n, seed)
+            # the inner collar 1 - delta < |x| < 1 of the disk: the folded shell
+            # integrates x1^2 exactly, (1 + (1 - delta)^2) / 4, at every level
             collar = sharp_integral(x_sq, boundary, DISK, collar_sched, spec)
-            hits["collar"] += sum(abs(l.value - (1 + (1 - l.delta) ** 2) / 4) <= l.stderr for l in collar.series)
+            assert all(abs(l.value - (1 + (1 - l.delta) ** 2) / 4) <= 4e-16 for l in collar.series), (n, seed)
         for name, count in hits.items():
             assert 0.9 <= count / trials[name] <= 0.99, (n, name, count / trials[name])
         for seed in range(20):
