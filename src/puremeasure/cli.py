@@ -46,6 +46,7 @@ from .geometry import (
     feature_from_json,
     region_from_json,
 )
+from .json_numbers import is_finite_number, is_integer
 from .quadrature import DEFAULT_SAMPLES, SampleSpec
 from .surface_rep import (
     DEFAULT_NODES,
@@ -117,17 +118,12 @@ def _check_schedule(node: Any, pointer: str) -> dict:
 
 
 def _number(value: Any, name: str, pointer: str, exc: type[ConfigError] = ParseError) -> float:
-    # a finite JSON number: not a bool, a string, an integer beyond the float range, or the NaN and
-    # Infinity that json.loads reads
-    finite = type(value) in (int, float) and abs(value) <= sys.float_info.max
-    _require(finite, exc, f"{name} must be a finite number", pointer)
+    _require(is_finite_number(value), exc, f"{name} must be a finite number", pointer)
     return float(value)
 
 
 def _at_least(value: Any, minimum: int, name: str, pointer: str, exc: type[ConfigError] = ParseError) -> int:
-    # bools are ints to Python; integral floats such as 5e4 are accepted
-    integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
-    _require(integral and not isinstance(value, bool), exc, f"{name} must be an integer", pointer)
+    _require(is_integer(value), exc, f"{name} must be an integer", pointer)
     value = int(value)
     _require(value >= minimum, exc, f"{name} must be at least {minimum}", pointer)
     return value
@@ -198,7 +194,9 @@ def parse_config(text: str, seed: int | None = None, samples: int | None = None)
             task["schedule"] = _check_schedule(task["schedule"], ptr + "/schedule")
         spec = SampleSpec(_at_least(task.get("samples", samples), 2, "samples", ptr + "/samples"), seed)
         task_tol = _tolerance(task.get("tol", tol), ptr + "/tol")
-        jobs.append(TASK_KINDS[kind](_Task(task, ptr, tables, spec, task_tol, task.get("schedule", schedule))))
+        reader = _Task(task, ptr, tables, spec, task_tol, task.get("schedule", schedule))
+        jobs.append(TASK_KINDS[kind](reader))
+        reader.check_omega()
 
     resolved = {
         "version": SCHEMA,
@@ -228,6 +226,7 @@ class _Task:
         self.node, self.ptr, self.tables = node, ptr, tables
         self.spec, self.tol, self._schedule = spec, tol, schedule
         self.name = node.get("name")
+        self._omega: Region | None = None
 
     def at(self, field: str) -> str:
         return f"{self.ptr}/{field}"
@@ -256,10 +255,20 @@ class _Task:
         return self._lookup("region", self.get(field), self.at(field), dim)
 
     def omega(self) -> Region:
-        """The task's omega, whose bounding box bounds every level of a sampling task, so it must be finite."""
-        omega = self.region("omega")
-        _require(bbox_is_finite(omega.bbox), ParseError, "omega must have a finite bounding box", self.at("omega"))
-        return omega
+        """The task's omega, whose bounding box `check_omega` checks once the kind has read its fields."""
+        self._omega = self.region("omega")
+        return self._omega
+
+    def check_omega(self) -> None:
+        """Omega's bounding box bounds every level of a sampling task, so it must be finite.
+
+        A cusp's bounding box has `dim` coordinates, which the config need
+        not spell out, so it is built only after every region, feature and
+        point of the task has been checked against omega's dimension.
+        """
+        if self._omega is not None:
+            _require(bbox_is_finite(self._omega.bbox), ParseError, "omega must have a finite bounding box",
+                     self.at("omega"))
 
     def feature(self, field: str, dim: int) -> Feature:
         return self._lookup("feature", self.get(field), self.at(field), dim)

@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
+from .json_numbers import is_integer
+
 MAX_ATOMS = 12
 PARTITION_ENUM_BOUND = 5  # Bell(5) = 52 partitions, oracle work stays trivial
 
@@ -489,9 +491,7 @@ def _labels(value, name: str) -> tuple[str, ...]:
 
 
 def _integer(value) -> int:
-    # bools are ints to Python; integral floats such as 2.0 are accepted
-    integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
-    if not integral or isinstance(value, bool):
+    if not is_integer(value):
         raise TypeError(f"block values must be integers, got {value!r}")
     return int(value)
 

@@ -17,11 +17,12 @@ is promoted automatically.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+
+from .json_numbers import is_finite_number, is_integer
 
 Bbox = tuple[np.ndarray, np.ndarray]
 
@@ -560,8 +561,7 @@ class Neighborhood(Region):
 # ------------------------------------------------------------- JSON grammar
 
 def _number(value, name: str) -> float:
-    """A finite JSON number: not a bool, a string, NaN, an infinity or an integer beyond the float range."""
-    if type(value) in (int, float) and abs(value) <= sys.float_info.max:
+    if is_finite_number(value):
         return float(value)
     raise ValueError(f"{name} must be a finite number, got {value!r}")
 
@@ -589,7 +589,7 @@ def region_from_json(obj) -> Region:
         return Halfspace(_vector(body["normal"], "normal"), _number(body["offset"], "offset"))
     if key == "cusp":
         dim = body.get("dim", 2)
-        if not (type(dim) is int or (type(dim) is float and dim.is_integer())):  # bools are neither
+        if not is_integer(dim):
             raise ValueError(f"dim must be an integer, got {dim!r}")
         return Cusp(_number(body["p"], "p"), int(dim))
     if key == "union":

@@ -36,8 +36,8 @@ LEAF_PAIRS is cut in halves, where numpy's pairwise sum splits its array, so
 that each replicate's sums are those of one array of its values, bit for
 bit, while temporaries stay leaf-sized.  A sweep allocates one work
 block, sized to its largest leaf, and frees it when it returns: every leaf
-writes its points, their reflections, any sanitized weight and the ratio
-shares there instead of in fresh arrays, which moves no bit.  So the points
+writes its points, their reflections and the ratio shares there instead of
+in fresh arrays, which moves no bit.  So the points
 a callable receives are overwritten by the next leaf: it may return a view
 of them, but must copy anything it keeps.  A reference weight is
 evaluated once per half-leaf (a leaf's points, or their reflections), and
@@ -55,15 +55,16 @@ non-finite ones.  A half-leaf whose values all lie within the cap needs no
 mask, and where neither half of a leaf needs one the ratio denominator is
 formed once and shared by every such column.
 An indicator weight arrives as a bool mask, under which a ratio column of
-bool values (a membership) is counted rather than multiplied and summed in
-floats: each replicate's sums are half its samples in w & v and in w.  A
+bool values (a membership) on both halves of a leaf is counted rather than
+multiplied and summed in floats: each replicate's sums are half its samples
+in w & v and in w.  A
 range column keeps only the O(q n) smallest and largest finite values it
 has seen, which hold every order statistic its quantiles read, so its
 endpoints are np.quantile's of all n values.  None of this moves a bit of
 any estimate.
 
-Under an indicator weight, or a weight of one value on its support, a
-ratio column of bool values (a membership) or of one constant value (a
+Under an indicator weight, or a weight of one value on its support, which
+a sweep decides once for all of its columns, a ratio column of bool values (a membership) or of one constant value (a
 volume) is quantized: one sample moves a replicate sum by a fixed step, and
 on a whole lattice every replicate may read the same value.  Its stderr
 then counts one step's rounding variance.  Any other column counts the
@@ -195,12 +196,11 @@ class Proposal:
     """Antithetic pairs on a set symmetric about `center`, mapped from the unit cube.
 
     `volume` is the set's exact Lebesgue volume and `coords` the dimension s
-    of the unit cube.  `_halves(u)` maps a C-ordered (coords, m) block of
-    points of [0, 1)^s, uniformly onto the set, as two Fortran-ordered
-    (m, dim) arrays: the points and their reflections through the centre.
-    It may overwrite u.  `_halves(u, out)` writes the reflections into the
-    Fortran-ordered (m, dim) block `out` and the points into u's memory, so
-    u must then be contiguous.
+    of the unit cube.  `_halves(u, out)` maps a contiguous C-ordered
+    (coords, m) block of points of [0, 1)^s, uniformly onto the set, as two
+    Fortran-ordered (m, dim) arrays: the points, written into u's memory,
+    and their reflections through the centre, written into the
+    Fortran-ordered (m, dim) block `out`.
     """
 
     dim: int
@@ -208,7 +208,7 @@ class Proposal:
     center: np.ndarray
     volume: float
 
-    def _halves(self, u: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    def _halves(self, u: np.ndarray, out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError
 
     def pairs(self, seed: int, stream: int, pairs: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -220,17 +220,15 @@ class Proposal:
         base = _lattice(self.coords, size)
         shifts = _shifts(seed, stream, reps, self.coords)
         for r in range(reps):
-            yield self._halves(_shifted(base, shifts[:, r:r + 1]))
+            yield self._halves(_shifted(base, shifts[:, r:r + 1]), np.empty((size, self.dim), order="F"))
 
-    def _reflected(self, offsets: np.ndarray, u: np.ndarray, out: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    def _reflected(self, offsets: np.ndarray, u: np.ndarray, out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """center ± offsets for a (dim, m) block of offsets, as (m, dim) transposes.
 
-        With `out`, center + offsets goes into u's memory, which the offsets
-        must not share, and center - offsets into out.
+        center + offsets goes into u's memory, which the offsets must not
+        share, and center - offsets into out.
         """
         c = self.center[:, None]
-        if out is None:
-            return (c + offsets).T, (c - offsets).T
         points = np.add(c, offsets, out=u.reshape(-1)[:offsets.size].reshape(offsets.shape))
         np.subtract(c, offsets, out=out.T)
         return points.T, out
@@ -250,14 +248,12 @@ class AxisBox(Proposal):
         self.center = 0.5 * (self.lo + self.hi)
         self.volume = bbox_volume(bbox)
 
-    def _halves(self, u, out=None):
-        a = u.T  # a C-ordered (dim, m) block is a Fortran-ordered (m, dim) one
-        b = np.empty(a.shape, order="F") if out is None else out
+    def _halves(self, u, out):
         for k, (lo, hi, width) in enumerate(zip(self.lo, self.hi, self.width)):
             step = np.multiply(u[k], width, out=u[k])
-            np.subtract(hi, step, out=b[:, k])
+            np.subtract(hi, step, out=out[:, k])
             step += lo
-        return a, b
+        return u.T, out  # a C-ordered (dim, m) block is a Fortran-ordered (m, dim) one
 
 
 class Shell(Proposal):
@@ -289,7 +285,7 @@ class Shell(Proposal):
         unit_ball = math.pi ** (self.dim / 2) / math.gamma(self.dim / 2 + 1)
         self.volume = unit_ball * self.r1 ** self.dim * (1.0 - self._inner)
 
-    def _halves(self, u, out=None):
+    def _halves(self, u, out):
         t = u[0]  # folded in place: t = 1 - |2 u_0 - 1|
         t *= 2.0
         t -= 1.0
@@ -347,7 +343,7 @@ class OrientedBox(Proposal):
         half[0] += 0.5 * length
         return cls(0.5 * (a + b), frame, half)
 
-    def _halves(self, u, out=None):
+    def _halves(self, u, out):
         u *= 2.0
         u -= 1.0
         u *= self.half[:, None]
@@ -433,6 +429,7 @@ def sweep(
     base = _lattice(proposal.coords, size)
     shifts = _shifts(spec.seed, stream, reps, proposal.coords)
     hits = 0
+    level = None  # the one value w takes on its support in every half-leaf (see `_Half`)
     sums = np.zeros((len(ratios), 2, reps))  # each ratio's numerator and denominator sum per replicate
     capped = [0] * len(ratios)
     steps = [_Step(col.per_sample) for col in ratios]
@@ -441,12 +438,14 @@ def sweep(
 
     def leaf(lo: int, hi: int, start: int, stop: int) -> list:
         """Pairs start:stop of replicates lo:hi, replicate by replicate."""
+        nonlocal level
         shape = (hi - lo, stop - start)
-        u, mask, reflections, weights, shares = work.slots(shape[0] * shape[1])
+        u, mask, reflections, shares = work.slots(shape[0] * shape[1])
         _shifted(base[:, None, start:stop], shifts[:, lo:hi, None],
                  u.reshape(len(base), *shape), mask.reshape(len(base), *shape))
-        halves = tuple(_weigh(weight, pts, out) for pts, out in zip(proposal._halves(u, reflections), weights))
+        halves = tuple(_weigh(weight, pts) for pts in proposal._halves(u, reflections))
         for half in halves:
+            level = _one(level, half.level)
             if ranges and half.hits:
                 _feed_ranges(ranges, tails, np.take(half.pts, np.flatnonzero(half.active), axis=0))
         return [halves[0].hits + halves[1].hits, *_ratio_sums(ratios, halves, shape, shares, steps)]
@@ -460,7 +459,7 @@ def sweep(
                 capped[j] += cols[3 * j + 2]
         return Sweep(
             hits,
-            tuple(_ratio_result(u, d, c, m, hits, step.rounding(u, 2 * m if col.per_sample else hits))
+            tuple(_ratio_result(u, d, c, m, hits, step.rounding(u, 2 * m if col.per_sample else hits, level))
                   for (u, d), c, step, col in zip(sums, capped, steps, ratios)),
             tuple(_range_result(tail, hits) for tail in tails),
         )
@@ -470,27 +469,28 @@ class _Work:
     """One sweep's work block: a slot for every leaf-sized array that a leaf writes, `rows` pairs each.
 
     The slots are the unit-cube points u (coords rows) and their u >= 1
-    mask, the reflected half (dim columns), a weight per half, written only
-    where a weight needs sanitizing, and, with ratio columns, each half's
-    numerator and denominator shares of one column, where the shared
-    denominators are formed too, and each half's mark w & v of a counted
-    column (see `_ratio_sums`).  A leaf of m pairs takes the first m rows
-    of each slot, each a contiguous array laid out as a fresh one would be.
-    Every slot is written before it is read, and the next leaf overwrites
-    it.  The block is one allocation of the largest leaf's size, freed when
-    the sweep returns.
+    mask, the reflected half (dim columns) and, with ratio columns, each
+    half's numerator and denominator shares of one column, where the shared
+    denominators are formed too, and the mark w & v of a counted column,
+    which each half writes and counts in turn (see `_ratio_sums`).  A leaf
+    of m pairs takes the first m rows of each slot, each a contiguous array
+    laid out as a fresh one would be.  Every slot is written before it is
+    read, and the next leaf overwrites it.  The block is one allocation of
+    the largest leaf's size, freed when the sweep returns.  A weight that
+    needs sanitizing, which is rare, gets a fresh array instead (see
+    `_weigh`).
     """
 
     def __init__(self, rows: int, proposal: Proposal, ratios: bool):
         self.rows, self.coords, self.dim = rows, proposal.coords, proposal.dim
-        self.columns = 2 + 4 * ratios
-        self.flags = self.coords + 2 * ratios
+        self.columns = 4 * ratios
+        self.flags = self.coords + ratios
         floats = rows * (self.coords + self.dim + self.columns)
         block = np.empty(8 * floats + rows * self.flags, dtype=np.uint8)
         self.floats, self.mask = block[:8 * floats].view(float), block[8 * floats:].view(bool)
 
-    def slots(self, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[np.ndarray], list[np.ndarray]]:
-        """A leaf's u, mask, reflections, two weights and four shares, then two marks, for m <= rows pairs."""
+    def slots(self, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[np.ndarray]]:
+        """A leaf's u, mask and reflections, and its four shares and then a mark, for m <= rows pairs."""
         points, rows = self.coords * m, self.rows
         at = self.coords * rows
         reflections = self.floats[at:at + self.dim * m].reshape((m, self.dim), order="F")
@@ -498,7 +498,7 @@ class _Work:
         columns = [self.floats[at + k * rows:at + k * rows + m] for k in range(self.columns)]
         marks = [self.mask[k * rows:k * rows + m] for k in range(self.coords, self.flags)]
         return (self.floats[:points].reshape(self.coords, m), self.mask[:points].reshape(self.coords, m),
-                reflections, columns[:2], columns[2:] + marks)
+                reflections, columns + marks)
 
 
 def _leaves(reps: int, size: int) -> list[tuple[int, int]]:
@@ -537,8 +537,8 @@ class _Half(NamedTuple):
     level: float | None  # the one value w takes on its support (1 for a mask), NaN if more, None if no support
 
 
-def _weigh(weight: Callable, pts: np.ndarray, out: np.ndarray) -> _Half:
-    """The half-leaf of points pts; a weight that needs sanitizing is written into out."""
+def _weigh(weight: Callable, pts: np.ndarray) -> _Half:
+    """The half-leaf of points pts; a weight that needs sanitizing is replaced by a fresh one, 0 off its support."""
     w = np.asarray(weight(pts))
     if w.dtype == bool:
         active = w
@@ -549,9 +549,7 @@ def _weigh(weight: Callable, pts: np.ndarray, out: np.ndarray) -> _Half:
     lo, hi = np.min(w), np.max(w)
     if not (lo >= 0.0 and hi < np.inf):  # a negative, NaN or infinite weight is no weight
         active &= w < np.inf
-        out.fill(0.0)
-        np.copyto(out, w, where=active)
-        w = out
+        w = np.where(active, w, 0.0)
         lo, hi = 0.0, np.max(w)  # w is 0 where the weight was not
     hits = int(np.count_nonzero(active))
     level = None
@@ -576,37 +574,37 @@ class _Step:
     A column averages v under its weight, or w v over the proposal for a
     `per_sample` column.  `value` is the one value c that v takes on every
     point of every half-leaf, hit or not (c = 1 for bool values, which read
-    0 or 1), and `weight` the one value a that w takes on its support (a = 1
-    for a bool mask); each is NaN once a half-leaf shows more than one or
-    caps a value.  `on` counts the samples on which w v is not 0.  Where
-    both exist the column is quantized: w v is 0 or a c, and one sample
-    moves a replicate sum by h = |a c| / 2.  So a float weight of one value
-    on its support quantizes a column as a bool mask does.
+    0 or 1), NaN once a half-leaf shows more than one or caps a value.  `on`
+    counts the samples on which w v is not 0.  The sweep knows the one
+    value a that w takes on its support (a = 1 for a bool mask, NaN if
+    more; see `_Half`), the same for all of its columns.  Where a and c both
+    exist the column is quantized: w v is 0 or a c, and one sample moves a
+    replicate sum by h = |a c| / 2.  So a float weight of one value on its
+    support quantizes a column as a bool mask does.
     """
 
     def __init__(self, per_sample: bool):
         self.per_sample = per_sample
         self.value: float | None = None
-        self.weight: float | None = None
         self.on = 0
 
-    def add(self, value: float, weight: float | None, wv: np.ndarray | int) -> None:
+    def add(self, value: float, wv: np.ndarray | int) -> None:
         """Add a half-leaf's w v, or the count of its samples where w v is not 0."""
         self.value = _one(self.value, value)
-        self.weight = _one(self.weight, weight)
         if isinstance(wv, int):
             self.on += wv
         elif self.on == 0 or self.value == self.value:  # else only on > 0 matters, and it is known
             self.on += int(np.count_nonzero(wv))
 
-    def rounding(self, su: np.ndarray, samples: int) -> float:
+    def rounding(self, su: np.ndarray, samples: int, weight: float) -> float:
         """The rounding variance the replicate numerator sums su carry, summed over the replicates.
 
-        It is 0 where all of the `samples` that the denominator counts agree
-        on what the column averages: w v is 0 on all of them (a ratio of
-        exactly 0), or v (w v for a `per_sample` column) is one value on all
-        of them (a constant, a membership ratio of exactly 1, a volume whose
-        samples all hit).  Since `value` reads v off the hits too, a float
+        `weight` is the sweep's one value a of w on its support.  The
+        variance is 0 where all of the `samples` that the denominator counts
+        agree on what the column averages: w v is 0 on all of them (a ratio
+        of exactly 0), or v (w v for a `per_sample` column) is one value on
+        all of them (a constant, a membership ratio of exactly 1, a volume
+        whose samples all hit).  Since `value` reads v off the hits too, a float
         column that agrees on its hits alone (0/1 floats that read 1 on every
         hit) is not seen to agree.  A quantized column adds one step's,
         h^2 / 12 per replicate; any other adds the float grid of each sum,
@@ -615,7 +613,7 @@ class _Step:
         """
         if self.on == 0:
             return 0.0
-        quantum = self.value * self.weight
+        quantum = self.value * weight
         averaged = quantum if self.per_sample else self.value
         if self.on == samples and averaged == averaged:
             return 0.0
@@ -646,13 +644,13 @@ def _ratio_terms(col: Ratio, half: _Half, v: np.ndarray, share: np.ndarray, dsha
     np.multiply(half.w, v, dtype=float, out=share)
     lo, hi = v.min(), v.max()
     if lo >= -cap and hi <= cap:  # no NaN passes
-        step.add(1.0 if v.dtype == bool else float(lo) if lo == hi else math.nan, half.level, share)
+        step.add(1.0 if v.dtype == bool else float(lo) if lo == hi else math.nan, share)
         share *= 0.5
         return share, None, 0
     bad = half.active & (~np.isfinite(v) | (np.abs(v) > cap))
     keep = half.active & ~bad
     np.copyto(share, 0.0, where=~keep)
-    step.add(math.nan, half.level, share)
+    step.add(math.nan, share)
     share *= 0.5
     if col.per_sample:
         np.multiply(~bad, 0.5, dtype=float, out=dshare)
@@ -707,14 +705,15 @@ def _ratio_sums(ratios: Sequence[Ratio], halves: tuple[_Half, _Half], shape: tup
     of u and d go into its two of the first four `shares`, one column at a
     time.
 
-    Under a bool mask on both halves, a column whose values are bool is
-    counted: w v is 0 or 1, so a replicate's sum of u is half the number of
-    its samples in w & v, and the unmasked d of a ratio column half the
-    number in w.  Every partial sum of the halves' 0 and 1/2 is a multiple
-    of 1/2 far below 2^53, so the float sums are these counts, bit for bit.
-    Each half's w & v is written into its mark, the last two `shares`, and
-    counted before the next values are asked for; a half whose values are
-    not bool after a counted one takes its share from the mark.
+    A column's values are read on both halves before either is reduced.
+    Under a bool mask on both halves, a column whose values are bool on
+    both is counted: w v is 0 or 1, so a replicate's sum of u is half the
+    number of its samples in w & v, and the unmasked d of a ratio column
+    half the number in w.  Every partial sum of the halves' 0 and 1/2 is a
+    multiple of 1/2 far below 2^53, so the float sums are these counts, bit
+    for bit.  Each half's w & v is written into the mark, the last of
+    `shares`, and counted before the other half's is.  Any other column
+    takes the float path on both halves.
     """
     masks = halves[0].w.dtype == bool and halves[1].w.dtype == bool
     shared = {}
@@ -731,21 +730,15 @@ def _ratio_sums(ratios: Sequence[Ratio], halves: tuple[_Half, _Half], shape: tup
 
     out = []
     for col, step in zip(ratios, steps):
-        v = _values(col, halves[0])
-        if masks and v.dtype == bool:
-            counts = _count(np.logical_and(halves[0].w, v, out=shares[4]), shape)
-            step.add(1.0, halves[0].level, int(counts.sum()))
-            v = _values(col, halves[1])
-            if v.dtype == bool:
-                more = _count(np.logical_and(halves[1].w, v, out=shares[5]), shape)
-                step.add(1.0, halves[1].level, int(more.sum()))
-                out += [0.5 * (counts + more), unmasked(col.per_sample), 0]
-                continue
-            u, da, capped_a = np.multiply(shares[4], 0.5, dtype=float, out=shares[0]), None, 0
-        else:
-            u, da, capped_a = _ratio_terms(col, halves[0], v, shares[0], shares[1], step)
-            v = _values(col, halves[1])
-        ub, db, capped_b = _ratio_terms(col, halves[1], v, shares[2], shares[3], step)
+        va, vb = _values(col, halves[0]), _values(col, halves[1])
+        if masks and va.dtype == bool and vb.dtype == bool:
+            counts = _count(np.logical_and(halves[0].w, va, out=shares[4]), shape)
+            counts += _count(np.logical_and(halves[1].w, vb, out=shares[4]), shape)
+            step.add(1.0, int(counts.sum()))
+            out += [0.5 * counts, unmasked(col.per_sample), 0]
+            continue
+        u, da, capped_a = _ratio_terms(col, halves[0], va, shares[0], shares[1], step)
+        ub, db, capped_b = _ratio_terms(col, halves[1], vb, shares[2], shares[3], step)
         u += ub
         if da is None and db is None:
             sd = unmasked(col.per_sample)

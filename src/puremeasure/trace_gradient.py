@@ -154,12 +154,10 @@ def density_gradient(
     evaluation per sample.  In 3 or more dimensions `field` and `grad`
     must be thread-safe: they run on helper threads, two levels at a time.
     """
-    if field is None:
-        if grad is None:
-            raise ValueError("need a gradient field or a scalar field")
+    if grad is not None:  # the report reads gradients only, so an analytic one replaces the field
         field = ScalarField(grad=grad)
-    elif grad is not None:
-        field = ScalarField(f=field.f, grad=grad)
+    elif field is None:
+        raise ValueError("need a gradient field or a scalar field")
     x = tuple(as_points(point, omega.dim)[0])
     profiles = _gradient_profiles(field.gradient_at_scale, omega.dim, omega, x, schedule, spec, tol)
     return GradientReport(x, _box(profiles), profiles)

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -140,6 +141,34 @@ def test_unintegrable_task_exits_2_and_records_error(tmp_path):
     # the symmetric mean series is still reported alongside the error
     series = by_name["sing"]["result"]["series"]
     assert all(abs(row["value"]) <= 0.05 for row in series)
+
+
+def test_a_failing_task_leaves_the_batch_and_a_strict_json_report(tmp_path):
+    # one task fails at run time, two report infinite and NaN values as strings, and the last still writes
+    # its CSV
+    cfg = json.loads(config_with([
+        dict(DENSITY_TASK, name="far", feature="far"),
+        {"task": "action_interval", "name": "pole", "integrand": "pole", "feature": "origin1", "omega": "line"},
+        {"task": "sharp_integral", "name": "void", "integrand": "void", "feature": "origin1", "omega": "line"},
+        {"task": "sharp_integral", "name": "cosint", "integrand": "cosx", "feature": "origin1", "omega": "line"},
+    ]))
+    cfg["features"]["far"] = {"point": {"c": [5]}}  # outside omega (-1, 1)
+    cfg["integrands"]["pole"] = "1/x1"
+    cfg["integrands"]["void"] = "log(x1 - 2)"  # NaN on all of omega
+    out = tmp_path / "out"
+    assert run(parse_config(json.dumps(cfg)), out) == 2
+
+    def strict(constant):
+        raise ValueError(f"report.json holds {constant}")
+
+    report = json.loads((out / "report.json").read_text(), parse_constant=strict)
+    far, pole, void, cosint = report["tasks"]
+    assert far["status"] == "error" and far["error"]["type"] == "VanishingReference"
+    assert pole["status"] == "ok"
+    assert (pole["result"]["interval"]["lo"], pole["result"]["interval"]["hi"]) == ("-inf", "inf")
+    assert void["status"] == "error" and void["error"]["type"] == "Unintegrable"
+    assert void["result"]["series"][0]["value"] == "nan" and (out / "void.csv").exists()
+    assert cosint["status"] == "ok" and cosint["csv"] == ["cosint.csv"] and (out / "cosint.csv").exists()
 
 
 def test_report_echoes_resolved_config(tmp_path):
@@ -444,6 +473,22 @@ def test_main_rejects_bad_tol_delta0_and_nodes(tmp_path, capsys, top, task, poin
     assert main(["--config", str(cfg_path), "--out", str(out)]) == 1
     assert pointer in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_a_cusp_dimension_builds_nothing_before_the_task_is_checked(tmp_path, capsys):
+    # omega's bounding box has `dim` coordinates: the 2-D feature fails the task before it is built
+    cfg = json.loads(config_with([dict(DENSITY_TASK, region="cusp", feature="origin2", omega="cusp")]))
+    cfg["regions"]["cusp"] = {"cusp": {"p": 2, "dim": 1e9}}
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(cfg))
+    tracemalloc.start()
+    try:
+        code = main(["--config", str(cfg_path), "--out", str(tmp_path / "out")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1 and "/tasks/0/feature" in capsys.readouterr().err
+    assert peak < 4e6
 
 
 NESTED = {  # config texts nested beyond MAX_DEPTH, for json.loads, the region grammar and the report

@@ -157,6 +157,7 @@ def _boundary_cloud(region, n=400):
         Difference(Box((0.0, 0.0), (1.0, 1.0)), Ball((0.0, 0.0), 0.5)),
         Union((Ball((-0.4, 0.0), 0.5), Ball((0.4, 0.0), 0.5))),
         Cusp(2.0),
+        Intersection((Ball((-0.3, 0.0), 0.6), Ball((0.3, 0.0), 0.6))),  # a lens
     ],
 )
 def test_pseudo_sdf_is_conservative(region):

@@ -410,7 +410,7 @@ def test_a_folded_radius_of_one_maps_onto_the_outer_sphere(dim):
     shell = Shell(np.full(dim, 0.5), 0.6, 1.5)
     u = np.full((shell.coords, 3), 0.25)
     u[0] = [0.5, 0.0, 0.75]
-    a, b = shell._halves(u)
+    a, b = shell._halves(u, np.empty((3, dim), order="F"))
     r = np.linalg.norm(a - shell.center, axis=1)
     assert np.all(np.isfinite(a)) and np.allclose(a + b, 2 * shell.center, rtol=0, atol=1e-15)
     assert r[0] == pytest.approx(1.5, rel=1e-15)
@@ -692,7 +692,8 @@ def test_counted_long_replicates_match_the_float_path_bit_for_bit(kind, monkeypa
 
 def test_a_column_bool_on_one_half_only_matches_the_plain_loop():
     # values that are bool on the points and float on their reflections: the
-    # points' half is counted and then joins the float path through its mark
+    # column is counted only where both halves are bool, so this one takes the
+    # float path on both halves
     def column():
         calls = itertools.count()
         return Ratio(lambda p: (p[:, 1] > 0.1) if next(calls) % 2 == 0 else (p[:, 1] > 0.1).astype(float))

@@ -107,6 +107,14 @@ def test_gradient_collapses_at_smooth_point():
     assert rep.box.intervals[0].width <= 0.05
 
 
+def test_an_analytic_gradient_replaces_the_field():
+    # the report reads gradients only: with `grad` given, the field's differences are never formed
+    spec, grad = SampleSpec(n=20_000, seed=36), lambda p: np.sign(p)
+    both = density_gradient(LINE, (0.0,), line_schedule(), spec, field=ScalarField(f=lambda p: p[:, 0] ** 2),
+                            grad=grad)
+    assert repr(both) == repr(density_gradient(LINE, (0.0,), line_schedule(), spec, grad=grad))
+
+
 def test_gradient_away_from_kink():
     omega = interval(-0.25, 1.25)
     sched = DeltaSchedule.auto(PointFeature((0.5,)), omega)
