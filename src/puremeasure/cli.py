@@ -86,7 +86,7 @@ class Config:
     resolved: dict  # echoed verbatim into the report
 
 
-Job = Callable[[Path], tuple[dict, list[str], bool]]  # output directory -> payload, CSV files, unintegrable
+Job = Callable[[Path], tuple[dict, list[str], str | None]]  # output directory -> payload, CSV files, unintegrable cause
 
 
 def _require(condition: bool, exc: type[ConfigError], message: str, pointer: str):
@@ -371,9 +371,18 @@ def _probe_rows(result: ProbeResult):
 
 
 def _probe_output(name: str, out_dir: Path, result: ProbeResult, **extra):
-    """Payload, CSV and unintegrable flag of a task whose result is one profile."""
+    """Payload, CSV and the cause that makes it unintegrable, if any, of a task whose result is one profile."""
     csv = _write_series_csv(out_dir, name, _probe_rows(result))
-    return {**_jsonable(result), **extra}, [csv], result.unintegrable
+    return {**_jsonable(result), **extra}, [csv], _unintegrable(result)
+
+
+def _unintegrable(result: ProbeResult) -> str | None:
+    """Why a profile's integrand cannot be integrated: NaN samples, samples beyond the cap, or both."""
+    if not result.unintegrable:
+        return None
+    causes = [cause for cause, seen in (("undefined (NaN)", any(l.undefined for l in result.series)),
+                                        ("essentially unbounded", any(l.capped for l in result.series))) if seen]
+    return f"integrand {' and '.join(causes)} near the feature"
 
 
 # -------------------------------------------------------------- task kinds
@@ -402,7 +411,7 @@ def _action_interval(t: _Task) -> Job:
     integrand, feature = t.integrand("integrand", omega.dim), t.feature("feature", omega.dim)
     return lambda out: (_jsonable(action_profile(
         integrand, feature, omega, t.schedule(feature, omega), t.spec, tol=t.tol
-    )), [], False)
+    )), [], None)
 
 
 def _cone_density(t: _Task) -> Job:
@@ -429,7 +438,7 @@ def _sigma_probe(t: _Task) -> Job:
             for k, member in enumerate(report.members, start=1)
         ]
         csvs.append(_write_series_csv(out, f"{t.name}_union", _probe_rows(report.union)))
-        return _jsonable(report), csvs, False
+        return _jsonable(report), csvs, None
     return job
 
 
@@ -440,7 +449,7 @@ def _aura_report(t: _Task) -> Job:
     def job(out: Path):
         report = aura_report(feature, omega, t.schedule(feature, omega), t.spec)
         rows = [(l.delta, l.volume, l.volume_stderr, l.hits) for l in report.levels]
-        return _jsonable(report), [_write_series_csv(out, t.name, rows)], False
+        return _jsonable(report), [_write_series_csv(out, t.name, rows)], None
     return job
 
 
@@ -472,7 +481,7 @@ def _density_gradient(t: _Task) -> Job:
             else ("point" if p.interval.width <= t.tol else "interval")
             for p in report.profiles
         ]
-        return payload, [], False
+        return payload, [], None
     return job
 
 
@@ -484,7 +493,7 @@ def _calculus_rule_check(t: _Task) -> Job:
     f1, f2 = t.field("f1", omega.dim), t.field("f2", omega.dim)
     return lambda out: (_jsonable(calculus_rule_check(
         rule, f1, f2, x, omega, t.schedule(PointFeature(x), omega), t.spec, tol=t.tol
-    )), [], False)
+    )), [], None)
 
 
 def _collar_average(t: _Task) -> Job:
@@ -502,7 +511,7 @@ def _collar_average(t: _Task) -> Job:
 def _gauss_check(t: _Task) -> Job:
     fixture = t.surface()
     phi, div = t.vector("phi", fixture.region.dim), t.optional("div", fixture.region.dim)
-    return lambda out: (_jsonable(gauss_check(phi, fixture, t.spec, div=div)), [], False)
+    return lambda out: (_jsonable(gauss_check(phi, fixture, t.spec, div=div)), [], None)
 
 
 def _fa_lattice(t: _Task) -> Job:
@@ -539,7 +548,7 @@ def _fa_lattice(t: _Task) -> Job:
                 "inside": fa_lattice.measure_to_json(inside),
                 "outside": fa_lattice.measure_to_json(outside),
             }
-        return payload, [], False
+        return payload, [], None
     return job
 
 
@@ -567,7 +576,7 @@ def run(config: Config, out_dir: str | Path, only: str | None = None) -> int:
             entry["csv"] = csvs
             if unintegrable:
                 entry["status"] = "error"
-                entry["error"] = {"type": "Unintegrable", "message": "integrand essentially unbounded near the feature"}
+                entry["error"] = {"type": "Unintegrable", "message": unintegrable}
                 failed = True
             else:
                 entry["status"] = "ok"

@@ -147,13 +147,14 @@ class Interval:
 
 @dataclass(frozen=True)
 class LevelEstimate:
-    """One row of a delta profile."""
+    """One row of a delta profile: `capped` and `undefined` count the hits dropped as beyond the cap and as NaN."""
 
     delta: float
     value: float
     stderr: float
     hits: int
     capped: int = 0
+    undefined: int = 0
 
 
 @dataclass(frozen=True)
@@ -324,13 +325,13 @@ def _memberships(regions: Sequence[Region]) -> Columns:
 
 
 def _ratio_probe(levels: list[tuple[float, Sweep]], j: int, tol: float) -> ProbeResult:
-    """Profile and limit of ratio column j; unintegrable once some level caps a hit."""
+    """Profile and limit of ratio column j; unintegrable once some level drops a hit, capped or undefined."""
     series = []
     for delta, result in levels:
         r = result.ratios[j]
-        series.append(LevelEstimate(delta, r.value, r.stderr, r.hits, r.capped))
+        series.append(LevelEstimate(delta, r.value, r.stderr, r.hits, r.capped, r.undefined))
     limit, verdict = limit_estimate(series, tol)
-    unintegrable = any(l.capped > 0 for l in series)
+    unintegrable = any(l.capped > 0 or l.undefined > 0 for l in series)
     return ProbeResult(tuple(series), limit, verdict, unintegrable)
 
 
@@ -376,9 +377,11 @@ def sharp_integral(
 
     For fn continuous at a singleton feature the converged limit is the
     point value.  Samples beyond the magnitude cap witness an essentially
-    unbounded integrand; when any level caps a hit the result carries the
-    unintegrable flag (integration against a density measure is then
-    meaningless even if the symmetric mean profile happens to settle).
+    unbounded integrand, and NaN samples one undefined there; when any level
+    drops a hit for either cause the result carries the unintegrable flag
+    (integration against a density measure is then meaningless even if the
+    symmetric mean profile happens to settle), and each row counts its
+    causes apart.
     In 3 or more dimensions `fn` and `weight` must be thread-safe: they run
     on helper threads, two levels at a time.
     """

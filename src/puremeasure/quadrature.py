@@ -28,7 +28,12 @@ There are three kinds of proposal: an axis box (the bounding box of a
 region), a spherical shell (a ball when its inner radius is 0), whose
 radius coordinate is tent-folded, and an oriented box.  Pairs are handed
 out as two Fortran-ordered (m, d) blocks, the points and their reflections,
-so the column-wise geometry kernels read contiguous coordinates.
+so the column-wise geometry kernels read contiguous coordinates.  A shell
+reads its angle coordinates only through their cosines and sines.  Every
+replicate's angle coordinate is the grid i/2^k, permuted and shifted, so a
+sweep prepares one table of the grid's cosines and sines and turns what it
+reads there by each replicate's shift within a cell (see `_Angles`),
+instead of evaluating them sample by sample.
 
 Every estimator is one `sweep` over the replicates: LEAF_PAIRS / 2^k whole
 replicates are evaluated together as one leaf, and a replicate longer than
@@ -36,8 +41,8 @@ LEAF_PAIRS is cut in halves, where numpy's pairwise sum splits its array, so
 that each replicate's sums are those of one array of its values, bit for
 bit, while temporaries stay leaf-sized.  A sweep allocates one work
 block, sized to its largest leaf, and frees it when it returns: every leaf
-writes its points, their reflections and the ratio shares there instead of
-in fresh arrays, which moves no bit.  So the points
+writes its points, their reflections, its turned angles and the ratio
+shares there instead of in fresh arrays, which moves no bit.  So the points
 a callable receives are overwritten by the next leaf: it may return a view
 of them, but must copy anything it keeps.  A reference weight is
 evaluated once per half-leaf (a leaf's points, or their reflections), and
@@ -48,12 +53,14 @@ separate sweep.
 
 A column is nothing but its values: the kernel reads the cap and the
 quantile from its own MAGNITUDE_CAP and ESS_QUANTILE.  A ratio column
-tallies as capped, and never averages, the samples that are non-finite or
-exceed MAGNITUDE_CAP in magnitude (the witness of an essentially unbounded
-integrand); a per-sample mean (a volume, `mc_integral`) drops only the
-non-finite ones.  A half-leaf whose values all lie within the cap needs no
-mask, and where neither half of a leaf needs one the ratio denominator is
-formed once and shared by every such column.
+never averages a NaN sample, which it tallies as undefined (the witness of
+an integrand undefined there), nor one that is infinite or exceeds
+MAGNITUDE_CAP in magnitude, which it tallies as capped (the witness of an
+essentially unbounded integrand); a per-sample mean (a volume,
+`mc_integral`) drops only the non-finite ones.  A half-leaf whose values
+all lie within the cap needs no mask, and where neither half of a leaf
+needs one the ratio denominator is formed once and shared by every such
+column.
 An indicator weight arrives as a bool mask, under which a ratio column of
 bool values (a membership) on both halves of a leaf is counted rather than
 multiplied and summed in floats: each replicate's sums are half its samples
@@ -134,13 +141,18 @@ class SampleSpec:
 
 @dataclass(frozen=True)
 class Estimate:
-    """A ratio column's value and ~95% half-width from n samples, its hits and the samples it dropped."""
+    """A ratio column's value and ~95% half-width from n samples, its hits and the samples it dropped.
+
+    `capped` counts the dropped samples that were infinite or beyond the cap
+    and `undefined` those that were NaN.
+    """
 
     value: float
     stderr: float
     hits: int
     n: int
     capped: int = 0
+    undefined: int = 0
 
 
 def _lattice(coords: int, count: int) -> np.ndarray:
@@ -196,42 +208,134 @@ class Proposal:
     """Antithetic pairs on a set symmetric about `center`, mapped from the unit cube.
 
     `volume` is the set's exact Lebesgue volume and `coords` the dimension s
-    of the unit cube.  `_halves(u, out)` maps a contiguous C-ordered
-    (coords, m) block of points of [0, 1)^s, uniformly onto the set, as two
-    Fortran-ordered (m, dim) arrays: the points, written into u's memory,
-    and their reflections through the centre, written into the
-    Fortran-ordered (m, dim) block `out`.
+    of the unit cube.  `angles` are the coordinates that the map reads only
+    as an angle 2 pi u_k, through its cosine and sine, which a sweep takes
+    from one table instead (see `_Angles`).  `_halves(u, out, angles)`
+    maps points of [0, 1)^s uniformly onto the set, as two Fortran-ordered
+    (m, dim) arrays: the points, written into u's memory, and their
+    reflections through the centre, written into the Fortran-ordered
+    (m, dim) block `out`, whose transpose may hold the offsets from the
+    centre first.  u is a contiguous C-ordered (coords, m) block whose first
+    rows hold the other coordinates, in order, and whose last len(angles)
+    rows are free; `angles` yields the cosine and sine of each angle in
+    turn, as views that the next one overwrites.
     """
 
     dim: int
     coords: int
     center: np.ndarray
     volume: float
+    angles: tuple[int, ...] = ()
 
-    def _halves(self, u: np.ndarray, out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _halves(self, u: np.ndarray, out: np.ndarray,
+                angles: Iterator[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError
+
+    def _prepare(self, base: np.ndarray, shifts: np.ndarray) -> _Base:
+        """A pass's (coords, 2^k) base lattice and (coords, reps) shifts, prepared once for every leaf of its sweep."""
+        return _Base(self, base, shifts)
 
     def pairs(self, seed: int, stream: int, pairs: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """Each replicate's pairs of a pass of `pairs` requested pairs, one (points, reflections) block per replicate.
 
-        This is what `sweep` evaluates, replicate by replicate.
+        This is what `sweep` evaluates, replicate by replicate, from the same
+        preparation; each replicate gets a work block of its own, so the
+        blocks stay valid after the next one is drawn.
         """
         reps, size = _replicates(pairs)
-        base = _lattice(self.coords, size)
-        shifts = _shifts(seed, stream, reps, self.coords)
+        prepared = self._prepare(_lattice(self.coords, size), _shifts(seed, stream, reps, self.coords))
         for r in range(reps):
-            yield self._halves(_shifted(base, shifts[:, r:r + 1]), np.empty((size, self.dim), order="F"))
+            yield prepared.halves(_Work(size, self, False), r, r + 1, 0, size)
 
     def _reflected(self, offsets: np.ndarray, u: np.ndarray, out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """center ± offsets for a (dim, m) block of offsets, as (m, dim) transposes.
 
         center + offsets goes into u's memory, which the offsets must not
-        share, and center - offsets into out.
+        share, and then center - offsets into out, whose transpose they may
+        be.
         """
         c = self.center[:, None]
         points = np.add(c, offsets, out=u.reshape(-1)[:offsets.size].reshape(offsets.shape))
         np.subtract(c, offsets, out=out.T)
         return points.T, out
+
+
+class _Base:
+    """A pass's base lattice and shifts as the leaves of its sweep read them, and its angle table.
+
+    The base and shifts keep the coordinates that are not angles, in order.
+    Each sweep prepares its own, so levels on two threads share none.
+    """
+
+    def __init__(self, proposal: Proposal, base: np.ndarray, shifts: np.ndarray):
+        self.proposal, self.base, self.shifts, self.angles = proposal, base, shifts, None
+        if proposal.angles:
+            angles, others = list(proposal.angles), [k for k in range(len(base)) if k not in proposal.angles]
+            self.base, self.shifts = base[others], shifts[others]
+            self.angles = _Angles(base[angles], shifts[angles])
+
+    def halves(self, work: _Work, lo: int, hi: int, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+        """The points and reflections of pairs start:stop of replicates lo:hi, replicate by replicate, in `work`."""
+        shape = (hi - lo, stop - start)
+        u, mask, turning, reflections = work.points(shape[0] * shape[1])
+        rows = len(self.base)
+        _shifted(self.base[:, None, start:stop], self.shifts[:, lo:hi, None],
+                 u[:rows].reshape(rows, *shape), mask[:rows].reshape(rows, *shape))
+        angles = iter(()) if self.angles is None else self.angles.turned(turning, shape, lo, start)
+        return self.proposal._halves(u, reflections, angles)
+
+
+class _Angles:
+    """The cosine and sine of 2 pi u on a pass's angle coordinates, from one table of the grid i/N.
+
+    A replicate is a whole lattice of N = 2^k points, and every power of the
+    odd LATTICE_A is odd, so each coordinate of its base points b_j is a
+    permutation of the grid i/N.  With m_j = N b_j, q_r = floor(N s_r) and
+    the remainder e_r = s_r - q_r / N < 1/N of replicate r's shift s_r, all
+    exact, the angle of its point j is 2 pi ((m_j + q_r) mod N) / N +
+    2 pi e_r.  A leaf reads z = c + i s, the cosine and sine of the first
+    term, from the table at (m_j + q_r) mod N and turns it by the second in
+    the small-angle form z - z (a_r - i b_r), that is c - (c a_r + s b_r) and
+    s - (s a_r - c b_r), with a_r = 2 sin^2(pi e_r) and b_r = sin 2 pi e_r.
+    The turn is below 2 pi / N in size, so its rounding is that much below
+    the table's, and the table's rounding is common to every replicate.  The
+    table's angles are wrapped to [-pi, pi), which is exact, so each rounds
+    on at most pi.  No libm call runs per sample.
+    """
+
+    def __init__(self, base: np.ndarray, shifts: np.ndarray):
+        size = base.shape[1]
+        turns = np.arange(size) / size
+        grid = 2.0 * math.pi * (turns - (turns >= 0.5))
+        self.table = np.empty(size, dtype=complex)
+        self.table.real, self.table.imag = np.cos(grid), np.sin(grid)
+        self.cells = (base * size).astype(np.intp)
+        whole = np.floor(shifts * size)
+        rest = shifts - whole / size
+        self.whole = whole.astype(np.intp)
+        half = np.sin(math.pi * rest)
+        self.turn = 2.0 * half * half - 1j * np.sin(2.0 * math.pi * rest)
+        self.last = size - 1
+
+    def turned(self, scratch: np.ndarray, shape: tuple[int, int], lo: int,
+               start: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Each angle's cosine and sine for pairs from `start` of replicates from `lo`, as views of scratch.
+
+        `shape` is (replicates, pairs each), and `scratch` holds 4 floats a
+        pair: the turned values and their turn, whose memory holds the table
+        cells first.
+        """
+        m = shape[0] * shape[1]
+        values = scratch[:2 * m].view(complex)
+        z, turn = values.reshape(shape), scratch[2 * m:].view(complex).reshape(shape)
+        cells = scratch[2 * m:3 * m].view(np.intp)[:m].reshape(shape)
+        stop, hi = start + shape[1], lo + shape[0]
+        for k in range(len(self.cells)):
+            np.add(self.cells[k, start:stop], self.whole[k, lo:hi, None], out=cells)
+            np.bitwise_and(cells, self.last, out=cells)
+            np.take(self.table, cells, out=z, mode="clip")  # the cells are in range; "raise" would buffer
+            z -= np.multiply(z, self.turn[k, lo:hi, None], out=turn)
+            yield values.real, values.imag
 
 
 class AxisBox(Proposal):
@@ -248,7 +352,7 @@ class AxisBox(Proposal):
         self.center = 0.5 * (self.lo + self.hi)
         self.volume = bbox_volume(bbox)
 
-    def _halves(self, u, out):
+    def _halves(self, u, out, angles):
         for k, (lo, hi, width) in enumerate(zip(self.lo, self.hi, self.width)):
             step = np.multiply(u[k], width, out=u[k])
             np.subtract(hi, step, out=out[:, k])
@@ -262,16 +366,19 @@ class Shell(Proposal):
     u_0 is folded by the tent map t = 1 - |2 u_0 - 1| (Hickernell 2002),
     which keeps it uniform on [0, 1], and t gives the radius
     r1 * (s + t (1 - s))^(1/d), with s = (r0 / r1)^d, which inverts the
-    radial density proportional to r^(d-1).  A shifted lattice rule
-    converges fast only on periodic integrands; the fold makes a smooth
-    function of the radius periodic in u_0, and integrates one linear in t,
-    such as r^2 in 2-D, exactly on a whole lattice (Dick, Nuyens &
-    Pillichshammer 2014).  u_0 = 1/2 folds to t = 1, radius r1.  The other
-    coordinates, unfolded, give the direction.  In 1-D it is +1 (the
-    reflection takes the other one), in 2-D the angle 2 pi u_1, in 3-D the
-    area-preserving map z = 1 - 2 u_1 and azimuth 2 pi u_2, and from 4-D on
-    the normalised Box-Muller Gaussians of the pairs (u_1, u_2), (u_3, u_4),
-    ...
+    radial density proportional to r^(d-1): a square root in 2-D and a cube
+    root in 3-D.  A shifted lattice rule converges fast only on periodic
+    integrands; the fold makes a smooth function of the radius periodic in
+    u_0, and integrates one linear in t, such as r^2 in 2-D, exactly on a
+    whole lattice (Dick, Nuyens & Pillichshammer 2014).  u_0 = 1/2 folds to
+    t = 1, radius r1.  The other coordinates, unfolded, give the direction.
+    In 1-D it is +1 (the reflection takes the other one), in 2-D the angle
+    2 pi u_1, in 3-D the area-preserving map z = 1 - 2 u_1 and azimuth
+    2 pi u_2, and from 4-D on the normalised Box-Muller Gaussians
+    sqrt(-log(1 - u_1)) (cos, sin) 2 pi u_2, then the same of (u_3, u_4),
+    and so on.  Every angle's cosine and sine come from the sweep's table
+    (see `_Angles`).  The offsets are formed in the reflections' block and
+    their scratch rows in u's free rows, so a leaf allocates nothing.
     """
 
     def __init__(self, center, r0: float, r1: float):
@@ -280,48 +387,73 @@ class Shell(Proposal):
         self.center = np.asarray(center, dtype=float)
         self.dim = self.center.size
         self.coords = self.dim if self.dim <= 3 else 1 + 2 * math.ceil(self.dim / 2)
+        self.angles = () if self.dim == 1 else (self.dim - 1,) if self.dim <= 3 else tuple(range(2, self.coords, 2))
         self.r0, self.r1 = float(r0), float(r1)
         self._inner = (self.r0 / self.r1) ** self.dim
         unit_ball = math.pi ** (self.dim / 2) / math.gamma(self.dim / 2 + 1)
         self.volume = unit_ball * self.r1 ** self.dim * (1.0 - self._inner)
 
-    def _halves(self, u, out):
-        t = u[0]  # folded in place: t = 1 - |2 u_0 - 1|
-        t *= 2.0
-        t -= 1.0
-        np.abs(t, out=t)
-        np.subtract(1.0, t, out=t)
-        radius = self.r1 * (self._inner + t * (1.0 - self._inner)) ** (1.0 / self.dim)
-        if self.dim == 1:
-            return self._reflected(radius[None, :], u, out)
+    def _halves(self, u, out, angles):
+        radius = u[0]  # folded in place, t = 1 - |2 u_0 - 1|, and then mapped to the radius
+        radius *= 2.0
+        radius -= 1.0
+        np.abs(radius, out=radius)
+        np.subtract(1.0, radius, out=radius)
+        if self._inner:  # a ball's radius map is t^(1/d)
+            radius *= 1.0 - self._inner
+            radius += self._inner
         if self.dim == 2:
-            angle = 2.0 * math.pi * u[1]
-            return self._reflected(np.stack([radius * np.cos(angle), radius * np.sin(angle)]), u, out)
-        if self.dim == 3:
-            rho = 2.0 * radius * np.sqrt(u[1] * (1.0 - u[1]))
-            angle = 2.0 * math.pi * u[2]
-            offsets = np.stack([rho * np.cos(angle), rho * np.sin(angle), radius * (1.0 - 2.0 * u[1])])
-            return self._reflected(offsets, u, out)
-        # sqrt(-log(1 - u)) and 2 pi u are formed in place of u, and cos and sin in g
-        g = np.empty((self.coords - 1, u.shape[1]))
-        norm = np.negative(u[1::2], out=u[1::2])
-        np.log1p(norm, out=norm)
-        np.sqrt(np.negative(norm, out=norm), out=norm)
-        angle = np.multiply(u[2::2], 2.0 * math.pi, out=u[2::2])
-        np.multiply(np.cos(angle, out=g[0::2]), norm, out=g[0::2])
-        np.multiply(np.sin(angle, out=g[1::2]), norm, out=g[1::2])
-        g = g[:self.dim]
-        norm2 = g[0] * g[0]
-        for row in g[1:]:
-            norm2 += row * row
-        g *= radius / np.sqrt(norm2)
-        return self._reflected(g, u, out)
+            np.sqrt(radius, out=radius)
+        elif self.dim == 3:
+            np.cbrt(radius, out=radius)
+        elif self.dim > 3:
+            np.power(radius, 1.0 / self.dim, out=radius)
+        radius *= self.r1
+        offsets = out.T
+        if self.dim == 1:
+            offsets[0] = radius
+        elif self.dim == 2:
+            cos, sin = next(angles)
+            np.multiply(cos, radius, out=offsets[0])
+            np.multiply(sin, radius, out=offsets[1])
+        elif self.dim == 3:
+            z, rho = offsets[2], u[2]  # rho = 2 radius sqrt(u_1 (1 - u_1)), the distance from the axis
+            np.multiply(u[1], 2.0, out=z)
+            np.subtract(1.0, z, out=z)
+            z *= radius
+            np.subtract(1.0, u[1], out=rho)
+            rho *= u[1]
+            np.sqrt(rho, out=rho)
+            rho *= radius
+            rho *= 2.0
+            cos, sin = next(angles)
+            np.multiply(cos, rho, out=offsets[0])
+            np.multiply(sin, rho, out=offsets[1])
+        else:
+            pairs = len(self.angles)
+            norm = np.negative(u[1:1 + pairs], out=u[1:1 + pairs])  # n^2 = -log(1 - u) in place of u
+            np.log1p(norm, out=norm)
+            np.negative(norm, out=norm)
+            # radius / |g| in a free row: a pair whose cosine and sine are both read adds n^2 to |g|^2
+            scale = np.add.reduce(norm[:self.dim // 2], axis=0, out=u[1 + pairs])
+            np.sqrt(norm, out=norm)
+            for k, (cos, sin) in enumerate(angles):
+                np.multiply(cos, norm[k], out=offsets[2 * k])
+                if 2 * k + 1 < self.dim:
+                    np.multiply(sin, norm[k], out=offsets[2 * k + 1])
+            if self.dim % 2:  # the last pair of an odd dimension adds its cosine's Gaussian alone
+                scale += np.square(offsets[-1], out=u[2 + pairs])
+            np.sqrt(scale, out=scale)
+            np.divide(radius, scale, out=scale)
+            offsets *= scale
+        return self._reflected(offsets, u, out)
 
 
 class OrientedBox(Proposal):
     """The box center + frame @ t with |t_k| < half[k], for an orthonormal frame.
 
-    The affine map t = (2 u - 1) half, formed in place of u.
+    The affine map t = (2 u - 1) half, formed in place of u, and turned by
+    the frame into the reflections' block.
     """
 
     def __init__(self, center, frame, half):
@@ -343,11 +475,11 @@ class OrientedBox(Proposal):
         half[0] += 0.5 * length
         return cls(0.5 * (a + b), frame, half)
 
-    def _halves(self, u, out):
+    def _halves(self, u, out, angles):
         u *= 2.0
         u -= 1.0
         u *= self.half[:, None]
-        return self._reflected(self.frame @ u, u, out)
+        return self._reflected(np.matmul(self.frame, u, out=out.T), u, out)
 
 
 @dataclass(frozen=True)
@@ -372,11 +504,12 @@ class Ratio:
     """Ratio column: the sum of w*v over the sum of w, on kept samples.
 
     `values` maps sample points to one value each; only points of finite
-    positive reference weight w count.  A sample whose value is non-finite
-    or exceeds MAGNITUDE_CAP in magnitude is tallied as capped and dropped
-    from both sums.  With `per_sample` the denominator counts every kept
-    sample of the proposal instead of weighing it, so the column is the mean
-    of w*v over the proposal, and only non-finite values are dropped.
+    positive reference weight w count.  A sample whose value is NaN is
+    tallied as undefined, one that is infinite or exceeds MAGNITUDE_CAP in
+    magnitude as capped, and either is dropped from both sums.  With
+    `per_sample` the denominator counts every kept sample of the proposal
+    instead of weighing it, so the column is the mean of w*v over the
+    proposal, and only non-finite values are dropped.
     """
 
     values: Callable
@@ -426,12 +559,11 @@ def sweep(
     """
     reps, size = _replicates(spec.pairs)
     m = reps * size
-    base = _lattice(proposal.coords, size)
-    shifts = _shifts(spec.seed, stream, reps, proposal.coords)
+    prepared = proposal._prepare(_lattice(proposal.coords, size), _shifts(spec.seed, stream, reps, proposal.coords))
     hits = 0
     level = None  # the one value w takes on its support in every half-leaf (see `_Half`)
     sums = np.zeros((len(ratios), 2, reps))  # each ratio's numerator and denominator sum per replicate
-    capped = [0] * len(ratios)
+    capped, undefined = [0] * len(ratios), [0] * len(ratios)
     steps = [_Step(col.per_sample) for col in ratios]
     tails = [_Tails(ESS_QUANTILE, m) for _ in ranges]
     work = _Work(min(LEAF_PAIRS, m), proposal, bool(ratios))
@@ -440,14 +572,12 @@ def sweep(
         """Pairs start:stop of replicates lo:hi, replicate by replicate."""
         nonlocal level
         shape = (hi - lo, stop - start)
-        u, mask, reflections, shares = work.slots(shape[0] * shape[1])
-        _shifted(base[:, None, start:stop], shifts[:, lo:hi, None],
-                 u.reshape(len(base), *shape), mask.reshape(len(base), *shape))
-        halves = tuple(_weigh(weight, pts) for pts in proposal._halves(u, reflections))
+        halves = tuple(_weigh(weight, pts) for pts in prepared.halves(work, lo, hi, start, stop))
         for half in halves:
             level = _one(level, half.level)
             if ranges and half.hits:
                 _feed_ranges(ranges, tails, np.take(half.pts, np.flatnonzero(half.active), axis=0))
+        shares = work.shares(shape[0] * shape[1])
         return [halves[0].hits + halves[1].hits, *_ratio_sums(ratios, halves, shape, shares, steps)]
 
     with np.errstate(all="ignore"):
@@ -455,12 +585,13 @@ def sweep(
             hit, *cols = _pairwise(lambda start, stop: leaf(lo, hi, start, stop), 0, size)
             hits += hit
             for j in range(len(ratios)):
-                sums[j, :, lo:hi] = cols[3 * j:3 * j + 2]
-                capped[j] += cols[3 * j + 2]
+                sums[j, :, lo:hi] = cols[4 * j:4 * j + 2]
+                capped[j] += cols[4 * j + 2]
+                undefined[j] += cols[4 * j + 3]
         return Sweep(
             hits,
-            tuple(_ratio_result(u, d, c, m, hits, step.rounding(u, 2 * m if col.per_sample else hits, level))
-                  for (u, d), c, step, col in zip(sums, capped, steps, ratios)),
+            tuple(_ratio_result(u, d, c, nan, m, hits, step.rounding(u, 2 * m if col.per_sample else hits, level))
+                  for (u, d), c, nan, step, col in zip(sums, capped, undefined, steps, ratios)),
             tuple(_range_result(tail, hits) for tail in tails),
         )
 
@@ -469,10 +600,16 @@ class _Work:
     """One sweep's work block: a slot for every leaf-sized array that a leaf writes, `rows` pairs each.
 
     The slots are the unit-cube points u (coords rows) and their u >= 1
-    mask, the reflected half (dim columns) and, with ratio columns, each
-    half's numerator and denominator shares of one column, where the shared
-    denominators are formed too, and the mark w & v of a counted column,
-    which each half writes and counts in turn (see `_ratio_sums`).  A leaf
+    mask, the reflected half (dim columns), in which a proposal may form its
+    offsets first, and four share slots: with ratio columns each half's
+    numerator and denominator shares of one column, where the shared
+    denominators are formed too, and then the mark w & v of a counted
+    column, which each half writes and counts in turn (see `_ratio_sums`).
+    A leaf turns its angles (see `_Angles`) before it forms any share, so
+    the turn takes the share slots' memory, 4 m floats for m pairs.  A sweep
+    without ratio columns has no share slots, and its leaves turn their
+    angles in a fresh block, freed before the weight runs, which keeps its
+    peak below that of four more slots.  A leaf
     of m pairs takes the first m rows of each slot, each a contiguous array
     laid out as a fresh one would be.  Every slot is written before it is
     read, and the next leaf overwrites it.  The block is one allocation of
@@ -483,22 +620,25 @@ class _Work:
 
     def __init__(self, rows: int, proposal: Proposal, ratios: bool):
         self.rows, self.coords, self.dim = rows, proposal.coords, proposal.dim
-        self.columns = 4 * ratios
+        self.columns, self.turning = 4 * ratios, 4 * bool(proposal.angles)
         self.flags = self.coords + ratios
         floats = rows * (self.coords + self.dim + self.columns)
         block = np.empty(8 * floats + rows * self.flags, dtype=np.uint8)
         self.floats, self.mask = block[:8 * floats].view(float), block[8 * floats:].view(bool)
 
-    def slots(self, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[np.ndarray]]:
-        """A leaf's u, mask and reflections, and its four shares and then a mark, for m <= rows pairs."""
-        points, rows = self.coords * m, self.rows
-        at = self.coords * rows
-        reflections = self.floats[at:at + self.dim * m].reshape((m, self.dim), order="F")
-        at += self.dim * rows
-        columns = [self.floats[at + k * rows:at + k * rows + m] for k in range(self.columns)]
-        marks = [self.mask[k * rows:k * rows + m] for k in range(self.coords, self.flags)]
+    def points(self, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """A leaf's u and mask, the 4 m floats that turn its angles, and its reflections, for m <= rows pairs."""
+        points, at = self.coords * m, self.coords * self.rows
+        shares = self.floats[at + self.dim * self.rows:][:self.turning * m]
+        turning = shares if self.columns else np.empty(self.turning * m)
         return (self.floats[:points].reshape(self.coords, m), self.mask[:points].reshape(self.coords, m),
-                reflections, columns + marks)
+                turning, self.floats[at:at + self.dim * m].reshape((m, self.dim), order="F"))
+
+    def shares(self, m: int) -> list[np.ndarray]:
+        """A leaf's four shares and then its mark, for m <= rows pairs."""
+        at, rows = (self.coords + self.dim) * self.rows, self.rows
+        return [self.floats[at + k * rows:at + k * rows + m] for k in range(self.columns)] + [
+            self.mask[k * rows:k * rows + m] for k in range(self.coords, self.flags)]
 
 
 def _leaves(reps: int, size: int) -> list[tuple[int, int]]:
@@ -630,8 +770,8 @@ def _values(col: Ratio, half: _Half) -> np.ndarray:
 
 
 def _ratio_terms(col: Ratio, half: _Half, v: np.ndarray, share: np.ndarray, dshare: np.ndarray,
-                 step: _Step) -> tuple[np.ndarray, np.ndarray | None, int]:
-    """A half-leaf's share 0.5 w v of the pair average u, its share of d, and its capped count, for values v.
+                 step: _Step) -> tuple[np.ndarray, np.ndarray | None, int, int]:
+    """A half-leaf's shares of the pair averages u (0.5 w v) and d, and its capped and undefined counts, for values v.
 
     A ratio column caps at MAGNITUDE_CAP; a `per_sample` one at the largest
     float, so it drops only non-finite values.  When every value lies within
@@ -646,7 +786,7 @@ def _ratio_terms(col: Ratio, half: _Half, v: np.ndarray, share: np.ndarray, dsha
     if lo >= -cap and hi <= cap:  # no NaN passes
         step.add(1.0 if v.dtype == bool else float(lo) if lo == hi else math.nan, share)
         share *= 0.5
-        return share, None, 0
+        return share, None, 0, 0
     bad = half.active & (~np.isfinite(v) | (np.abs(v) > cap))
     keep = half.active & ~bad
     np.copyto(share, 0.0, where=~keep)
@@ -658,7 +798,8 @@ def _ratio_terms(col: Ratio, half: _Half, v: np.ndarray, share: np.ndarray, dsha
         dshare.fill(0.0)
         np.copyto(dshare, half.w, where=keep)
         dshare *= 0.5
-    return share, dshare, int(np.count_nonzero(bad))
+    undefined = int(np.count_nonzero(half.active & np.isnan(v)))
+    return share, dshare, int(np.count_nonzero(bad)) - undefined, undefined
 
 
 def _unmasked(half: _Half, per_sample: bool, out: np.ndarray) -> np.ndarray:
@@ -694,7 +835,7 @@ def _count(flags: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
 
 def _ratio_sums(ratios: Sequence[Ratio], halves: tuple[_Half, _Half], shape: tuple[int, int],
                 shares: list[np.ndarray], steps: list[_Step]) -> list:
-    """The numerator and denominator sums per replicate and the capped count of every ratio column.
+    """The numerator and denominator sums per replicate and the capped and undefined counts of every ratio column.
 
     The pairs are replicates as `_by_replicate` reads them.  u
     (numerator) and d (denominator) are the pair averages.  Capped and
@@ -735,10 +876,10 @@ def _ratio_sums(ratios: Sequence[Ratio], halves: tuple[_Half, _Half], shape: tup
             counts = _count(np.logical_and(halves[0].w, va, out=shares[4]), shape)
             counts += _count(np.logical_and(halves[1].w, vb, out=shares[4]), shape)
             step.add(1.0, int(counts.sum()))
-            out += [0.5 * counts, unmasked(col.per_sample), 0]
+            out += [0.5 * counts, unmasked(col.per_sample), 0, 0]
             continue
-        u, da, capped_a = _ratio_terms(col, halves[0], va, shares[0], shares[1], step)
-        ub, db, capped_b = _ratio_terms(col, halves[1], vb, shares[2], shares[3], step)
+        u, da, capped_a, undefined_a = _ratio_terms(col, halves[0], va, shares[0], shares[1], step)
+        ub, db, capped_b, undefined_b = _ratio_terms(col, halves[1], vb, shares[2], shares[3], step)
         u += ub
         if da is None and db is None:
             sd = unmasked(col.per_sample)
@@ -746,7 +887,7 @@ def _ratio_sums(ratios: Sequence[Ratio], halves: tuple[_Half, _Half], shape: tup
             da = _unmasked(halves[0], col.per_sample, shares[1]) if da is None else da
             da += _unmasked(halves[1], col.per_sample, shares[3]) if db is None else db
             sd = _by_replicate(da, shape)
-        out += [_by_replicate(u, shape), sd, capped_a + capped_b]
+        out += [_by_replicate(u, shape), sd, capped_a + capped_b, undefined_a + undefined_b]
     return out
 
 
@@ -831,7 +972,8 @@ def _tail_quantiles(tail: _Tails, q: float) -> np.ndarray:
     return np.where(gamma >= 0.5, b - diff * (1 - gamma), a + diff * gamma)
 
 
-def _ratio_result(su: np.ndarray, sv: np.ndarray, capped: int, m: int, hits: int, rounding: float) -> Estimate:
+def _ratio_result(su: np.ndarray, sv: np.ndarray, capped: int, undefined: int, m: int, hits: int,
+                  rounding: float) -> Estimate:
     """The ratio of the numerator and denominator sums, with the replicates' ratio-estimator stderr.
 
     With reps replicate sums u_r and d_r and R = sum u / sum d, the half-width
@@ -847,7 +989,7 @@ def _ratio_result(su: np.ndarray, sv: np.ndarray, capped: int, m: int, hits: int
     """
     total_v = float(sv.sum())
     if total_v <= 0:
-        return Estimate(float("nan"), float("nan"), hits, 2 * m, capped)
+        return Estimate(float("nan"), float("nan"), hits, 2 * m, capped, undefined)
     ratio = float(su.sum()) / total_v
     reps = len(su)
     se = math.inf
@@ -855,7 +997,7 @@ def _ratio_result(su: np.ndarray, sv: np.ndarray, capped: int, m: int, hits: int
         resid = su - ratio * sv
         squares = float((resid * resid).sum()) + rounding
         se = STUDENT_T[reps - 2] * math.sqrt(squares / (reps * (reps - 1))) / (total_v / reps)
-    return Estimate(ratio, se, hits, 2 * m, capped)
+    return Estimate(ratio, se, hits, 2 * m, capped, undefined)
 
 
 def _range_result(tail: _Tails, hits: int) -> EssRange:
@@ -889,7 +1031,7 @@ def mc_integral(f: Callable, region: Region, spec: SampleSpec) -> Estimate:
     if box.volume == 0.0:
         return Estimate(0.0, 0.0, 0, _samples(spec))
     r = sweep(region.contains, box, spec, ratios=[Ratio(f, per_sample=True)]).ratios[0]
-    if r.capped == r.n:  # every sample dropped: nothing to average
+    if r.capped + r.undefined == r.n:  # every sample dropped: nothing to average
         return replace(r, value=0.0, stderr=0.0)
     return replace(r, value=box.volume * r.value, stderr=box.volume * r.stderr)
 

@@ -138,6 +138,7 @@ def test_unintegrable_task_exits_2_and_records_error(tmp_path):
     assert by_name["dzero"]["status"] == "ok"
     assert by_name["sing"]["status"] == "error"
     assert by_name["sing"]["error"]["type"] == "Unintegrable"
+    assert by_name["sing"]["error"]["message"] == "integrand essentially unbounded near the feature"
     # the symmetric mean series is still reported alongside the error
     series = by_name["sing"]["result"]["series"]
     assert all(abs(row["value"]) <= 0.05 for row in series)
@@ -167,6 +168,8 @@ def test_a_failing_task_leaves_the_batch_and_a_strict_json_report(tmp_path):
     assert pole["status"] == "ok"
     assert (pole["result"]["interval"]["lo"], pole["result"]["interval"]["hi"]) == ("-inf", "inf")
     assert void["status"] == "error" and void["error"]["type"] == "Unintegrable"
+    assert void["error"]["message"] == "integrand undefined (NaN) near the feature"
+    assert all(row["undefined"] > 0 and row["capped"] == 0 for row in void["result"]["series"])
     assert void["result"]["series"][0]["value"] == "nan" and (out / "void.csv").exists()
     assert cosint["status"] == "ok" and cosint["csv"] == ["cosint.csv"] and (out / "cosint.csv").exists()
 

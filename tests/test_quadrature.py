@@ -26,6 +26,7 @@ from puremeasure.quadrature import (
     Shell,
     Sweep,
     UnboundedRegion,
+    _Work,
     _lattice,
     _pairwise,
     _ratio_result,
@@ -115,8 +116,9 @@ def test_integral_additivity_same_stream():
 def test_integral_counts_nonfinite():
     region = interval(0.0, 1.0)
     spec = SampleSpec(n=20_000, seed=17)
+    # log of a negative number is NaN: undefined, not beyond the cap
     est = mc_integral(lambda p: np.log(p[:, 0] - 0.5), region, spec)
-    assert est.capped > 0
+    assert est.undefined > 0 and est.capped == 0
     assert np.isfinite(est.value)
 
 
@@ -266,8 +268,11 @@ def _layout(pairs):
     return pairs // size, size
 
 
-def _unit_points(coords, seed, stream, pairs):
-    """Each replicate's shifted lattice points, from the definition: frac(phi(i) a^j / 2^bits + shift)."""
+def _unit_points(coords, seed, stream, pairs, dtype=float):
+    """Each replicate's shifted lattice points, from the definition: frac(phi(i) a^j / 2^bits + shift).
+
+    In long double the sum is exact, where a float rounds it.
+    """
     reps, size = _layout(pairs)
     shifts = np.random.Generator(np.random.Philox(seed=np.random.SeedSequence(entropy=(seed, stream)))).random(
         (reps, coords))
@@ -278,8 +283,8 @@ def _unit_points(coords, seed, stream, pairs):
             phi = int(format(i, f"0{LATTICE_BITS}b")[::-1], 2)  # the radical inverse, times 2^bits
             rows.append([(phi * pow(LATTICE_A, j, 1 << LATTICE_BITS) % (1 << LATTICE_BITS)) / 2.0 ** LATTICE_BITS
                          for j in range(coords)])
-        u = np.array(rows) + shifts[r]
-        out.append(np.where(u >= 1.0, u - 1.0, u))
+        u = np.array(rows, dtype=dtype) + shifts[r].astype(dtype)
+        out.append(np.where(u >= 1, u - 1, u))
     return out
 
 
@@ -308,6 +313,15 @@ def test_lattice_sequence_extends_the_power_of_two_lattices():
         prefix = {tuple(int(x) for x in p) for p in (points[:, :1 << k].T * (1 << k))}
         assert prefix == lattice, k
     assert np.array_equal(points * 2.0 ** LATTICE_BITS, np.round(points * 2.0 ** LATTICE_BITS))
+
+
+def test_every_lattice_coordinate_is_a_permutation_of_its_grid():
+    # the shell's angle table rests on this: the first 2^k points of every
+    # coordinate are the grid i / 2^k in some order, since every h_j is odd
+    points = _lattice(9, 1 << 14)
+    for k in range(15):
+        cells = points[:, :1 << k] * (1 << k)
+        assert np.array_equal(np.sort(cells, axis=1), np.broadcast_to(np.arange(1 << k), cells.shape)), k
 
 
 @pytest.mark.parametrize("pairs", [1, 2, 15, 16, 17, 1501, 100_000])
@@ -406,17 +420,76 @@ def test_pairs_reflect_through_the_centre(make, dim):
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4, 8])
 def test_a_folded_radius_of_one_maps_onto_the_outer_sphere(dim):
-    # the fold sends u_0 = 1/2 to 1: its points lie at radius r1, finite
+    # the fold sends u_0 = 1/2 to 1: its points lie at radius r1, finite; the
+    # points are a base of 4 on the grid i/4 under a zero shift
     shell = Shell(np.full(dim, 0.5), 0.6, 1.5)
-    u = np.full((shell.coords, 3), 0.25)
-    u[0] = [0.5, 0.0, 0.75]
-    a, b = shell._halves(u, np.empty((3, dim), order="F"))
+    u = np.full((shell.coords, 4), 0.25)
+    u[0] = [0.5, 0.0, 0.75, 0.25]
+    a, b = shell._prepare(u, np.zeros((shell.coords, 1))).halves(_Work(4, shell, False), 0, 1, 0, 4)
     r = np.linalg.norm(a - shell.center, axis=1)
     assert np.all(np.isfinite(a)) and np.allclose(a + b, 2 * shell.center, rtol=0, atol=1e-15)
     assert r[0] == pytest.approx(1.5, rel=1e-15)
     # u_0 = 0 folds to 0, the inner radius, and 3/4 to 1/2 as 1/4 does
     assert r[1] == pytest.approx(0.6, rel=1e-15)
     assert r[2] == pytest.approx((0.6 ** dim + 0.5 * (1.5 ** dim - 0.6 ** dim)) ** (1 / dim), rel=1e-14)
+
+
+def _shell_from_definition(shell, u, exact):
+    """center + and - the offsets of float unit points u (m, coords), from the radius map and cos and sin of 2 pi u.
+
+    Formed in long double, each term in its well-conditioned form, and
+    rounded once at the end.  The radius and the Box-Muller norms read u, as
+    the sweep does; the angles read `exact`, the same points summed without
+    rounding, as the sweep's table does.  A float's rounding of an angle
+    coordinate, up to 2^-54, would move a direction by more than the
+    tolerance where the normalisation of an odd dimension's Gaussians
+    amplifies it.
+    """
+    d = shell.dim
+    u = u.astype(np.longdouble)
+    angles = [1] if d == 2 else [2] if d == 3 else list(range(2, shell.coords, 2))
+    turn = 2 * np.arccos(np.longdouble(-1)) * exact[:, angles]
+    t = 1 - np.abs(2 * u[:, 0] - 1)
+    inner = (np.longdouble(shell.r0) / np.longdouble(shell.r1)) ** d
+    radius = np.longdouble(shell.r1) * (inner + t * (1 - inner)) ** (1 / np.longdouble(d))
+    if d == 2:
+        direction = np.column_stack([np.cos(turn[:, 0]), np.sin(turn[:, 0])])
+    elif d == 3:
+        rho = 2 * np.sqrt(u[:, 1] * (1 - u[:, 1]))  # sqrt(1 - z^2), without its cancellation near the poles
+        direction = np.column_stack([rho * np.cos(turn[:, 0]), rho * np.sin(turn[:, 0]), 1 - 2 * u[:, 1]])
+    else:
+        norm = np.sqrt(-np.log1p(-u[:, 1::2]))
+        g = np.stack([norm * np.cos(turn), norm * np.sin(turn)], axis=2).reshape(len(u), -1)[:, :d]
+        direction = g / np.sqrt(np.sum(g * g, axis=1, keepdims=True))
+    offsets = radius[:, None] * direction
+    center = shell.center.astype(np.longdouble)
+    return (center + offsets).astype(float), (center - offsets).astype(float)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).precision <= np.finfo(float).precision,
+                    reason="the definition is formed in a long double wider than a float")
+@pytest.mark.parametrize("pairs", [REPLICATES * 64 + 5, REPLICATES * 700 + 3], ids=["whole", "cut"])
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 8])
+def test_shell_points_match_their_definition(dim, pairs, monkeypatch):
+    # the oracle rebuilds the stream through the same angle table, so it cannot
+    # catch a wrong cell or replicate; this checks the points the sweep hands
+    # out against cos and sin of the definition's angles.  With LEAF_PAIRS =
+    # 256, 16 replicates of 64 pairs run as leaves of 4 whole ones, and 21 of
+    # 512 pairs are each cut in halves; either way the leaves come in order
+    monkeypatch.setattr(quadrature, "LEAF_PAIRS", 256)
+    shell = Shell(np.linspace(-0.4, 0.3, dim), 0.2 if dim == 3 else 0.0, 0.7)
+    seen = []
+
+    def weight(p):
+        seen.append(p.copy())
+        return np.ones(len(p), dtype=bool)
+
+    sweep(weight, shell, SampleSpec(n=2 * pairs, seed=13), 6)
+    u, exact = (np.concatenate(_unit_points(shell.coords, 13, 6, pairs, dtype)) for dtype in (float, np.longdouble))
+    a, b = _shell_from_definition(shell, u, exact)
+    assert len(seen) > 2 and len(a) == sum(len(p) for p in seen[0::2])
+    assert np.max(np.abs(np.concatenate(seen[0::2]) - a)) <= 1e-15 * shell.r1
+    assert np.max(np.abs(np.concatenate(seen[1::2]) - b)) <= 1e-15 * shell.r1
 
 
 def test_proposal_volumes_match_closed_forms():
@@ -457,8 +530,9 @@ def _oracle_sweep(weight, proposal, spec, stream=0, ratios=(), ranges=()):
     hits = used = 0
     # each replicate's numerator and denominator sum, the capped count, the
     # values c and a the halves take (None once a half takes more than one),
-    # the samples where w v is not 0, and those the denominator counts
-    sums = [[[], [], 0, set(), set(), 0, 0] for _ in ratios]
+    # the samples where w v is not 0, those the denominator counts, and the
+    # undefined (NaN) count
+    sums = [[[], [], 0, set(), set(), 0, 0, 0] for _ in ratios]
     found = [[] for _ in ranges]
     unbounded = [[False, False] for _ in ranges]
     with np.errstate(all="ignore"):
@@ -479,7 +553,8 @@ def _oracle_sweep(weight, proposal, spec, stream=0, ratios=(), ranges=()):
                     values = np.asarray(col.values(pts))
                     v = values.astype(float)
                     bad = active & (~np.isfinite(v) | (np.abs(v) > cap))
-                    acc[2] += int(np.count_nonzero(bad))
+                    acc[2] += int(np.count_nonzero(bad & ~np.isnan(v)))
+                    acc[7] += int(np.count_nonzero(bad & np.isnan(v)))
                     keep = active & ~bad
                     u += 0.5 * np.where(keep, w * v, 0.0)
                     d += 0.5 * (~bad if col.per_sample else np.where(keep, w, 0.0))
@@ -504,11 +579,11 @@ def _oracle_sweep(weight, proposal, spec, stream=0, ratios=(), ranges=()):
                     flags[1] |= nan or bool(np.any(v > MAGNITUDE_CAP))
                     vals.append(v[np.isfinite(v)])
     means = []
-    for col, (us, ds, capped, values, levels, on, counted) in zip(ratios, sums):
+    for col, (us, ds, capped, values, levels, on, counted, undefined) in zip(ratios, sums):
         us, ds = np.array(us), np.array(ds)
         sv = float(ds.sum())
         if sv <= 0:
-            means.append(Estimate(float("nan"), float("nan"), hits, 2 * used, capped))
+            means.append(Estimate(float("nan"), float("nan"), hits, 2 * used, capped, undefined))
             continue
         ratio = float(us.sum()) / sv
         reps = len(us)
@@ -526,7 +601,7 @@ def _oracle_sweep(weight, proposal, spec, stream=0, ratios=(), ranges=()):
             rounding = float((grid * grid).sum()) / 12.0
         se = STUDENT_T[reps - 2] * math.sqrt((float((resid * resid).sum()) + rounding) / (reps * (reps - 1))) \
             / (sv / reps) if reps > 1 else np.inf
-        means.append(Estimate(ratio, se, hits, 2 * used, capped))
+        means.append(Estimate(ratio, se, hits, 2 * used, capped, undefined))
     extents = []
     for vals, (below, above) in zip(found, unbounded):
         values = np.concatenate(vals) if vals else np.empty(0)
@@ -537,7 +612,9 @@ def _oracle_sweep(weight, proposal, spec, stream=0, ratios=(), ranges=()):
 
 ORACLE_PROPOSALS = {
     "axis_box": AxisBox((np.array([-1.0, -0.8]), np.array([1.2, 0.9]))),
+    "disk": Shell((0.1, -0.05), 0.0, 1.0),
     "shell": Shell((0.1, -0.05, 0.0), 0.3, 1.0),
+    "ball_8d": Shell((0.1, -0.05, 0.0, 0.2, 0.0, -0.1, 0.0, 0.05), 0.0, 1.3),
     "oriented_box": OrientedBox.around_segment((-0.7, 0.2, 0.1), (0.8, -0.3, 0.4), 0.3),
 }
 
@@ -576,6 +653,7 @@ def _oracle_columns():
         Ratio(inverse, per_sample=True),  # keeps its values beyond MAGNITUDE_CAP
         Ratio(_wild),
         Ratio(_wild, per_sample=True),
+        Ratio(lambda p: np.log(p[:, 0] + 0.5)),  # NaN on the hits left of x1 = -0.5: undefined, not capped
     ]
     ranges = [
         Range(block, axis=0),
@@ -607,7 +685,7 @@ def test_sweep_matches_the_plain_loop_bit_for_bit(kind, weight, n):
     result = sweep(ORACLE_WEIGHTS[weight], proposal, spec, 5, ratios, ranges)
     expected = _oracle_sweep(ORACLE_WEIGHTS[weight], proposal, spec, 5, ratios, ranges)
     assert repr(result) == repr(expected)  # repr tells -0.0 from 0.0 and matches NaN
-    assert any(r.capped for r in result.ratios) and result.hits > 0
+    assert any(r.capped for r in result.ratios) and any(r.undefined for r in result.ratios) and result.hits > 0
 
 
 @pytest.mark.parametrize("weight", ORACLE_WEIGHTS, ids=list(ORACLE_WEIGHTS))
