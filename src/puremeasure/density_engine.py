@@ -28,10 +28,13 @@ the caller's numpy error state.
 A level samples F_delta ∩ Omega from one of two covers, whichever is
 smaller: the feature's box inflated by delta and clipped to Omega's, or
 the feature's own neighbourhood (a ball around a point in 2 or more
-dimensions, a shell around a sphere, only its inner half when the sphere
-bounds Omega, an oriented box around a segment).  On the ball a cone's
-membership depends on the direction coordinates alone, so every replicate,
-a whole lattice, reads a sector's angular fraction to within one hit.
+dimensions, folded onto Omega's side of every face of an axis box Omega
+that the point lies on, a shell around a sphere, only its inner half when
+the sphere bounds Omega, an oriented box around a segment).  On the ball a
+cone's membership depends on the direction coordinates alone, so every
+replicate, a whole lattice, reads a sector's angular fraction to within
+one hit.  A ball or shell lies inside F_delta, so its points are tested
+against Omega alone.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ import numpy as np
 from .geometry import (
     Ball,
     Bbox,
+    Box,
     Cone,
     Feature,
     Neighborhood,
@@ -225,12 +229,16 @@ def _feature_proposal(feature: Feature, omega: Region, delta: float) -> Proposal
     """A cover of F_delta ∩ Omega of the feature's own shape, where the feature has one.
 
     Around a sphere that bounds Omega itself, only the inner half of the
-    shell can meet Omega, so only that half is sampled.  A 1-D point has
-    none: its ball is the interval its box already is, and the ball's
-    folded radius coordinate would only make it a worse rule.
+    shell can meet Omega, so only that half is sampled.  A point exactly on
+    faces of an axis box Omega samples its ball folded onto Omega's side of
+    each of them: a convex Omega lies in each face's halfspace, so the
+    folded ball still covers F_delta ∩ Omega.  A 1-D point has none: its
+    ball is the interval its box already is, and the ball's folded radius
+    coordinate would only make it a worse rule.  Every shell built here
+    lies inside F_delta.
     """
     if isinstance(feature, PointFeature):
-        return Shell(feature.point, 0.0, delta) if feature.dim > 1 else None
+        return Shell(feature.point, 0.0, delta, _faces(feature.point, omega)) if feature.dim > 1 else None
     if isinstance(feature, RegionBoundary) and isinstance(feature.region, Ball):
         sphere = feature.region
         outer = sphere.radius if omega == sphere else sphere.radius + delta
@@ -240,6 +248,14 @@ def _feature_proposal(feature: Feature, omega: Region, delta: float) -> Proposal
     return None
 
 
+def _faces(point: Sequence[float], omega: Region) -> tuple[tuple[int, int], ...]:
+    """The faces of an axis box Omega that the point lies exactly on, as (axis, inward sign); none for other Omegas."""
+    if not isinstance(omega, Box):
+        return ()
+    return tuple((k, 1 if c == lo else -1) for k, (c, lo, hi) in enumerate(zip(point, omega.lo, omega.hi))
+                 if c in (lo, hi))
+
+
 def _level_proposal(feature: Feature, omega: Region, delta: float) -> Proposal:
     """The feature's own proposal when its volume is below the clipped box's, else the box."""
     box = AxisBox(_level_bbox(feature, omega, delta))
@@ -247,11 +263,17 @@ def _level_proposal(feature: Feature, omega: Region, delta: float) -> Proposal:
     return own if own is not None and own.volume < box.volume else box
 
 
-def _reference_weight(feature: Feature, omega: Region, delta: float, weight: Callable | None) -> Callable:
-    neighborhood = Neighborhood(feature, delta)
+def _reference_weight(feature: Feature, omega: Region, delta: float, proposal: Proposal,
+                      weight: Callable | None) -> Callable:
+    """The level's weight on the proposal's points: `weight` (or 1) on F_delta ∩ Omega, 0 elsewhere.
+
+    Every shell that `_feature_proposal` builds lies inside F_delta, so the
+    points of a shell level are tested against Omega alone.
+    """
+    inside = None if isinstance(proposal, Shell) else Neighborhood(feature, delta).contains
 
     def w(pts):
-        mask = neighborhood.contains(pts) & omega.contains(pts)
+        mask = omega.contains(pts) if inside is None else inside(pts) & omega.contains(pts)
         if weight is None:
             return mask
         with np.errstate(all="ignore"):
@@ -266,7 +288,7 @@ def _level_pass(feature: Feature, omega: Region, delta: float, spec: SampleSpec,
     """One kernel pass over F_delta ∩ Omega feeding every column of the level."""
     proposal = _level_proposal(feature, omega, delta)
     ratios, ranges = columns(delta, proposal)
-    result = sweep(_reference_weight(feature, omega, delta, weight), proposal, spec, stream, ratios, ranges)
+    result = sweep(_reference_weight(feature, omega, delta, proposal, weight), proposal, spec, stream, ratios, ranges)
     if result.hits == 0:
         raise VanishingReference(f"no reference mass at delta={delta}")
     return result

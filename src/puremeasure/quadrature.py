@@ -2,7 +2,8 @@
 
 Every estimate averages over center-symmetric pairs (x, 2c - x) drawn from a
 `Proposal`, a set symmetric about its centre c with an exact volume onto
-which it maps the unit cube [0, 1)^s.  The unit-cube points are independent
+which it maps the unit cube [0, 1)^s (a shell folded onto halfspaces,
+below, gives both members of a pair the same folded coordinates).  The unit-cube points are independent
 random shifts of one rank-1 lattice (randomly shifted lattice rules,
 L'Ecuyer & Lemieux 2000): each replicate is the first 2^k points of the
 extensible Korobov sequence of generator LATTICE_A (Hickernell, Hong,
@@ -21,14 +22,16 @@ concurrently and combined in order without changing the result: in 3 or
 more dimensions the density engine runs two of its levels, each on its own
 stream, at a time.
 The pairing makes estimates of odd integrands about the centre vanish
-identically instead of merely on average, which the density engine relies
-on for its cancellation fixtures.
+identically instead of merely on average (on a proposal without folds),
+which the density engine relies on for its cancellation fixtures.
 
 There are three kinds of proposal: an axis box (the bounding box of a
 region), a spherical shell (a ball when its inner radius is 0), whose
-radius coordinate is tent-folded, and an oriented box.  Pairs are handed
-out as two Fortran-ordered (m, d) blocks, the points and their reflections,
-so the column-wise geometry kernels read contiguous coordinates.  A shell
+radius coordinate is tent-folded and which may be folded onto halfspaces
+through its centre (a half-disk, a quarter-disk, a half-ball), and an
+oriented box.  Pairs are handed out as two Fortran-ordered (m, d) blocks,
+the points and their reflections, so the column-wise geometry kernels read
+contiguous coordinates.  A shell
 reads its angle coordinates only through their cosines and sines.  Every
 replicate's angle coordinate is the grid i/2^k, permuted and shifted, so a
 sweep prepares one table of the grid's cosines and sines and turns what it
@@ -205,10 +208,13 @@ def _samples(spec: SampleSpec) -> int:
 
 
 class Proposal:
-    """Antithetic pairs on a set symmetric about `center`, mapped from the unit cube.
+    """Antithetic pairs on a set, mapped from the unit cube.
 
-    `volume` is the set's exact Lebesgue volume and `coords` the dimension s
-    of the unit cube.  `angles` are the coordinates that the map reads only
+    A pair is a point x and its reflection 2 center - x, except on the axes
+    a `Shell` folds: there the two share the folded coordinate, so a folded
+    pair is not symmetric about `center`, and neither is its set.  `volume`
+    is the set's exact Lebesgue volume and `coords` the dimension s of the
+    unit cube.  `angles` are the coordinates that the map reads only
     as an angle 2 pi u_k, through its cosine and sine, which a sweep takes
     from one table instead (see `_Angles`).  `_halves(u, out, angles)`
     maps points of [0, 1)^s uniformly onto the set, as two Fortran-ordered
@@ -379,19 +385,29 @@ class Shell(Proposal):
     and so on.  Every angle's cosine and sine come from the sweep's table
     (see `_Angles`).  The offsets are formed in the reflections' block and
     their scratch rows in u's free rows, so a leaf allocates nothing.
+
+    `folds` folds the shell onto halfspaces through its centre: for each
+    (axis k, sign s_k) both the point and its reflection take
+    x_k = c_k + s_k |o_k| for the offset o, in place in their blocks.  The
+    fold maps the shell two to one onto its part where s_k (x_k - c_k) >= 0,
+    uniformly, so each fold halves the volume.
     """
 
-    def __init__(self, center, r0: float, r1: float):
+    def __init__(self, center, r0: float, r1: float, folds: Sequence[tuple[int, int]] = ()):
         if not 0 <= r0 < r1:
             raise ValueError("a shell needs 0 <= r0 < r1")
         self.center = np.asarray(center, dtype=float)
         self.dim = self.center.size
+        self.folds = tuple((int(k), int(s)) for k, s in folds)
+        axes = {k for k, s in self.folds if 0 <= k < self.dim and s in (1, -1)}
+        if len(axes) != len(self.folds):
+            raise ValueError("a shell folds distinct axes of its own, each by a sign of 1 or -1")
         self.coords = self.dim if self.dim <= 3 else 1 + 2 * math.ceil(self.dim / 2)
         self.angles = () if self.dim == 1 else (self.dim - 1,) if self.dim <= 3 else tuple(range(2, self.coords, 2))
         self.r0, self.r1 = float(r0), float(r1)
         self._inner = (self.r0 / self.r1) ** self.dim
         unit_ball = math.pi ** (self.dim / 2) / math.gamma(self.dim / 2 + 1)
-        self.volume = unit_ball * self.r1 ** self.dim * (1.0 - self._inner)
+        self.volume = unit_ball * self.r1 ** self.dim * (1.0 - self._inner) / 2 ** len(self.folds)
 
     def _halves(self, u, out, angles):
         radius = u[0]  # folded in place, t = 1 - |2 u_0 - 1|, and then mapped to the radius
@@ -446,7 +462,14 @@ class Shell(Proposal):
             np.sqrt(scale, out=scale)
             np.divide(radius, scale, out=scale)
             offsets *= scale
-        return self._reflected(offsets, u, out)
+        for k, sign in self.folds:
+            np.abs(offsets[k], out=offsets[k])
+            if sign < 0:
+                np.negative(offsets[k], out=offsets[k])
+        points, reflections = self._reflected(offsets, u, out)
+        for k, _ in self.folds:  # the reflection shares the folded coordinate
+            reflections[:, k] = points[:, k]
+        return points, reflections
 
 
 class OrientedBox(Proposal):

@@ -1,6 +1,6 @@
 import pytest
 
-from puremeasure.geometry import PointFeature
+from puremeasure.geometry import Ball
 
 try:
     from hypothesis import settings
@@ -13,14 +13,14 @@ else:
 
 
 @pytest.fixture
-def distance_calls(monkeypatch) -> list:
-    """Sizes of the point blocks passed to PointFeature.distance, in call order."""
+def ball_contains_calls(monkeypatch) -> list:
+    """Sizes of the point blocks passed to Ball.contains, in call order: Omega's test where Omega is a ball."""
     calls = []
-    original = PointFeature.distance
+    original = Ball.contains
 
     def counting(self, pts):
         calls.append(len(pts))
         return original(self, pts)
 
-    monkeypatch.setattr(PointFeature, "distance", counting)
+    monkeypatch.setattr(Ball, "contains", counting)
     return calls

@@ -508,6 +508,40 @@ def test_shell_rejects_bad_radii():
         Shell((0.0, 0.0), 1.0, 1.0)
     with pytest.raises(ValueError):
         Shell((0.0, 0.0), -0.1, 1.0)
+    with pytest.raises(ValueError, match="distinct axes"):
+        Shell((0.0, 0.0), 0.0, 1.0, ((0, 1), (0, -1)))
+    with pytest.raises(ValueError, match="distinct axes"):
+        Shell((0.0, 0.0), 0.0, 1.0, ((2, 1),))
+    with pytest.raises(ValueError, match="distinct axes"):
+        Shell((0.0, 0.0), 0.0, 1.0, ((1, 0),))
+
+
+@pytest.mark.parametrize("dim, folds", [
+    (2, ((0, 1),)),
+    (2, ((0, -1), (1, 1))),
+    (3, ((2, -1),)),
+    (3, ((0, 1), (1, -1), (2, 1))),
+    (8, ((1, 1), (6, -1))),
+], ids=["half_disk", "quarter_disk", "half_ball", "corner_3d", "ball_8d"])
+def test_folded_pairs_share_their_folded_coordinates(dim, folds):
+    # around the origin the unfolded pairs are (o, -o) exactly; folding axis k
+    # by sign s gives both members s |o_k| there and leaves the other axes be
+    ball, folded = Shell(np.zeros(dim), 0.0, 0.7), Shell(np.zeros(dim), 0.0, 0.7, folds)
+    assert folded.volume == ball.volume / 2 ** len(folds)
+    for (a, b), (fa, fb) in zip(_draws(ball), _draws(folded)):
+        expected = a.copy()
+        for k, sign in folds:
+            expected[:, k] = sign * np.abs(a[:, k])
+        assert np.array_equal(fa, expected)
+        expected[:, [k for k in range(dim) if k not in dict(folds)]] *= -1.0
+        assert np.array_equal(fb, expected)
+        assert fa.flags.f_contiguous and fb.flags.f_contiguous
+    # away from the origin each member lies in the ball and on the folds' side
+    moved = Shell(np.full(dim, 0.75), 0.0, 0.7, folds)
+    for a, b in _draws(moved):
+        for pts in (a, b):
+            assert np.all(np.linalg.norm(pts - moved.center, axis=1) < 0.7)
+            assert all(np.all(sign * (pts[:, k] - 0.75) >= 0.0) for k, sign in folds)
 
 
 # ------------------------------------------------------------ kernel oracle
@@ -615,6 +649,8 @@ ORACLE_PROPOSALS = {
     "disk": Shell((0.1, -0.05), 0.0, 1.0),
     "shell": Shell((0.1, -0.05, 0.0), 0.3, 1.0),
     "ball_8d": Shell((0.1, -0.05, 0.0, 0.2, 0.0, -0.1, 0.0, 0.05), 0.0, 1.3),
+    "half_disk": Shell((0.1, -0.05), 0.0, 1.0, ((1, 1),)),
+    "corner_3d": Shell((-0.6, -0.3, 0.0), 0.0, 1.5, ((0, 1), (1, 1), (2, -1))),
     "oriented_box": OrientedBox.around_segment((-0.7, 0.2, 0.1), (0.8, -0.3, 0.4), 0.3),
 }
 
