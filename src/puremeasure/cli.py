@@ -293,9 +293,16 @@ class _Task:
         return [self._lookup(table, n, f"{self.at(field)}/{j}", dim) for j, n in enumerate(entries)]
 
     def vector(self, field: str, dim: int) -> Callable:
-        """A vector field given as one integrand per coordinate."""
+        """A vector field given as one integrand per coordinate, as a Fortran-ordered (N, dim) block."""
         exprs = self.names(field, "integrand", dim, dim)
-        return lambda pts: np.column_stack([e(pts) for e in exprs])
+
+        def block(pts):
+            out = np.empty((len(pts), dim), order="F")
+            for k, e in enumerate(exprs):
+                out[:, k] = e(pts)
+            return out
+
+        return block
 
     def point(self, field: str, dim: int) -> tuple[float, ...]:
         return tuple(_number(c, field, f"{self.at(field)}/{j}") for j, c in enumerate(self._entries(field, dim)))

@@ -281,8 +281,8 @@ class Cone(Region):
         r = pts - np.asarray(self.apex)
         dist = _row_norm(r)
         along = r @ np.asarray(self.axis)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            cosang = np.where(dist > 0, along / np.where(dist > 0, dist, 1.0), 1.0)
+        with np.errstate(invalid="ignore"):
+            cosang = np.divide(along, dist, out=np.ones_like(dist), where=dist > 0)
         return dist, np.arccos(np.clip(cosang, -1.0, 1.0))
 
     def contains(self, pts) -> np.ndarray:
@@ -475,8 +475,10 @@ class SegmentFeature(Feature):
         if denom == 0:
             return _row_norm(pts - a)
         t = np.clip((pts - a) @ ab / denom, 0.0, 1.0)
-        proj = a + t[:, None] * ab
-        return _row_norm(pts - proj)
+        gap = np.empty(pts.shape)  # pts - (a + t ab), column by column, C-ordered as numpy would form it
+        for k in range(self.dim):
+            np.subtract(pts[:, k], a[k] + t * ab[k], out=gap[:, k])
+        return _row_norm(gap)
 
 
 @dataclass(frozen=True)

@@ -50,9 +50,12 @@ a callable receives are overwritten by the next leaf: it may return a view
 of them, but must copy anything it keeps.  A reference weight is
 evaluated once per half-leaf (a leaf's points, or their reflections), and
 any number of ratio and essential-range columns are fed from the points of
-positive weight.  Columns on one sweep share their samples (common random
-numbers), so each agrees exactly with the same column estimated on a
-separate sweep.
+positive weight.  Every callable receives its points as a Fortran-ordered
+(m, d) block, so each coordinate is one contiguous column: ratio columns get
+the half-leaf itself, range columns its points of positive weight, gathered
+column by column, or the half-leaf itself when every point has weight.
+Columns on one sweep share their samples (common random numbers), so each
+agrees exactly with the same column estimated on a separate sweep.
 
 A column is nothing but its values: the kernel reads the cap and the
 quantile from its own MAGNITUDE_CAP and ESS_QUANTILE.  A ratio column
@@ -543,9 +546,12 @@ class Ratio:
 class Range:
     """Essential-range column: the ESS_QUANTILE and 1 - ESS_QUANTILE quantiles of its finite values.
 
-    `values` maps the points of positive weight w to one value each, or to
-    a block whose column `axis` is taken.  An end is infinite once a value
-    beyond MAGNITUDE_CAP on its side, or a NaN, is seen.
+    `values` maps the points of positive weight w, a Fortran-ordered
+    (h, d) block, to one value each, or to an (h, k) block whose column
+    `axis` is taken.  A Fortran-ordered block hands each axis over as a
+    contiguous column; any other layout is read as a strided one.  An end
+    is infinite once a value beyond MAGNITUDE_CAP on its side, or a NaN, is
+    seen.
     """
 
     values: Callable
@@ -599,7 +605,8 @@ def sweep(
         for half in halves:
             level = _one(level, half.level)
             if ranges and half.hits:
-                _feed_ranges(ranges, tails, np.take(half.pts, np.flatnonzero(half.active), axis=0))
+                _feed_ranges(ranges, tails, half.pts if half.hits == len(half.pts)
+                             else np.take(half.pts.T, np.flatnonzero(half.active), axis=1).T)
         shares = work.shares(shape[0] * shape[1])
         return [halves[0].hits + halves[1].hits, *_ratio_sums(ratios, halves, shape, shares, steps)]
 
@@ -930,10 +937,12 @@ class _Tails:
 
 
 def _feed_ranges(ranges: Sequence[Range], tails: list[_Tails], pts: np.ndarray) -> None:
-    """Add one half-leaf's hit points to every range column.
+    """Add one half-leaf's hit points, a Fortran-ordered (h, d) block, to every range column.
 
     Only the last values block is kept, so adjacent columns that share a
     values callable (the axes of one gradient block) evaluate it once.
+    The block may be a view of the sweep's work block, and a column reads
+    it only here: `_add_values` keeps copies of the values it selects.
     """
     source = block = None
     for col, tail in zip(ranges, tails):

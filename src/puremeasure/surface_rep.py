@@ -27,7 +27,7 @@ import numpy as np
 from .density_engine import DEFAULT_TOL, DeltaSchedule, ProbeResult, sharp_integral
 from .geometry import Ball, Box, Region, RegionBoundary, bbox_diagonal
 from .quadrature import Estimate, SampleSpec, mc_integral
-from .trace_gradient import central_difference
+from .trace_gradient import central_differences
 
 PARAMETRIC_TOL = 1e-6  # quadrature error bound for smooth integrands at default nodes
 DEFAULT_NODES = 64  # nodes per parametric axis
@@ -183,7 +183,11 @@ def gauss_check(
     """
     if div is None:
         h = FD_STEP * max(bbox_diagonal(fixture.region.bbox), 1.0)
-        div = lambda pts: sum(central_difference(phi, pts, i, h)[:, i] for i in range(pts.shape[1]))
+
+        def div(pts):
+            along = central_differences(phi, pts, h)
+            return sum(along(i)[:, i] for i in range(pts.shape[1]))
+
     lhs = mc_integral(div, fixture.region, spec)
     rhs = surface_flux(phi, fixture)
     return GaussReport(lhs, rhs, abs(lhs.value - rhs))

@@ -11,6 +11,7 @@ partial derivative.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -24,7 +25,7 @@ from .density_engine import (
     _action_profiles,
     sharp_integral,
 )
-from .geometry import PointFeature, Region, as_points
+from .geometry import Box, PointFeature, Region, as_points
 from .quadrature import Range, SampleSpec
 
 BOUNDARY_TOL = 1e-9
@@ -35,12 +36,31 @@ class NotOnBoundary(ValueError):
     """The probe point is too far from the domain boundary."""
 
 
-def central_difference(fn: Callable, pts: np.ndarray, axis: int, h: float) -> np.ndarray:
-    """(fn(x + h e_axis) - fn(x - h e_axis)) / 2h at every row x of pts."""
-    step = np.zeros(pts.shape[1])
-    step[axis] = h
-    with np.errstate(all="ignore"):
-        return (np.asarray(fn(pts + step), dtype=float) - np.asarray(fn(pts - step), dtype=float)) / (2 * h)
+def central_differences(fn: Callable, pts: np.ndarray, h: float) -> Callable[[int], np.ndarray]:
+    """(fn(x + h e_i) - fn(x - h e_i)) / 2h at every row x of pts, as a function of the axis i.
+
+    It evaluates fn on two Fortran-ordered copies of pts, pts + 0.0 and
+    pts - 0.0, of which column i alone is moved by +h and -h and then
+    restored, so fn reads contiguous columns and no block is formed per
+    axis.  The copies hold pts + step and pts - step bit for bit, for step
+    = h e_i: x + 0.0 turns a -0.0 coordinate into +0.0, and x - 0.0 keeps
+    it.  fn may return a view of its points, since the difference is taken
+    before the column is restored, but must not write to them.
+    """
+    pts = np.asarray(pts, dtype=float)
+    ahead, behind = np.add(pts, 0.0, order="F"), np.subtract(pts, 0.0, order="F")
+
+    def along(i: int) -> np.ndarray:
+        x = pts[:, i]
+        np.add(x, h, out=ahead[:, i])
+        np.subtract(x, h, out=behind[:, i])
+        with np.errstate(all="ignore"):
+            diff = (np.asarray(fn(ahead), dtype=float) - np.asarray(fn(behind), dtype=float)) / (2 * h)
+        np.add(x, 0.0, out=ahead[:, i])
+        np.subtract(x, 0.0, out=behind[:, i])
+        return diff
+
+    return along
 
 
 @dataclass(frozen=True)
@@ -66,15 +86,16 @@ class ScalarField:
         return float(np.asarray(self.f(pts), dtype=float)[0])
 
     def gradient_at_scale(self, delta: float) -> Callable:
+        """The gradient field at the probing scale delta; a difference block is Fortran-ordered (N, n)."""
         if self.grad is not None:
             return self.grad
         h = delta * FD_RATIO
 
         def g(pts):
-            pts = np.asarray(pts, dtype=float)
-            out = np.empty_like(pts)
-            for i in range(pts.shape[1]):
-                out[:, i] = central_difference(self.f, pts, i, h)
+            along = central_differences(self.f, pts, h)
+            out = np.empty(np.shape(pts), order="F")
+            for i in range(out.shape[1]):
+                out[:, i] = along(i)
             return out
 
         return g
@@ -129,12 +150,20 @@ def boundary_trace(
 
 
 def boundary_point(omega: Region, point: Sequence[float]) -> tuple[float, ...]:
-    """The point as a tuple, or NotOnBoundary when it lies more than BOUNDARY_TOL from the boundary of Omega."""
+    """The point as a tuple, or NotOnBoundary when it lies more than BOUNDARY_TOL from the boundary of Omega.
+
+    On an axis box Omega each coordinate within BOUNDARY_TOL of a face is
+    moved onto it, so the trace samples the ball folded onto Omega's side
+    of that face, as it does at a point given exactly on the face.
+    """
     pts = as_points(point, omega.dim)
     gap = float(np.abs(omega.sdf(pts))[0])
     if gap > BOUNDARY_TOL:
         raise NotOnBoundary(f"point is {gap:g} away from the boundary (tol {BOUNDARY_TOL:g})")
-    return tuple(pts[0])
+    if not isinstance(omega, Box):
+        return tuple(pts[0])
+    return tuple(lo if abs(c - lo) <= BOUNDARY_TOL else hi if abs(c - hi) <= BOUNDARY_TOL else c
+                 for c, lo, hi in zip(pts[0].tolist(), omega.lo, omega.hi))
 
 
 def density_gradient(
@@ -192,6 +221,32 @@ def _interval_scale(c: float, iv: Interval, tol: float) -> Interval:
     return Interval(lo, hi, tol)
 
 
+def _rule_block(rule: str, f1: ScalarField, f2: ScalarField, delta: float) -> Callable:
+    """[grad f1 | grad f2 | the rule's side] at one level, as a Fortran-ordered (N, 3 n) block.
+
+    The side is grad f1 + grad f2 for the sum rule and f1 grad f2 + f2 grad f1
+    for the product rule, each written into its own columns.
+    """
+    g1 = f1.gradient_at_scale(delta)
+    g2 = f2.gradient_at_scale(delta)
+
+    def block(pts):
+        a = np.asarray(g1(pts), dtype=float)
+        b = np.asarray(g2(pts), dtype=float)
+        n = a.shape[1]
+        out = np.empty((len(a), 3 * n), order="F")
+        out[:, :n], out[:, n:2 * n] = a, b
+        side = out[:, 2 * n:]
+        if rule == "sum":
+            np.add(a, b, out=side)
+        else:
+            np.multiply(np.asarray(f1.f(pts), dtype=float)[:, None], b, out=side)
+            side += np.asarray(f2.f(pts), dtype=float)[:, None] * a
+        return out
+
+    return block
+
+
 @dataclass(frozen=True)
 class RuleCheckReport:
     rule: str
@@ -225,24 +280,9 @@ def calculus_rule_check(
     if rule == "product" and (f1.f is None or f2.f is None):
         raise ValueError("the product rule needs function values for both factors")
 
-    def block_at(delta):
-        """[grad f1 | grad f2 | the rule's side] at one level."""
-        g1 = f1.gradient_at_scale(delta)
-        g2 = f2.gradient_at_scale(delta)
-
-        def block(pts):
-            a = np.asarray(g1(pts), dtype=float)
-            b = np.asarray(g2(pts), dtype=float)
-            if rule == "sum":
-                return np.hstack([a, b, a + b])
-            v1 = np.asarray(f1.f(pts), dtype=float)[:, None]
-            v2 = np.asarray(f2.f(pts), dtype=float)[:, None]
-            return np.hstack([a, b, v1 * b + v2 * a])
-
-        return block
-
     n = omega.dim
     x = tuple(as_points(point, n)[0])
+    block_at = partial(_rule_block, rule, f1, f2)
     profiles = _gradient_profiles(block_at, 3 * n, omega, x, schedule, spec, tol)
     box1, box2, lhs = (_box(profiles[k * n:(k + 1) * n]) for k in range(3))
     if rule == "sum":

@@ -666,6 +666,9 @@ ORACLE_WEIGHTS = {
     "bool": lambda p: p[:, 0] + p[:, 1] < 0.6,
     "view": lambda p: p[:, 0],  # a view of the points it is handed, negative on part of the set
     "level": lambda p: np.where(p[:, 0] + p[:, 1] < 0.6, 2.5, 0.0),  # one value on its support, as a mask
+    # every point has weight, so range columns read each half-leaf itself, ungathered
+    "all_bool": lambda p: np.ones(len(p), dtype=bool),
+    "all_float": lambda p: 2.0 + np.cos(p[:, 0]),
 }
 
 
@@ -722,6 +725,7 @@ def test_sweep_matches_the_plain_loop_bit_for_bit(kind, weight, n):
     expected = _oracle_sweep(ORACLE_WEIGHTS[weight], proposal, spec, 5, ratios, ranges)
     assert repr(result) == repr(expected)  # repr tells -0.0 from 0.0 and matches NaN
     assert any(r.capped for r in result.ratios) and any(r.undefined for r in result.ratios) and result.hits > 0
+    assert (result.hits == result.ratios[0].n) == weight.startswith("all_")
 
 
 @pytest.mark.parametrize("weight", ORACLE_WEIGHTS, ids=list(ORACLE_WEIGHTS))

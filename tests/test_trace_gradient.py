@@ -12,11 +12,15 @@ from puremeasure.density_engine import (
 from puremeasure.geometry import Ball, Box, PointFeature, interval
 from puremeasure.quadrature import SampleSpec
 from puremeasure.trace_gradient import (
+    FD_RATIO,
     GradientBox,
     NotOnBoundary,
     ScalarField,
+    _rule_block,
+    boundary_point,
     boundary_trace,
     calculus_rule_check,
+    central_differences,
     density_gradient,
 )
 
@@ -60,6 +64,23 @@ def test_trace_rejects_interior_point():
     with pytest.raises(NotOnBoundary):
         boundary_trace(lambda p: p[:, 0], SQUARE, (0.5, 0.5), edge_schedule(),
                        SampleSpec(n=1000, seed=0))
+
+
+@pytest.mark.parametrize("offset", [1e-12, -1e-12])
+def test_a_point_just_off_a_face_traces_as_the_point_on_it(offset):
+    # within BOUNDARY_TOL of the face x1 = 0 the point is moved onto it, so the
+    # trace samples the half-disk as it does at the face point itself
+    point = (offset, 0.5)
+    assert boundary_point(SQUARE, point) == EDGE_POINT
+    u = lambda p: p[:, 0] + p[:, 1]
+    spec = SampleSpec(n=20_000, seed=1)
+    off = boundary_trace(u, SQUARE, point, edge_schedule(), spec)
+    assert repr(off) == repr(boundary_trace(u, SQUARE, EDGE_POINT, edge_schedule(), spec))
+
+
+def test_a_point_near_a_corner_moves_onto_both_faces():
+    assert boundary_point(SQUARE, (1.0 - 1e-11, 1.0 + 1e-11)) == (1.0, 1.0)
+    assert boundary_point(SQUARE, (0.5, 1e-10)) == (0.5, 0.0)
 
 
 def test_trace_matches_point_value_on_smooth_fixture_suite():
@@ -242,3 +263,83 @@ def test_gradients_take_one_pass_per_level(ball_contains_calls):
     ball_contains_calls.clear()
     calculus_rule_check("sum", kink, kink, (0.0, 0.0, 0.0), ball3, s, SampleSpec(n=2000, seed=43))
     assert ball_contains_calls == [992] * 6  # and for all 3 fields
+
+
+# ------------------------------------------------------- central differences
+
+def _reference_difference(fn, pts, axis, h):
+    """(fn(pts + step) - fn(pts - step)) / 2h with step = h e_axis, formed as whole shifted blocks."""
+    step = np.zeros(pts.shape[1])
+    step[axis] = h
+    with np.errstate(all="ignore"):
+        return (np.asarray(fn(pts + step), dtype=float) - np.asarray(fn(pts - step), dtype=float)) / (2 * h)
+
+
+DELTA = 0.625
+H = DELTA * FD_RATIO  # the difference step that ScalarField takes at the scale DELTA
+
+
+def _difference_points():
+    """3-D points with -0.0 and +0.0 coordinates, and coordinates that a step of H moves onto 0."""
+    pts = np.random.default_rng(5).uniform(-1.0, 1.0, (257, 3))
+    pts[:40, 0] = -0.0
+    pts[40:80, 1] = -0.0
+    pts[80:100, 2] = 0.0
+    pts[100:120] = -0.0
+    pts[120:140, 0] = H
+    pts[140:160, 1] = -H
+    return pts
+
+
+def _strided(pts):
+    """The points as a view with a stride in both axes."""
+    block = np.full((2 * len(pts), 2 * pts.shape[1]), np.nan)
+    block[::2, ::2] = pts
+    return block[::2, ::2]
+
+
+LAYOUTS = {"c": np.ascontiguousarray, "fortran": np.asfortranarray, "strided": _strided}
+FIELDS = {
+    "inverse": lambda p: 1.0 / p[:, 0],  # reads the sign of a zero: 1/-0.0 is -inf
+    "view": lambda p: p[:, 0],  # a view of the points it is handed
+    "mixed": lambda p: np.abs(p[:, 0]) + p[:, 1] * np.sin(p[:, 2]),
+}
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=list(FIELDS))
+@pytest.mark.parametrize("layout", LAYOUTS, ids=list(LAYOUTS))
+def test_difference_gradients_equal_whole_shifted_blocks_bit_for_bit(layout, field):
+    pts = LAYOUTS[layout](_difference_points())
+    fn = FIELDS[field]
+    grad = ScalarField(f=fn).gradient_at_scale(DELTA)(pts)
+    expected = np.column_stack([_reference_difference(fn, pts, i, H) for i in range(3)])
+    assert _same_bits(grad, expected)
+    assert grad.flags.f_contiguous
+    if field == "inverse":  # x1 = -0.0 reads +0.0 ahead and -0.0 behind: inf - (-inf)
+        assert np.isposinf(grad[:40, 1]).all()
+
+
+@pytest.mark.parametrize("layout", LAYOUTS, ids=list(LAYOUTS))
+def test_central_differences_of_a_vector_field_equal_whole_shifted_blocks(layout):
+    pts = LAYOUTS[layout](_difference_points())
+    for fn in (lambda p: p, lambda p: 1.0 / p):  # the points themselves, and a field that reads zero signs
+        along = central_differences(fn, pts, H)
+        for axis in range(3):
+            assert _same_bits(along(axis), _reference_difference(fn, pts, axis, H))
+    assert _same_bits(pts, LAYOUTS[layout](_difference_points()))  # the points are left as they were
+
+
+@pytest.mark.parametrize("rule", ["sum", "product"])
+def test_rule_blocks_have_contiguous_columns(rule):
+    pts = _strided(_difference_points())
+    f1 = ScalarField(f=FIELDS["mixed"])
+    f2 = ScalarField(f=lambda p: p[:, 0] * p[:, 1], grad=lambda p: np.column_stack([p[:, 1], p[:, 0], 0.0 * p[:, 2]]))
+    block = _rule_block(rule, f1, f2, DELTA)(pts)
+    a, b = f1.gradient_at_scale(DELTA)(pts), f2.grad(pts)
+    side = a + b if rule == "sum" else f1.f(pts)[:, None] * b + f2.f(pts)[:, None] * a
+    assert block.flags.f_contiguous
+    assert _same_bits(block, np.hstack([a, b, side]))
