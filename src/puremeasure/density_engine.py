@@ -33,8 +33,11 @@ that the point lies on, a shell around a sphere, only its inner half when
 the sphere bounds Omega, an oriented box around a segment).  On the ball a
 cone's membership depends on the direction coordinates alone, so every
 replicate, a whole lattice, reads a sector's angular fraction to within
-one hit.  A ball or shell lies inside F_delta, so its points are tested
-against Omega alone.
+one hit.  A level runs no membership test that its cover decides: a ball
+or shell lies inside F_delta, so its points are tested against Omega
+alone, and not at all when it lies inside a ball or box Omega; a 1-D
+point's clipped box in an interval Omega is F_delta ∩ Omega itself, so
+its points are not tested.
 """
 
 from __future__ import annotations
@@ -267,20 +270,57 @@ def _reference_weight(feature: Feature, omega: Region, delta: float, proposal: P
                       weight: Callable | None) -> Callable:
     """The level's weight on the proposal's points: `weight` (or 1) on F_delta ∩ Omega, 0 elsewhere.
 
-    Every shell that `_feature_proposal` builds lies inside F_delta, so the
-    points of a shell level are tested against Omega alone.
+    A level runs no membership test that its cover decides.  A 1-D point's
+    level samples the clipped box, which in an interval Omega (an axis
+    `Box`) is F_delta ∩ Omega itself: it tests nothing, and its weight is
+    `weight` as is.  Every shell that `_feature_proposal` builds lies inside
+    F_delta, so the points of a shell level are tested against Omega alone,
+    and not even against Omega where the shell lies inside it (`_inside`).
+    Every other level, box or oriented box, tests both.  A point of the box
+    exactly on its rim, which the strict tests leave out, then counts: it
+    is drawn about once in 1e12 samples, as the folded ball's rim points
+    are.
     """
-    inside = None if isinstance(proposal, Shell) else Neighborhood(feature, delta).contains
+    if isinstance(proposal, Shell):
+        tests = () if _inside(proposal, omega) else (omega.contains,)
+    elif isinstance(feature, PointFeature) and feature.dim == 1 and isinstance(omega, Box):
+        tests = ()
+    else:
+        tests = (Neighborhood(feature, delta).contains, omega.contains)
 
     def w(pts):
-        mask = omega.contains(pts) if inside is None else inside(pts) & omega.contains(pts)
+        mask = None
+        for test in tests:
+            mask = test(pts) if mask is None else mask & test(pts)
         if weight is None:
-            return mask
+            return np.ones(len(pts), dtype=bool) if mask is None else mask
         with np.errstate(all="ignore"):
             base = np.asarray(weight(pts), dtype=float)
-        return np.where(mask, base, 0.0)
+        return base if mask is None else np.where(mask, base, 0.0)
 
     return w
+
+
+def _inside(shell: Shell, omega: Region) -> bool:
+    """Whether a shell's closed outer ball lies inside a `Ball` or axis `Box` Omega, by a safe margin.
+
+    Its points then lie in Omega, and so does every rounding of them: a
+    point c + o with |o| <= r1 rounds by a few d ulps of the sizes involved
+    (its coordinates, r1 and Omega's own), and so does Omega's test of it,
+    while the margin asked for is 2^-40 d times their sum, ~2^11 times
+    more.  A folded ball's centre lies on a face of Omega, and a collar
+    whose shell reaches Omega's sphere touches it, so neither is inside.
+    """
+    c, r = shell.center, shell.r1
+    if isinstance(omega, Ball):
+        centre = np.asarray(omega.center)
+        margin = 2.0 ** -40 * shell.dim * (r + omega.radius + np.abs(c).max() + np.abs(centre).max())
+        return bool(np.linalg.norm(c - centre) + r + margin < omega.radius)
+    if isinstance(omega, Box):
+        lo, hi = np.asarray(omega.lo), np.asarray(omega.hi)
+        margin = 2.0 ** -40 * shell.dim * (r + np.abs(c).max() + np.maximum(np.abs(lo), np.abs(hi)).max())
+        return bool(np.all(lo + margin < c - r) and np.all(c + r + margin < hi))
+    return False
 
 
 def _level_pass(feature: Feature, omega: Region, delta: float, spec: SampleSpec, stream: int,

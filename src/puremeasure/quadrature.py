@@ -51,9 +51,13 @@ of them, but must copy anything it keeps.  A reference weight is
 evaluated once per half-leaf (a leaf's points, or their reflections), and
 any number of ratio and essential-range columns are fed from the points of
 positive weight.  Every callable receives its points as a Fortran-ordered
-(m, d) block, so each coordinate is one contiguous column: ratio columns get
-the half-leaf itself, range columns its points of positive weight, gathered
-column by column, or the half-leaf itself when every point has weight.
+(m, d) block, so each coordinate is one contiguous column.  Range columns
+get a half-leaf's points of positive weight, gathered column by column
+once, or the half-leaf itself when every point has weight.  Ratio columns
+get the same gathered block on a sparse half-leaf, one on which at most
+half of the points have weight, and their values are scattered into zeros
+of the half-leaf's size; a denser half-leaf they get whole, since a gather
+there saves less than it costs.  A half-leaf without hits calls no column.
 Columns on one sweep share their samples (common random numbers), so each
 agrees exactly with the same column estimated on a separate sweep.
 
@@ -530,7 +534,9 @@ class Ratio:
     """Ratio column: the sum of w*v over the sum of w, on kept samples.
 
     `values` maps sample points to one value each; only points of finite
-    positive reference weight w count.  A sample whose value is NaN is
+    positive reference weight w count, and on a half-leaf where at most
+    half of the points have weight it is handed those points alone (see
+    `sweep`).  A sample whose value is NaN is
     tallied as undefined, one that is infinite or exceeds MAGNITUDE_CAP in
     magnitude as capped, and either is dropped from both sums.  With
     `per_sample` the denominator counts every kept sample of the proposal
@@ -602,11 +608,12 @@ def sweep(
         nonlocal level
         shape = (hi - lo, stop - start)
         halves = tuple(_weigh(weight, pts) for pts in prepared.halves(work, lo, hi, start, stop))
+        halves = tuple(_gathered(half) if half.hits and (ranges and half.hits < len(half.pts) or
+                                                         ratios and half.sparse) else half for half in halves)
         for half in halves:
             level = _one(level, half.level)
             if ranges and half.hits:
-                _feed_ranges(ranges, tails, half.pts if half.hits == len(half.pts)
-                             else np.take(half.pts.T, np.flatnonzero(half.active), axis=1).T)
+                _feed_ranges(ranges, tails, half.pts if half.taken is None else half.taken)
         shares = work.shares(shape[0] * shape[1])
         return [halves[0].hits + halves[1].hits, *_ratio_sums(ratios, halves, shape, shares, steps)]
 
@@ -698,13 +705,30 @@ def _pairwise(leaf: Callable[[int, int], list], start: int, stop: int) -> list:
 
 
 class _Half(NamedTuple):
-    """One half-leaf: its points and their weight w, zero wherever w is not finite and positive."""
+    """One half-leaf: its points and their weight w, zero wherever w is not finite and positive.
+
+    Where its points of positive weight are gathered (see `_gathered`),
+    `index` holds their positions and `taken` the points.
+    """
 
     pts: np.ndarray
     w: np.ndarray  # a bool mask for an indicator weight
     active: np.ndarray
     hits: int
     level: float | None  # the one value w takes on its support (1 for a mask), NaN if more, None if no support
+    index: np.ndarray | None = None
+    taken: np.ndarray | None = None  # a Fortran-ordered (hits, d) block
+
+    @property
+    def sparse(self) -> bool:
+        """At most half of the points have weight, so ratio columns read the gathered points (see `_values`)."""
+        return 2 * self.hits <= len(self.pts)
+
+
+def _gathered(half: _Half) -> _Half:
+    """The half-leaf with its points of positive weight gathered column by column, a Fortran-ordered block."""
+    index = np.flatnonzero(half.active)
+    return half._replace(index=index, taken=np.take(half.pts.T, index, axis=1).T)
 
 
 def _weigh(weight: Callable, pts: np.ndarray) -> _Half:
@@ -742,9 +766,11 @@ class _Step:
     """What a ratio column's samples say about the rounding in its replicate sums.
 
     A column averages v under its weight, or w v over the proposal for a
-    `per_sample` column.  `value` is the one value c that v takes on every
-    point of every half-leaf, hit or not (c = 1 for bool values, which read
-    0 or 1), NaN once a half-leaf shows more than one or caps a value.  `on`
+    `per_sample` column.  `value` is the one value c that v takes on the
+    points of positive weight of every half-leaf (c = 1 for bool values,
+    which read 0 or 1), NaN once the hits of a half-leaf show more than one
+    or one beyond the cap; a half-leaf without hits shows none.  It is read
+    on the hits alone on every path, gathered or not (see `_values`).  `on`
     counts the samples on which w v is not 0.  The sweep knows the one
     value a that w takes on its support (a = 1 for a bool mask, NaN if
     more; see `_Half`), the same for all of its columns.  Where a and c both
@@ -758,8 +784,8 @@ class _Step:
         self.value: float | None = None
         self.on = 0
 
-    def add(self, value: float, wv: np.ndarray | int) -> None:
-        """Add a half-leaf's w v, or the count of its samples where w v is not 0."""
+    def add(self, value: float | None, wv: np.ndarray | int) -> None:
+        """Add a half-leaf's one value on its hits (None without hits) and its w v, or its count of nonzero w v."""
         self.value = _one(self.value, value)
         if isinstance(wv, int):
             self.on += wv
@@ -774,9 +800,7 @@ class _Step:
         agree on what the column averages: w v is 0 on all of them (a ratio
         of exactly 0), or v (w v for a `per_sample` column) is one value on
         all of them (a constant, a membership ratio of exactly 1, a volume
-        whose samples all hit).  Since `value` reads v off the hits too, a float
-        column that agrees on its hits alone (0/1 floats that read 1 on every
-        hit) is not seen to agree.  A quantized column adds one step's,
+        whose samples all hit).  A quantized column adds one step's,
         h^2 / 12 per replicate; any other adds the float grid of each sum,
         spacing(|u_r|)^2 / 12, so that replicates that agree to the last bit
         still leave a stderr above 0.
@@ -793,34 +817,77 @@ class _Step:
         return float((grid * grid).sum()) / 12.0
 
 
-def _values(col: Ratio, half: _Half) -> np.ndarray:
-    """A ratio column's values on a half-leaf: bool where the callable gives bool, else float."""
-    v = np.asarray(col.values(half.pts))
-    return v if v.dtype == bool else v.astype(float, copy=False)
+_Values = tuple[np.ndarray, np.ndarray | None]
 
 
-def _ratio_terms(col: Ratio, half: _Half, v: np.ndarray, share: np.ndarray, dshare: np.ndarray,
+def _values(col: Ratio, half: _Half) -> _Values | None:
+    """A ratio column's values v on a half-leaf, bool where the callable gives bool, else float, and those on its hits.
+
+    A sparse half-leaf (see `_Half.sparse`) hands the callable its points
+    of positive weight, the gathered block, and scatters the values into
+    zeros of the half-leaf's size; the values on its hits are then the
+    callable's own.  A denser one hands it the half-leaf itself, and its
+    values on the hits are v where w is positive (None here).  A half-leaf
+    without hits calls nothing and has no values: None.  w is zero off the
+    hits, so w v is the same either way, up to the sign of a zero.
+    """
+    if not half.hits:
+        return None
+    sparse = half.sparse
+    v = np.asarray(col.values(half.taken if sparse else half.pts))
+    v = v if v.dtype == bool else v.astype(float, copy=False)
+    if not sparse:
+        return v, None
+    scattered = np.zeros(len(half.pts), dtype=v.dtype)
+    scattered[half.index] = v
+    return scattered, v
+
+
+def _on_hits(values: _Values, half: _Half, lo, hi, cap: float) -> float:
+    """The one value that values take on the half-leaf's hits, 1 for bool ones; NaN if more, or one beyond cap.
+
+    lo and hi are the least and greatest values on the whole half-leaf.
+    """
+    v, hit = values
+    if v.dtype == bool:
+        return 1.0
+    if hit is not None:
+        lo, hi = hit.min(), hit.max()
+    elif not lo == hi and half.hits < len(v):
+        lo, hi = np.min(v, where=half.active, initial=np.inf), np.max(v, where=half.active, initial=-np.inf)
+    return float(lo) if lo == hi and -cap <= lo <= cap else math.nan
+
+
+def _ratio_terms(col: Ratio, half: _Half, values: _Values | None, share: np.ndarray, dshare: np.ndarray,
                  step: _Step) -> tuple[np.ndarray, np.ndarray | None, int, int]:
-    """A half-leaf's shares of the pair averages u (0.5 w v) and d, and its capped and undefined counts, for values v.
+    """A half-leaf's shares of the pair averages u (0.5 w v) and d, and its capped and undefined counts, for its values.
 
     A ratio column caps at MAGNITUDE_CAP; a `per_sample` one at the largest
     float, so it drops only non-finite values.  When every value lies within
     the cap nothing is masked, since w is already zero off the hits; the
     share of d is then None, standing for 0.5 w (or 0.5 for a `per_sample`
-    column).  The shares are written into `share` and `dshare`, and w v is
-    added to the column's `step`.
+    column).  Values beyond the cap off the hits are masked out all the
+    same.  A half-leaf without values has a share of u of 0.  The shares
+    are written into `share` and `dshare`, and w v and the one value on the
+    hits are added to the column's `step`, which needs that value no more
+    once it is NaN.
     """
+    if values is None:
+        share.fill(0.0)
+        return share, None, 0, 0
+    v = values[0]
     cap = _FLOAT_MAX if col.per_sample else MAGNITUDE_CAP
     np.multiply(half.w, v, dtype=float, out=share)
     lo, hi = v.min(), v.max()
+    one = _on_hits(values, half, lo, hi, cap) if step.value == step.value else math.nan
     if lo >= -cap and hi <= cap:  # no NaN passes
-        step.add(1.0 if v.dtype == bool else float(lo) if lo == hi else math.nan, share)
+        step.add(one, share)
         share *= 0.5
         return share, None, 0, 0
     bad = half.active & (~np.isfinite(v) | (np.abs(v) > cap))
     keep = half.active & ~bad
     np.copyto(share, 0.0, where=~keep)
-    step.add(math.nan, share)
+    step.add(one, share)
     share *= 0.5
     if col.per_sample:
         np.multiply(~bad, 0.5, dtype=float, out=dshare)
@@ -876,9 +943,10 @@ def _ratio_sums(ratios: Sequence[Ratio], halves: tuple[_Half, _Half], shape: tup
     of u and d go into its two of the first four `shares`, one column at a
     time.
 
-    A column's values are read on both halves before either is reduced.
-    Under a bool mask on both halves, a column whose values are bool on
-    both is counted: w v is 0 or 1, so a replicate's sum of u is half the
+    A column's values are read on both halves before either is reduced; a
+    half without hits has none, and adds nothing on either path.  Under a
+    bool mask on both halves, a column whose values are bool on both (or
+    on the one with hits) is counted: w v is 0 or 1, so a replicate's sum of u is half the
     number of its samples in w & v, and the unmasked d of a ratio column
     half the number in w.  Every partial sum of the halves' 0 and 1/2 is a
     multiple of 1/2 far below 2^53, so the float sums are these counts, bit
@@ -902,10 +970,12 @@ def _ratio_sums(ratios: Sequence[Ratio], halves: tuple[_Half, _Half], shape: tup
     out = []
     for col, step in zip(ratios, steps):
         va, vb = _values(col, halves[0]), _values(col, halves[1])
-        if masks and va.dtype == bool and vb.dtype == bool:
-            counts = _count(np.logical_and(halves[0].w, va, out=shares[4]), shape)
-            counts += _count(np.logical_and(halves[1].w, vb, out=shares[4]), shape)
-            step.add(1.0, int(counts.sum()))
+        if masks and all(v is None or v[0].dtype == bool for v in (va, vb)):
+            counts = np.zeros(shape[0], dtype=np.intp)
+            for half, v in zip(halves, (va, vb)):
+                if v is not None:
+                    counts += _count(np.logical_and(half.w, v[0], out=shares[4]), shape)
+            step.add(None if va is None and vb is None else 1.0, int(counts.sum()))
             out += [0.5 * counts, unmasked(col.per_sample), 0, 0]
             continue
         u, da, capped_a, undefined_a = _ratio_terms(col, halves[0], va, shares[0], shares[1], step)

@@ -43,7 +43,7 @@ from puremeasure.geometry import (
     interval,
     make_bbox,
 )
-from puremeasure.quadrature import AxisBox, OrientedBox, SampleSpec, Shell, sweep, volume_column
+from puremeasure.quadrature import AxisBox, OrientedBox, Range, Ratio, SampleSpec, Shell, sweep, volume_column
 from puremeasure.trace_gradient import ScalarField, density_gradient
 
 OMEGA1 = interval(-1.0, 1.0)
@@ -397,13 +397,53 @@ def test_sigma_probe_members_equal_standalone_probes():
     assert rep.union == density_probe(union, ORIGIN2, DISK, s, spec)
 
 
-def test_sigma_probe_weighs_each_half_chunk_once(ball_contains_calls):
-    # the domain's test runs once per half-leaf, whether the level samples the
-    # clipped box (delta = 1.41) or the ball around the origin
+def test_sigma_probe_weighs_each_half_chunk_once(reference_weight_calls):
+    # the reference weight runs once per half-leaf, whether the level samples
+    # the clipped box (delta = 1.41) or the ball around the origin
     members = [Box((1.0 / (k + 2), -1.0), (1.0 / (k + 1), 1.0)) for k in range(1, 9)]
     sigma_probe(members, Box((0.0, -1.0), (0.5, 1.0)), ORIGIN2, DISK, sched(ORIGIN2, DISK, count=4),
                 SampleSpec(n=2000, seed=26))
-    assert ball_contains_calls == [992] * 8  # 4 levels x 2 half-leaves of 31 lattices of 32 pairs, shared by all 9 probes
+    # 4 levels x 2 half-leaves of 31 lattices of 32 pairs, shared by all 9 probes
+    assert reference_weight_calls == [992] * 8
+
+
+def test_the_domain_is_tested_only_where_the_cover_reaches_its_boundary(ball_contains_calls):
+    # the disk's test runs on the clipped box at delta = 1.41, and not on the
+    # balls of delta = 0.71, 0.35 and 0.18, which lie inside the disk
+    schedule = sched(ORIGIN2, DISK, count=4)
+    kinds = [type(_level_proposal(ORIGIN2, DISK, delta)) for delta in schedule.deltas()]
+    assert kinds == [AxisBox, Shell, Shell, Shell]
+    density_probe(Box((0.0, -1.0), (0.5, 1.0)), ORIGIN2, DISK, schedule, SampleSpec(n=2000, seed=26))
+    assert ball_contains_calls == [992] * 2
+    # a ball that reaches the disk's sphere keeps the test
+    ball_contains_calls.clear()
+    density_ratio(Box((0.0, -1.0), (0.5, 1.0)), PointFeature((0.5, 0.0)), DISK, 0.5, SampleSpec(n=2000, seed=26))
+    assert ball_contains_calls == [992] * 2
+
+
+def test_a_point_level_in_an_interval_runs_no_membership_test(monkeypatch):
+    # the clipped box of a 1-D point is F_delta ∩ Omega: neither the distance
+    # to the point nor the interval's test runs, with or without a weight
+    calls = []
+
+    def counted(name, original):
+        def method(self, pts):
+            calls.append(name)
+            return original(self, pts)
+
+        return method
+
+    for cls, name in ((PointFeature, "distance"), (Box, "contains")):
+        monkeypatch.setattr(cls, name, counted(name, getattr(cls, name)))
+    spec = SampleSpec(n=2000, seed=5)
+    for omega in (OMEGA1, interval(0.0, 1.0)):
+        schedule = sched(ORIGIN1, omega, count=4)
+        r = sharp_integral(lambda p: np.cos(p[:, 0]), ORIGIN1, omega, schedule, spec)
+        assert r.verdict == CONVERGED and all(level.hits == 1984 for level in r.series)
+        r = sharp_integral(lambda p: p[:, 0], ORIGIN1, omega, schedule, spec, weight=lambda p: p[:, 0] < 0.03)
+        assert 0 < r.series[-1].hits < 1984
+        assert action_interval(lambda p: p[:, 0], ORIGIN1, omega, schedule, spec).width > 0
+    assert calls == []
 
 
 def test_single_pair_is_insufficient():
@@ -663,6 +703,79 @@ def test_every_shell_point_lies_in_the_neighbourhood(level):
         for seed in range(3):
             for a, b in proposal.pairs(seed, 1, 3000):
                 assert neighbourhood.contains(a).all() and neighbourhood.contains(b).all(), (delta, seed)
+
+
+# the unfolded shells whose closed outer ball lies inside Omega at every
+# delta of the shell-level tests
+INSIDE = {"disk", "ball_3d", "ball_8d", "whole_collar"}
+
+
+@pytest.mark.parametrize("level", SHELL_LEVELS, ids=list(SHELL_LEVELS))
+def test_a_shell_inside_the_domain_has_every_point_in_it(level):
+    # a shell level inside Omega skips Omega's test too, so every point and
+    # reflection must lie in Omega; a folded ball or a collar that reaches
+    # Omega's sphere is not inside
+    feature, omega = SHELL_LEVELS[level]
+    for delta in (0.4, 0.1, 1e-3):
+        proposal = _level_proposal(feature, omega, delta)
+        assert density_engine._inside(proposal, omega) == (level in INSIDE)
+        for a, b in proposal.pairs(0, 1, 3000):
+            assert omega.contains(a).all() and omega.contains(b).all() or level not in INSIDE
+
+
+def test_a_ball_inside_the_domain_only_by_rounding_is_not_inside():
+    # the margin scales with the sizes involved: a ball 1e-13 inside the unit
+    # disk, or 1e-7 inside a disk a million units from the origin, is tested
+    for center, radius, r1 in (((0.0, 0.0), 1.0, 1.0 - 1e-13), ((1e6, 0.0), 1.0, 1.0 - 1e-7),
+                               ((1e6, 0.0), 1.0, 1.0 - 1e-9)):
+        shell = Shell(center, 0.0, r1)
+        assert not density_engine._inside(shell, Ball(center, radius))
+        assert not density_engine._inside(shell, Box(tuple(c - radius for c in center),
+                                                     tuple(c + radius for c in center)))
+    assert density_engine._inside(Shell((1e6, 0.0), 0.0, 0.999), Ball((1e6, 0.0), 1.0))
+    assert not density_engine._inside(Shell((0.0, 0.0), 0.0, 0.5), Halfspace((1.0, 0.0), 1.0))
+
+
+def _tested_weight(feature, omega, delta, weight=None):
+    """A level's reference weight with the neighbourhood's and Omega's tests run on every point."""
+    neighbourhood = Neighborhood(feature, delta)
+
+    def w(pts):
+        mask = neighbourhood.contains(pts) & omega.contains(pts)
+        return mask if weight is None else np.where(mask, weight(pts), 0.0)
+
+    return w
+
+
+# levels that skip a test their cover decides: 1-D points in an interval,
+# balls and a collar inside Omega
+SKIPPING_LEVELS = {
+    "origin_1d": (ORIGIN1, OMEGA1),
+    "end_1d": (PointFeature((1.0,)), OMEGA1),
+    "inner_1d": (PointFeature((0.3,)), interval(0.0, 1.0)),
+    "disk": (ORIGIN2, DISK),
+    "ball_3d": (ORIGIN3, BALL3),
+    "ball_8d": (ORIGIN8, CUBE8),
+    "whole_collar": (RegionBoundary(DISK), Box((-2.0, -2.0), (2.0, 2.0))),
+}
+
+
+@pytest.mark.parametrize("level", SKIPPING_LEVELS, ids=list(SKIPPING_LEVELS))
+def test_skipped_membership_tests_keep_every_bit(level):
+    # a level that skips the tests its cover decides gives the same bits as
+    # one that runs them on every point, with and without a weight
+    feature, omega = SKIPPING_LEVELS[level]
+    spec = SampleSpec(n=5000, seed=11)
+    weight = lambda p: 1.5 + np.cos(p[:, 0])
+    ratios = (Ratio(lambda p: np.sin(3.0 * p[:, 0]) + p[:, -1]), Ratio(lambda p: p[:, 0] > 0.05))
+    ranges = (Range(lambda p: p[:, 0] * p[:, -1]),)
+    for delta in (0.4, 0.1, 1e-3):
+        proposal = _level_proposal(feature, omega, delta)
+        columns = lambda delta, proposal: (ratios, ranges)
+        for w in (None, weight):
+            result = _level_pass(feature, omega, delta, spec, 3, columns, w)
+            tested = sweep(_tested_weight(feature, omega, delta, w), proposal, spec, 3, ratios, ranges)
+            assert repr(result) == repr(tested), (delta, w)
 
 
 def test_feature_proposals_converge_on_thin_features():

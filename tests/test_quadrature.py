@@ -555,7 +555,8 @@ def _oracle_sweep(weight, proposal, spec, stream=0, ratios=(), ranges=()):
     ESS_QUANTILE quantiles and turns an end infinite past MAGNITUDE_CAP or
     at a NaN.  Where the weight takes one value a on its support (1 for a
     bool weight) and a ratio column's values are bool (c = 1) or one
-    constant c on every half, with none dropped, the column adds
+    constant c on the hits of every half, with none of them dropped (a half
+    without hits shows no value), the column adds
     (a c / 2)^2 / 12 per replicate to its squared residuals; any other adds
     spacing(|u_r|)^2 / 12 for each numerator sum u_r.  Neither is added
     where w v is 0 on every sample its denominator counts, or is not 0 on
@@ -592,10 +593,12 @@ def _oracle_sweep(weight, proposal, spec, stream=0, ratios=(), ranges=()):
                     keep = active & ~bad
                     u += 0.5 * np.where(keep, w * v, 0.0)
                     d += 0.5 * (~bad if col.per_sample else np.where(keep, w, 0.0))
-                    within = np.all(np.abs(v) <= cap) and np.all(np.isfinite(v))
-                    one = within and (values.dtype == bool or np.all(v == v[0]))
-                    acc[3] = acc[3] | {1.0 if values.dtype == bool else float(v[0])} if one and acc[3] is not None \
-                        else None
+                    on = v[active]
+                    if on.size:
+                        within = np.all(np.abs(on) <= cap) and np.all(np.isfinite(on))
+                        one = within and (values.dtype == bool or np.all(on == on[0]))
+                        acc[3] = acc[3] | {1.0 if values.dtype == bool else float(on[0])} \
+                            if one and acc[3] is not None else None
                     acc[4] = acc[4] | levels if len(levels) <= 1 and acc[4] is not None else None
                     acc[5] += int(np.count_nonzero(keep & (v != 0)))
                     acc[6] += int(np.count_nonzero(~bad if col.per_sample else keep))
@@ -661,6 +664,10 @@ def _signed_weight(p):
     return np.where(np.abs(p[:, 0] + 0.1) < 0.02, np.inf, w)
 
 
+def _band(p):
+    return np.abs(p[:, 1]) < 0.15
+
+
 ORACLE_WEIGHTS = {
     "float": _signed_weight,
     "bool": lambda p: p[:, 0] + p[:, 1] < 0.6,
@@ -669,6 +676,11 @@ ORACLE_WEIGHTS = {
     # every point has weight, so range columns read each half-leaf itself, ungathered
     "all_bool": lambda p: np.ones(len(p), dtype=bool),
     "all_float": lambda p: 2.0 + np.cos(p[:, 0]),
+    # a band that holds at most half of the points of every half-leaf here
+    # (17-41%), so ratio columns read them gathered; it meets the capped and
+    # undefined values of the columns below
+    "sparse": _band,
+    "sparse_float": lambda p: np.where(_band(p), 1.0 + p[:, 0] * p[:, 0], 0.0),
 }
 
 
@@ -693,6 +705,8 @@ def _oracle_columns():
         Ratio(_wild),
         Ratio(_wild, per_sample=True),
         Ratio(lambda p: np.log(p[:, 0] + 0.5)),  # NaN on the hits left of x1 = -0.5: undefined, not capped
+        # one value on the supports of the bool, level and sparse weights alone
+        Ratio(lambda p: np.where(_band(p) | (p[:, 0] + p[:, 1] < 0.6), 1.5, p[:, 1])),
     ]
     ranges = [
         Range(block, axis=0),
@@ -739,6 +753,42 @@ def test_long_replicates_match_the_plain_loop_bit_for_bit(kind, weight, monkeypa
     ratios, ranges = _oracle_columns()
     result = sweep(ORACLE_WEIGHTS[weight], proposal, spec, 2, ratios, ranges)
     assert repr(result) == repr(_oracle_sweep(ORACLE_WEIGHTS[weight], proposal, spec, 2, ratios, ranges))
+
+
+@pytest.mark.parametrize("weight", ["sparse", "bool", "all_bool"])
+@pytest.mark.parametrize("kind", ["axis_box", "shell"])
+def test_a_sparse_half_leaf_hands_ratio_columns_its_hits_alone(kind, weight):
+    # a half-leaf on which at most half of the points have weight hands every
+    # ratio column exactly those points, gathered into a Fortran-ordered
+    # block, the one that range columns get; a denser one hands it the
+    # half-leaf itself
+    weighed, handed, ranged = [], [], []
+
+    def recorded(p):
+        w = ORACLE_WEIGHTS[weight](p)
+        weighed.append((p.copy(), w > 0))
+        return w
+
+    def column(p):
+        handed.append((p, p.copy(), p.flags.f_contiguous))
+        return p[:, 0] * p[:, 1]
+
+    def extent(p):
+        ranged.append(p)
+        return p[:, 0]
+
+    proposal, spec = ORACLE_PROPOSALS[kind], SampleSpec(n=50_000, seed=41)
+    sweep(recorded, proposal, spec, 1, [Ratio(column), Ratio(lambda p: p[:, 1] > 0.1)], [Range(extent)])
+    assert len(weighed) == len(handed) == len(ranged) == 4  # 2 leaves, each half handed on once
+    sparse = 0
+    for (pts, active), (handed_block, block, fortran), range_block in zip(weighed, handed, ranged):
+        if 2 * np.count_nonzero(active) <= len(pts):
+            sparse += 1
+            assert fortran and block.shape == (np.count_nonzero(active), pts.shape[1])
+            assert np.array_equal(block, pts[active]) and handed_block is range_block
+        else:
+            assert np.array_equal(block, pts)
+    assert sparse == (4 if weight == "sparse" else 0)
 
 
 def _counted_columns():

@@ -252,17 +252,17 @@ def test_rule_check_evaluates_each_gradient_once_per_sample(rule):
     assert calls == {"f1": [992] * 8, "f2": [992] * 8}  # 4 levels x 2 half-leaves, every sample a hit
 
 
-def test_gradients_take_one_pass_per_level(ball_contains_calls):
-    # every level samples the ball around the origin, so the domain's test is
-    # the one membership test per half-leaf
+def test_gradients_take_one_pass_per_level(reference_weight_calls):
+    # every level samples the ball around the origin, whose reference weight
+    # runs once per half-leaf
     ball3 = Ball((0.0, 0.0, 0.0), 1.0)
     kink = ScalarField(f=lambda p: np.abs(p[:, 0]) + p[:, 1] * p[:, 2])
     s = DeltaSchedule(0.5, 3)
     density_gradient(ball3, (0.0, 0.0, 0.0), s, SampleSpec(n=2000, seed=43), field=kink)
-    assert ball_contains_calls == [992] * 6  # 3 levels x 2 half-leaves for all 3 coordinates
-    ball_contains_calls.clear()
+    assert reference_weight_calls == [992] * 6  # 3 levels x 2 half-leaves for all 3 coordinates
+    reference_weight_calls.clear()
     calculus_rule_check("sum", kink, kink, (0.0, 0.0, 0.0), ball3, s, SampleSpec(n=2000, seed=43))
-    assert ball_contains_calls == [992] * 6  # and for all 3 fields
+    assert reference_weight_calls == [992] * 6  # and for all 3 fields
 
 
 # ------------------------------------------------------- central differences
