@@ -380,16 +380,14 @@ def _probe_rows(result: ProbeResult):
 def _probe_output(name: str, out_dir: Path, result: ProbeResult, **extra):
     """Payload, CSV and the cause that makes it unintegrable, if any, of a task whose result is one profile."""
     csv = _write_series_csv(out_dir, name, _probe_rows(result))
-    return {**_jsonable(result), **extra}, [csv], _unintegrable(result)
+    undefined, capped = sum(l.undefined for l in result.series), sum(l.capped for l in result.series)
+    return {**_jsonable(result), **extra}, [csv], _unintegrable(undefined, capped, "near the feature")
 
 
-def _unintegrable(result: ProbeResult) -> str | None:
-    """Why a profile's integrand cannot be integrated: NaN samples, samples beyond the cap, or both."""
-    if not result.unintegrable:
-        return None
-    causes = [cause for cause, seen in (("undefined (NaN)", any(l.undefined for l in result.series)),
-                                        ("essentially unbounded", any(l.capped for l in result.series))) if seen]
-    return f"integrand {' and '.join(causes)} near the feature"
+def _unintegrable(undefined: int, capped: int, where: str) -> str | None:
+    """Why an integrand cannot be integrated, from the samples it dropped as NaN and as beyond the cap; None if none."""
+    causes = [cause for cause, count in (("undefined (NaN)", undefined), ("essentially unbounded", capped)) if count]
+    return f"integrand {' and '.join(causes)} {where}" if causes else None
 
 
 # -------------------------------------------------------------- task kinds
@@ -516,9 +514,15 @@ def _collar_average(t: _Task) -> Job:
 
 
 def _gauss_check(t: _Task) -> Job:
+    """A Gauss check, unintegrable once its volume integral drops a sample of the divergence."""
     fixture = t.surface()
     phi, div = t.vector("phi", fixture.region.dim), t.optional("div", fixture.region.dim)
-    return lambda out: (_jsonable(gauss_check(phi, fixture, t.spec, div=div)), [], None)
+
+    def job(out: Path):
+        report = gauss_check(phi, fixture, t.spec, div=div)
+        volume = report.volume_integral
+        return _jsonable(report), [], _unintegrable(volume.undefined, volume.capped, "in the region")
+    return job
 
 
 def _fa_lattice(t: _Task) -> Job:

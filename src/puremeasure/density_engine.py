@@ -272,14 +272,15 @@ def _reference_weight(feature: Feature, omega: Region, delta: float, proposal: P
 
     A level runs no membership test that its cover decides.  A 1-D point's
     level samples the clipped box, which in an interval Omega (an axis
-    `Box`) is F_delta ∩ Omega itself: it tests nothing, and its weight is
-    `weight` as is.  Every shell that `_feature_proposal` builds lies inside
-    F_delta, so the points of a shell level are tested against Omega alone,
-    and not even against Omega where the shell lies inside it (`_inside`).
-    Every other level, box or oriented box, tests both.  A point of the box
-    exactly on its rim, which the strict tests leave out, then counts: it
-    is drawn about once in 1e12 samples, as the folded ball's rim points
-    are.
+    `Box`) is F_delta ∩ Omega itself: it tests nothing.  Every shell that
+    `_feature_proposal` builds lies inside F_delta, so the points of a
+    shell level are tested against Omega alone, and not even against Omega
+    where the shell lies inside it (`_inside`).  Every other level, box or
+    oriented box, tests both.  A point of the box exactly on its rim, which
+    the strict tests leave out, then counts: it is drawn about once in 1e12
+    samples, as the folded ball's rim points are.  Tested or not, the
+    weight is one value per point: a `weight` that returns one number for a
+    block weighs every point by it.
     """
     if isinstance(proposal, Shell):
         tests = () if _inside(proposal, omega) else (omega.contains,)
@@ -295,32 +296,29 @@ def _reference_weight(feature: Feature, omega: Region, delta: float, proposal: P
         if weight is None:
             return np.ones(len(pts), dtype=bool) if mask is None else mask
         with np.errstate(all="ignore"):
-            base = np.asarray(weight(pts), dtype=float)
+            base = np.broadcast_to(np.asarray(weight(pts), dtype=float), (len(pts),))
         return base if mask is None else np.where(mask, base, 0.0)
 
     return w
 
 
 def _inside(shell: Shell, omega: Region) -> bool:
-    """Whether a shell's closed outer ball lies inside a `Ball` or axis `Box` Omega, by a safe margin.
+    """Whether a shell's closed outer ball lies inside Omega by a safe margin: sdf(c) + r1 + margin < 0.
 
+    Only an Omega with an exact signed distance (a pseudo-distance may fall
+    short) and a finite bounding box is asked: a `Ball` or an axis `Box`.
     Its points then lie in Omega, and so does every rounding of them: a
     point c + o with |o| <= r1 rounds by a few d ulps of the sizes involved
-    (its coordinates, r1 and Omega's own), and so does Omega's test of it,
-    while the margin asked for is 2^-40 d times their sum, ~2^11 times
-    more.  A folded ball's centre lies on a face of Omega, and a collar
-    whose shell reaches Omega's sphere touches it, so neither is inside.
+    (its coordinates, r1 and Omega's bounding box), and so do Omega's test
+    of it and sdf(c), while the margin asked for is 2^-40 d times their
+    sum, ~2^11 times more.  A folded ball's centre lies on a face of Omega,
+    and a collar whose shell reaches Omega's sphere touches it: not inside.
     """
+    if not (omega.exact and bbox_is_finite(omega.bbox)):
+        return False
     c, r = shell.center, shell.r1
-    if isinstance(omega, Ball):
-        centre = np.asarray(omega.center)
-        margin = 2.0 ** -40 * shell.dim * (r + omega.radius + np.abs(c).max() + np.abs(centre).max())
-        return bool(np.linalg.norm(c - centre) + r + margin < omega.radius)
-    if isinstance(omega, Box):
-        lo, hi = np.asarray(omega.lo), np.asarray(omega.hi)
-        margin = 2.0 ** -40 * shell.dim * (r + np.abs(c).max() + np.maximum(np.abs(lo), np.abs(hi)).max())
-        return bool(np.all(lo + margin < c - r) and np.all(c + r + margin < hi))
-    return False
+    margin = 2.0 ** -40 * shell.dim * (r + np.abs(c).max() + max(np.abs(end).max() for end in omega.bbox))
+    return bool(omega.sdf(c)[0] + r + margin < 0.0)
 
 
 def _level_pass(feature: Feature, omega: Region, delta: float, spec: SampleSpec, stream: int,

@@ -67,10 +67,12 @@ never averages a NaN sample, which it tallies as undefined (the witness of
 an integrand undefined there), nor one that is infinite or exceeds
 MAGNITUDE_CAP in magnitude, which it tallies as capped (the witness of an
 essentially unbounded integrand); a per-sample mean (a volume,
-`mc_integral`) drops only the non-finite ones.  A half-leaf whose values
-all lie within the cap needs no mask, and where neither half of a leaf
-needs one the ratio denominator is formed once and shared by every such
-column.
+`mc_integral`) drops only the non-finite ones.  A column's least and
+greatest values on a half-leaf, read once on its hits where the sweep has
+their values, decide both its mask and its one value (see `_Step`).  A
+half-leaf whose values all lie within the cap needs no mask, and where
+neither half of a leaf needs one the ratio denominator is formed once and
+shared by every such column.
 An indicator weight arrives as a bool mask, under which a ratio column of
 bool values (a membership) on both halves of a leaf is counted rather than
 multiplied and summed in floats: each replicate's sums are half its samples
@@ -244,10 +246,6 @@ class Proposal:
                 angles: Iterator[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError
 
-    def _prepare(self, base: np.ndarray, shifts: np.ndarray) -> _Base:
-        """A pass's (coords, 2^k) base lattice and (coords, reps) shifts, prepared once for every leaf of its sweep."""
-        return _Base(self, base, shifts)
-
     def pairs(self, seed: int, stream: int, pairs: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """Each replicate's pairs of a pass of `pairs` requested pairs, one (points, reflections) block per replicate.
 
@@ -256,7 +254,7 @@ class Proposal:
         blocks stay valid after the next one is drawn.
         """
         reps, size = _replicates(pairs)
-        prepared = self._prepare(_lattice(self.coords, size), _shifts(seed, stream, reps, self.coords))
+        prepared = _Base(self, _lattice(self.coords, size), _shifts(seed, stream, reps, self.coords))
         for r in range(reps):
             yield prepared.halves(_Work(size, self, False), r, r + 1, 0, size)
 
@@ -274,10 +272,10 @@ class Proposal:
 
 
 class _Base:
-    """A pass's base lattice and shifts as the leaves of its sweep read them, and its angle table.
+    """A pass's (coords, 2^k) base lattice and (coords, reps) shifts as its leaves read them, and its angle table.
 
     The base and shifts keep the coordinates that are not angles, in order.
-    Each sweep prepares its own, so levels on two threads share none.
+    Each sweep prepares its own once, so levels on two threads share none.
     """
 
     def __init__(self, proposal: Proposal, base: np.ndarray, shifts: np.ndarray):
@@ -589,46 +587,44 @@ def sweep(
     ratios of nested sets are exact (a subset never collects more weighted
     hits than its superset) and the mean of the constant 1 is exactly 1.
     Columns are reduced one at a time and half-leaf by half-leaf, so
-    temporaries stay one column wide.  With a single antithetic pair the
-    variance is unknown and stderr is inf.
+    temporaries stay one column wide.  Integer tallies (the hits, and each
+    column's capped and undefined on its `_Step`) add up as the leaves run,
+    so a leaf returns only the replicate sums that `_pairwise` adds.  With
+    a single antithetic pair the variance is unknown and stderr is inf.
     """
     reps, size = _replicates(spec.pairs)
     m = reps * size
-    prepared = proposal._prepare(_lattice(proposal.coords, size), _shifts(spec.seed, stream, reps, proposal.coords))
+    prepared = _Base(proposal, _lattice(proposal.coords, size), _shifts(spec.seed, stream, reps, proposal.coords))
     hits = 0
     level = None  # the one value w takes on its support in every half-leaf (see `_Half`)
     sums = np.zeros((len(ratios), 2, reps))  # each ratio's numerator and denominator sum per replicate
-    capped, undefined = [0] * len(ratios), [0] * len(ratios)
     steps = [_Step(col.per_sample) for col in ratios]
     tails = [_Tails(ESS_QUANTILE, m) for _ in ranges]
     work = _Work(min(LEAF_PAIRS, m), proposal, bool(ratios))
 
     def leaf(lo: int, hi: int, start: int, stop: int) -> list:
-        """Pairs start:stop of replicates lo:hi, replicate by replicate."""
-        nonlocal level
+        """Pairs start:stop of replicates lo:hi, replicate by replicate: each ratio's two sums per replicate."""
+        nonlocal hits, level
         shape = (hi - lo, stop - start)
         halves = tuple(_weigh(weight, pts) for pts in prepared.halves(work, lo, hi, start, stop))
         halves = tuple(_gathered(half) if half.hits and (ranges and half.hits < len(half.pts) or
                                                          ratios and half.sparse) else half for half in halves)
         for half in halves:
+            hits += half.hits
             level = _one(level, half.level)
             if ranges and half.hits:
                 _feed_ranges(ranges, tails, half.pts if half.taken is None else half.taken)
-        shares = work.shares(shape[0] * shape[1])
-        return [halves[0].hits + halves[1].hits, *_ratio_sums(ratios, halves, shape, shares, steps)]
+        return _ratio_sums(ratios, halves, shape, work.shares(shape[0] * shape[1]), steps)
 
     with np.errstate(all="ignore"):
         for lo, hi in _leaves(reps, size):
-            hit, *cols = _pairwise(lambda start, stop: leaf(lo, hi, start, stop), 0, size)
-            hits += hit
-            for j in range(len(ratios)):
-                sums[j, :, lo:hi] = cols[4 * j:4 * j + 2]
-                capped[j] += cols[4 * j + 2]
-                undefined[j] += cols[4 * j + 3]
+            cols = _pairwise(lambda start, stop: leaf(lo, hi, start, stop), 0, size)
+            sums[:, :, lo:hi] = np.reshape(cols, (len(ratios), 2, hi - lo))
         return Sweep(
             hits,
-            tuple(_ratio_result(u, d, c, nan, m, hits, step.rounding(u, 2 * m if col.per_sample else hits, level))
-                  for (u, d), c, nan, step, col in zip(sums, capped, undefined, steps, ratios)),
+            tuple(_ratio_result(u, d, step.capped, step.undefined, m, hits,
+                                step.rounding(u, 2 * m if col.per_sample else hits, level))
+                  for (u, d), step, col in zip(sums, steps, ratios)),
             tuple(_range_result(tail, hits) for tail in tails),
         )
 
@@ -763,14 +759,15 @@ def _one(seen: float | None, value: float | None) -> float | None:
 
 
 class _Step:
-    """What a ratio column's samples say about the rounding in its replicate sums.
+    """A ratio column's tallies over a sweep, and what its samples say about the rounding in its replicate sums.
 
-    A column averages v under its weight, or w v over the proposal for a
-    `per_sample` column.  `value` is the one value c that v takes on the
-    points of positive weight of every half-leaf (c = 1 for bool values,
-    which read 0 or 1), NaN once the hits of a half-leaf show more than one
-    or one beyond the cap; a half-leaf without hits shows none.  It is read
-    on the hits alone on every path, gathered or not (see `_values`).  `on`
+    `capped` and `undefined` count its hits dropped as beyond the cap and
+    as NaN.  A column averages v under its weight, or w v over the proposal
+    for a `per_sample` column.  `value` is the one value c that v takes on
+    the points of positive weight of every half-leaf (c = 1 for bool
+    values, which read 0 or 1), NaN once the hits of a half-leaf show more
+    than one or one beyond the cap; a half-leaf without hits shows none.
+    It is read on the hits alone on every path (see `_ratio_terms`).  `on`
     counts the samples on which w v is not 0.  The sweep knows the one
     value a that w takes on its support (a = 1 for a bool mask, NaN if
     more; see `_Half`), the same for all of its columns.  Where a and c both
@@ -782,7 +779,7 @@ class _Step:
     def __init__(self, per_sample: bool):
         self.per_sample = per_sample
         self.value: float | None = None
-        self.on = 0
+        self.on = self.capped = self.undefined = 0
 
     def add(self, value: float | None, wv: np.ndarray | int) -> None:
         """Add a half-leaf's one value on its hits (None without hits) and its w v, or its count of nonzero w v."""
@@ -826,10 +823,11 @@ def _values(col: Ratio, half: _Half) -> _Values | None:
     A sparse half-leaf (see `_Half.sparse`) hands the callable its points
     of positive weight, the gathered block, and scatters the values into
     zeros of the half-leaf's size; the values on its hits are then the
-    callable's own.  A denser one hands it the half-leaf itself, and its
-    values on the hits are v where w is positive (None here).  A half-leaf
-    without hits calls nothing and has no values: None.  w is zero off the
-    hits, so w v is the same either way, up to the sign of a zero.
+    callable's own.  A denser one hands it the half-leaf itself: where
+    every point hits, the values on the hits are v itself, and otherwise
+    they are not formed (None).  A half-leaf without hits calls nothing and
+    has no values: None.  w is zero off the hits, so w v is the same either
+    way, up to the sign of a zero.
     """
     if not half.hits:
         return None
@@ -837,53 +835,45 @@ def _values(col: Ratio, half: _Half) -> _Values | None:
     v = np.asarray(col.values(half.taken if sparse else half.pts))
     v = v if v.dtype == bool else v.astype(float, copy=False)
     if not sparse:
-        return v, None
+        return v, v if half.hits == len(v) else None
     scattered = np.zeros(len(half.pts), dtype=v.dtype)
     scattered[half.index] = v
     return scattered, v
 
 
-def _on_hits(values: _Values, half: _Half, lo, hi, cap: float) -> float:
-    """The one value that values take on the half-leaf's hits, 1 for bool ones; NaN if more, or one beyond cap.
-
-    lo and hi are the least and greatest values on the whole half-leaf.
-    """
-    v, hit = values
-    if v.dtype == bool:
-        return 1.0
-    if hit is not None:
-        lo, hi = hit.min(), hit.max()
-    elif not lo == hi and half.hits < len(v):
-        lo, hi = np.min(v, where=half.active, initial=np.inf), np.max(v, where=half.active, initial=-np.inf)
-    return float(lo) if lo == hi and -cap <= lo <= cap else math.nan
-
-
 def _ratio_terms(col: Ratio, half: _Half, values: _Values | None, share: np.ndarray, dshare: np.ndarray,
-                 step: _Step) -> tuple[np.ndarray, np.ndarray | None, int, int]:
-    """A half-leaf's shares of the pair averages u (0.5 w v) and d, and its capped and undefined counts, for its values.
+                 step: _Step) -> tuple[np.ndarray, np.ndarray | None]:
+    """A half-leaf's shares of the pair averages u (0.5 w v) and d for its values, adding its tallies to `step`.
 
     A ratio column caps at MAGNITUDE_CAP; a `per_sample` one at the largest
-    float, so it drops only non-finite values.  When every value lies within
-    the cap nothing is masked, since w is already zero off the hits; the
-    share of d is then None, standing for 0.5 w (or 0.5 for a `per_sample`
-    column).  Values beyond the cap off the hits are masked out all the
-    same.  A half-leaf without values has a share of u of 0.  The shares
-    are written into `share` and `dshare`, and w v and the one value on the
-    hits are added to the column's `step`, which needs that value no more
-    once it is NaN.
+    float, so it drops only non-finite values.  The least and greatest
+    values, read once on the values of the hits where `_values` has them
+    (a scatter is 0 off the hits, within any cap), else on the whole
+    half-leaf, decide both the mask and the one value on the hits; only a
+    dense, partly hit half-leaf whose two differ reads the hits again,
+    masked, for that value, unless the column's is NaN already.  When every
+    value lies within the cap nothing is masked, since w is already zero
+    off the hits; the share of d is then None, standing for 0.5 w (or 0.5
+    for a `per_sample` column).  Values beyond the cap off the hits are
+    masked out all the same.  A half-leaf without values has a share of u
+    of 0.  The shares are written into `share` and `dshare`; w v, the one
+    value on the hits and the dropped hits go to the column's `step`.
     """
     if values is None:
         share.fill(0.0)
-        return share, None, 0, 0
-    v = values[0]
+        return share, None
+    v, hit = values
     cap = _FLOAT_MAX if col.per_sample else MAGNITUDE_CAP
     np.multiply(half.w, v, dtype=float, out=share)
-    lo, hi = v.min(), v.max()
-    one = _on_hits(values, half, lo, hi, cap) if step.value == step.value else math.nan
+    seen = v if hit is None else hit
+    lo, hi = least, most = seen.min(), seen.max()
+    if hit is None and not lo == hi and v.dtype != bool and step.value == step.value:  # dense, partly hit
+        least, most = np.min(v, where=half.active, initial=np.inf), np.max(v, where=half.active, initial=-np.inf)
+    one = 1.0 if v.dtype == bool else float(least) if least == most and -cap <= least <= cap else math.nan
     if lo >= -cap and hi <= cap:  # no NaN passes
         step.add(one, share)
         share *= 0.5
-        return share, None, 0, 0
+        return share, None
     bad = half.active & (~np.isfinite(v) | (np.abs(v) > cap))
     keep = half.active & ~bad
     np.copyto(share, 0.0, where=~keep)
@@ -896,7 +886,9 @@ def _ratio_terms(col: Ratio, half: _Half, values: _Values | None, share: np.ndar
         np.copyto(dshare, half.w, where=keep)
         dshare *= 0.5
     undefined = int(np.count_nonzero(half.active & np.isnan(v)))
-    return share, dshare, int(np.count_nonzero(bad)) - undefined, undefined
+    step.capped += int(np.count_nonzero(bad)) - undefined
+    step.undefined += undefined
+    return share, dshare
 
 
 def _unmasked(half: _Half, per_sample: bool, out: np.ndarray) -> np.ndarray:
@@ -932,7 +924,7 @@ def _count(flags: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
 
 def _ratio_sums(ratios: Sequence[Ratio], halves: tuple[_Half, _Half], shape: tuple[int, int],
                 shares: list[np.ndarray], steps: list[_Step]) -> list:
-    """The numerator and denominator sums per replicate and the capped and undefined counts of every ratio column.
+    """The numerator and denominator sums per replicate of every ratio column, which `_pairwise` adds.
 
     The pairs are replicates as `_by_replicate` reads them.  u
     (numerator) and d (denominator) are the pair averages.  Capped and
@@ -976,10 +968,10 @@ def _ratio_sums(ratios: Sequence[Ratio], halves: tuple[_Half, _Half], shape: tup
                 if v is not None:
                     counts += _count(np.logical_and(half.w, v[0], out=shares[4]), shape)
             step.add(None if va is None and vb is None else 1.0, int(counts.sum()))
-            out += [0.5 * counts, unmasked(col.per_sample), 0, 0]
+            out += [0.5 * counts, unmasked(col.per_sample)]
             continue
-        u, da, capped_a, undefined_a = _ratio_terms(col, halves[0], va, shares[0], shares[1], step)
-        ub, db, capped_b, undefined_b = _ratio_terms(col, halves[1], vb, shares[2], shares[3], step)
+        u, da = _ratio_terms(col, halves[0], va, shares[0], shares[1], step)
+        ub, db = _ratio_terms(col, halves[1], vb, shares[2], shares[3], step)
         u += ub
         if da is None and db is None:
             sd = unmasked(col.per_sample)
@@ -987,7 +979,7 @@ def _ratio_sums(ratios: Sequence[Ratio], halves: tuple[_Half, _Half], shape: tup
             da = _unmasked(halves[0], col.per_sample, shares[1]) if da is None else da
             da += _unmasked(halves[1], col.per_sample, shares[3]) if db is None else db
             sd = _by_replicate(da, shape)
-        out += [_by_replicate(u, shape), sd, capped_a + capped_b, undefined_a + undefined_b]
+        out += [_by_replicate(u, shape), sd]
     return out
 
 

@@ -174,6 +174,33 @@ def test_a_failing_task_leaves_the_batch_and_a_strict_json_report(tmp_path):
     assert cosint["status"] == "ok" and cosint["csv"] == ["cosint.csv"] and (out / "cosint.csv").exists()
 
 
+def test_a_gauss_check_that_drops_samples_is_unintegrable(tmp_path):
+    # a divergence that is NaN on all of the disk once read ok, with a volume
+    # integral of 0 and a residual equal to the flux; on the square every
+    # sample of the box is dropped, so mc_integral has nothing to average
+    cfg = json.loads(config_with([
+        {"task": "gauss_check", "name": "disk", "phi": ["xfield", "yfield"], "surface": "disk", "div": "void",
+         "nodes": 512},
+        {"task": "gauss_check", "name": "square", "phi": ["xfield", "yfield"], "surface": "square", "div": "void"},
+        {"task": "gauss_check", "name": "smooth", "phi": ["xfield", "yfield"], "surface": "disk", "div": "two",
+         "nodes": 512},
+    ]))
+    cfg["integrands"]["void"] = "log(x1 - 5)"
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    disk, square, smooth = json.loads((tmp_path / "out" / "report.json").read_text())["tasks"]
+    for task in (disk, square):
+        assert task["status"] == "error"
+        assert task["error"] == {"type": "Unintegrable", "message": "integrand undefined (NaN) in the region"}
+        volume = task["result"]["volume_integral"]
+        assert volume["undefined"] == volume["hits"] > 0 and volume["capped"] == 0
+        assert volume["value"] == 0.0 and task["result"]["residual"] == task["result"]["flux"]
+    assert square["result"]["volume_integral"]["hits"] == square["result"]["volume_integral"]["n"]
+    assert smooth["status"] == "ok" and "error" not in smooth
+    assert smooth["result"]["volume_integral"]["undefined"] == 0 and smooth["result"]["residual"] < 0.05
+
+
 def test_report_echoes_resolved_config(tmp_path):
     cfg = parse_config(config_with([DENSITY_TASK]))
     run(cfg, tmp_path)

@@ -30,6 +30,7 @@ from puremeasure.density_engine import (
 from puremeasure.geometry import (
     Ball,
     Box,
+    Complement,
     Cone,
     Cusp,
     Halfspace,
@@ -734,6 +735,41 @@ def test_a_ball_inside_the_domain_only_by_rounding_is_not_inside():
                                                      tuple(c + radius for c in center)))
     assert density_engine._inside(Shell((1e6, 0.0), 0.0, 0.999), Ball((1e6, 0.0), 1.0))
     assert not density_engine._inside(Shell((0.0, 0.0), 0.0, 0.5), Halfspace((1.0, 0.0), 1.0))
+    # only an exact Omega with a finite bounding box is asked, though each
+    # of these holds the ball: a pseudo-distance (the cusp, an intersection)
+    # or an unbounded Omega (a cone, the outside of a disk) never skips its
+    # test
+    for center, omega in (((0.5, 0.0), Cusp(1.0)),
+                          ((0.25, 0.0), Intersection((DISK, Ball((0.5, 0.0), 1.0)))),
+                          ((1.0, 0.0), Cone((0.0, 0.0), (1.0, 0.0), 0.5)),
+                          ((5.0, 0.0), Complement(DISK))):
+        shell = Shell(center, 0.0, 0.01)
+        assert omega.contains(np.array([[center[0] + x, center[1] + y] for x, y in
+                                        ((0.01, 0.0), (-0.01, 0.0), (0.0, 0.01), (0.0, -0.01))])).all()
+        assert not density_engine._inside(shell, omega), omega
+
+
+# the three kinds of level that a weight meets: a 1-D point in an interval
+# and a ball inside the disk run no membership test, and a box level runs both
+SCALAR_WEIGHT_LEVELS = {
+    "point_1d": (ORIGIN1, OMEGA1, DeltaSchedule(0.5, 4), AxisBox),
+    "ball_in_disk": (ORIGIN2, DISK, DeltaSchedule(0.5, 4), Shell),
+    "box": (PointFeature((0.5, 0.5)), Box((0.0, 0.0), (1.0, 1.0)), DeltaSchedule(2.0, 3), AxisBox),
+}
+
+
+@pytest.mark.parametrize("level", SCALAR_WEIGHT_LEVELS, ids=list(SCALAR_WEIGHT_LEVELS))
+def test_a_scalar_weight_weighs_every_point(level):
+    # a weight that returns one number for a block weighs every point by it,
+    # bit for bit as the same number repeated for each point does
+    feature, omega, schedule, kind = SCALAR_WEIGHT_LEVELS[level]
+    assert {type(_level_proposal(feature, omega, delta)) for delta in schedule.deltas()[:2]} == {kind}
+    spec = SampleSpec(n=20_000, seed=1)
+    fn = lambda p: p[:, 0] ** 2
+    scalar = sharp_integral(fn, feature, omega, schedule, spec, weight=lambda p: 2.0)
+    full = sharp_integral(fn, feature, omega, schedule, spec, weight=lambda p: np.full(len(p), 2.0))
+    assert repr(scalar) == repr(full)
+    assert all(row.hits > 2 and row.value > 0 for row in scalar.series)
 
 
 def _tested_weight(feature, omega, delta, weight=None):

@@ -26,6 +26,7 @@ from puremeasure.quadrature import (
     Shell,
     Sweep,
     UnboundedRegion,
+    _Base,
     _Work,
     _lattice,
     _pairwise,
@@ -425,7 +426,7 @@ def test_a_folded_radius_of_one_maps_onto_the_outer_sphere(dim):
     shell = Shell(np.full(dim, 0.5), 0.6, 1.5)
     u = np.full((shell.coords, 4), 0.25)
     u[0] = [0.5, 0.0, 0.75, 0.25]
-    a, b = shell._prepare(u, np.zeros((shell.coords, 1))).halves(_Work(4, shell, False), 0, 1, 0, 4)
+    a, b = _Base(shell, u, np.zeros((shell.coords, 1))).halves(_Work(4, shell, False), 0, 1, 0, 4)
     r = np.linalg.norm(a - shell.center, axis=1)
     assert np.all(np.isfinite(a)) and np.allclose(a + b, 2 * shell.center, rtol=0, atol=1e-15)
     assert r[0] == pytest.approx(1.5, rel=1e-15)
