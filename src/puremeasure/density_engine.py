@@ -25,19 +25,28 @@ membership test) runs on a helper thread, possibly while another level
 calls it on the other one: it must be thread-safe.  Each level runs under
 the caller's numpy error state.
 
-A level samples F_delta ∩ Omega from one of two covers, whichever is
-smaller: the feature's box inflated by delta and clipped to Omega's, or
-the feature's own neighbourhood (a ball around a point in 2 or more
-dimensions, folded onto Omega's side of every face of an axis box Omega
-that the point lies on, a shell around a sphere, only its inner half when
-the sphere bounds Omega, an oriented box around a segment).  On the ball a
-cone's membership depends on the direction coordinates alone, so every
-replicate, a whole lattice, reads a sector's angular fraction to within
-one hit.  A level runs no membership test that its cover decides: a ball
-or shell lies inside F_delta, so its points are tested against Omega
-alone, and not at all when it lies inside a ball or box Omega; a 1-D
-point's clipped box in an interval Omega is F_delta ∩ Omega itself, so
-its points are not tested.
+A level samples one cover of F_delta ∩ Omega and runs exactly the
+membership tests that the cover does not decide.  `_level_cover` decides
+both, and a new cover is one more candidate there.  The clipped box (the
+feature's bbox grown by delta, cut to Omega's) comes first; the feature's
+own cover replaces it only where its volume is strictly smaller:
+
+    cover                                   volume                         guarantee               tests
+    clipped box                             its own                        covers F_delta ∩ Omega  F_delta, Omega
+      of a 1-D point in a `Box` Omega       at most 2 delta                is F_delta ∩ Omega      none
+    ball around a point in d >= 2           the d-ball's                   inside F_delta          Omega
+      folded on k faces of a `Box` Omega    the ball's / 2^k               inside F_delta          Omega
+    shell around a sphere of radius r       ball(r+delta) - ball(r-delta)  inside F_delta          Omega
+      inner half, where Omega is its ball   ball(r) - ball(r-delta)        inside F_delta          Omega
+    ball or shell inside Omega (`_inside`)  as above                       inside F_delta, Omega   none
+    oriented box, segment of length L       (L+2 delta) (2 delta)^(d-1)    covers F_delta          F_delta, Omega
+
+A 1-D point's ball would be the interval its box already is.  A ball folds
+onto Omega's side of each face of an axis `Box` Omega that its point lies
+exactly on: a convex Omega lies in each face's halfspace, so the folded
+ball still covers F_delta ∩ Omega.  On the ball a cone's membership
+depends on the direction coordinates alone, so every replicate, a whole
+lattice, reads a sector's angular fraction to within one hit.
 """
 
 from __future__ import annotations
@@ -45,7 +54,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -228,66 +237,53 @@ def _level_bbox(feature: Feature, omega: Region, delta: float) -> Bbox:
     return bbox
 
 
-def _feature_proposal(feature: Feature, omega: Region, delta: float) -> Proposal | None:
-    """A cover of F_delta ∩ Omega of the feature's own shape, where the feature has one.
+class _Cover(NamedTuple):
+    """What a level samples, and the membership tests that its proposal does not decide."""
 
-    Around a sphere that bounds Omega itself, only the inner half of the
-    shell can meet Omega, so only that half is sampled.  A point exactly on
-    faces of an axis box Omega samples its ball folded onto Omega's side of
-    each of them: a convex Omega lies in each face's halfspace, so the
-    folded ball still covers F_delta ∩ Omega.  A 1-D point has none: its
-    ball is the interval its box already is, and the ball's folded radius
-    coordinate would only make it a worse rule.  Every shell built here
-    lies inside F_delta.
-    """
+    proposal: Proposal
+    tests: tuple[Callable, ...]
+
+
+def _level_cover(feature: Feature, omega: Region, delta: float) -> _Cover:
+    """The level's cover of F_delta ∩ Omega and the tests it runs, as the module docstring's table says."""
+    box = AxisBox(_level_bbox(feature, omega, delta))
+    both = (Neighborhood(feature, delta).contains, omega.contains)
+    if isinstance(feature, PointFeature) and feature.dim == 1:
+        return _Cover(box, () if isinstance(omega, Box) else both)
     if isinstance(feature, PointFeature):
-        return Shell(feature.point, 0.0, delta, _faces(feature.point, omega)) if feature.dim > 1 else None
-    if isinstance(feature, RegionBoundary) and isinstance(feature.region, Ball):
+        own = Shell(feature.point, 0.0, delta, _faces(feature.point, omega))
+    elif isinstance(feature, RegionBoundary) and isinstance(feature.region, Ball):
         sphere = feature.region
         outer = sphere.radius if omega == sphere else sphere.radius + delta
-        return Shell(sphere.center, max(sphere.radius - delta, 0.0), outer)
-    if isinstance(feature, SegmentFeature) and feature.a != feature.b:
-        return OrientedBox.around_segment(feature.a, feature.b, delta)
-    return None
+        own = Shell(sphere.center, max(sphere.radius - delta, 0.0), outer)
+    elif isinstance(feature, SegmentFeature) and feature.a != feature.b:
+        slab = OrientedBox.around_segment(feature.a, feature.b, delta)
+        return _Cover(slab if slab.volume < box.volume else box, both)
+    else:
+        return _Cover(box, both)
+    if not own.volume < box.volume:
+        return _Cover(box, both)
+    return _Cover(own, () if _inside(own, omega) else (omega.contains,))
 
 
-def _faces(point: Sequence[float], omega: Region) -> tuple[tuple[int, int], ...]:
-    """The faces of an axis box Omega that the point lies exactly on, as (axis, inward sign); none for other Omegas."""
+def _faces(point: Sequence[float], omega: Region, tol: float = 0.0) -> tuple[tuple[int, int], ...]:
+    """The faces of an axis box Omega within tol of the point, as (axis, inward sign); none for other Omegas."""
     if not isinstance(omega, Box):
         return ()
-    return tuple((k, 1 if c == lo else -1) for k, (c, lo, hi) in enumerate(zip(point, omega.lo, omega.hi))
-                 if c in (lo, hi))
+    near = lambda c, face: abs(c - face) <= tol
+    return tuple((k, 1 if near(c, lo) else -1) for k, (c, lo, hi) in enumerate(zip(point, omega.lo, omega.hi))
+                 if near(c, lo) or near(c, hi))
 
 
-def _level_proposal(feature: Feature, omega: Region, delta: float) -> Proposal:
-    """The feature's own proposal when its volume is below the clipped box's, else the box."""
-    box = AxisBox(_level_bbox(feature, omega, delta))
-    own = _feature_proposal(feature, omega, delta)
-    return own if own is not None and own.volume < box.volume else box
+def _reference_weight(tests: Sequence[Callable], weight: Callable | None) -> Callable:
+    """The level's weight on its cover's points: `weight` (or 1) where each of `tests` holds, 0 elsewhere.
 
-
-def _reference_weight(feature: Feature, omega: Region, delta: float, proposal: Proposal,
-                      weight: Callable | None) -> Callable:
-    """The level's weight on the proposal's points: `weight` (or 1) on F_delta ∩ Omega, 0 elsewhere.
-
-    A level runs no membership test that its cover decides.  A 1-D point's
-    level samples the clipped box, which in an interval Omega (an axis
-    `Box`) is F_delta ∩ Omega itself: it tests nothing.  Every shell that
-    `_feature_proposal` builds lies inside F_delta, so the points of a
-    shell level are tested against Omega alone, and not even against Omega
-    where the shell lies inside it (`_inside`).  Every other level, box or
-    oriented box, tests both.  A point of the box exactly on its rim, which
-    the strict tests leave out, then counts: it is drawn about once in 1e12
-    samples, as the folded ball's rim points are.  Tested or not, the
-    weight is one value per point: a `weight` that returns one number for a
-    block weighs every point by it.
+    A point of a box exactly on its rim, which the strict tests leave out,
+    counts where they are skipped: it is drawn about once in 1e12 samples, as
+    the folded ball's rim points are.  Tested or not, the weight is one
+    value per point: a `weight` that returns one number for a block weighs
+    every point by it.
     """
-    if isinstance(proposal, Shell):
-        tests = () if _inside(proposal, omega) else (omega.contains,)
-    elif isinstance(feature, PointFeature) and feature.dim == 1 and isinstance(omega, Box):
-        tests = ()
-    else:
-        tests = (Neighborhood(feature, delta).contains, omega.contains)
 
     def w(pts):
         mask = None
@@ -324,9 +320,9 @@ def _inside(shell: Shell, omega: Region) -> bool:
 def _level_pass(feature: Feature, omega: Region, delta: float, spec: SampleSpec, stream: int,
                 columns: Columns, weight: Callable | None = None) -> Sweep:
     """One kernel pass over F_delta ∩ Omega feeding every column of the level."""
-    proposal = _level_proposal(feature, omega, delta)
-    ratios, ranges = columns(delta, proposal)
-    result = sweep(_reference_weight(feature, omega, delta, proposal, weight), proposal, spec, stream, ratios, ranges)
+    cover = _level_cover(feature, omega, delta)
+    ratios, ranges = columns(delta, cover.proposal)
+    result = sweep(_reference_weight(cover.tests, weight), cover.proposal, spec, stream, ratios, ranges)
     if result.hits == 0:
         raise VanishingReference(f"no reference mass at delta={delta}")
     return result

@@ -1120,13 +1120,17 @@ def mc_volume(region: Region, spec: SampleSpec) -> Estimate:
 
 
 def mc_integral(f: Callable, region: Region, spec: SampleSpec) -> Estimate:
-    """Volume-weighted mean estimate of the integral of f over the region."""
+    """Volume-weighted mean estimate of the integral of f over the region.
+
+    Value and stderr are NaN when the region has hits and f is dropped on
+    every one of them; an empty region integrates to 0.
+    """
     box = _resolve_box(region)
     if box.volume == 0.0:
         return Estimate(0.0, 0.0, 0, _samples(spec))
     r = sweep(region.contains, box, spec, ratios=[Ratio(f, per_sample=True)]).ratios[0]
-    if r.capped + r.undefined == r.n:  # every sample dropped: nothing to average
-        return replace(r, value=0.0, stderr=0.0)
+    if r.hits and r.capped + r.undefined == r.hits:  # every hit dropped: nothing to average
+        return replace(r, value=math.nan, stderr=math.nan)
     return replace(r, value=box.volume * r.value, stderr=box.volume * r.stderr)
 
 

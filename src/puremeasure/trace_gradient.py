@@ -23,6 +23,7 @@ from .density_engine import (
     Interval,
     ProbeResult,
     _action_profiles,
+    _faces,
     sharp_integral,
 )
 from .geometry import Box, PointFeature, Region, as_points
@@ -162,8 +163,10 @@ def boundary_point(omega: Region, point: Sequence[float]) -> tuple[float, ...]:
         raise NotOnBoundary(f"point is {gap:g} away from the boundary (tol {BOUNDARY_TOL:g})")
     if not isinstance(omega, Box):
         return tuple(pts[0])
-    return tuple(lo if abs(c - lo) <= BOUNDARY_TOL else hi if abs(c - hi) <= BOUNDARY_TOL else c
-                 for c, lo, hi in zip(pts[0].tolist(), omega.lo, omega.hi))
+    snapped = pts[0].tolist()
+    for k, inward in _faces(snapped, omega, BOUNDARY_TOL):
+        snapped[k] = omega.lo[k] if inward > 0 else omega.hi[k]
+    return tuple(snapped)
 
 
 def density_gradient(

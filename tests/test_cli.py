@@ -176,8 +176,8 @@ def test_a_failing_task_leaves_the_batch_and_a_strict_json_report(tmp_path):
 
 def test_a_gauss_check_that_drops_samples_is_unintegrable(tmp_path):
     # a divergence that is NaN on all of the disk once read ok, with a volume
-    # integral of 0 and a residual equal to the flux; on the square every
-    # sample of the box is dropped, so mc_integral has nothing to average
+    # integral of 0 and a residual equal to the flux; on the disk and on the
+    # square every hit is dropped, so mc_integral has nothing to average
     cfg = json.loads(config_with([
         {"task": "gauss_check", "name": "disk", "phi": ["xfield", "yfield"], "surface": "disk", "div": "void",
          "nodes": 512},
@@ -195,7 +195,7 @@ def test_a_gauss_check_that_drops_samples_is_unintegrable(tmp_path):
         assert task["error"] == {"type": "Unintegrable", "message": "integrand undefined (NaN) in the region"}
         volume = task["result"]["volume_integral"]
         assert volume["undefined"] == volume["hits"] > 0 and volume["capped"] == 0
-        assert volume["value"] == 0.0 and task["result"]["residual"] == task["result"]["flux"]
+        assert volume["value"] == volume["stderr"] == task["result"]["residual"] == "nan"
     assert square["result"]["volume_integral"]["hits"] == square["result"]["volume_integral"]["n"]
     assert smooth["status"] == "ok" and "error" not in smooth
     assert smooth["result"]["volume_integral"]["undefined"] == 0 and smooth["result"]["residual"] < 0.05

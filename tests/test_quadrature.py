@@ -123,6 +123,16 @@ def test_integral_counts_nonfinite():
     assert np.isfinite(est.value)
 
 
+@pytest.mark.parametrize("region", [DISK, Box((0.0, 0.0), (1.0, 1.0))], ids=["disk", "square"])
+def test_an_integral_that_drops_every_hit_is_nan(region):
+    # log(x1 - 5) is NaN on all of the region: nothing is left to average,
+    # which once read an exact-looking 0 +- 0 (on the disk its misses kept
+    # the per-sample denominator positive)
+    est = mc_integral(lambda p: np.log(p[:, 0] - 5.0), region, SampleSpec(n=20_000, seed=0))
+    assert est.hits > 0 and est.undefined == est.hits and est.capped == 0
+    assert math.isnan(est.value) and math.isnan(est.stderr)
+
+
 def test_overflowing_column_reads_infinite_stderr():
     # every value is finite and within the per-sample cap, but the replicate sums
     # overflow: the variance is unknown, so stderr is inf, and nothing warns
