@@ -14,16 +14,9 @@ replicates shifted from Philox stream k at level k) that feeds every
 functional evaluated there: ratios, sharp
 integrals, essential ranges and the volume of F_delta ∩ Omega.  Numerator
 and denominator of every ratio share that stream, which makes normalization
-and set monotonicity exact rather than statistical.  Since each level reads
-only its own stream, a profile in 3 or more dimensions runs its levels on
-min(2, CPUs) helper threads, with the same results as one level after
-another; in 1 and 2 dimensions a leaf's numpy calls are too short to pay
-for handing the interpreter lock between two threads, so the levels run one
-after another on the calling thread.  So in 3 or more dimensions every
-callable a profile evaluates (an integrand, a weight, a field, a region's
-membership test) runs on a helper thread, possibly while another level
-calls it on the other one: it must be thread-safe.  Each level runs under
-the caller's numpy error state.
+and set monotonicity exact rather than statistical.  Each level reads only
+its own stream, and the levels run one after another on the calling
+thread.
 
 A level samples one cover of F_delta ∩ Omega and runs exactly the
 membership tests that the cover does not decide.  `_level_cover` decides
@@ -52,7 +45,6 @@ lattice, reads a sector's angular fraction to within one hit.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
@@ -93,7 +85,9 @@ from .quadrature import (
 
 DEFAULT_TOL = 0.02
 DEFAULT_COUNT = 12
-MAX_LEVELS = 1024  # a profile queues all of its levels at once
+# `count` is read from a config, `deltas()` lists every level and each level is
+# a full pass; from 1075 halvings on, a delta0 <= 1 gives delta 0.0 (0.5**1075 == 0.0)
+MAX_LEVELS = 1024
 
 CONVERGED = "converged"
 OSCILLATING = "oscillating"
@@ -330,49 +324,9 @@ def _level_pass(feature: Feature, omega: Region, delta: float, spec: SampleSpec,
 
 def _profile(feature: Feature, omega: Region, schedule: DeltaSchedule, spec: SampleSpec,
              columns: Columns, weight: Callable | None = None) -> list[tuple[float, Sweep]]:
-    """One pass per level along the schedule, level k drawn from stream k."""
-    deltas = schedule.deltas()
-    run = lambda k: _level_pass(feature, omega, deltas[k], spec, k, columns, weight)
-    return list(zip(deltas, _in_level_order(run, len(deltas), omega.dim)))
-
-
-def _in_level_order(run: Callable[[int], Sweep], count: int, dim: int) -> list[Sweep]:
-    """[run(k) for k in range(count)], on min(2, CPUs) helper threads in 3 or more dimensions.
-
-    Below 3 dimensions, or on one CPU, the levels run one after another on
-    the calling thread.  A 1-D or 2-D leaf's numpy calls cover at most
-    2 x 16,384 values, too few to outweigh handing the interpreter lock
-    between two threads.  On a 2-core VM the pool took 1.3x the serial CPU
-    time of the benchmark's point probes and was slower on 12 of their 15
-    1-D and 2-D ops (density_at_zero 0.088 s against 0.054 s serial), while
-    it won on all four 3-D and 8-D ops (segment_3d 0.138 s against 0.173 s,
-    origin_8d 0.287 s against 0.451 s).  On the pool the results are read
-    back in level order, so the exception raised is the earliest failing
-    level's, and levels not yet started are cancelled.  Each level draws
-    from its own stream, so the results are the same bits whichever thread
-    runs it, and each runs under the caller's numpy error state, which a
-    new thread would not inherit.
-    """
-    if dim < 3 or _cpus() < 2:
-        return [run(k) for k in range(count)]
-    from concurrent.futures import ThreadPoolExecutor  # ~8 ms to import: only once a profile needs it
-
-    errors = np.geterr()
-
-    def level(k: int) -> Sweep:
-        with np.errstate(**errors):
-            return run(k)
-
-    with ThreadPoolExecutor(2, thread_name_prefix="puremeasure-level") as pool:
-        return list(pool.map(level, range(count)))
-
-
-def _cpus() -> int:
-    """The CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # not on every platform
-        return os.cpu_count() or 1
+    """One pass per level along the schedule, level k drawn from stream k, one level after another."""
+    return [(delta, _level_pass(feature, omega, delta, spec, k, columns, weight))
+            for k, delta in enumerate(schedule.deltas())]
 
 
 def _memberships(regions: Sequence[Region]) -> Columns:
@@ -412,11 +366,7 @@ def density_probe(
     weight: Callable | None = None,
     tol: float = DEFAULT_TOL,
 ) -> ProbeResult:
-    """Density ratio profile over the schedule plus its limit estimate.
-
-    In 3 or more dimensions `weight` must be thread-safe: it runs on helper
-    threads, two levels at a time.
-    """
+    """Density ratio profile over the schedule plus its limit estimate."""
     return _ratio_probe(_profile(feature, omega, schedule, spec, _memberships([a]), weight), 0, tol)
 
 
@@ -438,8 +388,6 @@ def sharp_integral(
     (integration against a density measure is then meaningless even if the
     symmetric mean profile happens to settle), and each row counts its
     causes apart.
-    In 3 or more dimensions `fn` and `weight` must be thread-safe: they run
-    on helper threads, two levels at a time.
     """
     columns = (Ratio(fn),)
     levels = _profile(feature, omega, schedule, spec, lambda delta, proposal: (columns, ()), weight)
@@ -477,8 +425,7 @@ def action_profile(
     The essential supremum over F_delta ∩ Omega is nondecreasing in delta, so
     the upper envelope is the running minimum over shrinking deltas (and the
     lower envelope the running maximum); the envelopes at the smallest delta
-    estimate the action interval.  In 3 or more dimensions `fn` must be
-    thread-safe: it runs on helper threads, two levels at a time.
+    estimate the action interval.
     """
     column = Range(fn)
     return _action_profiles(lambda delta: [column], feature, omega, schedule, spec, tol)[0]
@@ -519,10 +466,7 @@ def action_interval(
     spec: SampleSpec,
     tol: float = DEFAULT_TOL,
 ) -> Interval:
-    """[lim ess inf, lim ess sup] of fn near the feature (quantile surrogate).
-
-    In 3 or more dimensions `fn` must be thread-safe, as in `action_profile`.
-    """
+    """[lim ess inf, lim ess sup] of fn near the feature (quantile surrogate)."""
     return action_profile(fn, feature, omega, schedule, spec, tol).interval
 
 

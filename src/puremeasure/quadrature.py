@@ -17,10 +17,7 @@ Each replicate's estimate is unbiased, the replicates are independent, and
 the spread of the replicate sums is the unit of the variance estimate, scaled
 by Student's t at the replicates' degrees of freedom.  The shifts of a pass
 come from the counter-based Philox generator on the stream (seed, stream), so
-identical specs give bit-identical estimates, and streams can be evaluated
-concurrently and combined in order without changing the result: in 3 or
-more dimensions the density engine runs two of its levels, each on its own
-stream, at a time.
+identical specs give bit-identical estimates, and streams are independent.
 The pairing makes estimates of odd integrands about the centre vanish
 identically instead of merely on average (on a proposal without folds),
 which the density engine relies on for its cancellation fixtures.
@@ -275,7 +272,7 @@ class _Base:
     """A pass's (coords, 2^k) base lattice and (coords, reps) shifts as its leaves read them, and its angle table.
 
     The base and shifts keep the coordinates that are not angles, in order.
-    Each sweep prepares its own once, so levels on two threads share none.
+    Each sweep prepares its own once.
     """
 
     def __init__(self, proposal: Proposal, base: np.ndarray, shifts: np.ndarray):

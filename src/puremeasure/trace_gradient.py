@@ -144,8 +144,7 @@ def boundary_trace(
     """Trace of u at a boundary point: means over shrinking half-balls in Omega.
 
     For trace-admissible u the converged limit is the boundary value; at jump
-    points the mean of the one-sided values is obtained.  In 3 or more
-    dimensions `u` must be thread-safe, as in `sharp_integral`.
+    points the mean of the one-sided values is obtained.
     """
     return sharp_integral(u, PointFeature(boundary_point(omega, point)), omega, schedule, spec, tol=tol)
 
@@ -183,8 +182,7 @@ def density_gradient(
     `grad` is an analytic gradient field (points -> (N, n) array); otherwise
     `field` supplies function values differentiated at the probing scale.
     All coordinates come from one pass per level and one gradient
-    evaluation per sample.  In 3 or more dimensions `field` and `grad`
-    must be thread-safe: they run on helper threads, two levels at a time.
+    evaluation per sample.
     """
     if grad is not None:  # the report reads gradients only, so an analytic one replaces the field
         field = ScalarField(grad=grad)
@@ -275,8 +273,7 @@ def calculus_rule_check(
     product: grad(f1 * f2) box  must lie in  f1(x) * box(f2) + f2(x) * box(f1)
     widened by tol per coordinate.  The three boxes come from one pass per
     level, with each factor's gradient evaluated once per sample, and equal
-    the boxes of separate `density_gradient` calls.  In 3 or more
-    dimensions both fields must be thread-safe, as in `density_gradient`.
+    the boxes of separate `density_gradient` calls.
     """
     if rule not in ("sum", "product"):
         raise ValueError(f"unknown rule {rule!r}")

@@ -14,7 +14,6 @@ from puremeasure.density_engine import (
     LevelEstimate,
     TooShort,
     VanishingReference,
-    _in_level_order,
     _level_pass,
     _level_cover,
     action_interval,
@@ -466,18 +465,28 @@ def test_action_empty_neighbourhood_vanishing_reference():
         action_profile(lambda p: p[:, 0], *args)
 
 
-# ------------------------------------- levels two at a time in 3-D and up
+# ------------------------------------------- levels one after another
 
-def _serial_profile(feature, omega, schedule, spec, columns, weight=None):
-    """The per-level loop run on the calling thread alone, one level after another."""
-    return [(delta, _level_pass(feature, omega, delta, spec, k, columns, weight))
-            for k, delta in enumerate(schedule.deltas())]
+def _last_level_first(feature, omega, schedule, spec, columns, weight=None):
+    """The per-level loop run from the last level to the first, returned in level order."""
+    levels = list(enumerate(schedule.deltas()))[::-1]
+    return [(delta, _level_pass(feature, omega, delta, spec, k, columns, weight)) for k, delta in levels][::-1]
+
+
+def _each_level_twice(feature, omega, schedule, spec, columns, weight=None):
+    """The per-level loop running every level twice in a row and keeping the second pass."""
+    def twice(k, delta):
+        _level_pass(feature, omega, delta, spec, k, columns, weight)
+        return _level_pass(feature, omega, delta, spec, k, columns, weight)
+    return [(delta, twice(k, delta)) for k, delta in enumerate(schedule.deltas())]
+
+
+RERUNS = {"last_level_first": _last_level_first, "each_level_twice": _each_level_twice}
 
 
 SLABS = [Box((1.0 / (k + 2), -1.0), (1.0 / (k + 1), 1.0)) for k in range(1, 4)]
 
-# 35,001 pairs per level: a whole chunk of two leaves and a one-leaf rest;
-# the 1-D and 2-D probes run on the calling thread, the 3-D ones on the pool
+# 35,001 pairs per level: a whole chunk of two leaves and a one-leaf rest
 PROFILED = {
     "density_probe": lambda spec: density_probe(
         Box((0.0, -1.0), (1.0, 1.0)), ORIGIN2, DISK, sched(ORIGIN2, DISK, count=5), spec),
@@ -496,67 +505,47 @@ PROFILED = {
 }
 
 
-@pytest.mark.parametrize("cpus", [1, 2], ids=["one_cpu", "two_cpus"])
+@pytest.mark.parametrize("rerun", RERUNS, ids=list(RERUNS))
 @pytest.mark.parametrize("probe", PROFILED, ids=list(PROFILED))
-def test_profile_equals_the_serial_loop(probe, cpus, monkeypatch):
+def test_each_level_reads_only_its_own_stream(probe, rerun, monkeypatch):
+    # a level's bytes do not depend on which levels ran before it, nor on
+    # whether it ran already: any order of levels, or any thread, gives them
     spec = SampleSpec(n=70_001, seed=41)
-    monkeypatch.setattr(density_engine, "_cpus", lambda: cpus)
-    spread = PROFILED[probe](spec)
-    monkeypatch.setattr(density_engine, "_profile", _serial_profile)
-    assert repr(spread) == repr(PROFILED[probe](spec))  # repr tells -0.0 from 0.0 and matches NaN
+    profiled = PROFILED[probe](spec)
+    monkeypatch.setattr(density_engine, "_profile", RERUNS[rerun])
+    assert repr(profiled) == repr(PROFILED[probe](spec))  # repr tells -0.0 from 0.0 and matches NaN
 
 
-@pytest.mark.parametrize("cpus", [1, 2], ids=["one_cpu", "two_cpus"])
-def test_profile_raises_the_earliest_vanishing_level(cpus, monkeypatch):
-    # in 2-D and in 3-D (on the pool): levels 0 and 1 reach the small ball;
-    # level 2 (delta 0.5) meets its box but not the ball, and levels 3-5 do
-    # not even meet its box, with another message
-    def errors():
-        messages = []
-        for dim in (2, 3):
-            args = (Box((0.0,) * dim, (1.0,) * dim), PointFeature((0.0,) * dim), Ball((0.5,) * dim, 0.1),
-                    DeltaSchedule(2.0, 6), SampleSpec(n=2000, seed=3))
-            with pytest.raises(VanishingReference) as error:
-                density_probe(*args)
-            messages.append(str(error.value))
-        return messages
-
-    monkeypatch.setattr(density_engine, "_cpus", lambda: cpus)
-    spread = errors()
-    monkeypatch.setattr(density_engine, "_profile", _serial_profile)
-    assert spread == errors() == ["no reference mass at delta=0.5"] * 2
+def _vanishing_at_level_2(dim):
+    """Levels 0 and 1 reach the small ball; level 2 (delta 0.5) meets its box
+    but not the ball, and levels 3-5 do not even meet its box, with another
+    message."""
+    return (Box((0.0,) * dim, (1.0,) * dim), PointFeature((0.0,) * dim), Ball((0.5,) * dim, 0.1),
+            DeltaSchedule(2.0, 6), SampleSpec(n=2000, seed=3))
 
 
-def test_levels_run_in_order_and_raise_the_first_failure(monkeypatch):
-    monkeypatch.setattr(density_engine, "_cpus", lambda: 2)
-    before = threading.active_count()
-    assert _in_level_order(lambda k: k * k, 7, 3) == [k * k for k in range(7)]
-    started = []
-
-    def run(k):
-        started.append(k)
-        if k >= 3:
-            raise ValueError(k)
-        return k
-
-    with pytest.raises(ValueError, match="^3$"):
-        _in_level_order(run, 12, 3)
-    assert set(range(4)) <= set(started)
-    assert threading.active_count() == before  # the helpers are joined
+@pytest.mark.parametrize("dim", [2, 3])
+def test_profile_raises_the_earliest_vanishing_level(dim):
+    with pytest.raises(VanishingReference, match=r"^no reference mass at delta=0\.5$"):
+        density_probe(*_vanishing_at_level_2(dim))
 
 
-def test_levels_run_under_the_callers_error_state(monkeypatch):
-    monkeypatch.setattr(density_engine, "_cpus", lambda: 2)
-    with np.errstate(all="raise"):
-        states = _in_level_order(lambda k: np.geterr(), 3, 3)
-    assert states == [dict(divide="raise", over="raise", under="raise", invalid="raise")] * 3
-    with np.errstate(all="raise"), pytest.raises(FloatingPointError):
-        _in_level_order(lambda k: np.float64(k) / np.float64(0.0), 2, 3)
+@pytest.mark.parametrize("dim", [2, 3])
+def test_profile_runs_no_level_past_the_first_failure(dim, monkeypatch):
+    streams = []
+
+    def recorded(feature, omega, delta, spec, stream, *rest):
+        streams.append(stream)
+        return _level_pass(feature, omega, delta, spec, stream, *rest)
+
+    monkeypatch.setattr(density_engine, "_level_pass", recorded)
+    with pytest.raises(VanishingReference):
+        density_probe(*_vanishing_at_level_2(dim))
+    assert streams == [0, 1, 2]
 
 
-@pytest.mark.parametrize("dim, cpus", [(2, 1), (2, 2), (3, 1)], ids=["2d_one_cpu", "2d_two_cpus", "3d_one_cpu"])
-def test_levels_run_on_the_calling_thread_below_three_dimensions_or_on_one_cpu(dim, cpus, monkeypatch):
-    monkeypatch.setattr(density_engine, "_cpus", lambda: cpus)
+@pytest.mark.parametrize("dim", [1, 2, 3, 8])
+def test_levels_run_on_the_calling_thread(dim):
     callers = set()
 
     def weight(p):
@@ -567,27 +556,6 @@ def test_levels_run_on_the_calling_thread_below_three_dimensions_or_on_one_cpu(d
     density_probe(Box((0.0,) * dim, (1.0,) * dim), origin, ball, sched(origin, ball, count=4),
                   SampleSpec(n=2000, seed=5), weight=weight)
     assert callers == {threading.get_ident()}
-
-
-def test_levels_in_three_dimensions_run_two_at_a_time_on_helpers(monkeypatch):
-    monkeypatch.setattr(density_engine, "_cpus", lambda: 2)
-    both = threading.Barrier(2, timeout=10)  # a serial run breaks it instead of hanging
-    lock = threading.Lock()
-    callers = {}
-
-    def weight(p):
-        with lock:
-            first = threading.get_ident() not in callers
-            callers[threading.get_ident()] = threading.current_thread().name
-        if first:  # each helper's first level waits until the other has started one
-            both.wait()
-        return np.ones(len(p))
-
-    density_probe(OCTANT, ORIGIN3, BALL3, sched(ORIGIN3, BALL3, count=4), SampleSpec(n=2000, seed=5),
-                  weight=weight)
-    assert threading.get_ident() not in callers
-    assert len(callers) == 2
-    assert all(name.startswith("puremeasure-level") for name in callers.values())
 
 
 # ------------------------------------------------------- level proposals
