@@ -427,16 +427,19 @@ def action_profile(
     lower envelope the running maximum); the envelopes at the smallest delta
     estimate the action interval.
     """
-    column = Range(fn)
-    return _action_profiles(lambda delta: [column], feature, omega, schedule, spec, tol)[0]
+    return _action_profiles(lambda delta: fn, None, feature, omega, schedule, spec, tol)[0]
 
 
-def _action_profiles(ranges_at: Callable[[float], Sequence[Range]], feature: Feature, omega: Region,
+def _action_profiles(block_at: Callable[[float], Callable], width: int | None, feature: Feature, omega: Region,
                      schedule: DeltaSchedule, spec: SampleSpec, tol: float) -> tuple[ActionProfile, ...]:
-    """Action profiles of every range column; the columns may depend on delta."""
-    levels = _profile(feature, omega, schedule, spec, lambda delta, proposal: ((), ranges_at(delta)))
-    width = len(levels[0][1].ranges)
-    return tuple(_envelopes([(delta, r.ranges[j]) for delta, r in levels], tol) for j in range(width))
+    """The action profile of every column of `Range(block_at(delta), width)`, from one pass per level.
+
+    The level's values may depend on delta (a difference step); a block of
+    `width` columns is evaluated once per sample for all of them.
+    """
+    levels = _profile(feature, omega, schedule, spec, lambda delta, proposal: ((), (Range(block_at(delta), width),)))
+    columns = len(levels[0][1].ranges)
+    return tuple(_envelopes([(delta, r.ranges[j]) for delta, r in levels], tol) for j in range(columns))
 
 
 def _envelopes(levels: list[tuple[float, EssRange]], tol: float) -> ActionProfile:

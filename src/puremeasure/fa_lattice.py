@@ -419,10 +419,10 @@ def integrate_simple(f: SimpleFunction, mu: FAMeasure) -> Fraction:
         raise MeasurabilityMismatch("function lives on a different ground set")
     total = Fraction(0)
     for i, b in enumerate(mu.algebra.blocks):
-        owners = {f.algebra.block_of_atom(j) for j in range(mu.algebra.ground.size) if b >> j & 1}
+        owners = f.algebra.blocks_meeting(b)
         if len(owners) != 1:
             raise MeasurabilityMismatch("function is not constant on a block of the measure's algebra")
-        total += f.values[owners.pop()] * mu.values[i]
+        total += f.values[owners[0]] * mu.values[i]
     return total
 
 

@@ -50,11 +50,12 @@ any number of ratio and essential-range columns are fed from the points of
 positive weight.  Every callable receives its points as a Fortran-ordered
 (m, d) block, so each coordinate is one contiguous column.  Range columns
 get a half-leaf's points of positive weight, gathered column by column
-once, or the half-leaf itself when every point has weight.  Ratio columns
-get the same gathered block on a sparse half-leaf, one on which at most
-half of the points have weight, and their values are scattered into zeros
-of the half-leaf's size; a denser half-leaf they get whole, since a gather
-there saves less than it costs.  A half-leaf without hits calls no column.
+once, or the half-leaf itself when every point has weight, and a `Range`
+of width k is called once for its k columns.  Ratio columns get the same
+gathered block on a sparse half-leaf, one on which at most half of the
+points have weight, and their values are scattered into zeros of the
+half-leaf's size; a denser half-leaf they get whole, since a gather there
+saves less than it costs.  A half-leaf without hits calls no column.
 Columns on one sweep share their samples (common random numbers), so each
 agrees exactly with the same column estimated on a separate sweep.
 
@@ -545,23 +546,23 @@ class Ratio:
 
 @dataclass(frozen=True)
 class Range:
-    """Essential-range column: the ESS_QUANTILE and 1 - ESS_QUANTILE quantiles of its finite values.
+    """Essential-range columns: the ESS_QUANTILE and 1 - ESS_QUANTILE quantiles of each column's finite values.
 
     `values` maps the points of positive weight w, a Fortran-ordered
-    (h, d) block, to one value each, or to an (h, k) block whose column
-    `axis` is taken.  A Fortran-ordered block hands each axis over as a
-    contiguous column; any other layout is read as a strided one.  An end
-    is infinite once a value beyond MAGNITUDE_CAP on its side, or a NaN, is
-    seen.
+    (h, d) block, to one value each, one column; with `width` k, to an
+    (h, k) block, each of whose columns is a range column, in order.  A
+    Fortran-ordered block hands each column over contiguous; any other
+    layout is read strided.  An end is infinite once a value beyond
+    MAGNITUDE_CAP on its side, or a NaN, is seen.
     """
 
     values: Callable
-    axis: int | None = None
+    width: int | None = None
 
 
 @dataclass(frozen=True)
 class Sweep:
-    """Results of one pass: the hit count and one result per column, in order."""
+    """Results of one pass: the hit count and one result per column, in order; a `Range` of width k gives k."""
 
     hits: int
     ratios: tuple[Estimate, ...]
@@ -596,7 +597,7 @@ def sweep(
     level = None  # the one value w takes on its support in every half-leaf (see `_Half`)
     sums = np.zeros((len(ratios), 2, reps))  # each ratio's numerator and denominator sum per replicate
     steps = [_Step(col.per_sample) for col in ratios]
-    tails = [_Tails(ESS_QUANTILE, m) for _ in ranges]
+    tails = [[_Tails(ESS_QUANTILE, m) for _ in range(1 if col.width is None else col.width)] for col in ranges]
     work = _Work(min(LEAF_PAIRS, m), proposal, bool(ratios))
 
     def leaf(lo: int, hi: int, start: int, stop: int) -> list:
@@ -622,7 +623,7 @@ def sweep(
             tuple(_ratio_result(u, d, step.capped, step.undefined, m, hits,
                                 step.rounding(u, 2 * m if col.per_sample else hits, level))
                   for (u, d), step, col in zip(sums, steps, ratios)),
-            tuple(_range_result(tail, hits) for tail in tails),
+            tuple(_range_result(tail, hits) for group in tails for tail in group),
         )
 
 
@@ -631,42 +632,37 @@ class _Work:
 
     The slots are the unit-cube points u (coords rows) and their u >= 1
     mask, the reflected half (dim columns), in which a proposal may form its
-    offsets first, and four share slots: with ratio columns each half's
+    offsets first, with angles, the 4 floats a pair that turn them (see
+    `_Angles`), and with ratio columns, four share slots: each half's
     numerator and denominator shares of one column, where the shared
     denominators are formed too, and then the mark w & v of a counted
     column, which each half writes and counts in turn (see `_ratio_sums`).
-    A leaf turns its angles (see `_Angles`) before it forms any share, so
-    the turn takes the share slots' memory, 4 m floats for m pairs.  A sweep
-    without ratio columns has no share slots, and its leaves turn their
-    angles in a fresh block, freed before the weight runs, which keeps its
-    peak below that of four more slots.  A leaf
-    of m pairs takes the first m rows of each slot, each a contiguous array
-    laid out as a fresh one would be.  Every slot is written before it is
-    read, and the next leaf overwrites it.  The block is one allocation of
-    the largest leaf's size, freed when the sweep returns.  A weight that
-    needs sanitizing, which is rare, gets a fresh array instead (see
-    `_weigh`).
+    A leaf of m pairs takes the first m rows of each slot, each a
+    contiguous array laid out as a fresh one would be.  Every slot is
+    written before it is read, and the next leaf overwrites it.  The block
+    is one allocation of the largest leaf's size, freed when the sweep
+    returns.  A weight that needs sanitizing, which is rare, gets a fresh
+    array instead (see `_weigh`).
     """
 
     def __init__(self, rows: int, proposal: Proposal, ratios: bool):
         self.rows, self.coords, self.dim = rows, proposal.coords, proposal.dim
         self.columns, self.turning = 4 * ratios, 4 * bool(proposal.angles)
         self.flags = self.coords + ratios
-        floats = rows * (self.coords + self.dim + self.columns)
+        floats = rows * (self.coords + self.dim + self.turning + self.columns)
         block = np.empty(8 * floats + rows * self.flags, dtype=np.uint8)
         self.floats, self.mask = block[:8 * floats].view(float), block[8 * floats:].view(bool)
 
     def points(self, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """A leaf's u and mask, the 4 m floats that turn its angles, and its reflections, for m <= rows pairs."""
-        points, at = self.coords * m, self.coords * self.rows
-        shares = self.floats[at + self.dim * self.rows:][:self.turning * m]
-        turning = shares if self.columns else np.empty(self.turning * m)
+        points, at, turn = self.coords * m, self.coords * self.rows, (self.coords + self.dim) * self.rows
         return (self.floats[:points].reshape(self.coords, m), self.mask[:points].reshape(self.coords, m),
-                turning, self.floats[at:at + self.dim * m].reshape((m, self.dim), order="F"))
+                self.floats[turn:turn + self.turning * m],
+                self.floats[at:at + self.dim * m].reshape((m, self.dim), order="F"))
 
     def shares(self, m: int) -> list[np.ndarray]:
         """A leaf's four shares and then its mark, for m <= rows pairs."""
-        at, rows = (self.coords + self.dim) * self.rows, self.rows
+        at, rows = (self.coords + self.dim + self.turning) * self.rows, self.rows
         return [self.floats[at + k * rows:at + k * rows + m] for k in range(self.columns)] + [
             self.mask[k * rows:k * rows + m] for k in range(self.coords, self.flags)]
 
@@ -995,19 +991,19 @@ class _Tails:
         self.below = self.above = False  # a value beyond MAGNITUDE_CAP on that side, or a NaN, was seen
 
 
-def _feed_ranges(ranges: Sequence[Range], tails: list[_Tails], pts: np.ndarray) -> None:
+def _feed_ranges(ranges: Sequence[Range], tails: list[list[_Tails]], pts: np.ndarray) -> None:
     """Add one half-leaf's hit points, a Fortran-ordered (h, d) block, to every range column.
 
-    Only the last values block is kept, so adjacent columns that share a
-    values callable (the axes of one gradient block) evaluate it once.
-    The block may be a view of the sweep's work block, and a column reads
-    it only here: `_add_values` keeps copies of the values it selects.
+    Each `Range` is called once and feeds each column of its block to its
+    own tails, in order; a block with other than `width` columns raises
+    ValueError.  The block may be a view of the sweep's work block, and a
+    column reads it only here: `_add_values` keeps copies of the values it
+    selects.
     """
-    source = block = None
-    for col, tail in zip(ranges, tails):
-        if col.values is not source:
-            source, block = col.values, np.asarray(col.values(pts), dtype=float)
-        _add_values(tail, block if col.axis is None else block[:, col.axis])
+    for col, group in zip(ranges, tails):
+        block = np.asarray(col.values(pts), dtype=float)
+        for tail, v in zip(group, [block] if col.width is None else block.T, strict=True):
+            _add_values(tail, v)
 
 
 def _add_values(tail: _Tails, v: np.ndarray) -> None:

@@ -27,7 +27,7 @@ from .density_engine import (
     sharp_integral,
 )
 from .geometry import Box, PointFeature, Region, as_points
-from .quadrature import Range, SampleSpec
+from .quadrature import SampleSpec
 
 BOUNDARY_TOL = 1e-9
 FD_RATIO = 0.1  # finite-difference step as a fraction of the current delta
@@ -181,32 +181,17 @@ def density_gradient(
 
     `grad` is an analytic gradient field (points -> (N, n) array); otherwise
     `field` supplies function values differentiated at the probing scale.
-    All coordinates come from one pass per level and one gradient
-    evaluation per sample.
+    The gradient block is one range column per coordinate (a `Range` of
+    width n), so all coordinates come from one pass per level and one
+    gradient evaluation per sample.
     """
     if grad is not None:  # the report reads gradients only, so an analytic one replaces the field
         field = ScalarField(grad=grad)
     elif field is None:
         raise ValueError("need a gradient field or a scalar field")
     x = tuple(as_points(point, omega.dim)[0])
-    profiles = _gradient_profiles(field.gradient_at_scale, omega.dim, omega, x, schedule, spec, tol)
+    profiles = _action_profiles(field.gradient_at_scale, omega.dim, PointFeature(x), omega, schedule, spec, tol)
     return GradientReport(x, _box(profiles), profiles)
-
-
-def _gradient_profiles(block_at: Callable[[float], Callable], width: int, omega: Region,
-                       x: tuple[float, ...], schedule: DeltaSchedule, spec: SampleSpec,
-                       tol: float) -> tuple[ActionProfile, ...]:
-    """The action profile of every column of a gradient block, from one pass per level.
-
-    `block_at(delta)` gives the level's block (points -> (N, width) array),
-    which every column shares, so it is evaluated once per sample.
-    """
-
-    def ranges_at(delta):
-        block = block_at(delta)
-        return [Range(block, axis=i) for i in range(width)]
-
-    return _action_profiles(ranges_at, PointFeature(x), omega, schedule, spec, tol)
 
 
 def _box(profiles: Sequence[ActionProfile]) -> GradientBox:
@@ -271,9 +256,10 @@ def calculus_rule_check(
 
     sum:     grad(f1 + f2) box  must lie in  box(f1) + box(f2)
     product: grad(f1 * f2) box  must lie in  f1(x) * box(f2) + f2(x) * box(f1)
-    widened by tol per coordinate.  The three boxes come from one pass per
-    level, with each factor's gradient evaluated once per sample, and equal
-    the boxes of separate `density_gradient` calls.
+    widened by tol per coordinate.  The three boxes are the columns of one
+    (N, 3 n) block per level (a `Range` of width 3 n, see `_rule_block`),
+    from one pass per level with each factor's gradient evaluated once per
+    sample, and equal the boxes of separate `density_gradient` calls.
     """
     if rule not in ("sum", "product"):
         raise ValueError(f"unknown rule {rule!r}")
@@ -282,8 +268,7 @@ def calculus_rule_check(
 
     n = omega.dim
     x = tuple(as_points(point, n)[0])
-    block_at = partial(_rule_block, rule, f1, f2)
-    profiles = _gradient_profiles(block_at, 3 * n, omega, x, schedule, spec, tol)
+    profiles = _action_profiles(partial(_rule_block, rule, f1, f2), 3 * n, PointFeature(x), omega, schedule, spec, tol)
     box1, box2, lhs = (_box(profiles[k * n:(k + 1) * n]) for k in range(3))
     if rule == "sum":
         rhs = GradientBox(tuple(_interval_sum(a, b, tol) for a, b in zip(box1.intervals, box2.intervals)))

@@ -253,9 +253,22 @@ def test_sweep_evaluates_a_shared_range_block_once():
         return np.column_stack([p[:, 0], -p[:, 0]])
 
     result = sweep(lambda p: np.ones(len(p)), AxisBox(DISK.bbox), SampleSpec(n=1000, seed=1),
-                   ranges=[Range(block, axis=0), Range(block, axis=1)])
+                   ranges=[Range(block, width=2)])
     assert rows == [496, 496]  # once per half-leaf for both columns: 31 lattices of 16 pairs
     assert result.ranges[0].lo == pytest.approx(-result.ranges[1].hi)
+
+
+def test_a_range_block_of_another_width_raises():
+    block = lambda p: np.column_stack([p[:, 0], -p[:, 0], p[:, 1]])
+    with pytest.raises(ValueError):
+        sweep(lambda p: np.ones(len(p)), AxisBox(DISK.bbox), SampleSpec(n=1000, seed=1), ranges=[Range(block, width=2)])
+
+
+def test_a_range_of_width_three_without_hits_reports_three_unbounded_ranges():
+    result = sweep(lambda p: np.zeros(len(p)), AxisBox(DISK.bbox), SampleSpec(n=1000, seed=1),
+                   ranges=[Range(lambda p: p[:, [0, 1, 0]], width=3)])
+    assert result.hits == 0
+    assert result.ranges == (EssRange(-np.inf, np.inf, 0),) * 3
 
 
 # ----------------------------------------------------------------- proposals
@@ -579,8 +592,9 @@ def _oracle_sweep(weight, proposal, spec, stream=0, ratios=(), ranges=()):
     # the samples where w v is not 0, those the denominator counts, and the
     # undefined (NaN) count
     sums = [[[], [], 0, set(), set(), 0, 0, 0] for _ in ratios]
-    found = [[] for _ in ranges]
-    unbounded = [[False, False] for _ in ranges]
+    # a range of width k is k value columns
+    found = [[] for col in ranges for _ in range(1 if col.width is None else col.width)]
+    unbounded = [[False, False] for _ in found]
     with np.errstate(all="ignore"):
         for a, b in proposal.pairs(spec.seed, stream, spec.pairs):
             used += len(a)
@@ -619,9 +633,11 @@ def _oracle_sweep(weight, proposal, spec, stream=0, ratios=(), ranges=()):
                 if not active.any():
                     continue
                 hit = np.take(pts, np.flatnonzero(active), axis=0)
-                for col, vals, flags in zip(ranges, found, unbounded):
+                columns = []
+                for col in ranges:
                     v = np.asarray(col.values(hit), dtype=float)
-                    v = v if col.axis is None else v[:, col.axis]
+                    columns += [v] if col.width is None else [v[:, j] for j in range(col.width)]
+                for v, vals, flags in zip(columns, found, unbounded):
                     nan = bool(np.isnan(v).any())
                     flags[0] |= nan or bool(np.any(v < -MAGNITUDE_CAP))
                     flags[1] |= nan or bool(np.any(v > MAGNITUDE_CAP))
@@ -720,12 +736,11 @@ def _oracle_columns():
         Ratio(lambda p: np.where(_band(p) | (p[:, 0] + p[:, 1] < 0.6), 1.5, p[:, 1])),
     ]
     ranges = [
-        Range(block, axis=0),
-        Range(block, axis=1),  # shares the block above
+        Range(block, width=2),
         Range(inverse),
         Range(_wild),
         Range(lambda p: np.round(4.0 * p[:, 1]) / 4.0 + 1.0),  # heavy ties
-        Range(lambda p: p, axis=1),  # the points it is handed, unchanged
+        Range(lambda p: p[:, :2], width=2),  # a view of the points it is handed, unchanged
     ]
     return ratios, ranges
 
