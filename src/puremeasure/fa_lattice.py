@@ -95,7 +95,8 @@ class AlgebraSet:
             raise ValueError("bitmask out of range for ground set")
 
     def labels(self) -> tuple[str, ...]:
-        return tuple(a for i, a in enumerate(self.ground.atoms) if self.mask >> i & 1)
+        # the mask's bits read once, lowest first: shifting the mask per atom is quadratic in the atoms
+        return tuple(a for a, bit in zip(self.ground.atoms, reversed(bin(self.mask)[2:])) if bit == "1")
 
     def union(self, other: "AlgebraSet") -> "AlgebraSet":
         return AlgebraSet(self.ground, self.mask | other.mask)

@@ -27,7 +27,6 @@ import numpy as np
 from .density_engine import DEFAULT_TOL, DeltaSchedule, ProbeResult, sharp_integral
 from .geometry import Ball, Box, Region, RegionBoundary, bbox_diagonal
 from .quadrature import Estimate, SampleSpec, mc_integral
-from .trace_gradient import central_differences
 
 PARAMETRIC_TOL = 1e-6  # quadrature error bound for smooth integrands at default nodes
 DEFAULT_NODES = 64  # nodes per parametric axis
@@ -182,6 +181,9 @@ def gauss_check(
     differences with the step FD_STEP, relative to the region size, are used.
     """
     if div is None:
+        # Imported here, its only use in this module: a surface run loads no trace_gradient.
+        from .trace_gradient import central_differences
+
         h = FD_STEP * max(bbox_diagonal(fixture.region.bbox), 1.0)
 
         def div(pts):

@@ -73,6 +73,15 @@ def null_set_partner(mu, rng):
     return FAMeasure(mu.algebra, tuple(values))
 
 
+# ------------------------------------------------------------------ sets
+
+def test_labels_match_the_per_atom_shift_on_every_mask():
+    ground = GroundSet(tuple(f"a{i}" for i in range(12)))
+    for mask in range(1 << ground.size):
+        shifted = tuple(a for i, a in enumerate(ground.atoms) if mask >> i & 1)
+        assert AlgebraSet(ground, mask).labels() == shifted
+
+
 # ------------------------------------------------------------------ evaluate
 
 def test_evaluate_additivity():

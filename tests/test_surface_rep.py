@@ -121,6 +121,7 @@ def test_gauss_legendre_is_imported_lazily():
     # checks what puremeasure itself imports: numpy 1.x loads numpy.polynomial
     # on `import numpy`, and there the check says nothing about this package.
     # concurrent.futures (~8 ms) waits for the first profile, out of set-up time.
+    # `import puremeasure` loads no submodule; puremeasure.cli loads every one.
     src = os.path.dirname(os.path.dirname(puremeasure.__file__))
     loaded = "import sys, numpy{}; sys.exit({!r} in sys.modules)"
     run = lambda code: subprocess.run(
@@ -130,7 +131,7 @@ def test_gauss_legendre_is_imported_lazily():
     if not checked:
         pytest.skip("this numpy imports both modules on `import numpy`")
     for module in checked:
-        assert run(loaded.format(", puremeasure", module)) == 0, module
+        assert run(loaded.format(", puremeasure.cli", module)) == 0, module
 
 
 def test_unsupported_fixtures_rejected():
