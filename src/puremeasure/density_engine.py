@@ -15,8 +15,23 @@ functional evaluated there: ratios, sharp
 integrals, essential ranges and the volume of F_delta ∩ Omega.  Numerator
 and denominator of every ratio share that stream, which makes normalization
 and set monotonicity exact rather than statistical.  Each level reads only
-its own stream, and the levels run one after another on the calling
-thread.
+its own stream, so the levels of a profile are independent work, and any
+order or process gives the same bytes.
+
+A profile of at least `FORK_PAIRS` pairs per level runs its levels on
+W = min(levels, usable CPUs - other runnable tasks) CPUs: level k goes to
+share k mod W, the calling process runs share 0 on the CPU it runs on and
+forked children the others, each pinned to one of the next CPUs of the
+caller's affinity mask.  Below that size, where the machine's other
+runnable tasks leave fewer than 2 CPUs, without `os.fork` or
+`os.sched_getaffinity`, in a process that runs more than one OS thread
+(numpy's BLAS threads count: OpenBLAS starts none where
+OPENBLAS_NUM_THREADS=1 is set before numpy is imported), or while a
+function of this module is rebound (a tracer's wrapper), the levels run
+one after another in the calling process.  At fork size a callable
+(integrand, weight, region test) may run in a child: its return values and
+what it writes to stdout and stderr reach the caller, its other side
+effects (counters, appended lists, globals) do not.
 
 A level samples one cover of F_delta ∩ Omega and runs exactly the
 membership tests that the cover does not decide.  `_level_cover` decides
@@ -45,6 +60,9 @@ lattice, reads a sector's angular fraction to within one hit.
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import sys
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
@@ -88,6 +106,11 @@ DEFAULT_COUNT = 12
 # `count` is read from a config, `deltas()` lists every level and each level is
 # a full pass; from 1075 halvings on, a delta0 <= 1 gives delta 0.0 (0.5**1075 == 0.0)
 MAX_LEVELS = 1024
+# pairs per level from which a profile forks (module docstring): on 2 cores a
+# 12-level profile broke even at 25,000-50,000 pairs, so forking starts at the next power of two
+FORK_PAIRS = 2**16
+# its fourth field counts the runnable tasks of the machine, this process included
+_LOADAVG = "/proc/loadavg"
 
 CONVERGED = "converged"
 OSCILLATING = "oscillating"
@@ -324,9 +347,144 @@ def _level_pass(feature: Feature, omega: Region, delta: float, spec: SampleSpec,
 
 def _profile(feature: Feature, omega: Region, schedule: DeltaSchedule, spec: SampleSpec,
              columns: Columns, weight: Callable | None = None) -> list[tuple[float, Sweep]]:
-    """One pass per level along the schedule, level k drawn from stream k, one level after another."""
-    return [(delta, _level_pass(feature, omega, delta, spec, k, columns, weight))
-            for k, delta in enumerate(schedule.deltas())]
+    """One pass per level along the schedule, level k drawn from stream k.
+
+    The levels that forked shares finished are taken as they are, and the
+    caller runs every other level itself, in level order, so the earliest
+    failing level raises its own exception, as it does with no fork.
+    """
+    deltas = schedule.deltas()
+    run = lambda k: _level_pass(feature, omega, deltas[k], spec, k, columns, weight)
+    done = _forked(run, len(deltas), _cpus(len(deltas), spec))
+    return [(delta, done[k] if k in done else run(k)) for k, delta in enumerate(deltas)]
+
+
+def _cpus(levels: int, spec: SampleSpec) -> list[int]:
+    """The CPUs that a profile's levels share; one or none runs them serially.
+
+    They are W = min(levels, usable CPUs - other runnable tasks) CPUs of the
+    affinity mask, from the one the caller runs on, cyclically: a machine
+    busy with other work gets no more processes, and the scheduler has
+    spread independent processes over their CPUs, so their shares start apart.
+    """
+    if spec.pairs < FORK_PAIRS or not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")) or _rebound():
+        return []
+    try:
+        if len(os.listdir("/proc/self/task")) != 1:  # forking a threaded process may copy a held lock
+            return []
+        with open(_LOADAVG, "rb") as loadavg:
+            busy = int(loadavg.read().split()[3].split(b"/")[0]) - 1  # runnable tasks besides this one
+        with open("/proc/self/stat", "rb") as stat:
+            here = int(stat.read().rsplit(b")", 1)[1].split()[36])  # field 39: the CPU it last ran on
+    except (OSError, ValueError, IndexError):
+        return []
+    mask = sorted(os.sched_getaffinity(0))
+    width = min(levels, len(mask) - busy)
+    if width < 2:
+        return []
+    start = mask.index(here) if here in mask else 0
+    return (mask[start:] + mask[:start])[:width]
+
+
+def _rebound() -> bool:
+    """Whether a function of this module was rebound: a wrapper (a tracer's counter) must see every level."""
+    return any(globals()[name] is not fn for name, fn in _OWN)
+
+
+def _forked(run: Callable[[int], Sweep], levels: int, cpus: list[int]) -> dict[int, Sweep]:
+    """The levels that W = len(cpus) shares finished, by level; none where W < 2.
+
+    Level k belongs to share k mod W.  Share 0 runs here on cpus[0] and share
+    j in a forked child on cpus[j], which sends back the levels it finished;
+    a child that dies sends nothing.  Every share stops at its first failing
+    level.  Every child is reaped before this returns, killed first when the
+    caller raises, and the caller's affinity mask is restored.  A caller whose
+    stdout or stderr cannot be flushed forks nothing.
+    """
+    done: dict[int, Sweep] = {}
+    if len(cpus) < 2 or not _flushed():
+        return done
+    import signal
+
+    mask = os.sched_getaffinity(0)
+    children: dict[int, int] = {}  # pid: the read end of its pipe, until it is reaped
+    try:
+        for j in range(1, len(cpus)):
+            try:
+                pid, read = _fork(run, range(j, levels, len(cpus)), cpus[j])
+            except OSError:  # no process or pipe to spare: the caller runs the shares left
+                break
+            children[pid] = read
+        os.sched_setaffinity(0, cpus[:1])
+        _run_share(run, range(0, levels, len(cpus)), done)
+        for pid in list(children):
+            with open(children[pid], "rb", closefd=False) as pipe:
+                sent = pipe.read()
+            if _reap(pid, children) == 0:
+                done.update(pickle.loads(sent))
+    finally:
+        for pid in list(children):
+            os.kill(pid, signal.SIGKILL)
+            _reap(pid, children)
+        os.sched_setaffinity(0, mask)
+    return done
+
+
+def _run_share(run: Callable[[int], Sweep], share: range, done: dict[int, Sweep]) -> None:
+    """Run the share's levels in order into `done` up to the first that raises, which `_profile` runs again."""
+    try:
+        for k in share:
+            done[k] = run(k)
+    except Exception:
+        pass
+
+
+def _fork(run: Callable[[int], Sweep], share: range, cpu: int) -> tuple[int, int]:
+    """Start a child that runs the share on one CPU: its pid and the read end of the pipe that it answers on."""
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+        if pid == 0:
+            _child(run, share, cpu, write)
+    except OSError:
+        os.close(read)
+        raise
+    finally:
+        os.close(write)
+    return pid, read
+
+
+def _child(run: Callable[[int], Sweep], share: range, cpu: int, write: int):
+    """In a forked child: run the share on one CPU, pickle the levels it finished into the pipe and exit 0."""
+    status = 1
+    try:
+        os.sched_setaffinity(0, (cpu,))
+        done: dict[int, Sweep] = {}
+        _run_share(run, share, done)
+        if _flushed():  # else the caller runs the share again, and its output with it
+            with open(write, "wb") as pipe:
+                pickle.dump(done, pipe, pickle.HIGHEST_PROTOCOL)
+            status = 0
+    finally:
+        os._exit(status)
+
+
+def _flushed() -> bool:
+    """Flush stdout and stderr: a child then repeats none of the caller's output and loses none of its own."""
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:
+                stream.flush()
+    except (OSError, ValueError):
+        return False
+    return True
+
+
+def _reap(pid: int, children: dict[int, int]) -> int:
+    """Wait for a child to exit, close its pipe and return its wait status."""
+    status = os.waitpid(pid, 0)[1]
+    os.close(children.pop(pid))
+    return status
 
 
 def _memberships(regions: Sequence[Region]) -> Columns:
@@ -570,3 +728,8 @@ def aura_report(
         for i in range(len(levels) - 1)
     )
     return AuraReport(tuple(levels), decreasing)
+
+
+# the module's own functions, which `_rebound` compares with what is bound now
+_OWN = tuple((name, fn) for name, fn in globals().items()
+             if type(fn) is type(_rebound) and fn.__module__ == __name__)

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+import textwrap
 import threading
 
 import numpy as np
@@ -556,6 +560,142 @@ def test_levels_run_on_the_calling_thread(dim):
     density_probe(Box((0.0,) * dim, (1.0,) * dim), origin, ball, sched(origin, ball, count=4),
                   SampleSpec(n=2000, seed=5), weight=weight)
     assert callers == {threading.get_ident()}
+
+
+# ------------------------------------------------------------- forked shares
+
+# Run in a fresh interpreter: under pytest numpy's BLAS thread may keep every
+# profile serial, and forking a threaded process warns on Python 3.12.
+FORK_SCRIPT = textwrap.dedent("""
+    import os, tempfile, time
+    import numpy as np
+    import test_density_engine as t
+    from puremeasure import density_engine
+    from puremeasure.density_engine import DeltaSchedule, VanishingReference, density_probe, sharp_integral
+    from puremeasure.quadrature import SampleSpec
+
+    # two shares: levels 0, 2, 4, ... in the caller and 1, 3, 5, ... in one child
+    os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:2])
+    mask, caller, forks, fork = os.sched_getaffinity(0), os.getpid(), [], os.fork
+    os.fork = lambda: forks.append(1) or fork()
+    spec = SampleSpec(n=70_001, seed=41)
+    weighted = lambda weight: sharp_integral(lambda p: np.abs(p[:, 0]), t.ORIGIN3, t.BALL3,
+                                             t.sched(t.ORIGIN3, t.BALL3, count=5), spec, weight=weight)
+    serial = {name: repr(probe(spec)) for name, probe in t.PROFILED.items()}
+    plain = repr(weighted(lambda p: 1.0 + p[:, 2]))
+    assert not forks
+
+    # the machine's runnable tasks, as the kernel counts them: this process alone, or one more
+    fd, loadavg = tempfile.mkstemp()
+    os.close(fd)
+    def runnable(count):
+        with open(loadavg, "w") as f:
+            f.write(f"0.00 0.00 0.00 {count}/100 1")
+
+    density_engine.FORK_PAIRS, density_engine._LOADAVG = 1, loadavg
+    runnable(2)
+    assert repr(weighted(lambda p: 1.0 + p[:, 2])) == plain and not forks  # the other CPU is busy
+    runnable(1)
+    for name, probe in t.PROFILED.items():
+        assert repr(probe(spec)) == serial[name], name
+    assert len(forks) == len(t.PROFILED)
+
+    def here():
+        with open("/proc/self/stat") as stat:
+            return int(stat.read().rsplit(")", 1)[1].split()[36])
+
+    for cpu in sorted(mask):  # the shares start at the CPU the caller runs on
+        os.sched_setaffinity(0, {cpu})
+        os.sched_setaffinity(0, mask)
+        for _ in range(10):
+            before, cpus, after = here(), density_engine._cpus(6, spec), here()
+            if before == after:
+                break
+        assert cpus[0] == after and sorted(cpus) == sorted(mask), (cpu, after, cpus)
+
+    levels, bbox = [], density_engine._level_bbox
+    density_engine._level_bbox = lambda *args: levels.append(1) or bbox(*args)
+    assert repr(weighted(lambda p: 1.0 + p[:, 2])) == plain
+    density_engine._level_bbox = bbox
+    assert len(forks) == len(t.PROFILED) and len(levels) == 5  # a rebound function keeps profiles serial
+
+    said = []
+    def says_so_in_a_child(p):
+        if os.getpid() != caller and not said:
+            said.append(print("a child's line"))
+        return 1.0 + p[:, 2]
+
+    print("the caller's line")  # still in the buffer: stdout is a pipe
+    assert repr(weighted(says_so_in_a_child)) == plain
+
+    def dies_in_a_child(p):
+        if os.getpid() != caller:
+            os._exit(3)
+        return 1.0 + p[:, 2]
+
+    assert repr(weighted(dies_in_a_child)) == plain
+
+    for dim in (2, 3):
+        for delta0, first in ((2.0, 2), (4.0, 3)):  # the caller's share, then the child's
+            region, feature, omega, _, small = t._vanishing_at_level_2(dim)
+            schedule = DeltaSchedule(delta0, 6)
+            assert schedule.deltas()[first] == 0.5
+            try:
+                density_probe(region, feature, omega, schedule, small)
+            except VanishingReference as e:
+                assert str(e) == "no reference mass at delta=0.5", (dim, delta0, str(e))
+            else:
+                raise AssertionError("no level failed")
+
+    def interrupted(p):
+        if os.getpid() == caller:
+            raise KeyboardInterrupt
+        time.sleep(60)
+
+    start = time.perf_counter()
+    try:
+        weighted(interrupted)
+    except KeyboardInterrupt:
+        assert time.perf_counter() - start < 30, "a child outlived the caller's exception"
+    else:
+        raise AssertionError("the caller's share was not interrupted")
+
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        pass
+    else:
+        raise AssertionError("a child was left")
+    assert os.sched_getaffinity(0) == mask
+    os.unlink(loadavg)
+    print("forks", len(forks))
+""")
+
+
+@pytest.mark.skipif(not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity"))
+                    or len(os.sched_getaffinity(0)) < 2, reason="the fork path needs os.fork and 2 usable CPUs")
+def test_forked_shares_give_the_serial_bytes():
+    # the script asserts, with FORK_PAIRS lowered: the fork path ran; the
+    # PROFILED probes give their serial repr; a busy machine and a rebound
+    # engine function keep a profile serial; the shares start at the
+    # caller's CPU; the
+    # earliest failing level raises its own message, in the caller's share
+    # and in a child's; a child that dies costs only time; a caller that
+    # raises kills its children; no child is left; and the caller's affinity
+    # mask is restored.  Here: the caller's pending output is written once and
+    # a child's output is written
+    tests = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(density_engine.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join((src, tests)), "PYTHONWARNINGS": "error",
+           "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-c", FORK_SCRIPT], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines.count("the caller's line") == 1 and lines.count("a child's line") == 1, lines
+    # one fork per profile: the PROFILED probes, the printing and the dying
+    # child, four failing profiles, the interrupted one
+    assert lines[-1].split() == ["forks", str(len(PROFILED) + 2 + 4 + 1)]
 
 
 # ------------------------------------------------------- level proposals

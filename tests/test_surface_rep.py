@@ -120,14 +120,14 @@ def test_gauss_legendre_nodes_per_axis_are_bounded():
 def test_gauss_legendre_is_imported_lazily():
     # checks what puremeasure itself imports: numpy 1.x loads numpy.polynomial
     # on `import numpy`, and there the check says nothing about this package.
-    # concurrent.futures (~8 ms) waits for the first profile, out of set-up time.
+    # signal waits for the first profile that forks, out of set-up time.
     # `import puremeasure` loads no submodule; puremeasure.cli loads every one.
     src = os.path.dirname(os.path.dirname(puremeasure.__file__))
     loaded = "import sys, numpy{}; sys.exit({!r} in sys.modules)"
     run = lambda code: subprocess.run(
         [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}, timeout=60
     ).returncode
-    checked = [m for m in ("numpy.polynomial", "concurrent.futures") if not run(loaded.format("", m))]
+    checked = [m for m in ("numpy.polynomial", "signal") if not run(loaded.format("", m))]
     if not checked:
         pytest.skip("this numpy imports both modules on `import numpy`")
     for module in checked:

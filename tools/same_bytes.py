@@ -12,9 +12,13 @@ and compares what they give:
 
 Each checkout runs its own `bench/child.py` and CLI from its own `src`.  The
 CLI configs come from this tree's `bench/workloads.py` and
-tools/shells.json, so both checkouts read the same ones.  The processes run
-one at a time, ~25 s in all on a 2-core VM.  It prints every difference and
-exits 1 if there is one, else 0; it writes only to a temporary directory.
+tools/shells.json, so both checkouts read the same ones.  Every process
+gets the thread variables that `bench/run.py` sets (OPENBLAS_NUM_THREADS,
+OMP_NUM_THREADS and MKL_NUM_THREADS all 1), so numpy starts no BLAS thread
+and a large profile forks its levels as it does in the benchmark.  The
+processes run one at a time, ~25 s in all on a 2-core VM.  It prints every
+difference and exits 1 if there is one, else 0; it writes only to a
+temporary directory.
 
     python3 tools/same_bytes.py PARENT CHANGE
 """
@@ -37,7 +41,8 @@ SHELLS = ROOT / "tools" / "shells.json"
 
 
 def _env(checkout: Path) -> dict:
-    return {**os.environ, "PYTHONPATH": str(checkout / "src")}
+    return {**os.environ, "PYTHONPATH": str(checkout / "src"),
+            "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
 
 def _digests(checkout: Path, workload: str, seed: int, result: Path) -> tuple[dict[str, str], list[str]]:
