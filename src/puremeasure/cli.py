@@ -631,7 +631,3 @@ def main(argv=None) -> int:
         print(f"no task named {args.task!r}", file=sys.stderr)
         return 1
     return run(config, args.out, only=args.task)
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

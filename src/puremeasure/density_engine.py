@@ -25,13 +25,13 @@ forked children the others, each pinned to one of the next CPUs of the
 caller's affinity mask.  Below that size, where the machine's other
 runnable tasks leave fewer than 2 CPUs, without `os.fork` or
 `os.sched_getaffinity`, in a process that runs more than one OS thread
-(numpy's BLAS threads count: OpenBLAS starts none where
-OPENBLAS_NUM_THREADS=1 is set before numpy is imported), or while a
-function of this module is rebound (a tracer's wrapper), the levels run
-one after another in the calling process.  At fork size a callable
-(integrand, weight, region test) may run in a child: its return values and
-what it writes to stdout and stderr reach the caller, its other side
-effects (counters, appended lists, globals) do not.
+(numpy's BLAS threads count; the CLI entry, `__main__`, makes BLAS
+single-threaded, as OPENBLAS_NUM_THREADS=1 set before numpy is imported does
+in a library process), or while a function of this module is rebound (a
+tracer's wrapper), the levels run one after another in the calling process.
+At fork size a callable (integrand, weight, region test) may run in a child:
+its return values and what it writes to stdout and stderr reach the caller,
+its other side effects (counters, appended lists, globals) do not.
 
 A level samples one cover of F_delta ∩ Omega and runs exactly the
 membership tests that the cover does not decide.  `_level_cover` decides

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from puremeasure import density_engine
+from puremeasure.__main__ import _BLAS_THREADS
 from puremeasure.density_engine import (
     CONVERGED,
     INSUFFICIENT,
@@ -687,7 +688,7 @@ def test_forked_shares_give_the_serial_bytes():
     tests = os.path.dirname(os.path.abspath(__file__))
     src = os.path.dirname(os.path.dirname(os.path.abspath(density_engine.__file__)))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join((src, tests)), "PYTHONWARNINGS": "error",
-           "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+           **dict.fromkeys(_BLAS_THREADS, "1")}
     proc = subprocess.run([sys.executable, "-c", FORK_SCRIPT], env=env, capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -8,17 +8,21 @@ and compares what they give:
   result repr, every level's value, stderr and hits included;
 - every file that the `pure-measure` CLI writes for the benchmark's
   `cli_config(0)` and `cli_config(905)` and for the 3-D and 8-D shells
-  config of CI's Determinism step (tools/shells.json), and its exit status.
+  config of CI's Determinism step (tools/shells.json), at its own sample
+  count and at 140,000 samples, where the CLI forks large profiles, and its
+  exit status.
 
 Each checkout runs its own `bench/child.py` and CLI from its own `src`.  The
 CLI configs come from this tree's `bench/workloads.py` and
-tools/shells.json, so both checkouts read the same ones.  Every process
-gets the thread variables that `bench/run.py` sets (OPENBLAS_NUM_THREADS,
+tools/shells.json, so both checkouts read the same ones.  The passes get the
+thread variables that `bench/run.py` sets (OPENBLAS_NUM_THREADS,
 OMP_NUM_THREADS and MKL_NUM_THREADS all 1), so numpy starts no BLAS thread
-and a large profile forks its levels as it does in the benchmark.  The
-processes run one at a time, ~25 s in all on a 2-core VM.  It prints every
-difference and exits 1 if there is one, else 0; it writes only to a
-temporary directory.
+and a large profile forks its levels as it does in the benchmark.  The CLI
+runs with the caller's environment without those variables, as a user runs
+it: a checkout whose CLI leaves numpy's BLAS threads running keeps its
+profiles serial.  The processes run one at a time, ~30 s in all on a 2-core
+VM.  It prints every difference and exits 1 if there is one, else 0; it
+writes only to a temporary directory.
 
     python3 tools/same_bytes.py PARENT CHANGE
 """
@@ -38,18 +42,20 @@ WORKLOADS = ("point_probes", "thin_features")
 SEEDS = (1, 7, 53)
 CLI_SEEDS = (0, 905)
 SHELLS = ROOT / "tools" / "shells.json"
+THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def _env(checkout: Path) -> dict:
-    return {**os.environ, "PYTHONPATH": str(checkout / "src"),
-            "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+def _env(checkout: Path, threads: bool) -> dict:
+    """The caller's environment with the checkout's `src`, and the thread variables set to 1 or removed."""
+    env = {k: v for k, v in os.environ.items() if k not in THREADS}
+    return {**env, "PYTHONPATH": str(checkout / "src"), **(dict.fromkeys(THREADS, "1") if threads else {})}
 
 
 def _digests(checkout: Path, workload: str, seed: int, result: Path) -> tuple[dict[str, str], list[str]]:
     """Each op's digest in one pass of the workload, and a line for each op or pass that failed."""
     cmd = [sys.executable, str(checkout / "bench" / "child.py"), "--mode", "pass", "--workload", workload,
            "--seed", str(seed), "--result", str(result)]
-    proc = subprocess.run(cmd, cwd=checkout, env=_env(checkout), capture_output=True, text=True)
+    proc = subprocess.run(cmd, cwd=checkout, env=_env(checkout, True), capture_output=True, text=True)
     if proc.returncode != 0 or not result.is_file():
         return {}, [f"the pass exited {proc.returncode} in {checkout}: {proc.stderr.strip()[-500:]}"]
     ops = json.loads(result.read_text(encoding="utf-8"))["ops"]
@@ -57,10 +63,10 @@ def _digests(checkout: Path, workload: str, seed: int, result: Path) -> tuple[di
             [f"{op['name']} failed in {checkout}: {op['error']}" for op in ops if not op["digest"]])
 
 
-def _cli(checkout: Path, config: Path, out: Path) -> dict[str, bytes]:
-    """Every file the CLI writes for the config, by path under its output directory, and its exit status."""
-    cmd = [sys.executable, "-m", "puremeasure", "--config", str(config), "--out", str(out)]
-    proc = subprocess.run(cmd, cwd=checkout, env=_env(checkout), capture_output=True)
+def _cli(checkout: Path, args: list[str], out: Path) -> dict[str, bytes]:
+    """Every file the CLI writes for its arguments, by path under its output directory, and its exit status."""
+    cmd = [sys.executable, "-m", "puremeasure", *args, "--out", str(out)]
+    proc = subprocess.run(cmd, cwd=checkout, env=_env(checkout, False), capture_output=True)
     files = {"(exit status)": str(proc.returncode).encode()}
     for path in sorted(out.rglob("*")):
         if path.is_file():
@@ -102,12 +108,14 @@ def main(argv=None) -> int:
                     for side, path in checkouts.items())
                 found += [f"{label}: {line}" for line in failed + also] + _differences(label, parent, change)
                 print(f"{label}: {len(parent)} ops compared", flush=True)
-        configs = {"shells": SHELLS}
+        runs = {"shells": ["--config", str(SHELLS)],
+                "shells at 140000 samples": ["--config", str(SHELLS), "--samples", "140000"]}
         for seed in CLI_SEEDS:
-            configs[f"cli_config({seed})"] = work / f"cli_config_{seed}.json"
-            configs[f"cli_config({seed})"].write_text(json.dumps(workloads.cli_config(seed)), encoding="utf-8")
-        for name, path in configs.items():
-            parent, change = (_cli(checkout, path, work / f"{side}_{name}")
+            path = work / f"cli_config_{seed}.json"
+            path.write_text(json.dumps(workloads.cli_config(seed)), encoding="utf-8")
+            runs[f"cli_config({seed})"] = ["--config", str(path)]
+        for name, args in runs.items():
+            parent, change = (_cli(checkout, args, work / f"{side}_{name}")
                               for side, checkout in checkouts.items())
             found += _differences(name, parent, change)
             print(f"{name}: {len(parent) - 1} files compared", flush=True)
