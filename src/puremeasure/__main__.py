@@ -4,9 +4,13 @@ numpy starts its BLAS thread pool when it is imported, and a process with
 more than one OS thread runs every profile serially (density_engine).  No
 task of the CLI needs BLAS threads, so `main` makes BLAS single-threaded,
 whatever the environment held, before it imports `cli` and with it numpy.
-This module imports nothing else; `import puremeasure` sets nothing.
+This module loads only `os` and `gc` itself; `import puremeasure` sets nothing.
+Both commands call `entry`, which runs `main` and then freezes the collector,
+as the process exits next: the exit runs no full collection over what is
+left, and reference counting still frees it.  `main` itself freezes nothing.
 """
 
+import gc
 import os
 
 _BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -19,5 +23,11 @@ def main(argv=None) -> int:
     return cli.main(argv)
 
 
+def entry(argv=None) -> int:
+    code = main(argv)
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(entry())

@@ -7,6 +7,13 @@ tol and schedule (delta0 and count; delta halves at every level), so a bad
 value, an unbounded omega or a trace point off the boundary exits before any
 task runs.  Reports echo the resolved configuration: identical configs
 (including the seed) give byte-identical CSV outputs.
+
+Tasks read only their own streams.  Where each task runs fewer than
+`FORK_PAIRS` pairs per level, they share the idle CPUs as a profile's levels
+do, in one share per `FORK_PAIRS` pairs per level of all the tasks together
+(task k in share k mod W, each pinned to one CPU, forking nothing again):
+a share writes its tasks' CSVs and sends their report entries back pickled,
+and a warning may show once per share.  Otherwise tasks run in turn.
 """
 
 from __future__ import annotations
@@ -26,9 +33,11 @@ from . import fa_lattice, trace_gradient
 from .density_engine import (
     DEFAULT_COUNT,
     DEFAULT_TOL,
+    FORK_PAIRS,
     MAX_LEVELS,
     DeltaSchedule,
     ProbeResult,
+    _in_shares,
     action_profile,
     aura_report,
     cone_density,
@@ -83,6 +92,7 @@ class BadSchedule(ConfigError):
 class Config:
     tasks: list[dict]
     jobs: list[Job]  # one per task, bound at parse time by its kind function
+    shares: int  # most shares the tasks run in: 1 where a task's own profiles fork their levels
     resolved: dict  # echoed verbatim into the report
 
 
@@ -180,7 +190,7 @@ def parse_config(text: str, seed: int | None = None, samples: int | None = None)
 
     tasks = _list(raw.get("tasks", []), "tasks", "/tasks")
     _require(bool(tasks), ParseError, "config defines no tasks", "/tasks")
-    jobs = []
+    jobs, pairs = [], []  # pairs: each task's sample pairs per level
     seen_names = set()
     for i, task in enumerate(tasks):
         ptr = f"/tasks/{i}"
@@ -196,6 +206,7 @@ def parse_config(text: str, seed: int | None = None, samples: int | None = None)
         task_tol = _tolerance(task.get("tol", tol), ptr + "/tol")
         reader = _Task(task, ptr, tables, spec, task_tol, task.get("schedule", schedule))
         jobs.append(TASK_KINDS[kind](reader))
+        pairs.append(spec.pairs)
         reader.check_omega()
 
     resolved = {
@@ -209,7 +220,8 @@ def parse_config(text: str, seed: int | None = None, samples: int | None = None)
         "integrands": raw.get("integrands", {}),
         "tasks": tasks,
     }
-    return Config(tasks, jobs, resolved)
+    shares = 1 if max(pairs) >= FORK_PAIRS else sum(pairs) // FORK_PAIRS
+    return Config(tasks, jobs, shares, resolved)
 
 
 class _Task:
@@ -572,35 +584,35 @@ TASK_KINDS: dict[str, Callable[[_Task], Job]] = {  # a kind is named after its f
 
 
 def run(config: Config, out_dir: str | Path, only: str | None = None) -> int:
-    """Run all tasks (or the one named by `only`); 0 if every task succeeded."""
+    """Run all tasks (or the one named by `only`) in at most `config.shares` shares; 0 if every task succeeded."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    entries = []
-    failed = False
-    for task, job in zip(config.tasks, config.jobs):
-        if only is not None and task["name"] != only:
-            continue
-        entry = {"name": task["name"], "task": task["task"]}
-        try:
-            payload, csvs, unintegrable = job(out)
-            entry["result"] = payload
-            entry["csv"] = csvs
-            if unintegrable:
-                entry["status"] = "error"
-                entry["error"] = {"type": "Unintegrable", "message": unintegrable}
-                failed = True
-            else:
-                entry["status"] = "ok"
-        except Exception as e:  # per-task isolation: one failure never stops the batch
-            entry["status"] = "error"
-            entry["error"] = {"type": type(e).__name__, "message": str(e)}
-            failed = True
-        entries.append(entry)
+    chosen = [k for k, task in enumerate(config.tasks) if only is None or task["name"] == only]
+    entries = _in_shares(lambda i: _entry(config.tasks[chosen[i]], config.jobs[chosen[i]], out), len(chosen),
+                         config.shares)
     report = {"schema": SCHEMA, "config": config.resolved, "tasks": entries}
     (out / "report.json").write_text(
         json.dumps(_jsonable(report), indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
-    return 2 if failed else 0
+    return 2 if any(entry["status"] == "error" for entry in entries) else 0
+
+
+def _entry(task: dict, job: Job, out: Path) -> dict:
+    """The report entry of one task, whose job writes its CSVs into `out`."""
+    entry = {"name": task["name"], "task": task["task"]}
+    try:
+        payload, csvs, unintegrable = job(out)
+        entry["result"] = payload
+        entry["csv"] = csvs
+        if unintegrable:
+            entry["status"] = "error"
+            entry["error"] = {"type": "Unintegrable", "message": unintegrable}
+        else:
+            entry["status"] = "ok"
+    except Exception as e:  # per-task isolation: one failure never stops the batch
+        entry["status"] = "error"
+        entry["error"] = {"type": type(e).__name__, "message": str(e)}
+    return entry
 
 
 def main(argv=None) -> int:

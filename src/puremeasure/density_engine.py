@@ -29,7 +29,10 @@ runnable tasks leave fewer than 2 CPUs, without `os.fork` or
 single-threaded, as OPENBLAS_NUM_THREADS=1 set before numpy is imported does
 in a library process), or while a function of this module is rebound (a
 tracer's wrapper), the levels run one after another in the calling process.
-At fork size a callable (integrand, weight, region test) may run in a child:
+The CLI shares its tasks the same way (`_in_shares`, `cli.run`) where each
+is below that size and together they fill a level of that size per share;
+a share pinned to one CPU forks nothing again.
+Where it forks, a callable (integrand, weight, region test) may run in a child:
 its return values and what it writes to stdout and stderr reach the caller,
 its other side effects (counters, appended lists, globals) do not.
 
@@ -64,7 +67,7 @@ import os
 import pickle
 import sys
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
@@ -111,6 +114,7 @@ MAX_LEVELS = 1024
 FORK_PAIRS = 2**16
 # its fourth field counts the runnable tasks of the machine, this process included
 _LOADAVG = "/proc/loadavg"
+T = TypeVar("T")
 
 CONVERGED = "converged"
 OSCILLATING = "oscillating"
@@ -347,27 +351,32 @@ def _level_pass(feature: Feature, omega: Region, delta: float, spec: SampleSpec,
 
 def _profile(feature: Feature, omega: Region, schedule: DeltaSchedule, spec: SampleSpec,
              columns: Columns, weight: Callable | None = None) -> list[tuple[float, Sweep]]:
-    """One pass per level along the schedule, level k drawn from stream k.
-
-    The levels that forked shares finished are taken as they are, and the
-    caller runs every other level itself, in level order, so the earliest
-    failing level raises its own exception, as it does with no fork.
-    """
+    """One pass per level along the schedule, level k drawn from stream k; in shares from `FORK_PAIRS` pairs on."""
     deltas = schedule.deltas()
     run = lambda k: _level_pass(feature, omega, deltas[k], spec, k, columns, weight)
-    done = _forked(run, len(deltas), _cpus(len(deltas), spec))
-    return [(delta, done[k] if k in done else run(k)) for k, delta in enumerate(deltas)]
+    return list(zip(deltas, _in_shares(run, len(deltas), len(deltas) if spec.pairs >= FORK_PAIRS else 1)))
 
 
-def _cpus(levels: int, spec: SampleSpec) -> list[int]:
-    """The CPUs that a profile's levels share; one or none runs them serially.
+def _in_shares(run: Callable[[int], T], count: int, most: int) -> list[T]:
+    """run(k) for k = 0..count-1 in at most `most` shares over `_cpus`: a profile's levels, the CLI's tasks.
 
-    They are W = min(levels, usable CPUs - other runnable tasks) CPUs of the
+    What forked shares finished is taken as it is; the caller runs every other
+    k itself, in order, so the earliest failing k raises its own exception.
+    """
+    done = _forked(run, count, _cpus(min(count, most)))
+    return [done[k] if k in done else run(k) for k in range(count)]
+
+
+def _cpus(count: int) -> list[int]:
+    """The CPUs that `count` independent runs share; one or none runs them serially.
+
+    They are W = min(count, usable CPUs - other runnable tasks) CPUs of the
     affinity mask, from the one the caller runs on, cyclically: a machine
     busy with other work gets no more processes, and the scheduler has
-    spread independent processes over their CPUs, so their shares start apart.
+    spread independent processes over their CPUs, so their shares start
+    apart.  A share pinned to one CPU finds one here, so nothing it runs forks again.
     """
-    if spec.pairs < FORK_PAIRS or not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")) or _rebound():
+    if count < 2 or not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")) or _rebound():
         return []
     try:
         if len(os.listdir("/proc/self/task")) != 1:  # forking a threaded process may copy a held lock
@@ -379,7 +388,7 @@ def _cpus(levels: int, spec: SampleSpec) -> list[int]:
     except (OSError, ValueError, IndexError):
         return []
     mask = sorted(os.sched_getaffinity(0))
-    width = min(levels, len(mask) - busy)
+    width = min(count, len(mask) - busy)
     if width < 2:
         return []
     start = mask.index(here) if here in mask else 0
@@ -391,17 +400,17 @@ def _rebound() -> bool:
     return any(globals()[name] is not fn for name, fn in _OWN)
 
 
-def _forked(run: Callable[[int], Sweep], levels: int, cpus: list[int]) -> dict[int, Sweep]:
-    """The levels that W = len(cpus) shares finished, by level; none where W < 2.
+def _forked(run: Callable[[int], T], count: int, cpus: list[int]) -> dict[int, T]:
+    """The run(k) that W = len(cpus) shares finished, by k; none where W < 2.
 
-    Level k belongs to share k mod W.  Share 0 runs here on cpus[0] and share
-    j in a forked child on cpus[j], which sends back the levels it finished;
-    a child that dies sends nothing.  Every share stops at its first failing
-    level.  Every child is reaped before this returns, killed first when the
-    caller raises, and the caller's affinity mask is restored.  A caller whose
-    stdout or stderr cannot be flushed forks nothing.
+    Run k belongs to share k mod W.  Share 0 runs here on cpus[0] and share
+    j in a forked child on cpus[j], which sends back, pickled, the runs it
+    finished; a child that dies sends nothing.  Every share stops at its
+    first failing run.  Every child is reaped before this returns, killed
+    first when the caller raises, and the caller's affinity mask is
+    restored.  A caller whose stdout or stderr cannot be flushed forks nothing.
     """
-    done: dict[int, Sweep] = {}
+    done: dict[int, T] = {}
     if len(cpus) < 2 or not _flushed():
         return done
     import signal
@@ -411,12 +420,12 @@ def _forked(run: Callable[[int], Sweep], levels: int, cpus: list[int]) -> dict[i
     try:
         for j in range(1, len(cpus)):
             try:
-                pid, read = _fork(run, range(j, levels, len(cpus)), cpus[j])
+                pid, read = _fork(run, range(j, count, len(cpus)), cpus[j])
             except OSError:  # no process or pipe to spare: the caller runs the shares left
                 break
             children[pid] = read
         os.sched_setaffinity(0, cpus[:1])
-        _run_share(run, range(0, levels, len(cpus)), done)
+        _run_share(run, range(0, count, len(cpus)), done)
         for pid in list(children):
             with open(children[pid], "rb", closefd=False) as pipe:
                 sent = pipe.read()
@@ -430,8 +439,8 @@ def _forked(run: Callable[[int], Sweep], levels: int, cpus: list[int]) -> dict[i
     return done
 
 
-def _run_share(run: Callable[[int], Sweep], share: range, done: dict[int, Sweep]) -> None:
-    """Run the share's levels in order into `done` up to the first that raises, which `_profile` runs again."""
+def _run_share(run: Callable[[int], T], share: range, done: dict[int, T]) -> None:
+    """Run the share in order into `done` up to the first run that raises, which `_in_shares` runs again."""
     try:
         for k in share:
             done[k] = run(k)
@@ -439,7 +448,7 @@ def _run_share(run: Callable[[int], Sweep], share: range, done: dict[int, Sweep]
         pass
 
 
-def _fork(run: Callable[[int], Sweep], share: range, cpu: int) -> tuple[int, int]:
+def _fork(run: Callable[[int], T], share: range, cpu: int) -> tuple[int, int]:
     """Start a child that runs the share on one CPU: its pid and the read end of the pipe that it answers on."""
     read, write = os.pipe()
     try:
@@ -454,12 +463,12 @@ def _fork(run: Callable[[int], Sweep], share: range, cpu: int) -> tuple[int, int
     return pid, read
 
 
-def _child(run: Callable[[int], Sweep], share: range, cpu: int, write: int):
-    """In a forked child: run the share on one CPU, pickle the levels it finished into the pipe and exit 0."""
+def _child(run: Callable[[int], T], share: range, cpu: int, write: int):
+    """In a forked child: run the share on one CPU, pickle the runs it finished into the pipe and exit 0."""
     status = 1
     try:
         os.sched_setaffinity(0, (cpu,))
-        done: dict[int, Sweep] = {}
+        done: dict[int, T] = {}
         _run_share(run, share, done)
         if _flushed():  # else the caller runs the share again, and its output with it
             with open(write, "wb") as pipe:

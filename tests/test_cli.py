@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 
 import pytest
 
+import puremeasure
+from puremeasure.__main__ import _BLAS_THREADS
 from puremeasure.cli import (
     BadSchedule,
     ConfigError,
@@ -612,3 +618,106 @@ def test_every_task_field_is_checked_at_parse(index, field, edit):
     with pytest.raises(ConfigError) as err:
         parse_config(config_with([task]))
     assert err.value.pointer.startswith(f"/tasks/0/{field}")
+
+
+# ---------------------------------------------------------- shared tasks
+
+# below fork size: an unintegrable task and an exact one among the sampling tasks;
+# at 60,000 samples they run 4 x 30,000 + 50,000 pairs per level, 2 shares of FORK_PAIRS
+SHARED = [DENSITY_TASK, FULL_SUITE[3],
+          {"task": "sharp_integral", "name": "sing", "integrand": "oddsing", "feature": "origin1", "omega": "line",
+           "samples": 100_000},
+          FULL_SUITE[4], FULL_SUITE[-1]]
+
+# Run in a fresh interpreter: under pytest numpy's BLAS thread may keep every
+# run serial, and forking a threaded process warns on Python 3.12.
+SHARE_SCRIPT = textwrap.dedent("""
+    import os, tempfile
+    from pathlib import Path
+    import test_cli as t
+    from puremeasure import cli, density_engine
+
+    # two shares: tasks 0, 2, 4 in the caller and 1, 3 in one child
+    os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:2])
+    mask, caller, forks, fork = os.sched_getaffinity(0), os.getpid(), [], os.fork
+    os.fork = lambda: forks.append(1) or fork()
+    work = Path(tempfile.mkdtemp())
+    loadavg = work / "loadavg"
+    def runnable(count):  # the machine's runnable tasks, as the kernel counts them, this process included
+        loadavg.write_text(f"0.00 0.00 0.00 {count}/100 1")
+
+    density_engine._LOADAVG = loadavg
+    runnable(1)
+
+    def files(out):
+        return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+    def main(tasks, name, *flags, cpus=mask):
+        \"\"\"The exit code, files and forks of a CLI run of `tasks` on `cpus`.\"\"\"
+        path = work / f"{name}.json"
+        path.write_text(t.config_with(tasks))
+        before = len(forks)
+        os.sched_setaffinity(0, cpus)
+        try:
+            code = cli.main(["--config", str(path), "--out", str(work / name), *flags])
+        finally:
+            os.sched_setaffinity(0, mask)
+        return code, files(work / name), len(forks) - before
+
+    two = ("--samples", "60000")
+    code, shared, forked = main(t.SHARED, "shared", *two)
+    assert (code, forked) == (2, 1)
+    assert main(t.SHARED, "serial", *two, cpus={min(mask)}) == (2, shared, 0)
+    # at 20,000 samples they run 90,000 pairs per level, one share's worth
+    assert main(t.SHARED, "light")[::2] == (2, 0)
+
+    config = cli.parse_config(t.config_with(t.SHARED), samples=60000)
+    job = config.jobs[1]
+    def dies_in_a_child(out):
+        if os.getpid() != caller:
+            (work / "died").touch()
+            os._exit(3)
+        return job(out)
+
+    config.jobs[1] = dies_in_a_child
+    before = len(forks)
+    assert cli.run(config, work / "rerun") == 2 and len(forks) == before + 1 and (work / "died").exists()
+    assert files(work / "rerun") == shared
+
+    assert main(t.SHARED, "one", *two, "--task", "sing")[::2] == (2, 0)
+    runnable(2)
+    assert main(t.SHARED, "busy", *two) == (2, shared, 0)
+    runnable(1)
+    # at fork size the tasks run in turn and each of their three profiles forks its levels
+    big = t.SHARED[:2] + [t.FULL_SUITE[1]]
+    assert main(big, "big", "--samples", str(2 * density_engine.FORK_PAIRS))[::2] == (0, 3)
+
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        pass
+    else:
+        raise AssertionError("a child was left")
+    assert os.sched_getaffinity(0) == mask
+    print("shared")
+""")
+
+
+@pytest.mark.skipif(not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity"))
+                    or len(os.sched_getaffinity(0)) < 2, reason="sharing tasks needs os.fork and 2 usable CPUs")
+def test_tasks_below_fork_size_share_the_cpus():
+    # the script asserts, on a 2-CPU mask with an idle machine faked: a
+    # config of tasks below fork size forks once and writes the files and
+    # exit code of its run pinned to one CPU; a share whose child dies is
+    # run again by the caller, to the same files; tasks that together run
+    # fewer than 2 FORK_PAIRS pairs per level, one task, a busy machine and
+    # a config at fork size fork no task share, and the last forks each
+    # profile's levels instead; no child is left and the mask is restored
+    tests = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(puremeasure.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join((src, tests)), "PYTHONWARNINGS": "error",
+           **dict.fromkeys(_BLAS_THREADS, "1")}
+    proc = subprocess.run([sys.executable, "-c", SHARE_SCRIPT], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "shared"

@@ -609,7 +609,7 @@ FORK_SCRIPT = textwrap.dedent("""
         os.sched_setaffinity(0, {cpu})
         os.sched_setaffinity(0, mask)
         for _ in range(10):
-            before, cpus, after = here(), density_engine._cpus(6, spec), here()
+            before, cpus, after = here(), density_engine._cpus(6), here()
             if before == after:
                 break
         assert cpus[0] == after and sorted(cpus) == sorted(mask), (cpu, after, cpus)

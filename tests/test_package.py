@@ -1,9 +1,10 @@
 """The package namespace: `import puremeasure` loads a submodule only on the
 first use of one of its names, and every name it serves is the defining
 module's current object.  The CLI entry makes BLAS single-threaded before
-numpy is imported."""
+numpy is imported, and its process entry freezes the collector as it returns."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -13,7 +14,7 @@ import pytest
 
 import puremeasure
 import puremeasure.__main__ as entry
-from puremeasure import density_engine
+from puremeasure import cli, density_engine
 
 SRC = os.path.dirname(os.path.dirname(puremeasure.__file__))
 
@@ -63,6 +64,36 @@ def test_the_entry_makes_blas_single_threaded(preset):
     code = ("import os; from puremeasure.__main__ import _BLAS_THREADS, main; code = main(['--help']); "
             "print((code, [os.environ[name] for name in _BLAS_THREADS], len(os.listdir('/proc/self/task'))))")
     assert _last_line(code, env) == (0, ["1"] * 3, 1)
+
+
+ENTRY_CONFIG = {
+    "seed": 3, "samples": 4000, "schedule": {"count": 4},
+    "regions": {"line": {"box": {"lo": [-1], "hi": [1]}}, "right": {"box": {"lo": [0], "hi": [1]}}},
+    "features": {"origin": {"point": {"c": [0]}}},
+    "integrands": {"cosx": "cos(x1)"},
+    "tasks": [
+        {"task": "density_ratio", "name": "dzero", "region": "right", "feature": "origin", "omega": "line"},
+        {"task": "sharp_integral", "name": "cosint", "integrand": "cosx", "feature": "origin", "omega": "line"},
+    ],
+}
+
+
+def test_only_the_process_entry_freezes_the_collector(tmp_path):
+    # `entry` freezes as the process exits next, so its exit runs no full
+    # collection over what is left; `main` may be called in process any number of times
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(ENTRY_CONFIG))
+    args = lambda out: f"['--config', {str(config)!r}, '--out', {str(tmp_path / out)!r}]"
+    code = ("import gc; from puremeasure.__main__ import entry, main; "
+            f"codes = [main({args('main')}), gc.get_freeze_count()]; "
+            f"codes += [entry({args('entry')}), gc.get_freeze_count() > 0]; print(codes)")
+    assert _last_line(code, os.environ) == [0, 0, 0, True]
+    assert cli.run(cli.parse_config(config.read_text()), tmp_path / "here") == 0
+    files = lambda out: {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    assert files(tmp_path / "main") == files(tmp_path / "entry") == files(tmp_path / "here")
+    assert set(files(tmp_path / "here")) == {"report.json", "dzero.csv", "cosint.csv"}
+    with open(os.path.join(os.path.dirname(SRC), "pyproject.toml"), encoding="utf-8") as project:
+        assert 'pure-measure = "puremeasure.__main__:entry"' in project.read().splitlines()
 
 
 @pytest.mark.parametrize("name", puremeasure.__all__)
