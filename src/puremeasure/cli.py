@@ -8,12 +8,11 @@ value, an unbounded omega or a trace point off the boundary exits before any
 task runs.  Reports echo the resolved configuration: identical configs
 (including the seed) give byte-identical CSV outputs.
 
-Tasks read only their own streams.  Where each task runs fewer than
-`FORK_PAIRS` pairs per level, they share the idle CPUs as a profile's levels
-do, in one share per `FORK_PAIRS` pairs per level of all the tasks together
-(task k in share k mod W, each pinned to one CPU, forking nothing again):
-a share writes its tasks' CSVs and sends their report entries back pickled,
-and a warning may show once per share.  Otherwise tasks run in turn.
+Tasks read only their own streams, so `density_engine._in_tasks` runs them
+in turn or shares them over the idle CPUs, from their pairs per level.  A
+share writes its tasks' CSVs and sends their report entries back pickled;
+a warning may show once per share.  A task's name, the stem of its CSVs,
+is a plain file name, and no two tasks write one file.
 """
 
 from __future__ import annotations
@@ -21,11 +20,12 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -33,11 +33,10 @@ from . import fa_lattice, trace_gradient
 from .density_engine import (
     DEFAULT_COUNT,
     DEFAULT_TOL,
-    FORK_PAIRS,
     MAX_LEVELS,
     DeltaSchedule,
     ProbeResult,
-    _in_shares,
+    _in_tasks,
     action_profile,
     aura_report,
     cone_density,
@@ -68,6 +67,8 @@ from .surface_rep import (
 from .trace_gradient import ScalarField, boundary_trace, calculus_rule_check, density_gradient
 
 SCHEMA = "pure-measure/1"
+# a task's name, the stem of its CSVs: a file name, no path and not hidden
+_NAME = re.compile(r"[A-Za-z0-9_-][A-Za-z0-9_.-]*")
 
 
 class ConfigError(ValueError):
@@ -88,15 +89,15 @@ class BadSchedule(ConfigError):
     pass
 
 
+Job = Callable[[Path], tuple[dict, list[str], str | None]]  # output directory -> payload, CSV files, unintegrable cause
+# a task bound at parse time by its kind function, with its sample pairs per level
+BoundTask = NamedTuple("BoundTask", [("name", str), ("kind", str), ("job", Job), ("pairs", int)])
+
+
 @dataclass
 class Config:
-    tasks: list[dict]
-    jobs: list[Job]  # one per task, bound at parse time by its kind function
-    shares: int  # most shares the tasks run in: 1 where a task's own profiles fork their levels
-    resolved: dict  # echoed verbatim into the report
-
-
-Job = Callable[[Path], tuple[dict, list[str], str | None]]  # output directory -> payload, CSV files, unintegrable cause
+    jobs: list[BoundTask]  # one per task, in config order
+    resolved: dict  # echoed verbatim into the report, the task objects in its "tasks"
 
 
 def _require(condition: bool, exc: type[ConfigError], message: str, pointer: str):
@@ -190,24 +191,25 @@ def parse_config(text: str, seed: int | None = None, samples: int | None = None)
 
     tasks = _list(raw.get("tasks", []), "tasks", "/tasks")
     _require(bool(tasks), ParseError, "config defines no tasks", "/tasks")
-    jobs, pairs = [], []  # pairs: each task's sample pairs per level
-    seen_names = set()
+    jobs, stems = [], set()
     for i, task in enumerate(tasks):
         ptr = f"/tasks/{i}"
         _require(isinstance(task, dict), ParseError, "task must be an object", ptr)
         kind = task.get("task")
         _require(isinstance(kind, str) and kind in TASK_KINDS, ParseError, f"unknown task kind {kind!r}", ptr + "/task")
-        task.setdefault("name", f"task{i}")
-        _require(task["name"] not in seen_names, ParseError, f"duplicate task name {task['name']!r}", ptr + "/name")
-        seen_names.add(task["name"])
+        name = task.setdefault("name", f"task{i}")
+        _require(isinstance(name, str) and _NAME.fullmatch(name) is not None, ParseError,
+                 "name must be letters, digits, '_', '.' and '-', not starting with '.'", ptr + "/name")
         if "schedule" in task:
             task["schedule"] = _check_schedule(task["schedule"], ptr + "/schedule")
         spec = SampleSpec(_at_least(task.get("samples", samples), 2, "samples", ptr + "/samples"), seed)
         task_tol = _tolerance(task.get("tol", tol), ptr + "/tol")
         reader = _Task(task, ptr, tables, spec, task_tol, task.get("schedule", schedule))
-        jobs.append(TASK_KINDS[kind](reader))
-        pairs.append(spec.pairs)
+        jobs.append(BoundTask(name, kind, TASK_KINDS[kind](reader), spec.pairs))
         reader.check_omega()
+        for stem in reader.stems:
+            _require(stem not in stems, ParseError, f"duplicate task name or CSV stem {stem!r}", ptr + "/name")
+            stems.add(stem)
 
     resolved = {
         "version": SCHEMA,
@@ -220,8 +222,7 @@ def parse_config(text: str, seed: int | None = None, samples: int | None = None)
         "integrands": raw.get("integrands", {}),
         "tasks": tasks,
     }
-    shares = 1 if max(pairs) >= FORK_PAIRS else sum(pairs) // FORK_PAIRS
-    return Config(tasks, jobs, shares, resolved)
+    return Config(jobs, resolved)
 
 
 class _Task:
@@ -238,6 +239,7 @@ class _Task:
         self.node, self.ptr, self.tables = node, ptr, tables
         self.spec, self.tol, self._schedule = spec, tol, schedule
         self.name = node.get("name")
+        self.stems = [self.name]  # the file stems it takes: its name, then any CSV stems its kind adds
         self._omega: Region | None = None
 
     def at(self, field: str) -> str:
@@ -447,14 +449,12 @@ def _sigma_probe(t: _Task) -> Job:
     omega = t.omega()
     members = t.names("members", "region", dim=omega.dim)
     union, feature = t.region("union", omega.dim), t.feature("feature", omega.dim)
+    t.stems += [f"{t.name}_member{k}" for k in range(1, len(members) + 1)] + [f"{t.name}_union"]
 
     def job(out: Path):
         report = sigma_probe(members, union, feature, omega, t.schedule(feature, omega), t.spec, tol=t.tol)
-        csvs = [
-            _write_series_csv(out, f"{t.name}_member{k}", _probe_rows(member))
-            for k, member in enumerate(report.members, start=1)
-        ]
-        csvs.append(_write_series_csv(out, f"{t.name}_union", _probe_rows(report.union)))
+        profiles = (*report.members, report.union)
+        csvs = [_write_series_csv(out, stem, _probe_rows(p)) for stem, p in zip(t.stems[1:], profiles)]
         return _jsonable(report), csvs, None
     return job
 
@@ -584,12 +584,11 @@ TASK_KINDS: dict[str, Callable[[_Task], Job]] = {  # a kind is named after its f
 
 
 def run(config: Config, out_dir: str | Path, only: str | None = None) -> int:
-    """Run all tasks (or the one named by `only`) in at most `config.shares` shares; 0 if every task succeeded."""
+    """Run all tasks (or the one named by `only`) where `_in_tasks` puts them; 0 if every task succeeded."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    chosen = [k for k, task in enumerate(config.tasks) if only is None or task["name"] == only]
-    entries = _in_shares(lambda i: _entry(config.tasks[chosen[i]], config.jobs[chosen[i]], out), len(chosen),
-                         config.shares)
+    chosen = [task for task in config.jobs if only is None or task.name == only]
+    entries = _in_tasks(lambda k: _entry(chosen[k], out), [task.pairs for task in chosen])
     report = {"schema": SCHEMA, "config": config.resolved, "tasks": entries}
     (out / "report.json").write_text(
         json.dumps(_jsonable(report), indent=2, sort_keys=True) + "\n", encoding="utf-8"
@@ -597,11 +596,11 @@ def run(config: Config, out_dir: str | Path, only: str | None = None) -> int:
     return 2 if any(entry["status"] == "error" for entry in entries) else 0
 
 
-def _entry(task: dict, job: Job, out: Path) -> dict:
+def _entry(task: BoundTask, out: Path) -> dict:
     """The report entry of one task, whose job writes its CSVs into `out`."""
-    entry = {"name": task["name"], "task": task["task"]}
+    entry = {"name": task.name, "task": task.kind}
     try:
-        payload, csvs, unintegrable = job(out)
+        payload, csvs, unintegrable = task.job(out)
         entry["result"] = payload
         entry["csv"] = csvs
         if unintegrable:
@@ -639,7 +638,7 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config error at {e}", file=sys.stderr)
         return 1
-    if args.task is not None and all(t["name"] != args.task for t in config.tasks):
+    if args.task is not None and all(task.name != args.task for task in config.jobs):
         print(f"no task named {args.task!r}", file=sys.stderr)
         return 1
     return run(config, args.out, only=args.task)

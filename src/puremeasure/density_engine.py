@@ -29,9 +29,8 @@ runnable tasks leave fewer than 2 CPUs, without `os.fork` or
 single-threaded, as OPENBLAS_NUM_THREADS=1 set before numpy is imported does
 in a library process), or while a function of this module is rebound (a
 tracer's wrapper), the levels run one after another in the calling process.
-The CLI shares its tasks the same way (`_in_shares`, `cli.run`) where each
-is below that size and together they fill a level of that size per share;
-a share pinned to one CPU forks nothing again.
+The CLI's tasks share the CPUs the same way where each is below that size
+and together they fill a level of that size per share (`_in_tasks`).
 Where it forks, a callable (integrand, weight, region test) may run in a child:
 its return values and what it writes to stdout and stderr reach the caller,
 its other side effects (counters, appended lists, globals) do not.
@@ -365,6 +364,11 @@ def _in_shares(run: Callable[[int], T], count: int, most: int) -> list[T]:
     """
     done = _forked(run, count, _cpus(min(count, most)))
     return [done[k] if k in done else run(k) for k in range(count)]
+
+
+def _in_tasks(run: Callable[[int], T], pairs: Sequence[int]) -> list[T]:
+    """run(k) for tasks of pairs[k] pairs per level: in turn if one is at fork size, else a share per `FORK_PAIRS`."""
+    return _in_shares(run, len(pairs), 1 if max(pairs, default=0) >= FORK_PAIRS else sum(pairs) // FORK_PAIRS)
 
 
 def _cpus(count: int) -> list[int]:

@@ -1,14 +1,9 @@
 import json
-import os
-import subprocess
-import sys
 import textwrap
 import tracemalloc
 
 import pytest
 
-import puremeasure
-from puremeasure.__main__ import _BLAS_THREADS
 from puremeasure.cli import (
     BadSchedule,
     ConfigError,
@@ -20,6 +15,8 @@ from puremeasure.cli import (
 )
 from puremeasure.density_engine import MAX_LEVELS
 from puremeasure.expressions import MAX_DEPTH
+
+import forking
 
 BASE = {
     "version": "pure-measure/1",
@@ -65,7 +62,7 @@ def test_parse_minimal_config():
     cfg = parse_config(config_with([DENSITY_TASK]))
     assert cfg.resolved["seed"] == 7
     assert cfg.resolved["samples"] == 20_000
-    assert cfg.tasks[0]["name"] == "dzero"
+    assert [task.name for task in cfg.jobs] == ["dzero"]
 
 
 def test_parse_rejects_undefined_region():
@@ -293,6 +290,39 @@ def test_main_task_filter(tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert [t["name"] for t in report["tasks"]] == ["other"]
     assert main(["--config", str(cfg_path), "--out", str(out), "--task", "ghost"]) == 1
+    assert run(parse_config(cfg_path.read_text()), out, only="ghost") == 0
+    assert json.loads((out / "report.json").read_text())["tasks"] == []
+
+
+SIGMA_A = dict(FULL_SUITE[4], name="a")  # writes a_member1.csv, a_member2.csv and a_union.csv
+
+
+@pytest.mark.parametrize("tasks, index", [
+    ([dict(DENSITY_TASK, name=[1])], 0),
+    ([dict(DENSITY_TASK, name=7)], 0),
+    ([dict(DENSITY_TASK, name="")], 0),
+    ([dict(DENSITY_TASK, name="../escaped")], 0),
+    ([dict(DENSITY_TASK, name="sub/x")], 0),
+    ([dict(DENSITY_TASK, name=".hidden")], 0),
+    ([dict(DENSITY_TASK, name="a b")], 0),
+    ([dict(DENSITY_TASK, name="a_union"), SIGMA_A], 1),
+    ([SIGMA_A, dict(DENSITY_TASK, name="a_member2")], 1),
+    ([SIGMA_A, dict(FULL_SUITE[-1], name="a_union")], 1),  # writes no CSV, but takes the name
+    ([DENSITY_TASK, DENSITY_TASK], 1),
+], ids=["list", "number", "empty", "parent", "subdirectory", "hidden", "space", "union-first", "member-second",
+        "no-csv", "duplicate"])
+def test_main_rejects_task_names_that_are_no_csv_stem_of_their_own(tmp_path, capsys, tasks, index):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(config_with(tasks))
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg_path), "--out", str(out)]) == 1
+    assert f"config error at /tasks/{index}/name" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [cfg_path]
+
+
+def test_parse_accepts_task_names_of_letters_digits_and_inner_dots():
+    names = ["a", "A.b-c_1", "-x", "a..b", "sigma_union"]
+    assert [task.name for task in parse_config(config_with([dict(DENSITY_TASK, name=n) for n in names])).jobs] == names
 
 
 def test_main_usage_and_parse_failures(tmp_path):
@@ -556,7 +586,7 @@ def test_parse_accepts_configs_nested_up_to_max_depth():
 
 def test_parse_accepts_zero_tol_and_eight_nodes():
     cfg = parse_config(config_with([dict(COLLAR_TASK, tol=0, nodes=8)]))
-    assert cfg.resolved["tol"] > 0 and cfg.tasks[0]["nodes"] == 8
+    assert cfg.resolved["tol"] > 0 and cfg.resolved["tasks"][0]["nodes"] == 8
     cfg = json.loads(config_with([DENSITY_TASK]))
     cfg["tol"] = 0
     assert parse_config(json.dumps(cfg)).resolved["tol"] == 0.0
@@ -629,25 +659,16 @@ SHARED = [DENSITY_TASK, FULL_SUITE[3],
            "samples": 100_000},
           FULL_SUITE[4], FULL_SUITE[-1]]
 
-# Run in a fresh interpreter: under pytest numpy's BLAS thread may keep every
-# run serial, and forking a threaded process warns on Python 3.12.
 SHARE_SCRIPT = textwrap.dedent("""
-    import os, tempfile
+    import os, shutil, tempfile
     from pathlib import Path
+    import forking
     import test_cli as t
     from puremeasure import cli, density_engine
 
     # two shares: tasks 0, 2, 4 in the caller and 1, 3 in one child
-    os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:2])
-    mask, caller, forks, fork = os.sched_getaffinity(0), os.getpid(), [], os.fork
-    os.fork = lambda: forks.append(1) or fork()
+    mask, caller, forks = forking.start()
     work = Path(tempfile.mkdtemp())
-    loadavg = work / "loadavg"
-    def runnable(count):  # the machine's runnable tasks, as the kernel counts them, this process included
-        loadavg.write_text(f"0.00 0.00 0.00 {count}/100 1")
-
-    density_engine._LOADAVG = loadavg
-    runnable(1)
 
     def files(out):
         return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
@@ -672,39 +693,41 @@ SHARE_SCRIPT = textwrap.dedent("""
     assert main(t.SHARED, "light")[::2] == (2, 0)
 
     config = cli.parse_config(t.config_with(t.SHARED), samples=60000)
-    job = config.jobs[1]
+    job = config.jobs[1].job
     def dies_in_a_child(out):
         if os.getpid() != caller:
             (work / "died").touch()
             os._exit(3)
         return job(out)
 
-    config.jobs[1] = dies_in_a_child
+    config.jobs[1] = config.jobs[1]._replace(job=dies_in_a_child)
     before = len(forks)
     assert cli.run(config, work / "rerun") == 2 and len(forks) == before + 1 and (work / "died").exists()
     assert files(work / "rerun") == shared
 
     assert main(t.SHARED, "one", *two, "--task", "sing")[::2] == (2, 0)
-    runnable(2)
+    forking.runnable(2)
     assert main(t.SHARED, "busy", *two) == (2, shared, 0)
-    runnable(1)
+    forking.runnable(1)
     # at fork size the tasks run in turn and each of their three profiles forks its levels
     big = t.SHARED[:2] + [t.FULL_SUITE[1]]
     assert main(big, "big", "--samples", str(2 * density_engine.FORK_PAIRS))[::2] == (0, 3)
 
-    try:
-        os.waitpid(-1, os.WNOHANG)
-    except ChildProcessError:
-        pass
-    else:
-        raise AssertionError("a child was left")
-    assert os.sched_getaffinity(0) == mask
+    # the engine's FORK_PAIRS decides for the CLI: four tasks of 10,000 pairs
+    # per level run in turn, and in two shares once it is 20,000
+    small = t.SHARED[:2] + t.SHARED[3:]
+    code, serial, forked = main(small, "small")
+    assert forked == 0
+    density_engine.FORK_PAIRS = 20_000
+    assert main(small, "small_shared") == (code, serial, 1)
+
+    forking.finish(mask)
+    shutil.rmtree(work)
     print("shared")
 """)
 
 
-@pytest.mark.skipif(not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity"))
-                    or len(os.sched_getaffinity(0)) < 2, reason="sharing tasks needs os.fork and 2 usable CPUs")
+@pytest.mark.skipif(forking.CANNOT_FORK, reason="sharing tasks needs os.fork and 2 usable CPUs")
 def test_tasks_below_fork_size_share_the_cpus():
     # the script asserts, on a 2-CPU mask with an idle machine faked: a
     # config of tasks below fork size forks once and writes the files and
@@ -712,12 +735,6 @@ def test_tasks_below_fork_size_share_the_cpus():
     # run again by the caller, to the same files; tasks that together run
     # fewer than 2 FORK_PAIRS pairs per level, one task, a busy machine and
     # a config at fork size fork no task share, and the last forks each
-    # profile's levels instead; no child is left and the mask is restored
-    tests = os.path.dirname(os.path.abspath(__file__))
-    src = os.path.dirname(os.path.dirname(os.path.abspath(puremeasure.__file__)))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join((src, tests)), "PYTHONWARNINGS": "error",
-           **dict.fromkeys(_BLAS_THREADS, "1")}
-    proc = subprocess.run([sys.executable, "-c", SHARE_SCRIPT], env=env, capture_output=True, text=True,
-                          timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "shared"
+    # profile's levels instead; with the engine's FORK_PAIRS lowered, a
+    # config that ran in turn shares; no child is left and the mask is restored
+    assert forking.run_script(SHARE_SCRIPT)[-1] == "shared"

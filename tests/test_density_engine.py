@@ -1,6 +1,3 @@
-import os
-import subprocess
-import sys
 import textwrap
 import threading
 
@@ -8,7 +5,6 @@ import numpy as np
 import pytest
 
 from puremeasure import density_engine
-from puremeasure.__main__ import _BLAS_THREADS
 from puremeasure.density_engine import (
     CONVERGED,
     INSUFFICIENT,
@@ -50,6 +46,8 @@ from puremeasure.geometry import (
 )
 from puremeasure.quadrature import AxisBox, OrientedBox, Range, Ratio, SampleSpec, Shell, sweep, volume_column
 from puremeasure.trace_gradient import ScalarField, density_gradient
+
+import forking
 
 OMEGA1 = interval(-1.0, 1.0)
 ORIGIN1 = PointFeature((0.0,))
@@ -565,20 +563,36 @@ def test_levels_run_on_the_calling_thread(dim):
 
 # ------------------------------------------------------------- forked shares
 
-# Run in a fresh interpreter: under pytest numpy's BLAS thread may keep every
-# profile serial, and forking a threaded process warns on Python 3.12.
+F = density_engine.FORK_PAIRS
+
+
+@pytest.mark.parametrize("pairs, width", [
+    ([F - 1, F - 1, 1], 1),  # 2 FORK_PAIRS - 1 pairs per level together: one share's worth
+    ([F - 1, F - 1, 2], 2),
+    ([25_000] * 16, 6),  # the benchmark's CLI configs: 400,000 pairs per level
+    ([F, 1, 1], 1),  # a task at fork size: in turn, and its profiles fork their levels
+    ([F - 1], 0),  # a single task
+    ([4 * F], 1),
+    ([], 0),
+])
+def test_tasks_ask_for_one_cpu_per_fork_pairs(monkeypatch, pairs, width):
+    asked = []
+    monkeypatch.setattr(density_engine, "_cpus", lambda count: asked.append(count) or [])
+    assert density_engine._in_tasks(lambda k: -k, pairs) == [-k for k in range(len(pairs))]
+    assert asked == [width]
+
+
 FORK_SCRIPT = textwrap.dedent("""
-    import os, tempfile, time
+    import os, time
     import numpy as np
+    import forking
     import test_density_engine as t
     from puremeasure import density_engine
     from puremeasure.density_engine import DeltaSchedule, VanishingReference, density_probe, sharp_integral
     from puremeasure.quadrature import SampleSpec
 
     # two shares: levels 0, 2, 4, ... in the caller and 1, 3, 5, ... in one child
-    os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:2])
-    mask, caller, forks, fork = os.sched_getaffinity(0), os.getpid(), [], os.fork
-    os.fork = lambda: forks.append(1) or fork()
+    mask, caller, forks = forking.start()
     spec = SampleSpec(n=70_001, seed=41)
     weighted = lambda weight: sharp_integral(lambda p: np.abs(p[:, 0]), t.ORIGIN3, t.BALL3,
                                              t.sched(t.ORIGIN3, t.BALL3, count=5), spec, weight=weight)
@@ -586,17 +600,10 @@ FORK_SCRIPT = textwrap.dedent("""
     plain = repr(weighted(lambda p: 1.0 + p[:, 2]))
     assert not forks
 
-    # the machine's runnable tasks, as the kernel counts them: this process alone, or one more
-    fd, loadavg = tempfile.mkstemp()
-    os.close(fd)
-    def runnable(count):
-        with open(loadavg, "w") as f:
-            f.write(f"0.00 0.00 0.00 {count}/100 1")
-
-    density_engine.FORK_PAIRS, density_engine._LOADAVG = 1, loadavg
-    runnable(2)
+    density_engine.FORK_PAIRS = 1
+    forking.runnable(2)
     assert repr(weighted(lambda p: 1.0 + p[:, 2])) == plain and not forks  # the other CPU is busy
-    runnable(1)
+    forking.runnable(1)
     for name, probe in t.PROFILED.items():
         assert repr(probe(spec)) == serial[name], name
     assert len(forks) == len(t.PROFILED)
@@ -661,20 +668,12 @@ FORK_SCRIPT = textwrap.dedent("""
     else:
         raise AssertionError("the caller's share was not interrupted")
 
-    try:
-        os.waitpid(-1, os.WNOHANG)
-    except ChildProcessError:
-        pass
-    else:
-        raise AssertionError("a child was left")
-    assert os.sched_getaffinity(0) == mask
-    os.unlink(loadavg)
+    forking.finish(mask)
     print("forks", len(forks))
 """)
 
 
-@pytest.mark.skipif(not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity"))
-                    or len(os.sched_getaffinity(0)) < 2, reason="the fork path needs os.fork and 2 usable CPUs")
+@pytest.mark.skipif(forking.CANNOT_FORK, reason="the fork path needs os.fork and 2 usable CPUs")
 def test_forked_shares_give_the_serial_bytes():
     # the script asserts, with FORK_PAIRS lowered: the fork path ran; the
     # PROFILED probes give their serial repr; a busy machine and a rebound
@@ -685,14 +684,7 @@ def test_forked_shares_give_the_serial_bytes():
     # raises kills its children; no child is left; and the caller's affinity
     # mask is restored.  Here: the caller's pending output is written once and
     # a child's output is written
-    tests = os.path.dirname(os.path.abspath(__file__))
-    src = os.path.dirname(os.path.dirname(os.path.abspath(density_engine.__file__)))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join((src, tests)), "PYTHONWARNINGS": "error",
-           **dict.fromkeys(_BLAS_THREADS, "1")}
-    proc = subprocess.run([sys.executable, "-c", FORK_SCRIPT], env=env, capture_output=True, text=True,
-                          timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.splitlines()
+    lines = forking.run_script(FORK_SCRIPT)
     assert lines.count("the caller's line") == 1 and lines.count("a child's line") == 1, lines
     # one fork per profile: the PROFILED probes, the printing and the dying
     # child, four failing profiles, the interrupted one
