@@ -641,4 +641,8 @@ def main(argv=None) -> int:
     if args.task is not None and all(task.name != args.task for task in config.jobs):
         print(f"no task named {args.task!r}", file=sys.stderr)
         return 1
-    return run(config, args.out, only=args.task)
+    try:
+        return run(config, args.out, only=args.task)
+    except OSError as e:  # each task's own errors are in the report, so this is --out or report.json
+        print(f"cannot write output: {e}", file=sys.stderr)
+        return 1

@@ -5,8 +5,10 @@ the functions sin cos exp log sqrt abs sign min max step, with
 step(e) = 1 where e > 0 and 0 elsewhere.  A nonzero integer literal
 exponent (x1^3, x1^-2) is evaluated by products, so an odd power is exactly
 odd and cancels over antithetic pairs; other exponents use np.power.
-Expressions evaluate pointwise on sample blocks of shape (N, n);
-singularities propagate as non-finite values which the quadrature layer
+Expressions evaluate pointwise on sample blocks of shape (N, n).  Every
+node, constant or not, is a numpy function of its operands and follows
+IEEE rules, so a singularity, even a constant one such as 1/0 or 0/0,
+propagates as a non-finite value (inf or nan) which the quadrature layer
 tallies.  An expression nests at most MAX_DEPTH levels, each operator,
 call, unary minus, power and pair of parentheses counting one.  The parser
 counts the levels as it builds the tree, one frame per level, so the bound
@@ -40,10 +42,7 @@ _UNARY: dict[str, Callable] = {
     "sign": np.sign,
     "step": lambda v: np.where(v > 0, 1.0, 0.0),
 }
-_BINARY: dict[str, Callable] = {
-    "min": np.minimum,
-    "max": np.maximum,
-}
+_BINARY: dict[str, Callable] = {"min": np.minimum, "max": np.maximum}
 
 _TOKEN = re.compile(
     r"\s*(?:"
@@ -164,35 +163,24 @@ def _check_depth(levels: int) -> None:
         raise ExpressionError(f"expression nests too deeply (at most {MAX_DEPTH} levels)")
 
 
+_APPLY: dict[str, Callable] = {
+    "+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide, "^": np.power, "neg": np.negative,
+    **_UNARY, **_BINARY,
+}
+
+
 def _evaluate(node, pts: np.ndarray):
-    tag = node[0]
+    """A node's values: a leaf's own, an integer-literal power's by products, else its function's of its operands'."""
+    tag, *args = node
     if tag == "num":
-        return node[1]
+        return args[0]
     if tag == "var":
-        return pts[:, node[1]]
-    if tag == "neg":
-        return -_evaluate(node[1], pts)
+        return pts[:, args[0]]
     if tag == "call":
-        args = [_evaluate(a, pts) for a in node[2]]
-        fn = _UNARY.get(node[1]) or _BINARY[node[1]]
-        return fn(*args)
-    a = _evaluate(node[1], pts)
-    if tag == "^":
-        n = _integer_literal(node[2])
-        if n:
-            return _integer_power(a, n)
-    b = _evaluate(node[2], pts)
-    if tag == "+":
-        return a + b
-    if tag == "-":
-        return a - b
-    if tag == "*":
-        return a * b
-    if tag == "/":
-        return a / b
-    if tag == "^":
-        return np.power(a, b)
-    raise AssertionError(f"unhandled node {tag}")
+        tag, args = args
+    elif tag == "^" and (n := _integer_literal(args[1])):
+        return _integer_power(_evaluate(args[0], pts), n)
+    return _APPLY[tag](*[_evaluate(a, pts) for a in args])
 
 
 def _integer_literal(node) -> int | None:

@@ -184,8 +184,9 @@ class Halfspace(Region):
 
     def __post_init__(self):
         n = np.asarray(self.normal, dtype=float)
-        if not np.any(n != 0):
-            raise ValueError("normal must be nonzero")
+        with np.errstate(over="ignore"):  # sdf divides by the norm: (1e308, 1e308) overflows, (1e-200, 0) reads 0
+            if not 0 < np.linalg.norm(n) < np.inf:
+                raise ValueError("normal must be a vector of finite nonzero norm")
         object.__setattr__(self, "normal", tuple(float(v) for v in n))
 
     @property
@@ -242,8 +243,9 @@ class Cusp(Region):
     def sdf(self, pts) -> np.ndarray:
         pts = as_points(pts, self.dim)
         x1, rest = self._profiles(pts)
-        graph = np.power(np.maximum(x1, 0.0), self.p)
-        slope = np.sqrt(1.0 + self.p ** 2)
+        with np.errstate(over="ignore"):  # beyond x1 = 1 the graph may overflow, and x1 - 1 bounds the distance
+            graph = np.power(np.maximum(x1, 0.0), self.p)
+        slope = np.hypot(1.0, self.p)
         return np.maximum.reduce([-x1, x1 - 1.0, (rest - graph) / slope])
 
 

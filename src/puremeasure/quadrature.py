@@ -802,7 +802,10 @@ class _Step:
         if self.on == samples and averaged == averaged:
             return 0.0
         if quantum == quantum:
-            return len(su) * ((0.5 * quantum) ** 2 / 12.0)
+            try:
+                return len(su) * ((0.5 * quantum) ** 2 / 12.0)
+            except OverflowError:  # a step beyond ~1e154: the sums' stderr is inf
+                return math.inf
         grid = np.spacing(np.abs(su))
         return float((grid * grid).sum()) / 12.0
 

@@ -147,6 +147,23 @@ def test_unintegrable_task_exits_2_and_records_error(tmp_path):
     assert all(abs(row["value"]) <= 0.05 for row in series)
 
 
+def test_constant_singularities_are_unintegrable(tmp_path):
+    # a constant 1/0 or 0/0 once failed its task with ZeroDivisionError
+    cfg = json.loads(config_with([
+        {"task": "sharp_integral", "name": name, "integrand": name, "feature": "origin1", "omega": "line"}
+        for name in ("pole", "hole")]))
+    cfg["integrands"].update(pole="x1 + 1/0", hole="0/0")
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg_path), "--out", str(out)]) == 2
+    errors = {t["name"]: t["error"] for t in json.loads((out / "report.json").read_text())["tasks"]}
+    assert errors == {
+        "pole": {"type": "Unintegrable", "message": "integrand essentially unbounded near the feature"},
+        "hole": {"type": "Unintegrable", "message": "integrand undefined (NaN) near the feature"},
+    }
+
+
 def test_a_failing_task_leaves_the_batch_and_a_strict_json_report(tmp_path):
     # one task fails at run time, two report infinite and NaN values as strings, and the last still writes
     # its CSV
@@ -332,6 +349,16 @@ def test_main_usage_and_parse_failures(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{broken")
     assert main(["--config", str(bad), "--out", str(tmp_path / "o")]) == 1
+
+
+def test_main_reports_an_output_path_it_cannot_write(tmp_path, capsys):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(config_with([DENSITY_TASK]))
+    taken = tmp_path / "taken"
+    taken.write_text("a file, not a directory")
+    assert main(["--config", str(cfg_path), "--out", str(taken)]) == 1
+    assert capsys.readouterr().err.startswith("cannot write output: ")
+    assert taken.read_text() == "a file, not a directory"
 
 
 def test_parse_rejects_non_string_task_kind():
@@ -525,6 +552,14 @@ WITH_QUADRANT = {"features": dict(BASE["features"], quadrant={"intersection": [
     (UNBOUNDED, dict(DENSITY_TASK, omega="halfline", schedule={"delta0": 0.5}), "/tasks/0/omega"),
     (UNBOUNDED, dict(DENSITY_TASK, omega="outside"), "/tasks/0/omega"),
     ({"regions": dict(BASE["regions"], lax={"cusp": {"p": 2, "dim": True}})}, DENSITY_TASK, "/regions/lax"),
+    # a normal whose norm overflows or underflows gives sdf NaN or -inf
+    ({"regions": dict(BASE["regions"], lax={"halfspace": {"normal": [1e308, 1e308], "offset": 0}})}, DENSITY_TASK,
+     "/regions/lax"),
+    ({"regions": dict(BASE["regions"], lax={"halfspace": {"normal": [1e-200, 0], "offset": 0}})}, DENSITY_TASK,
+     "/regions/lax"),
+    # a steep cusp's slope bound once overflowed in the check
+    ({"regions": dict(BASE["regions"], steep={"cusp": {"p": 1e200}})},
+     {"task": "boundary_trace", "integrand": "xy", "omega": "steep", "x": [1.5, 0]}, "/tasks/0/x"),
 ])
 def test_main_rejects_bad_tol_delta0_and_nodes(tmp_path, capsys, top, task, pointer):
     cfg = json.loads(config_with([task]))

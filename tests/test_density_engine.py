@@ -104,6 +104,15 @@ def test_density_ratio_normalization_exact():
         assert est.value == 1.0
 
 
+def test_a_huge_constant_weight_keeps_the_ratio():
+    # the weight's one value quantizes the column; past ~2.7e154 its rounding
+    # variance overflows, which once raised OverflowError, and reads stderr inf
+    near, far = (density_ratio(interval(0.0, 1.0), ORIGIN1, OMEGA1, 0.5, SampleSpec(n=2000, seed=1),
+                               weight=lambda p, c=c: np.full(len(p), c)) for c in (1e150, 1e160))
+    assert near.value == far.value == 0.5
+    assert 0 < near.stderr < 0.01 and far.stderr == np.inf
+
+
 def test_density_ratio_range():
     rng_regions = [interval(-1.0, -0.3), interval(-0.2, 0.4), interval(0.0, 1.0)]
     for i, a in enumerate(rng_regions):

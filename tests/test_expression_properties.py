@@ -1,5 +1,7 @@
-"""Property test: a tree printed with full parentheses parses back to the same tree."""
+"""Property tests: a tree printed with full parentheses parses back to the same tree, and evaluates
+to one float per point without raising, its singularities as inf or nan."""
 
+import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -38,3 +40,15 @@ def _print(node) -> str:
 @given(trees)
 def test_fully_parenthesized_trees_parse_back(tree):
     assert parse_expression(_print(tree)).ast == tree
+
+
+# zeros and signs in every coordinate, so constant and variable denominators, logs and roots hit 0 and below
+POINTS = np.array([[0.0, -0.0, 1.0, -1.0, 0.5], [0.0, 2.0, 0.0, -3.0, 0.0], [-1.5, 0.0, 1e-300, 0.0, 1e300]])
+
+
+@settings(max_examples=300, deadline=None)
+@given(trees)
+def test_every_tree_evaluates_to_one_float_per_point(tree):
+    # a constant zero denominator (1/0, 0/0, 0^-1) once raised ZeroDivisionError
+    values = parse_expression(_print(tree))(POINTS)
+    assert values.shape == (len(POINTS),) and values.dtype == np.float64

@@ -50,6 +50,16 @@ def test_singularities_propagate_nonfinite():
     assert np.isnan(vals[0])
 
 
+def test_constant_singularities_follow_ieee_rules_as_arrays_do():
+    # constant subtrees once took Python float arithmetic, which raises on 1/0
+    pts = [[0.0], [2.0]]
+    assert list(ev("x1 + 1/0", pts)) == [np.inf, np.inf]
+    assert list(ev("-(1/0)", pts)) == [-np.inf, -np.inf]
+    assert np.isnan(ev("0/0", pts)).all() and np.isnan(ev("x1 * (0/0)", pts)).all()
+    assert list(ev("0^-1", pts)) == [np.inf, np.inf]
+    assert list(ev("1e200^2 + x1", pts)) == [np.inf, np.inf]
+
+
 def test_arity_tracking_and_dimension_check():
     e = parse_expression("x3 + x1")
     assert e.arity == 3

@@ -205,6 +205,23 @@ def test_cusp_membership():
     assert not cusp.contains([(0.5, -0.26)])[0]
 
 
+def test_halfspace_normals_need_a_finite_nonzero_norm():
+    # sdf divides by the norm: (1e308, 1e308) once read NaN everywhere though (-1, -1)
+    # lies inside, (1e-200, 0) -inf, and no warning may escape the check
+    for normal in [(1e308, 1e308), (1e-200, 0.0), (0.0, 0.0), (float("nan"), 1.0)]:
+        with pytest.raises(ValueError, match="finite nonzero norm"):
+            Halfspace(normal, 0.0)
+    tiny = Halfspace((1e-150, 0.0), 0.0)  # its squared norm is 1e-300, still normal
+    assert tiny.contains([(-1.0, 0.0)])[0] and signed_distance(tiny, (-1.0, 0.0)) == -1.0
+
+
+def test_a_steep_cusp_has_a_finite_pseudo_distance():
+    # its slope bound sqrt(1 + p^2) once raised OverflowError from p ** 2
+    cusp = Cusp(1e200)
+    assert signed_distance(cusp, (1.5, 0.0)) == 0.5
+    assert signed_distance(cusp, (0.5, 0.5)) == pytest.approx(0.5e-200)
+
+
 def test_cone_geometry():
     cone = Cone((0.0, 0.0), (1.0, 0.0), np.pi / 4)
     assert cone.contains([(1.0, 0.5)])[0]
@@ -254,6 +271,8 @@ def test_region_json_grammar():
         {"ball": {"c": [0, nan], "r": 1}},
         {"ball": {"c": [0, 0], "r": "1"}},
         {"halfspace": {"normal": [1, inf], "offset": 0}},
+        {"halfspace": {"normal": [1e308, 1e308], "offset": 0}},
+        {"halfspace": {"normal": [1e-200, 0], "offset": 0}},
         {"halfspace": {"normal": [1, 0], "offset": True}},
         {"cusp": {"p": "2"}},
         {"cusp": {"p": 2, "dim": 2.9}},

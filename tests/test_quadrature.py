@@ -140,6 +140,14 @@ def test_overflowing_column_reads_infinite_stderr():
     assert est.value == np.inf and est.stderr == np.inf and est.capped == 0
 
 
+def test_a_step_beyond_the_squarable_reads_infinite_stderr():
+    # a constant column is quantized: one sample moves a replicate sum by c / 2, whose
+    # square overflows past ~2.7e154 and once raised OverflowError
+    est = mc_integral(lambda p: np.full(len(p), 1e200), DISK, SampleSpec(n=2000, seed=1))
+    assert est.value == pytest.approx(np.pi * 1e200, rel=0.05)
+    assert est.stderr == np.inf and est.capped == 0 and est.undefined == 0
+
+
 def _weighted_mean(values, weight, bbox, spec, stream=0):
     """The one ratio column `Ratio(values)` of a sweep over the box."""
     return sweep(weight, AxisBox(bbox), spec, stream, ratios=[Ratio(values)]).ratios[0]

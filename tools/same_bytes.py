@@ -9,13 +9,14 @@ and compares what they give:
 - every file that the `pure-measure` CLI writes for the benchmark's
   `cli_config(0)` and `cli_config(905)` and for the 3-D and 8-D shells
   config of CI's Determinism step (tools/shells.json), at its own sample
-  count and at 140,000 samples, where the CLI forks large profiles, and its
-  exit status.
+  count and at 140,000 samples, where the CLI forks large profiles, and for
+  the operators config (tools/operators.json), whose integrands use every
+  operator and function of the expression grammar, and its exit status.
 
 Each checkout runs its own `bench/child.py` and CLI from its own `src`.  The
-CLI configs come from this tree's `bench/workloads.py` and
-tools/shells.json, so both checkouts read the same ones.  The passes get the
-thread variables that `bench/run.py` sets (OPENBLAS_NUM_THREADS,
+CLI configs come from this tree's `bench/workloads.py`, tools/shells.json
+and tools/operators.json, so both checkouts read the same ones.  The passes
+get the thread variables that `bench/run.py` sets (OPENBLAS_NUM_THREADS,
 OMP_NUM_THREADS and MKL_NUM_THREADS all 1), so numpy starts no BLAS thread
 and a large profile forks its levels as it does in the benchmark.  The CLI
 runs with the caller's environment without those variables, as a user runs
@@ -42,6 +43,7 @@ WORKLOADS = ("point_probes", "thin_features")
 SEEDS = (1, 7, 53)
 CLI_SEEDS = (0, 905)
 SHELLS = ROOT / "tools" / "shells.json"
+OPERATORS = ROOT / "tools" / "operators.json"
 THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -109,7 +111,8 @@ def main(argv=None) -> int:
                 found += [f"{label}: {line}" for line in failed + also] + _differences(label, parent, change)
                 print(f"{label}: {len(parent)} ops compared", flush=True)
         runs = {"shells": ["--config", str(SHELLS)],
-                "shells at 140000 samples": ["--config", str(SHELLS), "--samples", "140000"]}
+                "shells at 140000 samples": ["--config", str(SHELLS), "--samples", "140000"],
+                "operators": ["--config", str(OPERATORS)]}
         for seed in CLI_SEEDS:
             path = work / f"cli_config_{seed}.json"
             path.write_text(json.dumps(workloads.cli_config(seed)), encoding="utf-8")
