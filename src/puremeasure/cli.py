@@ -589,10 +589,9 @@ def run(config: Config, out_dir: str | Path, only: str | None = None) -> int:
     out.mkdir(parents=True, exist_ok=True)
     chosen = [task for task in config.jobs if only is None or task.name == only]
     entries = _in_tasks(lambda k: _entry(chosen[k], out), [task.pairs for task in chosen])
-    report = {"schema": SCHEMA, "config": config.resolved, "tasks": entries}
-    (out / "report.json").write_text(
-        json.dumps(_jsonable(report), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    # every entry is JSON-ready already; json.loads may have put NaN into the config
+    report = {"schema": SCHEMA, "config": _jsonable(config.resolved), "tasks": entries}
+    (out / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return 2 if any(entry["status"] == "error" for entry in entries) else 0
 
 

@@ -16,8 +16,11 @@ samples it evaluated.
 Each replicate's estimate is unbiased, the replicates are independent, and
 the spread of the replicate sums is the unit of the variance estimate, scaled
 by Student's t at the replicates' degrees of freedom.  The shifts of a pass
-come from the counter-based Philox generator on the stream (seed, stream), so
-identical specs give bit-identical estimates, and streams are independent.
+come from the counter-based Philox4x64-10 generator (Salmon, Moraes, Dror &
+Shaw 2011) on the stream (seed, stream): numpy's Philox stream under
+SeedSequence(entropy=(seed, stream)), computed in the package bit for bit
+(see `_shifts`), so identical specs give bit-identical estimates, streams are
+independent, and the stream does not move with numpy's version.
 The pairing makes estimates of odd integrands about the centre vanish
 identically instead of merely on average (on a proposal without folds),
 which the density engine relies on for its cancellation fixtures.
@@ -119,6 +122,21 @@ STUDENT_T = (12.7062, 4.3027, 3.1824, 2.7764, 2.5706, 2.4469, 2.3646, 2.3060,
 LATTICE_BITS = 32
 LATTICE_A = 0xA4224509
 DEFAULT_SAMPLES = 200_000
+# numpy's SeedSequence (numpy/random/bit_generator.pyx): the constants that
+# hash entropy into its pool of four 32-bit words and words out of it
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+# Philox4x64-10 (Salmon, Moraes, Dror & Shaw 2011): the round multipliers
+# M_0, M_1 and their 32-bit halves, and the key's Weyl increments, as uint64
+_PHILOX_M = np.array([0xD2E7470EE14C6C93, 0xCA5A826395121157], dtype=np.uint64)[:, None, None]
+_PHILOX_W = np.array([0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B], dtype=np.uint64)[:, None, None]
+_HALF, _LOW, _DISCARD = np.uint64(32), np.uint64(_MASK32), np.uint64(11)
+_PHILOX_MH, _PHILOX_ML = _PHILOX_M >> _HALF, _PHILOX_M & _LOW
+# the streams whose draws `_shifts` computes together, and the table that holds
+# them: (seed, batch, draws), the first draws of streams batch _BATCH on
+_BATCH = 16
+_draws: tuple[int, int, np.ndarray] | None = None
 
 
 class UnboundedRegion(ValueError):
@@ -134,7 +152,8 @@ class SampleSpec:
     """Sampling plan: sample count and seed.
 
     Sample counts are rounded up to the next even number so that the stream
-    consists of whole antithetic pairs.
+    consists of whole antithetic pairs.  The seed, read as int(seed), is
+    non-negative, as numpy's SeedSequence requires of its entropy.
     """
 
     n: int = DEFAULT_SAMPLES
@@ -143,6 +162,8 @@ class SampleSpec:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("need at least one sample")
+        if int(self.seed) < 0:
+            raise ValueError("the seed must be non-negative")
 
     @property
     def pairs(self) -> int:
@@ -182,10 +203,101 @@ def _lattice(coords: int, count: int) -> np.ndarray:
     return ((h[:, None] * k) & mask).astype(float) * 2.0 ** -LATTICE_BITS
 
 
+def _key(seed: int, stream: int) -> tuple[int, int]:
+    """The Philox key that numpy's SeedSequence(entropy=(seed, stream)).generate_state(2, uint64) gives.
+
+    The entropy is the 32-bit words of seed and then of stream, least
+    significant first (one word 0 for 0), hashed into a pool of four words
+    that are then mixed with each other and with any further entropy word,
+    and four words hashed out of the pool make the two 64-bit key words,
+    little-endian.  Every product is reduced mod 2^32 at once.
+    """
+    entropy = []
+    for v in (seed, stream):
+        if v < 0:  # its words would never end
+            raise ValueError("seeds and streams are non-negative")
+        entropy.append(v & _MASK32)
+        while v := v >> 32:
+            entropy.append(v & _MASK32)
+    const = _INIT_A
+
+    def hashed(value: int) -> int:
+        nonlocal const
+        value ^= const
+        const = const * _MULT_A & _MASK32
+        value = value * const & _MASK32
+        return value ^ value >> 16
+
+    def mixed(x: int, y: int) -> int:
+        value = (_MIX_L * x - _MIX_R * y) & _MASK32
+        return value ^ value >> 16
+
+    pool = [hashed(entropy[i] if i < len(entropy) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mixed(pool[dst], hashed(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mixed(pool[dst], hashed(word))
+    const, out = _INIT_B, []
+    for word in pool:
+        word ^= const
+        const = const * _MULT_B & _MASK32
+        word = word * const & _MASK32
+        out.append(word ^ word >> 16)
+    return out[0] | out[1] << 32, out[2] | out[3] << 32
+
+
+def _philox(keys: np.ndarray, blocks: int) -> np.ndarray:
+    """The first 4 `blocks` outputs of Philox4x64-10 under each of s keys, a (2, s, 1) uint64 array, as (s, 4 blocks).
+
+    Block i is the counter (i + 1, 0, 0, 0) after ten rounds, and its four
+    words are outputs 4i to 4i + 3, as numpy's Philox draws them.  A round
+    takes the high and low words of M_j c_j for the even counter words c_0,
+    c_2 and the multipliers M_0, M_1: it makes (c_0, c_1, c_2, c_3) into
+    (hi_1 ^ c_1 ^ k_0, lo_1, hi_0 ^ c_3 ^ k_1, lo_0), and the key k gains
+    its Weyl increment before every round after the first.  Every operand is
+    uint64, and array products wrap mod 2^64; the high word is put together
+    from the 32-bit halves, whose partial sums stay below 2^64.
+    """
+    even = np.zeros((2, keys.shape[1], blocks), dtype=np.uint64)  # c_0 and c_2; odd holds c_1 and c_3
+    even[0] = np.arange(1, blocks + 1, dtype=np.uint64)
+    odd = np.zeros_like(even)
+    for step in range(10):
+        if step:
+            keys = keys + _PHILOX_W
+        high, low = even >> _HALF, even & _LOW
+        ll, lh = _PHILOX_ML * low, _PHILOX_ML * high
+        cross = (ll >> _HALF) + (lh & _LOW) + _PHILOX_MH * low
+        hi = _PHILOX_MH * high + (lh >> _HALF) + (cross >> _HALF)
+        even, odd = hi[::-1] ^ odd ^ keys, (even * _PHILOX_M)[::-1]
+    return np.stack((even, odd)).transpose(2, 3, 1, 0).reshape(keys.shape[1], 4 * blocks)
+
+
 def _shifts(seed: int, stream: int, reps: int, coords: int) -> np.ndarray:
-    """The (coords, reps) random shifts of a pass, from the Philox stream (seed, stream)."""
-    gen = np.random.Generator(np.random.Philox(seed=np.random.SeedSequence(entropy=(int(seed), int(stream)))))
-    return gen.random((reps, coords)).T
+    """The (coords, reps) random shifts of a pass: numpy's Philox4x64-10 stream under SeedSequence(entropy=(seed, stream)).
+
+    Shift r's coordinate j is draw r coords + j, and draw i is output i's
+    top 53 bits times 2^-53, as numpy's Generator.random((reps, coords))
+    gives them, bit for bit, with the package's own `_key` and `_philox`,
+    so no process loads numpy.random.  One Philox pass costs about the same
+    for any width, so the first draws of the _BATCH streams that hold
+    `stream` are computed together, for one seed, and kept in one module
+    table, which a request for another seed, another batch or a longer
+    prefix replaces.  The table is a pure function of what it holds, so a
+    forked process may read its parent's.
+    """
+    global _draws
+    seed, stream = int(seed), int(stream)
+    count, (batch, row) = reps * coords, divmod(stream, _BATCH)
+    table = _draws
+    if table is None or table[:2] != (seed, batch) or table[2].shape[1] < count:
+        keys = np.array([_key(seed, s) for s in range(batch * _BATCH, (batch + 1) * _BATCH)], dtype=np.uint64)
+        draws = (_philox(keys.T[:, :, None], -(-count // 4)) >> _DISCARD).astype(float) * 2.0 ** -53
+        draws.flags.writeable = False
+        table = _draws = (seed, batch, draws)
+    return table[2][row, :count].reshape(reps, coords).T
 
 
 def _shifted(base: np.ndarray, shift: np.ndarray, out: np.ndarray | None = None,
@@ -243,18 +355,6 @@ class Proposal:
     def _halves(self, u: np.ndarray, out: np.ndarray,
                 angles: Iterator[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError
-
-    def pairs(self, seed: int, stream: int, pairs: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """Each replicate's pairs of a pass of `pairs` requested pairs, one (points, reflections) block per replicate.
-
-        This is what `sweep` evaluates, replicate by replicate, from the same
-        preparation; each replicate gets a work block of its own, so the
-        blocks stay valid after the next one is drawn.
-        """
-        reps, size = _replicates(pairs)
-        prepared = _Base(self, _lattice(self.coords, size), _shifts(seed, stream, reps, self.coords))
-        for r in range(reps):
-            yield prepared.halves(_Work(size, self, False), r, r + 1, 0, size)
 
     def _reflected(self, offsets: np.ndarray, u: np.ndarray, out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """center ± offsets for a (dim, m) block of offsets, as (m, dim) transposes.

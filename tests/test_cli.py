@@ -5,10 +5,13 @@ import tracemalloc
 import pytest
 
 from puremeasure.cli import (
+    TASK_KINDS,
     BadSchedule,
     ConfigError,
     ParseError,
     UnknownName,
+    _entry,
+    _jsonable,
     main,
     parse_config,
     run,
@@ -265,6 +268,21 @@ def test_full_suite_runs_and_is_deterministic(tmp_path):
     for name in csvs:
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
     assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
+
+
+def test_every_kinds_entry_is_json_ready(tmp_path):
+    # `run` writes the entries as their jobs return them, so each must be its own _jsonable image
+    config = parse_config(config_with(FULL_SUITE))
+    assert sorted(task.kind for task in config.jobs) == sorted(TASK_KINDS)
+    for task in config.jobs:
+        entry = _entry(task, tmp_path)
+        assert entry["status"] == "ok", entry
+        assert entry == _jsonable(entry), task.kind
+        assert json.dumps(entry, sort_keys=True) == json.dumps(_jsonable(entry), sort_keys=True), task.kind
+    # the echoed config is made JSON-ready: json.loads reads NaN into it
+    run(parse_config(config_with([dict(DENSITY_TASK, note=float("nan"))])), tmp_path / "nan")
+    report = json.loads((tmp_path / "nan" / "report.json").read_text(), parse_constant=lambda c: 1 / 0)
+    assert report["config"]["tasks"][0]["note"] == "nan"
 
 
 def test_fa_lattice_task_payload(tmp_path):

@@ -48,6 +48,7 @@ from puremeasure.quadrature import AxisBox, OrientedBox, Range, Ratio, SampleSpe
 from puremeasure.trace_gradient import ScalarField, density_gradient
 
 import forking
+from sampling import replicate_pairs
 
 OMEGA1 = interval(-1.0, 1.0)
 ORIGIN1 = PointFeature((0.0,))
@@ -700,6 +701,35 @@ def test_forked_shares_give_the_serial_bytes():
     assert lines[-1].split() == ["forks", str(len(PROFILED) + 2 + 4 + 1)]
 
 
+TABLE_SCRIPT = textwrap.dedent("""
+    import forking
+    import test_density_engine as t
+    from puremeasure import density_engine, quadrature
+    from puremeasure.quadrature import SampleSpec
+
+    mask, caller, forks = forking.start()
+    spec = SampleSpec(n=2 * density_engine.FORK_PAIRS, seed=43)
+    probe = lambda: repr(t.PROFILED["density_probe_3d"](spec))
+    forking.runnable(2)  # the other CPU is busy: the profile runs serially
+    serial = probe()
+    assert not forks and quadrature._draws[0] == 43
+    forking.runnable(1)
+    quadrature._shifts(44, 0, 31, 9)  # the caller forks holding another seed's draws
+    assert quadrature._draws[0] == 44
+    assert probe() == serial and len(forks) == 1
+    forking.finish(mask)
+    print("same")
+""")
+
+
+@pytest.mark.skipif(forking.CANNOT_FORK, reason="the fork path needs os.fork and 2 usable CPUs")
+def test_a_forked_profile_draws_its_own_seed_from_a_table_of_another():
+    # the script asserts: a profile at fork size that forks while the
+    # caller's draw table holds another seed gives the serial bytes, in the
+    # caller's share and in the child's, each of which refills the table
+    assert forking.run_script(TABLE_SCRIPT)[-1] == "same"
+
+
 # ------------------------------------------------------- level proposals
 
 CUBE8 = Box((-1.0,) * 8, (1.0,) * 8)
@@ -812,7 +842,7 @@ def test_every_shell_point_lies_in_the_neighbourhood(level):
         assert type(proposal) is Shell
         neighbourhood = Neighborhood(feature, delta)
         for seed in range(3):
-            for a, b in proposal.pairs(seed, 1, 3000):
+            for a, b in replicate_pairs(proposal, seed, 1, 3000):
                 assert neighbourhood.contains(a).all() and neighbourhood.contains(b).all(), (delta, seed)
 
 
@@ -830,7 +860,7 @@ def test_a_shell_inside_the_domain_has_every_point_in_it(level):
     for delta in (0.4, 0.1, 1e-3):
         proposal = _level_cover(feature, omega, delta).proposal
         assert density_engine._inside(proposal, omega) == (level in INSIDE)
-        for a, b in proposal.pairs(0, 1, 3000):
+        for a, b in replicate_pairs(proposal, 0, 1, 3000):
             assert omega.contains(a).all() and omega.contains(b).all() or level not in INSIDE
 
 

@@ -16,6 +16,8 @@ import puremeasure
 import puremeasure.__main__ as entry
 from puremeasure import cli, density_engine
 
+import forking
+
 SRC = os.path.dirname(os.path.dirname(puremeasure.__file__))
 
 
@@ -94,6 +96,39 @@ def test_only_the_process_entry_freezes_the_collector(tmp_path):
     assert set(files(tmp_path / "here")) == {"report.json", "dzero.csv", "cosint.csv"}
     with open(os.path.join(os.path.dirname(SRC), "pyproject.toml"), encoding="utf-8") as project:
         assert 'pure-measure = "puremeasure.__main__:entry"' in project.read().splitlines()
+
+
+NO_RANDOM_SCRIPT = """
+import os, shutil, sys, tempfile
+import forking
+from puremeasure.__main__ import main
+
+mask, caller, forks = forking.start()
+work = tempfile.mkdtemp()
+
+def loads(event, args):  # a forked share inherits the hook and marks its own imports
+    if event == "import" and args[0] == "numpy.random":
+        open(os.path.join(work, f"numpy.random-{os.getpid()}"), "w").close()
+
+sys.addaudithook(loads)
+shells = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(forking.__file__))), "tools", "shells.json")
+assert main(["--config", shells, "--samples", "140000", "--out", os.path.join(work, "out")]) == 0
+assert forks, "no profile forked"
+assert "numpy.random" not in sys.modules and not [n for n in os.listdir(work) if n.startswith("numpy.random")]
+import numpy.random  # the hook sees a load
+assert os.listdir(work).count(f"numpy.random-{caller}") == 1
+forking.finish(mask)
+shutil.rmtree(work)
+print("no numpy.random")
+"""
+
+
+@pytest.mark.skipif(forking.CANNOT_FORK, reason="forked profiles need os.fork and 2 usable CPUs")
+def test_no_process_of_a_cli_run_loads_numpy_random():
+    # the script asserts, on a 2-CPU mask with an idle machine faked: a CLI
+    # run of tools/shells.json at 140,000 samples forks its profiles, and
+    # neither the caller nor a forked share imports numpy.random
+    assert forking.run_script(NO_RANDOM_SCRIPT)[-1] == "no numpy.random"
 
 
 @pytest.mark.parametrize("name", puremeasure.__all__)

@@ -38,6 +38,8 @@ from puremeasure.quadrature import (
     sweep,
 )
 
+from sampling import replicate_pairs
+
 DISK = Ball((0.0, 0.0), 1.0)
 
 
@@ -282,7 +284,7 @@ def test_a_range_of_width_three_without_hits_reports_three_unbounded_ranges():
 # ----------------------------------------------------------------- proposals
 
 def _draws(proposal, n=4000, seed=5, stream=2):
-    return [pair for pair in proposal.pairs(seed, stream, n)]
+    return list(replicate_pairs(proposal, seed, stream, n))
 
 
 def _frame_coordinates(box, pts):
@@ -327,7 +329,7 @@ def test_axis_box_is_the_old_stream(dim):
     lo = rng.uniform(-2.0, 0.0, dim)
     hi = lo + rng.uniform(0.1, 3.0, dim)
     pairs = 3 * REPLICATES + 5
-    drawn = list(AxisBox((lo, hi)).pairs(11, 4, pairs))
+    drawn = list(replicate_pairs(AxisBox((lo, hi)), 11, 4, pairs))
     assert [len(a) for a, _ in drawn] == [2] * 26
     for (a, b), u in zip(drawn, _unit_points(dim, 11, 4, pairs)):
         assert np.array_equal(a, lo + u * (hi - lo))
@@ -362,7 +364,7 @@ def test_replicates_take_exactly_the_sample_count(pairs):
     # replicate per pair below), more than 15/16 of the pairs, and Estimate.n
     # reports exactly the samples they hold
     box = AxisBox((np.zeros(2), np.ones(2)))
-    sizes = [len(a) for a, _ in box.pairs(3, 1, pairs)]
+    sizes = [len(a) for a, _ in replicate_pairs(box, 3, 1, pairs)]
     size = sizes[0]
     assert set(sizes) == {size} and size & (size - 1) == 0
     if pairs >= REPLICATES:
@@ -378,6 +380,51 @@ def test_shifts_are_independent_per_stream():
     assert np.array_equal(_shifts(7, 3, REPLICATES, 2), _shifts(7, 3, REPLICATES, 2))
     assert not np.array_equal(_shifts(7, 3, REPLICATES, 2), _shifts(7, 4, REPLICATES, 2))
     assert not np.array_equal(_shifts(7, 3, REPLICATES, 2), _shifts(8, 3, REPLICATES, 2))
+
+
+# one to four entropy words of seed: with the stream's word, 2**100 + 3 has one
+# more than SeedSequence's pool of four, which is mixed in after the pool
+SHIFT_SEEDS = (0, 1, 7, 905, 2**32 - 1, 2**32, 2**64 + 5, 2**70 + 11, 2**100 + 3)
+SHIFT_STREAMS = (0, 1, 15, 16, 1023)  # batches 0, 1 and 63 of 16 streams
+SHIFT_SHAPES = ((16, 1), (17, 2), (24, 3), (31, 9))  # (reps, coords): a growing prefix
+
+
+def test_shifts_are_numpys_philox_stream(monkeypatch):
+    # bit for bit what numpy.random gives, on every path of the draw table: a
+    # longer prefix, another seed and another batch refill it, a shorter
+    # prefix of the same seed and batch reads it; the calls run forward and
+    # then back, so every refill happens both ways
+    monkeypatch.setattr(quadrature, "_draws", None)
+    calls = list(itertools.product(SHIFT_SEEDS, SHIFT_STREAMS, SHIFT_SHAPES))
+    paths = set()
+    for seed, stream, (reps, coords) in calls + calls[::-1]:
+        before = quadrature._draws
+        shifts = _shifts(seed, stream, reps, coords)
+        gen = np.random.Generator(np.random.Philox(seed=np.random.SeedSequence(entropy=(seed, stream))))
+        expected = gen.random((reps, coords)).T
+        assert shifts.shape == expected.shape and shifts.flags.f_contiguous
+        assert np.array_equal(shifts, expected), (seed, stream, reps, coords)
+        path = ("first" if before is None else "seed" if before[0] != seed else
+                "batch" if before[1] != stream // 16 else "longer" if before[2].shape[1] < reps * coords else "read")
+        assert (quadrature._draws is before) == (path == "read"), (seed, stream, reps, coords)
+        paths.add(path)
+    assert paths == {"first", "seed", "batch", "longer", "read"}
+    assert quadrature._draws[:2] == (SHIFT_SEEDS[0], 0) and not quadrature._draws[2].flags.writeable
+
+
+def test_negative_seeds_are_rejected_when_the_spec_is_built():
+    with pytest.raises(ValueError, match="non-negative"):
+        SampleSpec(seed=-1)
+    # the key derivation refuses a negative seed or stream itself, whose words would never end
+    for seed, stream in ((-1, 0), (0, -1), (-2**40, 3)):
+        with pytest.raises(ValueError, match="non-negative"):
+            quadrature._key(seed, stream)
+        with pytest.raises(ValueError, match="non-negative"):
+            _shifts(seed, stream, REPLICATES, 2)
+    # the seed is read as int(seed), as before
+    box = AxisBox(DISK.bbox)
+    estimate = lambda seed: sweep(DISK.contains, box, SampleSpec(n=1000, seed=seed), ratios=[Ratio(lambda p: p[:, 0])])
+    assert estimate(3.0) == estimate(np.int64(3)) == estimate(3) != estimate(4)
 
 
 def test_student_t_table_is_the_975_quantile():
@@ -604,7 +651,7 @@ def _oracle_sweep(weight, proposal, spec, stream=0, ratios=(), ranges=()):
     found = [[] for col in ranges for _ in range(1 if col.width is None else col.width)]
     unbounded = [[False, False] for _ in found]
     with np.errstate(all="ignore"):
-        for a, b in proposal.pairs(spec.seed, stream, spec.pairs):
+        for a, b in replicate_pairs(proposal, spec.seed, stream, spec.pairs):
             used += len(a)
             halves = []
             for pts in (a, b):

@@ -9,9 +9,12 @@ and compares what they give:
 - every file that the `pure-measure` CLI writes for the benchmark's
   `cli_config(0)` and `cli_config(905)` and for the 3-D and 8-D shells
   config of CI's Determinism step (tools/shells.json), at its own sample
-  count and at 140,000 samples, where the CLI forks large profiles, and for
-  the operators config (tools/operators.json), whose integrands use every
-  operator and function of the expression grammar, and its exit status.
+  count, at 140,000 samples, where the CLI forks large profiles, and at
+  seed 2^64 + 5, whose three 32-bit entropy words check the package's own
+  seeding against numpy's SeedSequence where the other checkout calls it,
+  and for the operators config (tools/operators.json), whose integrands use
+  every operator and function of the expression grammar, and its exit
+  status.
 
 Each checkout runs its own `bench/child.py` and CLI from its own `src`.  The
 CLI configs come from this tree's `bench/workloads.py`, tools/shells.json
@@ -42,6 +45,7 @@ ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("point_probes", "thin_features")
 SEEDS = (1, 7, 53)
 CLI_SEEDS = (0, 905)
+WIDE_SEED = 2**64 + 5  # three 32-bit words of entropy
 SHELLS = ROOT / "tools" / "shells.json"
 OPERATORS = ROOT / "tools" / "operators.json"
 THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -112,6 +116,7 @@ def main(argv=None) -> int:
                 print(f"{label}: {len(parent)} ops compared", flush=True)
         runs = {"shells": ["--config", str(SHELLS)],
                 "shells at 140000 samples": ["--config", str(SHELLS), "--samples", "140000"],
+                f"shells at seed {WIDE_SEED}": ["--config", str(SHELLS), "--seed", str(WIDE_SEED)],
                 "operators": ["--config", str(OPERATORS)]}
         for seed in CLI_SEEDS:
             path = work / f"cli_config_{seed}.json"
