@@ -171,9 +171,12 @@ def parse_config(text: str, seed: int | None = None, samples: int | None = None)
     version = raw.get("version", SCHEMA)
     _require(version == SCHEMA, ParseError, f"unrecognized version {version!r}", "/version")
 
+    # a seed is the first word of each level's Philox key (see `SampleSpec`)
     config_seed = _at_least(raw.get("seed", 0), 0, "seed", "/seed")
+    _require(config_seed < 2**64, ParseError, "seed must be below 2^64", "/seed")
     config_samples = _at_least(raw.get("samples", DEFAULT_SAMPLES), 2, "samples", "/samples")
     seed = config_seed if seed is None else _at_least(seed, 0, "seed", "--seed")
+    _require(seed < 2**64, ParseError, "seed must be below 2^64", "--seed")
     samples = config_samples if samples is None else _at_least(samples, 2, "samples", "--samples")
     tol = _tolerance(raw.get("tol", DEFAULT_TOL), "/tol")
     schedule = _check_schedule(raw.get("schedule", {}), "/schedule")
@@ -205,7 +208,8 @@ def parse_config(text: str, seed: int | None = None, samples: int | None = None)
         spec = SampleSpec(_at_least(task.get("samples", samples), 2, "samples", ptr + "/samples"), seed)
         task_tol = _tolerance(task.get("tol", tol), ptr + "/tol")
         reader = _Task(task, ptr, tables, spec, task_tol, task.get("schedule", schedule))
-        jobs.append(BoundTask(name, kind, TASK_KINDS[kind](reader), spec.pairs))
+        job = TASK_KINDS[kind](reader)
+        jobs.append(BoundTask(name, kind, job, reader.pairs))
         reader.check_omega()
         for stem in reader.stems:
             _require(stem not in stems, ParseError, f"duplicate task name or CSV stem {stem!r}", ptr + "/name")
@@ -240,6 +244,7 @@ class _Task:
         self.spec, self.tol, self._schedule = spec, tol, schedule
         self.name = node.get("name")
         self.stems = [self.name]  # the file stems it takes: its name, then any CSV stems its kind adds
+        self.pairs = spec.pairs  # the pairs it draws per level, 0 for a kind that draws no sample
         self._omega: Region | None = None
 
     def at(self, field: str) -> str:
@@ -538,6 +543,7 @@ def _gauss_check(t: _Task) -> Job:
 
 
 def _fa_lattice(t: _Task) -> Job:
+    t.pairs = 0
     node = _object(t.get("measure"), "measure", t.at("measure"))
     try:
         mu = fa_lattice.measure_from_json(node)

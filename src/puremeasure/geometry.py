@@ -17,6 +17,7 @@ is promoted automatically.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -219,6 +220,8 @@ class Cusp(Region):
     def __post_init__(self):
         if self.p < 1:
             raise ValueError("cusp exponent must be >= 1")
+        if not math.nextafter(1.0, 0.0) ** self.p > 0:  # x1^p is 0 for every float x1 < 1
+            raise ValueError("cusp exponent leaves the region empty: x1^p underflows to 0 for every x1 < 1")
         if self.dim < 2:
             raise DimensionMismatch("cusp needs dimension >= 2")
 

@@ -17,10 +17,10 @@ Each replicate's estimate is unbiased, the replicates are independent, and
 the spread of the replicate sums is the unit of the variance estimate, scaled
 by Student's t at the replicates' degrees of freedom.  The shifts of a pass
 come from the counter-based Philox4x64-10 generator (Salmon, Moraes, Dror &
-Shaw 2011) on the stream (seed, stream): numpy's Philox stream under
-SeedSequence(entropy=(seed, stream)), computed in the package bit for bit
-(see `_shifts`), so identical specs give bit-identical estimates, streams are
-independent, and the stream does not move with numpy's version.
+Shaw 2011) under the key (seed, stream), as a counter-based generator takes
+an application's identifiers: numpy's Philox stream, computed in the package
+bit for bit (see `_shifts`), so identical specs give bit-identical estimates,
+streams are independent, and the stream does not move with numpy's version.
 The pairing makes estimates of odd integrands about the centre vanish
 identically instead of merely on average (on a proposal without folds),
 which the density engine relies on for its cancellation fixtures.
@@ -122,16 +122,11 @@ STUDENT_T = (12.7062, 4.3027, 3.1824, 2.7764, 2.5706, 2.4469, 2.3646, 2.3060,
 LATTICE_BITS = 32
 LATTICE_A = 0xA4224509
 DEFAULT_SAMPLES = 200_000
-# numpy's SeedSequence (numpy/random/bit_generator.pyx): the constants that
-# hash entropy into its pool of four 32-bit words and words out of it
-_MASK32 = 0xFFFFFFFF
-_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 # Philox4x64-10 (Salmon, Moraes, Dror & Shaw 2011): the round multipliers
 # M_0, M_1 and their 32-bit halves, and the key's Weyl increments, as uint64
 _PHILOX_M = np.array([0xD2E7470EE14C6C93, 0xCA5A826395121157], dtype=np.uint64)[:, None, None]
 _PHILOX_W = np.array([0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B], dtype=np.uint64)[:, None, None]
-_HALF, _LOW, _DISCARD = np.uint64(32), np.uint64(_MASK32), np.uint64(11)
+_HALF, _LOW, _DISCARD = np.uint64(32), np.uint64(0xFFFFFFFF), np.uint64(11)
 _PHILOX_MH, _PHILOX_ML = _PHILOX_M >> _HALF, _PHILOX_M & _LOW
 # the streams whose draws `_shifts` computes together, and the table that holds
 # them: (seed, batch, draws), the first draws of streams batch _BATCH on
@@ -153,7 +148,7 @@ class SampleSpec:
 
     Sample counts are rounded up to the next even number so that the stream
     consists of whole antithetic pairs.  The seed, read as int(seed), is
-    non-negative, as numpy's SeedSequence requires of its entropy.
+    the first word of each level's Philox key, so 0 <= seed < 2^64.
     """
 
     n: int = DEFAULT_SAMPLES
@@ -162,8 +157,8 @@ class SampleSpec:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("need at least one sample")
-        if int(self.seed) < 0:
-            raise ValueError("the seed must be non-negative")
+        if not 0 <= int(self.seed) < 2**64:
+            raise ValueError("the seed must be a 64-bit key word, 0 <= seed < 2^64")
 
     @property
     def pairs(self) -> int:
@@ -203,52 +198,6 @@ def _lattice(coords: int, count: int) -> np.ndarray:
     return ((h[:, None] * k) & mask).astype(float) * 2.0 ** -LATTICE_BITS
 
 
-def _key(seed: int, stream: int) -> tuple[int, int]:
-    """The Philox key that numpy's SeedSequence(entropy=(seed, stream)).generate_state(2, uint64) gives.
-
-    The entropy is the 32-bit words of seed and then of stream, least
-    significant first (one word 0 for 0), hashed into a pool of four words
-    that are then mixed with each other and with any further entropy word,
-    and four words hashed out of the pool make the two 64-bit key words,
-    little-endian.  Every product is reduced mod 2^32 at once.
-    """
-    entropy = []
-    for v in (seed, stream):
-        if v < 0:  # its words would never end
-            raise ValueError("seeds and streams are non-negative")
-        entropy.append(v & _MASK32)
-        while v := v >> 32:
-            entropy.append(v & _MASK32)
-    const = _INIT_A
-
-    def hashed(value: int) -> int:
-        nonlocal const
-        value ^= const
-        const = const * _MULT_A & _MASK32
-        value = value * const & _MASK32
-        return value ^ value >> 16
-
-    def mixed(x: int, y: int) -> int:
-        value = (_MIX_L * x - _MIX_R * y) & _MASK32
-        return value ^ value >> 16
-
-    pool = [hashed(entropy[i] if i < len(entropy) else 0) for i in range(4)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mixed(pool[dst], hashed(pool[src]))
-    for word in entropy[4:]:
-        for dst in range(4):
-            pool[dst] = mixed(pool[dst], hashed(word))
-    const, out = _INIT_B, []
-    for word in pool:
-        word ^= const
-        const = const * _MULT_B & _MASK32
-        word = word * const & _MASK32
-        out.append(word ^ word >> 16)
-    return out[0] | out[1] << 32, out[2] | out[3] << 32
-
-
 def _philox(keys: np.ndarray, blocks: int) -> np.ndarray:
     """The first 4 `blocks` outputs of Philox4x64-10 under each of s keys, a (2, s, 1) uint64 array, as (s, 4 blocks).
 
@@ -276,24 +225,26 @@ def _philox(keys: np.ndarray, blocks: int) -> np.ndarray:
 
 
 def _shifts(seed: int, stream: int, reps: int, coords: int) -> np.ndarray:
-    """The (coords, reps) random shifts of a pass: numpy's Philox4x64-10 stream under SeedSequence(entropy=(seed, stream)).
+    """The (coords, reps) random shifts of a pass: numpy's Philox4x64-10 stream under key=(seed, stream).
 
-    Shift r's coordinate j is draw r coords + j, and draw i is output i's
-    top 53 bits times 2^-53, as numpy's Generator.random((reps, coords))
-    gives them, bit for bit, with the package's own `_key` and `_philox`,
-    so no process loads numpy.random.  One Philox pass costs about the same
-    for any width, so the first draws of the _BATCH streams that hold
-    `stream` are computed together, for one seed, and kept in one module
-    table, which a request for another seed, another batch or a longer
-    prefix replaces.  The table is a pure function of what it holds, so a
-    forked process may read its parent's.
+    The seed and the stream are the key's 64-bit words.  Shift r's coordinate
+    j is draw r coords + j, and draw i is output i's top 53 bits times 2^-53,
+    as numpy's Generator.random((reps, coords)) gives them, bit for bit, with
+    the package's own `_philox`, so no process loads numpy.random.  One
+    Philox pass costs about the same for any width, so the first draws of
+    the _BATCH streams that hold `stream` are computed together, for one
+    seed, and kept in one module table, which a request for another seed,
+    another batch or a longer prefix replaces.  The table is a pure function
+    of what it holds, so a forked process may read its parent's.
     """
     global _draws
     seed, stream = int(seed), int(stream)
+    if not (0 <= seed < 2**64 and 0 <= stream < 2**64):
+        raise ValueError("seeds and streams are 64-bit key words, 0 <= value < 2^64")
     count, (batch, row) = reps * coords, divmod(stream, _BATCH)
     table = _draws
     if table is None or table[:2] != (seed, batch) or table[2].shape[1] < count:
-        keys = np.array([_key(seed, s) for s in range(batch * _BATCH, (batch + 1) * _BATCH)], dtype=np.uint64)
+        keys = np.array([(seed, s) for s in range(batch * _BATCH, (batch + 1) * _BATCH)], dtype=np.uint64)
         draws = (_philox(keys.T[:, :, None], -(-count // 4)) >> _DISCARD).astype(float) * 2.0 ** -53
         draws.flags.writeable = False
         table = _draws = (seed, batch, draws)

@@ -287,6 +287,7 @@ def test_every_kinds_entry_is_json_ready(tmp_path):
 
 def test_fa_lattice_task_payload(tmp_path):
     cfg = parse_config(config_with([FULL_SUITE[-1]]))
+    assert cfg.jobs[0].pairs == 0  # it draws no sample, so the share rule counts no pairs for it
     run(cfg, tmp_path)
     report = json.loads((tmp_path / "report.json").read_text())
     result = report["tasks"][0]["result"]
@@ -315,6 +316,15 @@ def test_main_cli_round_trip(tmp_path):
     assert main(["--config", str(cos_path), "--out", str(out_a), "--seed", "1"]) == 0
     assert main(["--config", str(cos_path), "--out", str(out_b), "--seed", "2"]) == 0
     assert (out_a / "cosint.csv").read_bytes() != (out_b / "cosint.csv").read_bytes()
+    # the widest seed, the key word 2^64 - 1, runs from the flag and from the config alike
+    wide = json.loads(cos_path.read_text())
+    wide["seed"] = 2**64 - 1
+    cos_path.write_text(json.dumps(wide))
+    out_c, out_d = tmp_path / "c", tmp_path / "d"
+    assert main(["--config", str(cos_path), "--out", str(out_c)]) == 0
+    assert main(["--config", str(cfg_path), "--out", str(out_d), "--seed", str(2**64 - 1)]) == 0
+    assert json.loads((out_c / "report.json").read_text())["config"]["seed"] == 2**64 - 1
+    assert json.loads((out_d / "report.json").read_text())["config"]["seed"] == 2**64 - 1
 
 
 def test_main_task_filter(tmp_path):
@@ -391,6 +401,9 @@ def test_parse_rejects_non_string_task_kind():
     (7, None, ["--samples", "1"], "--samples"),
     (7, None, ["--seed", "-1"], "--seed"),
     (-3, None, [], "/seed"),
+    # a seed is a 64-bit Philox key word
+    (7, None, ["--seed", str(2**64)], "--seed"),
+    (2**64, None, [], "/seed"),
     (7, 0, [], "/tasks/0/samples"),
 ])
 def test_main_rejects_bad_seed_and_samples(tmp_path, capsys, seed, task_samples, flags, pointer):
@@ -575,9 +588,12 @@ WITH_QUADRANT = {"features": dict(BASE["features"], quadrant={"intersection": [
      "/regions/lax"),
     ({"regions": dict(BASE["regions"], lax={"halfspace": {"normal": [1e-200, 0], "offset": 0}})}, DENSITY_TASK,
      "/regions/lax"),
-    # a steep cusp's slope bound once overflowed in the check
-    ({"regions": dict(BASE["regions"], steep={"cusp": {"p": 1e200}})},
+    # the slope bound sqrt(1 + p^2) of a steep cusp must not overflow in the check
+    ({"regions": dict(BASE["regions"], steep={"cusp": {"p": 6e18}})},
      {"task": "boundary_trace", "integrand": "xy", "omega": "steep", "x": [1.5, 0]}, "/tasks/0/x"),
+    # a cusp whose x1^p underflows to 0 for every x1 < 1 is empty
+    ({"regions": dict(BASE["regions"], steep={"cusp": {"p": 1e200}})},
+     {"task": "boundary_trace", "integrand": "xy", "omega": "steep", "x": [0.5, 0]}, "/regions/steep"),
 ])
 def test_main_rejects_bad_tol_delta0_and_nodes(tmp_path, capsys, top, task, pointer):
     cfg = json.loads(config_with([task]))
@@ -706,7 +722,8 @@ def test_every_task_field_is_checked_at_parse(index, field, edit):
 # ---------------------------------------------------------- shared tasks
 
 # below fork size: an unintegrable task and an exact one among the sampling tasks;
-# at 60,000 samples they run 4 x 30,000 + 50,000 pairs per level, 2 shares of FORK_PAIRS
+# at 60,000 samples they run 3 x 30,000 + 50,000 pairs per level, 2 shares of FORK_PAIRS,
+# and the exact one none
 SHARED = [DENSITY_TASK, FULL_SUITE[3],
           {"task": "sharp_integral", "name": "sing", "integrand": "oddsing", "feature": "origin1", "omega": "line",
            "samples": 100_000},
@@ -742,7 +759,7 @@ SHARE_SCRIPT = textwrap.dedent("""
     code, shared, forked = main(t.SHARED, "shared", *two)
     assert (code, forked) == (2, 1)
     assert main(t.SHARED, "serial", *two, cpus={min(mask)}) == (2, shared, 0)
-    # at 20,000 samples they run 90,000 pairs per level, one share's worth
+    # at 20,000 samples they run 80,000 pairs per level, one share's worth
     assert main(t.SHARED, "light")[::2] == (2, 0)
 
     config = cli.parse_config(t.config_with(t.SHARED), samples=60000)
@@ -766,12 +783,19 @@ SHARE_SCRIPT = textwrap.dedent("""
     big = t.SHARED[:2] + [t.FULL_SUITE[1]]
     assert main(big, "big", "--samples", str(2 * density_engine.FORK_PAIRS))[::2] == (0, 3)
 
-    # the engine's FORK_PAIRS decides for the CLI: four tasks of 10,000 pairs
-    # per level run in turn, and in two shares once it is 20,000
+    # lattice tasks draw no sample, so six of them at 60,000 samples count no
+    # pairs and fork nothing, to the files of a run on one CPU
+    lattice = [dict(t.FULL_SUITE[-1], name=f"lattice{i}") for i in range(6)]
+    code, serial, _ = main(lattice, "lattice_one_cpu", *two, cpus={min(mask)})
+    assert main(lattice, "lattice", *two) == (code, serial, 0)
+
+    # the engine's FORK_PAIRS decides for the CLI: three sampling tasks of
+    # 10,000 pairs per level and a lattice task run in turn, and in two
+    # shares once it is 15,000
     small = t.SHARED[:2] + t.SHARED[3:]
     code, serial, forked = main(small, "small")
     assert forked == 0
-    density_engine.FORK_PAIRS = 20_000
+    density_engine.FORK_PAIRS = 15_000
     assert main(small, "small_shared") == (code, serial, 1)
 
     forking.finish(mask)
@@ -788,6 +812,7 @@ def test_tasks_below_fork_size_share_the_cpus():
     # run again by the caller, to the same files; tasks that together run
     # fewer than 2 FORK_PAIRS pairs per level, one task, a busy machine and
     # a config at fork size fork no task share, and the last forks each
-    # profile's levels instead; with the engine's FORK_PAIRS lowered, a
+    # profile's levels instead; lattice tasks, which draw no sample, fork
+    # nothing however many there are; with the engine's FORK_PAIRS lowered, a
     # config that ran in turn shares; no child is left and the mask is restored
     assert forking.run_script(SHARE_SCRIPT)[-1] == "shared"

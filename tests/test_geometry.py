@@ -216,10 +216,11 @@ def test_halfspace_normals_need_a_finite_nonzero_norm():
 
 
 def test_a_steep_cusp_has_a_finite_pseudo_distance():
-    # its slope bound sqrt(1 + p^2) once raised OverflowError from p ** 2
-    cusp = Cusp(1e200)
+    # its slope bound sqrt(1 + p^2) must not overflow: 6e18 is among the
+    # steepest exponents that leave the cusp nonempty
+    cusp = Cusp(6e18)
     assert signed_distance(cusp, (1.5, 0.0)) == 0.5
-    assert signed_distance(cusp, (0.5, 0.5)) == pytest.approx(0.5e-200)
+    assert signed_distance(cusp, (0.5, 0.5)) == pytest.approx(0.5 / 6e18)
 
 
 def test_cone_geometry():
@@ -252,6 +253,7 @@ def test_region_json_grammar():
     for spec in [
         {"halfspace": {"normal": [1, 0], "offset": 0.0}},
         {"cusp": {"p": 2}},
+        {"cusp": {"p": 6e18}},  # the largest float below 1, to this power, is still positive
         {"union": [{"ball": {"c": [0, 0], "r": 1}}, {"box": {"lo": [0, 0], "hi": [2, 2]}}]},
         {"intersection": [{"ball": {"c": [0, 0], "r": 1}}, {"box": {"lo": [0, 0], "hi": [2, 2]}}]},
         {"complement": {"ball": {"c": [0, 0], "r": 1}}},
@@ -278,6 +280,9 @@ def test_region_json_grammar():
         {"cusp": {"p": 2, "dim": 2.9}},
         {"cusp": {"p": 2, "dim": "3"}},
         {"cusp": {"p": 2, "dim": True}},
+        # x1^p underflows to 0 for every x1 < 1, so the cusp is empty
+        {"cusp": {"p": 7e18}},
+        {"cusp": {"p": 1e200}},
     ]:
         with pytest.raises((ValueError, TypeError)):
             region_from_json(bad)

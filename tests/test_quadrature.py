@@ -308,8 +308,7 @@ def _unit_points(coords, seed, stream, pairs, dtype=float):
     In long double the sum is exact, where a float rounds it.
     """
     reps, size = _layout(pairs)
-    shifts = np.random.Generator(np.random.Philox(seed=np.random.SeedSequence(entropy=(seed, stream)))).random(
-        (reps, coords))
+    shifts = np.random.Generator(np.random.Philox(key=np.array([seed, stream], np.uint64))).random((reps, coords))
     out = []
     for r in range(reps):
         rows = []
@@ -382,9 +381,8 @@ def test_shifts_are_independent_per_stream():
     assert not np.array_equal(_shifts(7, 3, REPLICATES, 2), _shifts(8, 3, REPLICATES, 2))
 
 
-# one to four entropy words of seed: with the stream's word, 2**100 + 3 has one
-# more than SeedSequence's pool of four, which is mixed in after the pool
-SHIFT_SEEDS = (0, 1, 7, 905, 2**32 - 1, 2**32, 2**64 + 5, 2**70 + 11, 2**100 + 3)
+# the key word's low and high halves, and its widest value
+SHIFT_SEEDS = (0, 1, 7, 905, 2**32 - 1, 2**32, 2**64 - 1)
 SHIFT_STREAMS = (0, 1, 15, 16, 1023)  # batches 0, 1 and 63 of 16 streams
 SHIFT_SHAPES = ((16, 1), (17, 2), (24, 3), (31, 9))  # (reps, coords): a growing prefix
 
@@ -400,7 +398,7 @@ def test_shifts_are_numpys_philox_stream(monkeypatch):
     for seed, stream, (reps, coords) in calls + calls[::-1]:
         before = quadrature._draws
         shifts = _shifts(seed, stream, reps, coords)
-        gen = np.random.Generator(np.random.Philox(seed=np.random.SeedSequence(entropy=(seed, stream))))
+        gen = np.random.Generator(np.random.Philox(key=np.array([seed, stream], np.uint64)))
         expected = gen.random((reps, coords)).T
         assert shifts.shape == expected.shape and shifts.flags.f_contiguous
         assert np.array_equal(shifts, expected), (seed, stream, reps, coords)
@@ -413,14 +411,15 @@ def test_shifts_are_numpys_philox_stream(monkeypatch):
 
 
 def test_negative_seeds_are_rejected_when_the_spec_is_built():
-    with pytest.raises(ValueError, match="non-negative"):
-        SampleSpec(seed=-1)
-    # the key derivation refuses a negative seed or stream itself, whose words would never end
-    for seed, stream in ((-1, 0), (0, -1), (-2**40, 3)):
-        with pytest.raises(ValueError, match="non-negative"):
-            quadrature._key(seed, stream)
-        with pytest.raises(ValueError, match="non-negative"):
+    # a seed and a stream are the words of a 64-bit key: 0 <= value < 2**64
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match="2\\^64"):
+            SampleSpec(seed=seed)
+    assert SampleSpec(seed=2**64 - 1).seed == 2**64 - 1
+    for seed, stream in ((-1, 0), (0, -1), (-2**40, 3), (2**64, 0), (0, 2**64)):
+        with pytest.raises(ValueError, match="2\\^64"):
             _shifts(seed, stream, REPLICATES, 2)
+    assert _shifts(2**64 - 1, 2**64 - 1, REPLICATES, 2).shape == (2, REPLICATES)
     # the seed is read as int(seed), as before
     box = AxisBox(DISK.bbox)
     estimate = lambda seed: sweep(DISK.contains, box, SampleSpec(n=1000, seed=seed), ratios=[Ratio(lambda p: p[:, 0])])

@@ -10,8 +10,7 @@ and compares what they give:
   `cli_config(0)` and `cli_config(905)` and for the 3-D and 8-D shells
   config of CI's Determinism step (tools/shells.json), at its own sample
   count, at 140,000 samples, where the CLI forks large profiles, and at
-  seed 2^64 + 5, whose three 32-bit entropy words check the package's own
-  seeding against numpy's SeedSequence where the other checkout calls it,
+  seed 2^64 - 1, the widest word of a level's Philox key (seed, level),
   and for the operators config (tools/operators.json), whose integrands use
   every operator and function of the expression grammar, and its exit
   status.
@@ -45,7 +44,7 @@ ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("point_probes", "thin_features")
 SEEDS = (1, 7, 53)
 CLI_SEEDS = (0, 905)
-WIDE_SEED = 2**64 + 5  # three 32-bit words of entropy
+WIDE_SEED = 2**64 - 1  # the widest Philox key word
 SHELLS = ROOT / "tools" / "shells.json"
 OPERATORS = ROOT / "tools" / "operators.json"
 THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
