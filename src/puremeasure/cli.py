@@ -554,7 +554,7 @@ def _fa_lattice(t: _Task) -> Job:
         try:
             band = mu.algebra.ground.subset(_list(t.node["band"], "band", t.at("band")))
             mu.algebra.require(band)
-        except (KeyError, fa_lattice.NotInAlgebra) as e:
+        except (KeyError, TypeError, fa_lattice.NotInAlgebra) as e:  # TypeError: an unhashable label
             raise ParseError(f"bad band: {e}", t.at("band")) from None
 
     def job(out: Path):

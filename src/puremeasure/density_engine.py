@@ -136,8 +136,8 @@ class DeltaSchedule:
     count: int = DEFAULT_COUNT
 
     def __post_init__(self):
-        if self.delta0 <= 0:
-            raise ValueError("delta0 must be positive")
+        if not 0 < self.delta0 < math.inf:
+            raise ValueError("delta0 must be positive and finite")
         if self.count < 3:
             raise ValueError("need at least three levels")
         if self.count > MAX_LEVELS:
@@ -640,7 +640,7 @@ def action_interval(
     spec: SampleSpec,
     tol: float = DEFAULT_TOL,
 ) -> Interval:
-    """[lim ess inf, lim ess sup] of fn near the feature (quantile surrogate)."""
+    """[lim ess inf, lim ess sup] of fn near the feature (each level's least and greatest finite hit values)."""
     return action_profile(fn, feature, omega, schedule, spec, tol).interval
 
 

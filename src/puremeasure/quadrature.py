@@ -62,8 +62,8 @@ saves less than it costs.  A half-leaf without hits calls no column.
 Columns on one sweep share their samples (common random numbers), so each
 agrees exactly with the same column estimated on a separate sweep.
 
-A column is nothing but its values: the kernel reads the cap and the
-quantile from its own MAGNITUDE_CAP and ESS_QUANTILE.  A ratio column
+A column is nothing but its values: the kernel reads the cap from its own
+MAGNITUDE_CAP.  A ratio column
 never averages a NaN sample, which it tallies as undefined (the witness of
 an integrand undefined there), nor one that is infinite or exceeds
 MAGNITUDE_CAP in magnitude, which it tallies as capped (the witness of an
@@ -77,11 +77,11 @@ shared by every such column.
 An indicator weight arrives as a bool mask, under which a ratio column of
 bool values (a membership) on both halves of a leaf is counted rather than
 multiplied and summed in floats: each replicate's sums are half its samples
-in w & v and in w.  A
-range column keeps only the O(q n) smallest and largest finite values it
-has seen, which hold every order statistic its quantiles read, so its
-endpoints are np.quantile's of all n values.  None of this moves a bit of
-any estimate.
+in w & v and in w.  None of this moves a bit of any estimate.  A range
+column keeps only the least and greatest finite values it has seen, its
+endpoints: each value is the column at a point drawn uniformly from the set
+of positive weight, so the two are inner bounds of its essential range (the
+sample maximum estimates a distribution's endpoint, Hall 1982).
 
 Under an indicator weight, or a weight of one value on its support, which
 a sweep decides once for all of its columns, a ratio column of bool values (a membership) or of one constant value (a
@@ -108,7 +108,6 @@ from .geometry import Bbox, Region, bbox_is_finite, bbox_volume
 CHUNK_PAIRS = 1 << 15
 LEAF_PAIRS = 1 << 14
 MAGNITUDE_CAP = 1.0e3
-ESS_QUANTILE = 1.0e-3
 REPLICATES = 16
 # t quantile at 0.975 for 1, 2, ..., 30 degrees of freedom: a pass has at
 # most 2 REPLICATES - 1 replicates, and m >= 2 of them make stderr
@@ -561,7 +560,7 @@ class OrientedBox(Proposal):
 
 @dataclass(frozen=True)
 class EssRange:
-    """Empirical essential-range surrogate: extreme quantiles of hit samples.
+    """Empirical essential range: the least and greatest finite hit values, inner bounds of its ends.
 
     Endpoints are +-inf when samples beyond the magnitude cap (or non-finite
     ones) witness essential unboundedness on that side.
@@ -597,7 +596,7 @@ class Ratio:
 
 @dataclass(frozen=True)
 class Range:
-    """Essential-range columns: the ESS_QUANTILE and 1 - ESS_QUANTILE quantiles of each column's finite values.
+    """Essential-range columns: the least and greatest of each column's finite values.
 
     `values` maps the points of positive weight w, a Fortran-ordered
     (h, d) block, to one value each, one column; with `width` k, to an
@@ -648,7 +647,7 @@ def sweep(
     level = None  # the one value w takes on its support in every half-leaf (see `_Half`)
     sums = np.zeros((len(ratios), 2, reps))  # each ratio's numerator and denominator sum per replicate
     steps = [_Step(col.per_sample) for col in ratios]
-    tails = [[_Tails(ESS_QUANTILE, m) for _ in range(1 if col.width is None else col.width)] for col in ranges]
+    extremes = [[_Extremes() for _ in range(1 if col.width is None else col.width)] for col in ranges]
     work = _Work(min(LEAF_PAIRS, m), proposal, bool(ratios))
 
     def leaf(lo: int, hi: int, start: int, stop: int) -> list:
@@ -662,7 +661,7 @@ def sweep(
             hits += half.hits
             level = _one(level, half.level)
             if ranges and half.hits:
-                _feed_ranges(ranges, tails, half.pts if half.taken is None else half.taken)
+                _feed_ranges(ranges, extremes, half.pts if half.taken is None else half.taken)
         return _ratio_sums(ratios, halves, shape, work.shares(shape[0] * shape[1]), steps)
 
     with np.errstate(all="ignore"):
@@ -674,7 +673,7 @@ def sweep(
             tuple(_ratio_result(u, d, step.capped, step.undefined, m, hits,
                                 step.rounding(u, 2 * m if col.per_sample else hits, level))
                   for (u, d), step, col in zip(sums, steps, ratios)),
-            tuple(_range_result(tail, hits) for group in tails for tail in group),
+            tuple(_range_result(ext, hits) for group in extremes for ext in group),
         )
 
 
@@ -1030,87 +1029,46 @@ def _ratio_sums(ratios: Sequence[Ratio], halves: tuple[_Half, _Half], shape: tup
     return out
 
 
-class _Tails:
-    """The k smallest and k largest finite values a range column has seen, and their count.
+class _Extremes:
+    """The least and greatest finite values a range column has seen: inf and -inf before any."""
 
-    With k = floor(q * 2m) + 3 for m pairs (so at most 2m values), these
-    hold both order statistics that each of the q and 1 - q quantiles
-    interpolates between: O(q n) values instead of all n.
-    """
-
-    def __init__(self, q: float, pairs: int):
-        self.k = math.floor(q * 2 * pairs) + 3
-        self.count = 0
-        self.low = self.high = np.empty(0)
+    def __init__(self):
+        self.lo, self.hi = math.inf, -math.inf
         self.below = self.above = False  # a value beyond MAGNITUDE_CAP on that side, or a NaN, was seen
 
 
-def _feed_ranges(ranges: Sequence[Range], tails: list[list[_Tails]], pts: np.ndarray) -> None:
+def _feed_ranges(ranges: Sequence[Range], extremes: list[list[_Extremes]], pts: np.ndarray) -> None:
     """Add one half-leaf's hit points, a Fortran-ordered (h, d) block, to every range column.
 
     Each `Range` is called once and feeds each column of its block to its
-    own tails, in order; a block with other than `width` columns raises
+    own extremes, in order; a block with other than `width` columns raises
     ValueError.  The block may be a view of the sweep's work block, and a
-    column reads it only here: `_add_values` keeps copies of the values it
-    selects.
+    column reads it only here.
     """
-    for col, group in zip(ranges, tails):
+    for col, group in zip(ranges, extremes):
         block = np.asarray(col.values(pts), dtype=float)
-        for tail, v in zip(group, [block] if col.width is None else block.T, strict=True):
-            _add_values(tail, v)
+        for ext, v in zip(group, [block] if col.width is None else block.T, strict=True):
+            _add_values(ext, v)
 
 
-def _add_values(tail: _Tails, v: np.ndarray) -> None:
-    """Flag the values beyond MAGNITUDE_CAP and keep the finite ones that reach either tail.
-
-    Only values strictly beyond the current k-th smallest (largest) can
-    enter the low (high) tail; the tail is then re-selected by partition.
-    """
+def _add_values(ext: _Extremes, v: np.ndarray) -> None:
+    """Flag the values beyond MAGNITUDE_CAP and keep the least and greatest finite ones, the first of a tie."""
     lo, hi = v.min(), v.max()  # NaN propagates
     if np.isfinite(lo) and np.isfinite(hi):
-        tail.below |= bool(lo < -MAGNITUDE_CAP)
-        tail.above |= bool(hi > MAGNITUDE_CAP)
+        ext.below |= bool(lo < -MAGNITUDE_CAP)
+        ext.above |= bool(hi > MAGNITUDE_CAP)
     else:
         nan = bool(np.isnan(v).any())
-        tail.below |= nan or bool(np.any(v < -MAGNITUDE_CAP))
-        tail.above |= nan or bool(np.any(v > MAGNITUDE_CAP))
+        ext.below |= nan or bool(np.any(v < -MAGNITUDE_CAP))
+        ext.above |= nan or bool(np.any(v > MAGNITUDE_CAP))
         v = v[np.isfinite(v)]
         if not v.size:
             return
         lo, hi = v.min(), v.max()
-    tail.count += v.size
-    k = tail.k
-    if tail.low.size < k or lo < tail.low[-1]:
-        low = np.concatenate((tail.low, v if tail.low.size < k else v[v < tail.low[-1]]))
-        tail.low = np.partition(low, k - 1)[:k] if low.size >= k else low
-    if tail.high.size < k or hi > tail.high[0]:
-        high = np.concatenate((tail.high, v if tail.high.size < k else v[v > tail.high[0]]))
-        tail.high = np.partition(high, high.size - k)[-k:] if high.size >= k else high
-
-
-def _tail_quantiles(tail: _Tails, q: float) -> np.ndarray:
-    """np.quantile of every value the tails saw at [q, 1 - q], by numpy's 'linear' method.
-
-    Each quantile lerps the order statistics at floor((n - 1) q) and the
-    next rank as numpy does, so the result is its, bit for bit, except for
-    the sign of a zero when 0.0 and -0.0 tie at those ranks.
-    """
-    n = tail.count
-    low, high = np.sort(tail.low), np.sort(tail.high)
-    virtual = (n - 1) * np.array([q, 1.0 - q])
-    prev = np.floor(virtual)
-    last = virtual >= n - 1  # numpy takes the largest value there, at index -1
-    prev[last] = -1
-    gamma = virtual - prev
-    ranks = np.where(last, n - 1, prev).astype(int)
-
-    def order(r: int) -> float:
-        return low[r] if r < low.size else high[r - (n - high.size)]
-
-    a = np.array([order(r) for r in ranks])
-    b = np.array([order(r if top else r + 1) for r, top in zip(ranks, last)])
-    diff = b - a
-    return np.where(gamma >= 0.5, b - diff * (1 - gamma), a + diff * gamma)
+    if lo < ext.lo:
+        ext.lo = float(lo)
+    if hi > ext.hi:
+        ext.hi = float(hi)
 
 
 def _ratio_result(su: np.ndarray, sv: np.ndarray, capped: int, undefined: int, m: int, hits: int,
@@ -1141,9 +1099,9 @@ def _ratio_result(su: np.ndarray, sv: np.ndarray, capped: int, undefined: int, m
     return Estimate(ratio, se, hits, 2 * m, capped, undefined)
 
 
-def _range_result(tail: _Tails, hits: int) -> EssRange:
-    lo, hi = _tail_quantiles(tail, ESS_QUANTILE) if tail.count else (-np.inf, np.inf)
-    return EssRange(float(-np.inf if tail.below else lo), float(np.inf if tail.above else hi), hits)
+def _range_result(ext: _Extremes, hits: int) -> EssRange:
+    lo, hi = (ext.lo, ext.hi) if ext.lo <= ext.hi else (-math.inf, math.inf)  # else no finite value
+    return EssRange(-math.inf if ext.below else lo, math.inf if ext.above else hi, hits)
 
 
 def _resolve_box(region: Region) -> AxisBox:
@@ -1182,7 +1140,7 @@ def mc_integral(f: Callable, region: Region, spec: SampleSpec) -> Estimate:
 
 
 def ess_range(f: Callable, region: Region, spec: SampleSpec) -> EssRange:
-    """Robust surrogate for (ess inf, ess sup) of f over the region."""
+    """(ess inf, ess sup) of f over the region, read as the least and greatest finite hit values."""
     box = _resolve_box(region)
     if box.volume == 0.0:
         raise NoHits("region has an empty bounding box")

@@ -499,6 +499,7 @@ WITH_QUADRANT = {"features": dict(BASE["features"], quadrant={"intersection": [
     ({}, {"task": "fa_lattice", "measure": dict(MEASURE, values=[[1, 0], [1, 1], [1, 1]])}, "/tasks/0/measure"),
     ({}, {"task": "fa_lattice", "measure": MEASURE, "band": ["z"]}, "/tasks/0/band"),
     ({}, {"task": "fa_lattice", "measure": MEASURE, "band": "a"}, "/tasks/0/band"),
+    ({}, {"task": "fa_lattice", "measure": MEASURE, "band": [["a"]]}, "/tasks/0/band"),
     ({}, {"task": "fa_lattice", "measure": dict(MEASURE, blocks=[["a", "b"], ["c"]], values=[[1, 1], [2, 1]]),
           "band": ["a"]}, "/tasks/0/band"),
     # measures: atoms and blocks are lists of strings, values pairs of integers

@@ -72,6 +72,9 @@ def test_schedule_validation():
         DeltaSchedule(1.0, count=2)
     with pytest.raises(ValueError):
         DeltaSchedule(1.0, count=MAX_LEVELS + 1)
+    for delta0 in (float("nan"), float("inf")):  # no level would have a finite positive delta
+        with pytest.raises(ValueError):
+            DeltaSchedule(delta0, 3)
     s = DeltaSchedule(1.0, 4)
     assert s.deltas() == [1.0, 0.5, 0.25, 0.125]
 
@@ -251,6 +254,15 @@ def test_action_interval_constant_and_continuous():
     assert const.lo == pytest.approx(3.5) and const.hi == pytest.approx(3.5)
     linear = action_interval(lambda p: p[:, 0], ORIGIN1, OMEGA1, s, spec)
     assert abs(linear.lo) <= 0.02 and abs(linear.hi) <= 0.02
+
+
+def test_action_interval_sees_a_thin_sector():
+    # the indicator of the sector |arg x| < 0.003, of density 0.003 / pi = 0.00095
+    # at the origin of the disk: the sector has positive measure in every
+    # neighbourhood, so 1 is in the essential range at every level
+    sector = lambda p: (np.abs(np.arctan2(p[:, 1], p[:, 0])) < 0.003).astype(float)
+    for seed in range(20):
+        assert action_interval(sector, ORIGIN2, DISK, sched(ORIGIN2, DISK), SampleSpec(n=20_000, seed=seed)).hi == 1.0
 
 
 def test_action_profile_envelopes_monotone():

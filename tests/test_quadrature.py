@@ -8,7 +8,6 @@ from puremeasure import quadrature
 from puremeasure.geometry import Ball, Box, Intersection, interval
 from puremeasure.quadrature import (
     CHUNK_PAIRS,
-    ESS_QUANTILE,
     LATTICE_A,
     LATTICE_BITS,
     LEAF_PAIRS,
@@ -625,13 +624,13 @@ def test_folded_pairs_share_their_folded_coordinates(dim, folds):
 # ------------------------------------------------------------ kernel oracle
 
 def _oracle_sweep(weight, proposal, spec, stream=0, ratios=(), ranges=()):
-    """`sweep` as a plain loop over the replicates: masks for every column, every hit value kept, np.quantile at the end.
+    """`sweep` as a plain loop over the replicates: masks for every column, every hit value kept, min and max at the end.
 
     It applies the kernel's rules itself: a weight counts only where it is
     finite and positive, a ratio column drops values beyond MAGNITUDE_CAP, a
-    per-sample one only non-finite values, and a range column reads the
-    ESS_QUANTILE quantiles and turns an end infinite past MAGNITUDE_CAP or
-    at a NaN.  Where the weight takes one value a on its support (1 for a
+    per-sample one only non-finite values, and a range column reads its
+    least and greatest finite values and turns an end infinite past
+    MAGNITUDE_CAP or at a NaN.  Where the weight takes one value a on its support (1 for a
     bool weight) and a ratio column's values are bool (c = 1) or one
     constant c on the hits of every half, with none of them dropped (a half
     without hits shows no value), the column adds
@@ -723,7 +722,7 @@ def _oracle_sweep(weight, proposal, spec, stream=0, ratios=(), ranges=()):
     extents = []
     for vals, (below, above) in zip(found, unbounded):
         values = np.concatenate(vals) if vals else np.empty(0)
-        lo, hi = np.quantile(values, [ESS_QUANTILE, 1.0 - ESS_QUANTILE]) if values.size else (-np.inf, np.inf)
+        lo, hi = (values.min(), values.max()) if values.size else (-np.inf, np.inf)
         extents.append(EssRange(float(-np.inf if below else lo), float(np.inf if above else hi), hits))
     return Sweep(hits, tuple(means), tuple(extents))
 
